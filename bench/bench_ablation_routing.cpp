@@ -149,7 +149,7 @@ SchedProbe run_schedule(routing::ScheduleKind kind,
   p.wire = engine.last_result().net.wire_bytes;
   p.crossing = engine.last_result().net.crossing_wire_bytes;
   p.rtx = engine.last_result().net.retransmissions;
-  p.sched_steps = engine.schedule() ? engine.schedule()->steps.size() : 1;
+  p.sched_steps = engine.schedule()->steps.size();
   return p;
 }
 

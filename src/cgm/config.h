@@ -91,11 +91,11 @@ struct MachineConfig {
   /// filesystem boundary. BackendKind::kFile only.
   std::vector<std::string> file_roots{};
 
-  /// Run real processors on std::thread, one per host, with crossing
-  /// batches posted into SimNetwork's per-link mailboxes as each store
-  /// group finishes (delivery overlaps compute; see net.mailbox_pump).
-  /// Guaranteed bit-identical to the serial schedule — outputs, IoStats,
-  /// StepComm, and NetStats alike (DESIGN.md §10).
+  /// Run real processors on std::thread, one per host, with each store
+  /// group's step-0 batches posted into SimNetwork's per-link mailboxes as
+  /// the group finishes (the network's pump thread overlaps delivery with
+  /// compute). Guaranteed bit-identical to the serial schedule — outputs,
+  /// IoStats, StepComm, and NetStats alike (DESIGN.md §10).
   bool use_threads = false;
 
   std::uint64_t seed = 1;  ///< seed for randomized algorithm steps
@@ -130,9 +130,9 @@ struct MachineConfig {
   /// bit-identical — outputs and every stat counter — to a pre-obs build.
   obs::ObsConfig obs{};
 
-  /// Chaos harness (chaos/): runtime invariant layer, per-disk capacity
-  /// quotas, and the checkpoint-version write knob. Off by default; a
-  /// disabled run is bit-identical to a pre-chaos build.
+  /// Chaos harness (chaos/): runtime invariant layer and per-disk capacity
+  /// quotas. Off by default; a disabled run is bit-identical to a
+  /// pre-chaos build.
   chaos::ChaosConfig chaos{};
 
   /// Reject an invalid configuration up front with a typed
@@ -189,9 +189,7 @@ struct MachineConfig {
     }
     for (const net::NodeEvent& e : net.fault.rejoins) {
       check(e.proc < p, "rejoins names a processor outside 0..p-1");
-      bool killed_before =
-          net.fault.fail_stop_proc == e.proc && net.fault.fail_stop_at_step <
-                                                    e.step;
+      bool killed_before = false;
       for (const net::NodeEvent& k : net.fault.fail_stops) {
         killed_before = killed_before || (k.proc == e.proc && k.step < e.step);
       }
@@ -202,9 +200,6 @@ struct MachineConfig {
     check(chaos.disk_quota_per_proc.empty() ||
               chaos.disk_quota_per_proc.size() == p,
           "chaos.disk_quota_per_proc must be empty or have exactly p entries");
-    check(chaos.ckpt_write_version == 0 || chaos.ckpt_write_version == 2 ||
-              chaos.ckpt_write_version == 3,
-          "chaos.ckpt_write_version must be 0 (current), 2, or 3");
     check(!chaos.invariants || chaos.watchdog_steps >= 1,
           "chaos.watchdog_steps == 0 would trip the no-progress watchdog on"
           " the first superstep; need >= 1");

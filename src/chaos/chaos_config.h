@@ -94,12 +94,6 @@ struct ChaosConfig {
   /// unlimited for that processor). This is how a chaos plan fills up *one*
   /// machine's disks without touching the others.
   std::vector<std::uint64_t> disk_quota_per_proc{};
-
-  /// Commit-record version the engine writes: 0 = current (v3). Tests pin 2
-  /// to exercise the upgrade path — a v2 (pre-membership-epoch) record
-  /// restores as epoch 0, whose fault-coin streams are bit-identical to the
-  /// pre-epoch streams. Reading always accepts v2 and v3.
-  std::uint32_t ckpt_write_version = 0;
 };
 
 }  // namespace emcgm::chaos

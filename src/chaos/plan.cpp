@@ -172,8 +172,11 @@ void ChaosPlan::apply(cgm::MachineConfig& cfg) const {
         // Reboot of a machine the plan never killed earlier: a no-op, not
         // an error — the shrinker must be free to drop kills and rejoins
         // independently without producing an invalid config.
-        bool killed_before = cfg.net.fault.fail_stop_proc == e.proc &&
-                             cfg.net.fault.fail_stop_at_step < e.value;
+        bool killed_before = false;
+        for (const net::NodeEvent& k : nf.fail_stops) {
+          killed_before = killed_before ||
+                          (k.proc == e.proc && k.step < e.value);
+        }
         for (const ChaosEvent& k : events) {
           killed_before = killed_before ||
                           (k.kind == ChaosEvent::Kind::kKill &&

@@ -25,12 +25,28 @@ namespace {
 constexpr std::uint64_t kMaxRounds = 1u << 20;
 constexpr std::uint32_t kNoHost = 0xFFFFFFFF;
 
-// Commit-record framing (superstep checkpointing). Version 2 added the
-// ownership map (group_host / alive) so a committed boundary records who was
-// executing each store group when it was taken; version 3 added the
-// membership epoch under which the boundary was committed.
+// Commit-record framing (superstep checkpointing). A record carries the
+// membership epoch under which the boundary was committed and the ownership
+// map (group_host / alive): who was executing each store group when it was
+// taken. Only the engine that wrote a record reads it (the commit mark lives
+// in memory), so there is exactly one version to accept.
 constexpr std::uint32_t kCkptMagic = 0x454D4B50;  // "EMKP"
 constexpr std::uint32_t kCkptVersion = 3;
+
+// Batch record: the wire unit of superstep delivery. The (src_g, dst_g)
+// header names the record's flow (group_host_[src_g], group_host_[dst_g]),
+// so relays forward records unchanged and the fin host decodes them.
+void put_batch(WriteArchive& ar, std::uint32_t src_g, std::uint32_t dst_g,
+               const std::vector<cgm::Message>& batch) {
+  ar.put<std::uint32_t>(src_g);
+  ar.put<std::uint32_t>(dst_g);
+  ar.put<std::uint64_t>(batch.size());
+  for (const auto& m : batch) {
+    ar.put<std::uint32_t>(m.src);
+    ar.put<std::uint32_t>(m.dst);
+    ar.put_bytes(m.payload);
+  }
+}
 
 // Internal control flow only (never escapes this translation unit): one or
 // more real processors were found dead — by a fail-stop crash of their own
@@ -277,11 +293,6 @@ void EmEngine::commit(std::uint64_t round, Phase phase) {
   }
   const std::uint64_t seq = commit_.seq + 1;
   const int slot = static_cast<int>(seq % 2);
-  // Record version on the wire: current (v3) unless a test pinned the
-  // legacy v2 (pre-membership-epoch) framing to exercise the upgrade path.
-  const std::uint32_t wv = cfg_.chaos.ckpt_write_version == 0
-                               ? kCkptVersion
-                               : cfg_.chaos.ckpt_write_version;
   // Every store group commits — including those of a dead machine, whose
   // disks survive it (remounted by the adopting survivor). A fail-stop crash
   // of one machine's disks must not abort the others' records: collect the
@@ -301,11 +312,11 @@ void EmEngine::commit(std::uint64_t round, Phase phase) {
     try {
       WriteArchive ar;
       ar.put<std::uint32_t>(kCkptMagic);
-      ar.put<std::uint32_t>(wv);
+      ar.put<std::uint32_t>(kCkptVersion);
       ar.put<std::uint64_t>(seq);
       ar.put<std::uint64_t>(round);
       ar.put<std::uint32_t>(static_cast<std::uint32_t>(phase));
-      if (wv >= 3) ar.put<std::uint64_t>(epoch_);  // v2 predates the epoch
+      ar.put<std::uint64_t>(epoch_);
       for (std::uint32_t g2 = 0; g2 < cfg_.p; ++g2) {
         ar.put<std::uint32_t>(group_host_[g2]);
       }
@@ -374,7 +385,7 @@ void EmEngine::restore_from_commit() {
     ReadArchive ar(body);
     const auto magic = ar.get<std::uint32_t>();
     const auto version = ar.get<std::uint32_t>();
-    if (magic != kCkptMagic || (version != 2 && version != kCkptVersion)) {
+    if (magic != kCkptMagic || version != kCkptVersion) {
       throw IoError(IoErrorKind::kCorruption,
                     "commit record has bad magic/version");
     }
@@ -384,16 +395,14 @@ void EmEngine::restore_from_commit() {
     EMCGM_CHECK_MSG(seq == commit_.seq && round == commit_.round &&
                         phase == static_cast<std::uint32_t>(commit_.phase),
                     "commit record does not match the in-memory commit mark");
-    // Membership epoch (v3): the epoch under which the boundary was taken.
-    // A fail-over bumps the epoch *before* restoring the record committed
+    // Membership epoch: the epoch under which the boundary was taken. A
+    // fail-over bumps the epoch *before* restoring the record committed
     // under the old epoch, so the recorded value is a floor, not an
-    // equality. A v2 (pre-epoch) record upgrades as epoch 0 — whose
-    // fault-coin streams are exactly the pre-epoch streams, so a resumed v2
-    // run stays bit-identical.
-    const auto rec_epoch = version >= 3 ? ar.get<std::uint64_t>() : 0;
+    // equality.
+    const auto rec_epoch = ar.get<std::uint64_t>();
     EMCGM_CHECK_MSG(rec_epoch <= epoch_,
                     "commit record from a future membership epoch");
-    // Ownership map (v2): who hosted each store group at this boundary. The
+    // Ownership map: who hosted each store group at this boundary. The
     // in-memory map is authoritative — a fail-over re-assigns hosts *before*
     // restoring, and the restore must not undo that — so the recorded map is
     // only validated, not applied.
@@ -421,12 +430,11 @@ void EmEngine::bump_epoch() {
 }
 
 void EmEngine::rebuild_schedule() {
-  if (!net_ || cfg_.net.schedule == routing::ScheduleKind::kDirect) {
-    sched_.reset();
-    return;
-  }
+  sched_.reset();
+  if (!net_) return;
+  const std::uint32_t p = cfg_.p;
   std::vector<std::uint32_t> hosts;
-  for (std::uint32_t q = 0; q < cfg_.p; ++q) {
+  for (std::uint32_t q = 0; q < p; ++q) {
     if (alive_[q]) hosts.push_back(q);
   }
   if (cfg_.net.schedule == routing::ScheduleKind::kCustom) {
@@ -434,34 +442,44 @@ void EmEngine::rebuild_schedule() {
     // it must cover exactly this machine — anything else is a typed
     // configuration error before a byte moves. A later membership epoch
     // cannot re-derive a hand-written host set, so the run falls back to
-    // the direct path for its remaining epochs (documented policy,
+    // the direct schedule for its remaining epochs (documented policy,
     // NetConfig::custom_schedule_json): the schedule shape only changes the
     // wire layout, never the delivered bytes, so the fall-back preserves
     // bit-identical output. The JSON's own "kind" label is free — a ring
     // exported by tools/schedule_check replays fine as kCustom.
     routing::CommSchedule s =
         routing::parse_schedule_json(cfg_.net.custom_schedule_json);
-    if (s.p != cfg_.p || s.hosts != hosts) {
-      if (epoch_ == 0) {
-        std::ostringstream os;
-        os << "custom schedule covers p=" << s.p << " with "
-           << s.hosts.size() << " hosts but the machine has p=" << cfg_.p
-           << " with " << hosts.size() << " live hosts at run start";
-        throw IoError(IoErrorKind::kConfig, os.str());
-      }
-      sched_.reset();  // membership changed: fall back to direct
-      return;
+    if (s.p == p && s.hosts == hosts) {
+      sched_ = std::move(s);
+    } else if (epoch_ == 0) {
+      std::ostringstream os;
+      os << "custom schedule covers p=" << s.p << " with " << s.hosts.size()
+         << " hosts but the machine has p=" << p << " with " << hosts.size()
+         << " live hosts at run start";
+      throw IoError(IoErrorKind::kConfig, os.str());
     }
-    routing::verify_schedule(s);
-    sched_ = std::move(s);
-    return;
   }
-  sched_ = routing::make_schedule(
-      cfg_.net.schedule, cfg_.p, hosts,
-      routing::machines_from_roots(cfg_.p, cfg_.file_roots));
-  // Safety net: every derived schedule must pass the model checker before
-  // the engine routes a byte through it. Throws typed IoError(kConfig).
+  if (!sched_) {
+    const routing::ScheduleKind kind =
+        cfg_.net.schedule == routing::ScheduleKind::kCustom
+            ? routing::ScheduleKind::kDirect
+            : cfg_.net.schedule;
+    sched_ = routing::make_schedule(
+        kind, p, hosts, routing::machines_from_roots(p, cfg_.file_roots));
+  }
+  // Safety net: every schedule must pass the model checker before the
+  // engine routes a byte through it. Throws typed IoError(kConfig).
   routing::verify_schedule(*sched_);
+  // In step 0 every flow still sits at its orig host, so a step-0 transfer
+  // names each flow's first hop.
+  first_hop_.assign(static_cast<std::size_t>(p) * p, kNoHost);
+  if (!sched_->steps.empty()) {
+    for (const routing::Transfer& t : sched_->steps.front().transfers) {
+      for (const routing::Flow& fl : t.flows) {
+        first_hop_[fl.first * p + fl.second] = t.dst;
+      }
+    }
+  }
 }
 
 std::vector<std::uint32_t> EmEngine::rebalance_groups() const {
@@ -563,7 +581,7 @@ void EmEngine::validate_commit_record(std::uint32_t g,
   ReadArchive ar(body);
   const auto magic = ar.get<std::uint32_t>();
   const auto version = ar.get<std::uint32_t>();
-  if (magic != kCkptMagic || (version != 2 && version != kCkptVersion)) {
+  if (magic != kCkptMagic || version != kCkptVersion) {
     throw IoError(IoErrorKind::kCorruption,
                   "migrated commit record has bad magic/version");
   }
@@ -1205,14 +1223,17 @@ void EmEngine::regroup_real_proc(RunState& rs, std::uint32_t r,
   }
 }
 
-// Post one finished store group's crossing batches into the network's
-// per-link mailboxes (p > 1, net enabled; called from the host's own
-// worker thread). Records are serialized in (src_g, dst_g) order — each
-// host drives its groups ascending and this loop scans dst_g ascending,
-// so every link's mailbox stream is canonical whatever the thread
-// interleaving. The batches stay in `out.by_owner`: deliver_staged still
-// counts the h-relation from them at the barrier, single-threaded, which
-// is what keeps StepComm accumulation race-free without shadow counters.
+// Post one finished store group's crossing batches as step 0 of the
+// collective schedule (p > 1, net enabled; called from the host's own
+// worker thread): each batch record goes into the mailbox of its flow's
+// first hop. Records are serialized in (src_g, dst_g) order — each host
+// drives its groups ascending and this loop scans dst_g ascending, so
+// every link's mailbox stream is canonical whatever the thread
+// interleaving. Same-host batches and flows that step 0 does not move are
+// left for the barrier. All batches stay in `out.by_owner`: deliver_staged
+// still counts the h-relation from them at the barrier, single-threaded,
+// which is what keeps StepComm accumulation race-free without shadow
+// counters.
 void EmEngine::post_group(RunState& rs, std::uint32_t host, std::uint32_t g,
                           ProcOutcome& out) {
   const std::uint32_t p = cfg_.p;
@@ -1223,18 +1244,12 @@ void EmEngine::post_group(RunState& rs, std::uint32_t host, std::uint32_t g,
   std::uint64_t posted_bytes = 0;
   for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
     const auto& batch = out.by_owner[dst_g];
-    if (batch.empty() || group_host_[dst_g] == host) continue;
+    const std::uint32_t hop = first_hop_[host * p + group_host_[dst_g]];
+    if (batch.empty() || hop == kNoHost) continue;
     WriteArchive ar;
-    ar.put<std::uint32_t>(g);
-    ar.put<std::uint32_t>(dst_g);
-    ar.put<std::uint64_t>(batch.size());
-    for (const auto& m : batch) {
-      ar.put<std::uint32_t>(m.src);
-      ar.put<std::uint32_t>(m.dst);
-      ar.put_bytes(m.payload);
-    }
+    put_batch(ar, g, dst_g, batch);
     posted_bytes += ar.size();
-    net_->post(host, group_host_[dst_g], ar.take());
+    net_->post(host, hop, ar.take());
   }
   span.set_aux(posted_bytes);
 }
@@ -1247,7 +1262,7 @@ void EmEngine::post_group(RunState& rs, std::uint32_t host, std::uint32_t g,
 // into a DeadProcsError for the fail-over path; any other error rethrows
 // (the open mailbox round is aborted either way so the fault-coin cursors
 // stay mode-independent — see SimNetwork::abort_round). With the network
-// enabled each host posts a group's crossing batches as soon as the group
+// enabled each host posts a group's step-0 batches as soon as the group
 // finishes, so the pump overlaps delivery with the remaining compute.
 std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
                                                        bool compute) {
@@ -1261,11 +1276,9 @@ std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
       } else {
         regroup_real_proc(rs, g, outcomes[g]);
       }
-      if (net_ && !sched_path() && !outcomes[g].error) {
-        post_group(rs, host, g, outcomes[g]);
-      }
+      if (net_ && !outcomes[g].error) post_group(rs, host, g, outcomes[g]);
     }
-    if (net_ && !sched_path()) net_->finish_sender(host);
+    if (net_) net_->finish_sender(host);
   };
   std::vector<std::uint32_t> hosts;
   for (std::uint32_t h = 0; h < p; ++h) {
@@ -1303,17 +1316,21 @@ std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
 // Deliver staged messages (p > 1). Communication cost is attributed to
 // *hosts*: a message crosses the network iff the hosts of its source and
 // destination groups differ (identical to the old src_r != dst_r when the
-// assignment is the identity). With the simulated network enabled, the
-// crossing batches already traveled during the phase: each host posted
-// them (post_group) as MTU-fragmented per-link record streams through the
-// reliable protocol, and collect() closes the round here at the barrier.
-// NetStats picks up the wire tax (retransmissions, duplicates, corrupt
-// frames) while StepComm keeps counting the delivered payload — the
-// realized h-relation. Either way each store group then writes its
-// arrivals, gathered in canonical (src_g-ascending) order and
+// assignment is the identity). With the simulated network enabled the
+// crossing batches travel along the verified collective schedule, one
+// mailbox round per step through the reliable protocol. Step 0 already
+// traveled during the phase — each host posted its groups' batch records
+// to their first hops (post_group) — so the barrier closes that round and
+// then runs steps 1.. itself, store-and-forward. The wire unit is the
+// batch record (put_batch): a relay holds and forwards records unchanged,
+// and a record that reaches its fin host is decoded, checked exactly-once
+// en route. NetStats picks up the wire tax (relay hops, retransmissions,
+// duplicates, corrupt frames) while StepComm keeps counting the delivered
+// payload — the realized h-relation. Either way each store group then
+// writes its arrivals, gathered in canonical (src_g-ascending) order and
 // stable-sorted by (src, dst), so the bytes on disk are bit-identical
-// between the direct path, the lossy-network path, any degraded-mode
-// assignment, and both use_threads modes.
+// between in-memory staging, every schedule, any degraded-mode assignment,
+// and both use_threads modes.
 void EmEngine::deliver_staged(RunState& rs,
                               std::vector<ProcOutcome>& outcomes) {
   const std::uint32_t p = cfg_.p;
@@ -1343,148 +1360,44 @@ void EmEngine::deliver_staged(RunState& rs,
     }
 
     // batches[dst_g][src_g]: the (src_g -> dst_g) message batch, however
-    // it traveled. Filled directly for same-host pairs, decoded from
-    // network deliveries otherwise. Crossing batches were already posted
-    // by post_group as self-delimiting records, one byte stream per
-    // (host, host) link — records in (src_g, dst_g) order, so the stream
-    // is canonical — which collect() fragments into frames of at most
-    // net.mtu_bytes: a link fault costs one fragment's retransmission,
-    // not a whole superstep's batch.
+    // it traveled. Staged directly for same-host pairs (every pair without
+    // a network), decoded from network deliveries otherwise. held[o][f]:
+    // the batch records of flow (o, f) waiting for their next hop — flows
+    // step 0 does not move, then relayed arrivals.
     std::vector<std::vector<std::vector<cgm::Message>>> batches(
         p, std::vector<std::vector<cgm::Message>>(p));
-    const net::NetStats net_mark = net_ ? net_->stats() : net::NetStats{};
+    std::vector<std::vector<WriteArchive>> held;
+    if (net_) held.assign(p, std::vector<WriteArchive>(p));
     for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
       for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
         auto& batch = outcomes[src_g].by_owner[dst_g];
         if (batch.empty()) continue;
-        if (net_ && group_host_[src_g] != group_host_[dst_g]) continue;
-        batches[dst_g][src_g] = std::move(batch);
+        const std::uint32_t o = group_host_[src_g], f = group_host_[dst_g];
+        if (!net_ || o == f) {
+          batches[dst_g][src_g] = std::move(batch);
+        } else if (first_hop_[o * p + f] == kNoHost) {
+          put_batch(held[o][f], src_g, dst_g, batch);
+        }
       }
     }
-    if (net_ && !sched_path()) {
+    if (net_) {
       obs::SpanScope net_span(tr, eshard, obs::SpanKind::kNetCollect, epid,
                               0, -1, -1, phys_step_, rs.round);
-      std::vector<std::vector<net::Delivery>> inboxes;
-      try {
-        inboxes = net_->collect();
-      } catch (const net::NetError&) {
-        // Attribute the exhausted link before giving up: a fail-stopped
-        // peer is a fail-over, an overwhelmed retry budget is an error.
-        auto dead = net_->probe_dead();
-        if (!dead.empty() && cfg_.net.failover) {
-          throw DeadProcsError{std::move(dead), std::current_exception()};
-        }
-        throw;
-      }
-      for (std::uint32_t h = 0; h < p; ++h) {
-        // Reassemble each sender's fragment stream (per-link delivery is
-        // FIFO, so concatenation in arrival order restores it exactly),
-        // then parse the self-delimiting batch records back out.
-        std::vector<std::vector<std::byte>> stream_from(p);
-        for (auto& d : inboxes[h]) {
-          auto& s = stream_from[d.src];
-          s.insert(s.end(), d.payload.begin(), d.payload.end());
-        }
-        for (std::uint32_t hs = 0; hs < p; ++hs) {
-          if (stream_from[hs].empty()) continue;
-          ReadArchive ar(stream_from[hs]);
-          while (!ar.exhausted()) {
-            const auto src_g = ar.get<std::uint32_t>();
-            const auto dst_g = ar.get<std::uint32_t>();
-            EMCGM_CHECK_MSG(
-                src_g < p && dst_g < p && group_host_[dst_g] == h,
-                "network delivery misrouted");
-            const auto count = ar.get<std::uint64_t>();
-            auto& batch = batches[dst_g][src_g];
-            EMCGM_CHECK_MSG(batch.empty(),
-                            "duplicate network batch delivered");
-            batch.reserve(static_cast<std::size_t>(count));
-            for (std::uint64_t k = 0; k < count; ++k) {
-              cgm::Message m;
-              m.src = ar.get<std::uint32_t>();
-              m.dst = ar.get<std::uint32_t>();
-              m.payload = ar.get_bytes();
-              batch.push_back(std::move(m));
-            }
-          }
-        }
-      }
-      const net::NetStats delta = net_->stats() - net_mark;
-      step.wire_bytes = delta.wire_bytes;
-      step.retransmissions = delta.retransmissions;
-      net_span.set_aux(delta.wire_bytes, delta.retransmissions);
-    } else if (net_) {
-      // Non-direct collective schedule: execute the verified plan
-      // literally. Each crossing (src_g, dst_g) batch record is bundled
-      // into its (orig host, fin host) *flow* — records appended src_g
-      // then dst_g ascending, so every flow's byte stream is canonical —
-      // and flows move whole, one hop per schedule step, each step one
-      // store-and-forward mailbox round through the same reliable
-      // protocol as the direct path. The verifier proved exactly-once
-      // delivery and balance on this plan, so after the last step every
-      // flow sits at its fin host (checked again below, byte-level).
-      obs::SpanScope net_span(tr, eshard, obs::SpanKind::kNetCollect, epid,
-                              0, -1, -1, phys_step_, rs.round);
-      const routing::CommSchedule& sched = *sched_;
-      std::vector<std::vector<std::vector<std::byte>>> flow(
-          p, std::vector<std::vector<std::byte>>(p));
-      for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
-        for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
-          const auto& batch = outcomes[src_g].by_owner[dst_g];
-          if (batch.empty()) continue;
-          const std::uint32_t hs = group_host_[src_g];
-          const std::uint32_t hd = group_host_[dst_g];
-          if (hs == hd) continue;  // staged directly above
-          WriteArchive ar;
-          ar.put<std::uint32_t>(src_g);
-          ar.put<std::uint32_t>(dst_g);
-          ar.put<std::uint64_t>(batch.size());
-          for (const auto& m : batch) {
-            ar.put<std::uint32_t>(m.src);
-            ar.put<std::uint32_t>(m.dst);
-            ar.put_bytes(m.payload);
-          }
-          const auto bytes = ar.take();
-          auto& f = flow[hs][hd];
-          f.insert(f.end(), bytes.begin(), bytes.end());
-        }
-      }
-      for (std::size_t si = 0; si < sched.steps.size(); ++si) {
-        const routing::ScheduleStep& stp = sched.steps[si];
-        obs::SpanScope step_span(tr, eshard, obs::SpanKind::kSchedStep,
-                                 epid, static_cast<std::uint32_t>(si), -1,
-                                 -1, phys_step_, rs.round);
-        net_->begin_round();
-        std::uint64_t posted_bytes = 0, posted_transfers = 0;
-        for (const routing::Transfer& t : stp.transfers) {
-          // Envelope stream of this link: every non-empty flow the plan
-          // moves over it, as (orig, fin, payload) records. Flows with no
-          // bytes this superstep travel as nothing at all.
-          WriteArchive ar;
-          for (const routing::Flow& fl : t.flows) {
-            auto& payload = flow[fl.first][fl.second];
-            if (payload.empty()) continue;
-            ar.put<std::uint32_t>(fl.first);
-            ar.put<std::uint32_t>(fl.second);
-            ar.put_bytes(payload);
-            payload.clear();
-          }
-          if (ar.size() == 0) continue;
-          posted_bytes += ar.size();
-          posted_transfers += 1;
-          net_->post(t.src, t.dst, ar.take());
-        }
-        for (std::uint32_t h = 0; h < p; ++h) {
-          if (alive_[h]) net_->finish_sender(h);
-        }
+      const net::NetStats net_mark = net_->stats();
+      // Close the open round, then sort its arrivals one receiving host at
+      // a time: reassemble each sender's fragment stream (per-link delivery
+      // is FIFO, so concatenation in arrival order restores it exactly) and
+      // parse the self-delimiting batch records back out.
+      auto close_round = [&] {
         std::vector<std::vector<net::Delivery>> inboxes;
         try {
           inboxes = net_->collect();
         } catch (const net::NetError&) {
+          // Attribute the exhausted link before giving up: a fail-stopped
+          // peer is a fail-over, an overwhelmed retry budget is an error.
           auto dead = net_->probe_dead();
           if (!dead.empty() && cfg_.net.failover) {
-            throw DeadProcsError{std::move(dead),
-                                 std::current_exception()};
+            throw DeadProcsError{std::move(dead), std::current_exception()};
           }
           throw;
         }
@@ -1494,47 +1407,68 @@ void EmEngine::deliver_staged(RunState& rs,
             auto& s = stream_from[d.src];
             s.insert(s.end(), d.payload.begin(), d.payload.end());
           }
-          for (std::uint32_t hs = 0; hs < p; ++hs) {
-            if (stream_from[hs].empty()) continue;
-            ReadArchive ar(stream_from[hs]);
+          for (const auto& s : stream_from) {
+            ReadArchive ar(s);
             while (!ar.exhausted()) {
-              const auto o = ar.get<std::uint32_t>();
-              const auto f = ar.get<std::uint32_t>();
-              EMCGM_CHECK_MSG(o < p && f < p,
-                              "schedule envelope names a bad flow");
-              auto payload = ar.get_bytes();
-              EMCGM_CHECK_MSG(!payload.empty() && flow[o][f].empty(),
-                              "schedule flow duplicated in transit");
-              flow[o][f] = std::move(payload);
+              const std::size_t begin = ar.position();
+              const auto src_g = ar.get<std::uint32_t>();
+              const auto dst_g = ar.get<std::uint32_t>();
+              EMCGM_CHECK_MSG(src_g < p && dst_g < p,
+                              "network delivery names a bad store group");
+              const auto count = ar.get<std::uint64_t>();
+              std::vector<cgm::Message> batch;
+              batch.reserve(static_cast<std::size_t>(count));
+              for (std::uint64_t k = 0; k < count; ++k) {
+                cgm::Message m;
+                m.src = ar.get<std::uint32_t>();
+                m.dst = ar.get<std::uint32_t>();
+                m.payload = ar.get_bytes();
+                batch.push_back(std::move(m));
+              }
+              const std::uint32_t fin = group_host_[dst_g];
+              if (fin != h) {  // relay: hold the record for the next hop
+                held[group_host_[src_g]][fin].write_raw(
+                    s.data() + begin, ar.position() - begin);
+                continue;
+              }
+              auto& slot = batches[dst_g][src_g];
+              EMCGM_CHECK_MSG(slot.empty(),
+                              "duplicate network batch delivered");
+              slot = std::move(batch);
             }
           }
         }
+      };
+      close_round();
+      const std::vector<routing::ScheduleStep>& steps = sched_->steps;
+      for (std::size_t si = 1; si < steps.size(); ++si) {
+        obs::SpanScope step_span(tr, eshard, obs::SpanKind::kSchedStep,
+                                 epid, static_cast<std::uint32_t>(si), -1,
+                                 -1, phys_step_, rs.round);
+        net_->begin_round();
+        std::uint64_t posted_bytes = 0, posted_transfers = 0;
+        for (const routing::Transfer& t : steps[si].transfers) {
+          // Every flow the plan moves over this link, in the transfer's
+          // canonical flow order; a flow with no bytes this superstep
+          // travels as nothing at all.
+          const std::uint64_t before = posted_bytes;
+          for (const routing::Flow& fl : t.flows) {
+            std::vector<std::byte> records = held[fl.first][fl.second].take();
+            posted_bytes += records.size();
+            net_->post(t.src, t.dst, std::move(records));
+          }
+          if (posted_bytes > before) posted_transfers += 1;
+        }
+        for (std::uint32_t h = 0; h < p; ++h) {
+          if (alive_[h]) net_->finish_sender(h);
+        }
+        close_round();
         step_span.set_aux(posted_bytes, posted_transfers);
       }
-      for (std::uint32_t o = 0; o < p; ++o) {
-        for (std::uint32_t f = 0; f < p; ++f) {
-          if (flow[o][f].empty()) continue;
-          ReadArchive ar(flow[o][f]);
-          while (!ar.exhausted()) {
-            const auto src_g = ar.get<std::uint32_t>();
-            const auto dst_g = ar.get<std::uint32_t>();
-            EMCGM_CHECK_MSG(src_g < p && dst_g < p &&
-                                group_host_[src_g] == o &&
-                                group_host_[dst_g] == f,
-                            "scheduled delivery misrouted");
-            const auto count = ar.get<std::uint64_t>();
-            auto& batch = batches[dst_g][src_g];
-            EMCGM_CHECK_MSG(batch.empty(),
-                            "duplicate network batch delivered");
-            batch.reserve(static_cast<std::size_t>(count));
-            for (std::uint64_t k = 0; k < count; ++k) {
-              cgm::Message m;
-              m.src = ar.get<std::uint32_t>();
-              m.dst = ar.get<std::uint32_t>();
-              m.payload = ar.get_bytes();
-              batch.push_back(std::move(m));
-            }
-          }
+      for (const auto& row : held) {
+        for (const WriteArchive& records : row) {
+          EMCGM_CHECK_MSG(records.size() == 0,
+                          "schedule left a flow short of its fin host");
         }
       }
       const net::NetStats delta = net_->stats() - net_mark;
@@ -1705,10 +1639,9 @@ bool EmEngine::step() {
       try_rejoin(rs.round, rs.result);
     }
     if (rs.phase == Phase::kCompute) {
-      // Open the superstep's mailbox round: hosts post crossing batches
-      // as their groups finish; deliver_staged collects at the barrier.
-      // A non-direct schedule opens its rounds at the barrier instead.
-      if (net_ && !sched_path()) net_->begin_round();
+      // Open step 0 of the schedule: hosts post crossing batches as their
+      // groups finish; deliver_staged closes it at the barrier.
+      if (net_) net_->begin_round();
       auto outcomes = run_phase(rs, /*compute=*/true);
       rs.result.app_rounds += 1;
 
@@ -1727,9 +1660,8 @@ bool EmEngine::step() {
       for (auto& rp : procs_) rp->contexts->flip();
       if (rs.all_done) {
         // A final round sends nothing (enforced above), so the open
-        // mailbox round is empty — close it without a delivery pass. The
-        // scheduled path never opened one (and would run zero-byte steps).
-        if (net_ && !sched_path()) {
+        // mailbox round is empty — close it without a delivery pass.
+        if (net_) {
           obs::SpanScope net_span(tr, eshard, obs::SpanKind::kNetCollect,
                                   epid, 0, -1, -1, phys_step_, rs.round);
           net_->collect();
@@ -1754,7 +1686,7 @@ bool EmEngine::step() {
       if (cfg_.checkpointing) commit(rs.round, rs.phase);
       record_step_io(rs, "compute", true, ran_round);
     } else {
-      if (net_ && !sched_path()) net_->begin_round();
+      if (net_) net_->begin_round();
       auto regroup = run_phase(rs, /*compute=*/false);
       deliver_staged(rs, regroup);
       drain_arrival_writes();

@@ -11,7 +11,8 @@
 //   (e) write the changed context back.
 // With p > 1 (Algorithm 3), messages whose destination lives on another
 // real processor travel over a simulated network (byte-counted into
-// CommStats) and are written to the destination's disks at superstep end.
+// CommStats) along a verified collective schedule — direct is its one-step
+// case — and are written to the destination's disks at superstep end.
 // With balanced routing (Lemma 2) every application round expands into two
 // physical supersteps; the intermediate regrouping runs engine-side and
 // touches only the message store — contexts are not re-read.
@@ -172,8 +173,9 @@ class EmEngine final : public cgm::Engine {
   const net::SimNetwork* network() const { return net_.get(); }
 
   /// The verified collective schedule the current run routes its superstep
-  /// communication through, or nullptr (direct schedule, net disabled, or
-  /// p == 1). Re-derived and re-verified on every membership epoch.
+  /// communication through — the one-step all-to-all under kDirect — or
+  /// nullptr (net disabled or p == 1). Re-derived and re-verified on every
+  /// membership epoch.
   const routing::CommSchedule* schedule() const {
     return sched_ ? &*sched_ : nullptr;
   }
@@ -203,12 +205,6 @@ class EmEngine final : public cgm::Engine {
   std::uint32_t owner_of(std::uint32_t vproc) const {
     return vproc / nlocal();
   }
-
-  /// True when superstep communication routes through a verified collective
-  /// schedule's multi-hop rounds (engaged schedule) rather than the direct
-  /// overlapped all-to-all. Dynamic: a custom schedule falls back to direct
-  /// when a membership change invalidates it (rebuild_schedule).
-  bool sched_path() const { return net_ != nullptr && sched_.has_value(); }
 
   /// Install the cooperative run state at a given boundary (the tail of
   /// start()/start_resume()).
@@ -243,9 +239,9 @@ class EmEngine final : public cgm::Engine {
   void bump_epoch();
 
   /// Re-derive and re-verify the collective schedule over the current live
-  /// host set (no-op under kDirect / no network). Called at run start and on
-  /// every membership epoch; a schedule the verifier rejects aborts with
-  /// typed IoError(kConfig) before any byte moves.
+  /// host set (no-op without a network). Called at run start and on every
+  /// membership epoch; a schedule the verifier rejects aborts with typed
+  /// IoError(kConfig) before any byte moves.
   void rebuild_schedule();
 
   /// Deterministic greedy spread of the store groups over the live hosts:
@@ -307,8 +303,11 @@ class EmEngine final : public cgm::Engine {
   // is why degraded-mode outputs are bit-identical.
   std::unique_ptr<net::SimNetwork> net_;
   /// Verified collective schedule of the current membership epoch; engaged
-  /// iff net_ is live and cfg_.net.schedule != kDirect (rebuild_schedule).
+  /// iff net_ is live (rebuild_schedule).
   std::optional<routing::CommSchedule> sched_;
+  /// first_hop_[orig * p + fin]: the host step 0 of sched_ moves flow
+  /// (orig, fin) to, or kNoHost when the flow waits at orig for a later step.
+  std::vector<std::uint32_t> first_hop_;
   std::vector<std::uint32_t> group_host_;
   std::vector<char> alive_;
   std::uint64_t phys_step_ = 0;  ///< monotonic physical superstep clock

@@ -49,10 +49,6 @@ bool LinkFaultInjector::fail_stopped(std::uint32_t proc) const {
   // `up` that of the latest rejoin.
   bool any_kill = false;
   std::uint64_t fired = 0;
-  if (plan_.fail_stop_proc == proc && step_ >= plan_.fail_stop_at_step) {
-    any_kill = true;
-    fired = plan_.fail_stop_at_step;
-  }
   for (const NodeEvent& e : plan_.fail_stops) {
     if (e.proc != proc || step_ < e.step) continue;
     if (!any_kill || e.step > fired) fired = e.step;

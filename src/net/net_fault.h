@@ -11,8 +11,9 @@
 //   * reorder   — the frame is delayed past later frames on the link,
 //   * delay     — congestion adds plan.delay_ticks of latency,
 //
-// plus fail-stop of a whole real processor: from fail_stop_at_step on, every
-// frame to or from fail_stop_proc is dropped — the machine is gone.
+// plus fail-stop of a whole real processor: from a `fail_stops` event's step
+// on, every frame to or from that processor is dropped — the machine is gone
+// (until a later `rejoins` event reboots it).
 //
 // Heartbeat-class frames are exempt from the five random classes and subject
 // only to fail-stop. This models an eventually-perfect failure detector
@@ -55,24 +56,19 @@ struct NetFaultPlan {
   std::uint32_t delay_ticks = 3;         ///< extra latency of a delay fault
   std::uint32_t base_latency_ticks = 1;  ///< fault-free one-way latency
 
-  /// Fail-stop: real processor fail_stop_proc dies at physical superstep
-  /// fail_stop_at_step (all its traffic is dropped from then on). Shorthand
-  /// for a single-entry `fail_stops` schedule; both forms may be combined.
-  std::uint32_t fail_stop_proc = kNoProc;
-  std::uint64_t fail_stop_at_step = 0;
-
-  /// Full membership schedule: additional fail-stop events, and deterministic
-  /// reboots. A processor with a rejoin event later than its latest fail-stop
-  /// has its traffic flow again from that step on — the engine's rejoin
-  /// handshake (cfg.net.rejoin) then re-admits it at a superstep barrier.
-  /// A kill and a reboot at the same step resolve to dead (kill wins).
+  /// Membership schedule: fail-stop events (the processor dies at that
+  /// physical superstep and all its traffic is dropped from then on), and
+  /// deterministic reboots. A processor with a rejoin event later than its
+  /// latest fail-stop has its traffic flow again from that step on — the
+  /// engine's rejoin handshake (cfg.net.rejoin) then re-admits it at a
+  /// superstep barrier. A kill and a reboot at the same step resolve to
+  /// dead (kill wins).
   std::vector<NodeEvent> fail_stops{};
   std::vector<NodeEvent> rejoins{};
 
   bool enabled() const {
     return drop_prob > 0 || dup_prob > 0 || corrupt_prob > 0 ||
-           reorder_prob > 0 || delay_prob > 0 || fail_stop_proc != kNoProc ||
-           !fail_stops.empty();
+           reorder_prob > 0 || delay_prob > 0 || !fail_stops.empty();
   }
 };
 
@@ -93,12 +89,6 @@ struct NetConfig {
   /// fragmented into frames of at most this size, so a fault costs one
   /// fragment's retransmission, not a whole batch's.
   std::size_t mtu_bytes = 64 * 1024;
-  /// Drain mailbox rounds on a background pump thread: an endpoint pair's
-  /// protocol simulation starts as soon as both of its hosts finished
-  /// posting, overlapping delivery with the other hosts' compute. Off, the
-  /// whole round is simulated inline at collect(). Bit-identical results
-  /// either way (see sim_network.h on pair decomposition).
-  bool mailbox_pump = true;
   /// Heartbeat rounds a processor may miss before it is declared dead.
   std::uint32_t heartbeat_miss_threshold = 3;
   /// Let a fail-stopped processor with a scheduled reboot (fault.rejoins)
@@ -107,12 +97,13 @@ struct NetConfig {
   /// committed checkpoint, and re-balances the store groups (requires
   /// failover, hence checkpointing).
   bool rejoin = false;
-  /// Collective schedule of the superstep communication round. kDirect is
-  /// the overlapped one-step all-to-all (today's behavior); the others run
-  /// the round as verified multi-hop mailbox rounds at the barrier —
-  /// bit-identical output, different wire shape (routing/schedule.h). The
-  /// engine derives, verifies (typed kConfig on any violation), and
-  /// re-derives the schedule on every membership epoch.
+  /// Collective schedule of the superstep communication round, one mailbox
+  /// round per schedule step: step 0 is posted during compute (overlapped
+  /// with it), later steps run store-and-forward at the barrier. kDirect is
+  /// the one-step all-to-all; every kind gives bit-identical output, with a
+  /// different wire shape (routing/schedule.h). The engine derives,
+  /// verifies (typed kConfig on any violation), and re-derives the schedule
+  /// on every membership epoch.
   routing::ScheduleKind schedule = routing::ScheduleKind::kDirect;
   /// User-supplied schedule JSON (routing::parse_schedule_json framing,
   /// as emitted by CommSchedule::to_json and accepted by

@@ -560,7 +560,7 @@ void SimNetwork::begin_round() {
   std::fill(pair_done_.begin(), pair_done_.end(), char{0});
   ready_.clear();
   pairs_left_ = p_ * (p_ - 1) / 2;
-  if (cfg_.mailbox_pump && p_ > 1 && !pump_.joinable()) {
+  if (p_ > 1 && !pump_.joinable()) {
     pump_ = std::thread([this] { pump_main(); });
   }
   // Dead processors post nothing: their pairs are runnable immediately
@@ -599,16 +599,8 @@ std::vector<std::vector<Delivery>> SimNetwork::collect() {
     EMCGM_CHECK_MSG(sender_done_[s],
                     "collect before sender " << s << " finished");
   }
-  if (pump_.joinable()) {
-    done_cv_.wait(lk, [&] { return pairs_left_ == 0; });
-  } else {
-    while (pairs_left_ > 0) {
-      EMCGM_ASSERT(!ready_.empty());
-      const std::uint32_t s = ready_.front();
-      ready_.pop_front();
-      run_pair_slot(s / p_, s % p_, lk);
-    }
-  }
+  // The pump simulates every pair (p == 1 has none to wait for).
+  done_cv_.wait(lk, [&] { return pairs_left_ == 0; });
   std::vector<PairOutcome> outs = std::move(pair_out_);
   pair_out_.assign(static_cast<std::size_t>(p_) * p_, PairOutcome{});
   ready_.clear();
@@ -623,24 +615,15 @@ void SimNetwork::abort_round() {
   for (std::uint32_t s = 0; s < p_; ++s) {
     if (!sender_done_[s]) note_sender_done_locked(s);
   }
-  if (pump_.joinable()) {
-    done_cv_.wait(lk, [&] { return pairs_left_ == 0; });
-  } else {
-    while (pairs_left_ > 0) {
-      EMCGM_ASSERT(!ready_.empty());
-      const std::uint32_t s = ready_.front();
-      ready_.pop_front();
-      run_pair_slot(s / p_, s % p_, lk);
-    }
-  }
+  done_cv_.wait(lk, [&] { return pairs_left_ == 0; });
   std::vector<PairOutcome> outs = std::move(pair_out_);
   pair_out_.assign(static_cast<std::size_t>(p_) * p_, PairOutcome{});
   ready_.clear();
   round_active_ = false;
   lk.unlock();
-  // Statistics still merge (the wire traffic happened; both modes count it
-  // identically); deliveries and link errors of the abandoned round do not
-  // survive — the superstep is being replayed.
+  // Statistics still merge (the wire traffic happened; threaded and serial
+  // runs count it identically); deliveries and link errors of the abandoned
+  // round do not survive — the superstep is being replayed.
   for (std::uint32_t lo = 0; lo < p_; ++lo) {
     for (std::uint32_t hi = lo + 1; hi < p_; ++hi) {
       stats_ += outs[slot(lo, hi)].stats;

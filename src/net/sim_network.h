@@ -32,13 +32,14 @@
 //     record-stream chunks onto per-link mailboxes as each store group
 //     finishes; finish_sender() when a host has posted everything; then
 //     collect(). A pair becomes runnable as soon as both of its endpoints
-//     finished, so with the pump thread (NetConfig::mailbox_pump) delivery
-//     of early finishers overlaps the compute of slow ones. collect()
-//     fragments each mailbox stream into MTU-sized frames, simulates every
-//     remaining pair, merges statistics in canonical pair order, and
-//     returns per-destination inboxes (per-link FIFO, links merged in
-//     src-ascending order). Pump on or off, threads or not: the returned
-//     bytes and the statistics are identical.
+//     finished, and a background pump thread simulates it right away, so
+//     delivery of early finishers overlaps the compute of slow ones. Each
+//     mailbox stream is fragmented into MTU-sized frames; collect() waits
+//     for the pump, merges statistics in canonical pair order, and returns
+//     per-destination inboxes (per-link FIFO, links merged in src-ascending
+//     order). Whatever thread posts when, the returned bytes and the
+//     statistics equal send() + run_to_quiescence() of the concatenated
+//     streams.
 //
 // All randomness comes from the LinkFaultInjector's seeded coins and all
 // ties break on (tick, enqueue order) within a pair, so a run is a pure
@@ -163,8 +164,9 @@ class SimNetwork {
   // ---- mailbox round (the engine's concurrent delivery path) ------------
 
   /// Open a mailbox round. Until collect(), post()/finish_sender() may be
-  /// called from any thread; with NetConfig::mailbox_pump a background pump
-  /// simulates each endpoint pair as soon as both of its senders finished.
+  /// called from any thread; a background pump (started by the first round
+  /// when p > 1) simulates each endpoint pair as soon as both of its
+  /// senders finished.
   void begin_round();
 
   /// Thread-safe: append a chunk of the serialized record stream to the
@@ -176,10 +178,10 @@ class SimNetwork {
   /// whose other endpoint already finished becomes runnable.
   void finish_sender(std::uint32_t src);
 
-  /// Close the round: fragment every mailbox stream into frames of at most
-  /// NetConfig::mtu_bytes, simulate every pair not already pumped (waiting
-  /// on the pump for the rest), merge statistics in canonical pair order,
-  /// and return per-destination inboxes exactly like run_to_quiescence().
+  /// Close the round: wait for the pump to have simulated every pair (each
+  /// mailbox stream fragmented into frames of at most NetConfig::mtu_bytes),
+  /// merge statistics in canonical pair order, and return per-destination
+  /// inboxes exactly like run_to_quiescence().
   /// Requires every live sender to have finished. Throws the canonically-
   /// first NetError of the round after merging all statistics.
   std::vector<std::vector<Delivery>> collect();
@@ -266,9 +268,10 @@ class SimNetwork {
   };
 
   /// Everything one endpoint-pair simulation produced. Written by exactly
-  /// one thread (pump or collector) while it owns the pair, published to the
-  /// collector under mu_ — the shard-merge discipline that keeps NetStats
-  /// accumulation race-free without changing any reported total.
+  /// one thread (the pump, or run_to_quiescence's caller) while it owns the
+  /// pair, published to the collector under mu_ — the shard-merge discipline
+  /// that keeps NetStats accumulation race-free without changing any
+  /// reported total.
   struct PairOutcome {
     NetStats stats;
     std::vector<Delivery> to_lo;  ///< deliveries to the lower endpoint

@@ -42,8 +42,8 @@ enum class SpanKind : std::uint8_t {
   kCompute,        ///< Algorithm 2 step (c)
   kOutboxWrite,    ///< Algorithm 2 step (d) / p > 1 arrival writes
   kContextWrite,   ///< Algorithm 2 step (e)
-  kNetPost,        ///< posting crossing batches into mailbox round
-  kNetCollect,     ///< closing the mailbox round at the barrier
+  kNetPost,        ///< posting crossing batches into schedule step 0
+  kNetCollect,     ///< closing step 0 and running the rest at the barrier
   kNetPair,        ///< one endpoint-pair protocol simulation
   kDeliver,        ///< in-memory message delivery (NativeEngine)
   kCommit,         ///< checkpoint commit record write
@@ -54,7 +54,7 @@ enum class SpanKind : std::uint8_t {
   kIoDrain,        ///< write-behind completion barrier at group end
   kRejoin,         ///< rejoin handshake + checkpoint catch-up of a returner
   kRebalance,      ///< store-group re-spread + migrations after a change
-  kSchedStep,      ///< one mailbox round of a non-direct collective schedule
+  kSchedStep,      ///< one barrier-side collective-schedule step (1, 2, ...)
 };
 
 /// Stable lowercase span name ("context_read", ...), used by the Chrome

@@ -5,12 +5,13 @@
 // only needs every crossing (source host, destination host) byte stream to
 // arrive exactly once before the barrier closes. A CommSchedule makes that
 // shape explicit — an ordered list of steps, each a set of transfers, each
-// transfer moving a set of *flows* (orig-host, fin-host) one hop — instead
-// of the single hard-wired all-to-all round. Multi-hop schedules aggregate:
-// a tree routes all of a machine's crossing traffic through one leader link
-// and a hyper-systolic exchange (Galli) replaces the n*(n-1) direct links
-// with O(n*sqrt(n)) strided hops, which is what cuts host-crossing wire
-// bytes (frames, acks, headers) on multi-node `file_roots` layouts.
+// transfer moving a set of *flows* (orig-host, fin-host) one hop — and the
+// engine runs every superstep through one: the all-to-all round is simply
+// the one-step direct schedule. Multi-hop schedules aggregate: a tree
+// routes all of a machine's crossing traffic through one leader link and a
+// hyper-systolic exchange (Galli) replaces the n*(n-1) direct links with
+// O(n*sqrt(n)) strided hops, which is what cuts host-crossing wire bytes
+// (frames, acks, headers) on multi-node `file_roots` layouts.
 //
 // Schedules are *data*, so they can be proven before they run: the verifier
 // (schedule_verify.cpp) simulates flow locations step by step against a
@@ -33,9 +34,9 @@
 
 namespace emcgm::routing {
 
-/// Built-in schedule generators. kDirect is today's behavior (one step,
-/// every crossing pair its own link) and the default; the others trade
-/// extra hops for fewer (or better-placed) links.
+/// Built-in schedule generators. kDirect (the default) is one step with
+/// every crossing pair its own link; the others trade extra hops for fewer
+/// (or better-placed) links.
 enum class ScheduleKind : std::uint32_t {
   kDirect = 0,         ///< single all-to-all step, one link per crossing pair
   kRing = 1,           ///< n-1 steps, each host forwards to its successor

@@ -79,6 +79,7 @@ class ReadArchive {
     EMCGM_CHECK_MSG(pos_ + n <= data_.size(),
                     "archive underrun: need " << n << " at " << pos_
                                               << " of " << data_.size());
+    if (n == 0) return;  // `out` may be null: an empty vector's data()
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
   }

@@ -476,70 +476,6 @@ TEST(Chaos, ShrinkerReducesSeededEngineRegressionToThreeEventsOrFewer) {
   EXPECT_TRUE(has_kill) << "the kill is the regression's core";
 }
 
-// --------------------------------------- commit-record version upgrade ----
-
-TEST(ChaosCkptCompat, V2RecordResumesWithEpochZeroStreamsBitIdentical) {
-  // A machine pinned to the v2 (pre-membership-epoch) record format, with
-  // net.rejoin enabled, dies mid-run before any membership change. resume()
-  // restores the v2 record as epoch 0, whose fault-coin streams must be
-  // bit-identical to the pre-epoch streams — so the replay converges on the
-  // clean (current-format) run's exact bytes.
-  auto cfg = fuzz_style_config(2);
-  cfg.net.failover = true;
-  cfg.net.rejoin = true;
-  cfg.net.fault.corrupt_prob = 0.05;  // epoch-keyed link coin stream in use
-  cfg.net.fault.seed = 31;
-  const auto inputs = keyed_inputs(cfg.v, 400);
-  algo::SampleSortProgram<std::uint64_t> prog;
-
-  em::EmEngine ref(cfg);
-  const auto expected = ref.run(prog, inputs);
-
-  auto v2cfg = cfg;
-  v2cfg.chaos.ckpt_write_version = 2;
-  // Abort mid-run via a capacity fault: kNoSpace is a graceful global abort
-  // (never a fail-over), so the membership epoch is still 0 when the run
-  // dies — the only state the pre-epoch v2 format can faithfully represent.
-  v2cfg.chaos.disk_quota_per_proc = {0, 200000};
-  em::EmEngine e(v2cfg);
-  bool aborted = false;
-  try {
-    (void)e.run(prog, inputs);
-  } catch (const IoError& err) {
-    EXPECT_EQ(err.kind(), IoErrorKind::kNoSpace);
-    aborted = true;
-  }
-  ASSERT_TRUE(aborted);
-  ASSERT_TRUE(e.has_checkpoint());
-  e.set_disk_quota_bytes(1, 0);  // space freed
-  const auto got = e.resume(prog);
-  EXPECT_TRUE(same_outputs(expected, got));
-}
-
-TEST(ChaosCkptCompat, FailoverAndRejoinValidateV2Records) {
-  // Full membership churn while writing v2 records: the fail-over restore
-  // and the rejoin catch-up stream both read commit records, so the run
-  // only completes — bit-identically — if the v2 acceptance path works.
-  auto cfg = fuzz_style_config(2);
-  cfg.net.failover = true;
-  cfg.net.rejoin = true;
-  cfg.net.fault.fail_stops = {{1, 3}};
-  cfg.net.fault.rejoins = {{1, 5}};
-  const auto inputs = keyed_inputs(cfg.v, 400);
-  algo::SampleSortProgram<std::uint64_t> prog;
-
-  em::EmEngine ref(cfg);
-  const auto expected = ref.run(prog, inputs);
-  ASSERT_GT(ref.last_result().rejoins, 0u);
-
-  auto v2cfg = cfg;
-  v2cfg.chaos.ckpt_write_version = 3;
-  em::EmEngine e(v2cfg);
-  const auto got = e.run(prog, inputs);
-  EXPECT_TRUE(same_outputs(expected, got));
-  EXPECT_GT(e.last_result().rejoins, 0u);
-}
-
 // ------------------------------------------------- schedule chaos events --
 
 TEST(ChaosSchedule, ApplyLowersScheduleEventAndForcesNet) {

@@ -163,8 +163,7 @@ TEST(LinkFaultInjector, HeartbeatsSeeOnlyFailStop) {
   plan.drop_prob = 1.0;
   plan.dup_prob = 1.0;
   plan.corrupt_prob = 1.0;
-  plan.fail_stop_proc = 1;
-  plan.fail_stop_at_step = 10;
+  plan.fail_stops = {{1, 10}};
   net::LinkFaultInjector inj(2, plan);
   inj.set_step(9);
   for (int i = 0; i < 20; ++i) {
@@ -274,8 +273,7 @@ TEST(SimNetwork, BudgetExhaustionRaisesNetError) {
 TEST(SimNetwork, HeartbeatDetectorDeclaresFailStoppedDead) {
   net::NetConfig cfg;
   cfg.enabled = true;
-  cfg.fault.fail_stop_proc = 2;
-  cfg.fault.fail_stop_at_step = 1;
+  cfg.fault.fail_stops = {{2, 1}};
   cfg.heartbeat_miss_threshold = 3;
   net::SimNetwork nw(3, cfg);
   std::vector<std::uint32_t> dead;
@@ -408,8 +406,7 @@ KillRun run_with_kill(std::uint32_t v, std::uint32_t p,
                       bool threads = false) {
   auto cfg = net_cfg(v, p, threads);
   cfg.net.failover = true;
-  cfg.net.fault.fail_stop_proc = victim;
-  cfg.net.fault.fail_stop_at_step = step;
+  cfg.net.fault.fail_stops = {{victim, step}};
   em::EmEngine e(cfg);
   algo::SampleSortProgram<std::uint64_t> prog;
   KillRun r;
@@ -573,8 +570,7 @@ TEST(NetFailover, PerHostFileRootsKillSweep) {
                                steps + 1}) {
       auto cfg = fresh_cfg(threads);
       cfg.net.failover = true;
-      cfg.net.fault.fail_stop_proc = 1;
-      cfg.net.fault.fail_stop_at_step = step;
+      cfg.net.fault.fail_stops = {{1, step}};
       em::EmEngine e(cfg);
       const auto got = e.run(prog, sort_inputs(8, keys));
       EXPECT_TRUE(same_outputs(expected, got))
@@ -598,8 +594,7 @@ TEST(NetFailover, FileRootsConfigValidation) {
 
 TEST(NetFailover, WithoutFailoverDeathIsFatal) {
   auto cfg = net_cfg(8, 2);
-  cfg.net.fault.fail_stop_proc = 1;
-  cfg.net.fault.fail_stop_at_step = 2;
+  cfg.net.fault.fail_stops = {{1, 2}};
   cfg.net.retry.max_attempts = 4;  // fail fast
   em::EmEngine e(cfg);
   algo::SampleSortProgram<std::uint64_t> prog;

@@ -7,9 +7,12 @@
 // duplicate delivery, self-send, unbalanced step, wrong hold, degree
 // overflow) are rejected with a typed IoError(kConfig) before any run, and
 // the engine produces bit-identical outputs and h-relation accounting under
-// every schedule — across threading modes, async I/O, lossy links,
-// fail-over, and rejoin. On a multi-root file layout the aggregating
-// schedules must measurably shrink host-crossing wire bytes.
+// every schedule, direct included, against in-memory staging (network off)
+// — across threading modes, async I/O, lossy links, fail-over, and rejoin.
+// A schedule that collapses to one all-pairs step runs direct's exact wire,
+// and step 0 of every schedule is posted during compute. On a multi-root
+// file layout the aggregating schedules must measurably shrink
+// host-crossing wire bytes.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -20,7 +23,9 @@
 
 #include "algo/sort.h"
 #include "emcgm/em_engine.h"
+#include "obs/trace.h"
 #include "routing/schedule.h"
+#include "scoped_temp_dir.h"
 #include "util/rng.h"
 
 using namespace emcgm;
@@ -36,9 +41,6 @@ namespace {
 const ScheduleKind kAllScheduleKinds[] = {
     ScheduleKind::kDirect, ScheduleKind::kRing, ScheduleKind::kTree,
     ScheduleKind::kHyperSystolic};
-
-const ScheduleKind kNonDirectKinds[] = {
-    ScheduleKind::kRing, ScheduleKind::kTree, ScheduleKind::kHyperSystolic};
 
 std::vector<std::uint32_t> identity_machines(std::uint32_t p) {
   std::vector<std::uint32_t> m(p);
@@ -137,6 +139,22 @@ cgm::MachineConfig sched_cfg(std::uint32_t v, std::uint32_t p,
   cfg.net.schedule = kind;
   cfg.use_threads = threads;
   return cfg;
+}
+
+/// The reference every schedule must reproduce: the same machine with the
+/// network off, so crossing batches are staged in memory — a delivery path
+/// that shares no code with the schedule interpreter.
+std::vector<cgm::PartitionSet> unrouted_run(
+    std::uint32_t p, const std::vector<std::uint64_t>& keys,
+    cgm::RunResult* result = nullptr) {
+  auto cfg = sched_cfg(8, p, ScheduleKind::kDirect);
+  cfg.net.enabled = false;
+  em::EmEngine e(cfg);
+  algo::SampleSortProgram<std::uint64_t> prog;
+  auto out = e.run(prog, sort_inputs(8, keys));
+  EXPECT_EQ(e.schedule(), nullptr);  // no network, nothing to route
+  if (result) *result = e.last_result();
+  return out;
 }
 
 }  // namespace
@@ -534,14 +552,13 @@ TEST(ScheduleEngine, EveryScheduleBitIdenticalToDirect) {
   const auto keys = random_keys(9119, 2500);
   algo::SampleSortProgram<std::uint64_t> prog;
 
-  em::EmEngine ref(sched_cfg(8, 4, ScheduleKind::kDirect));
-  const auto expected = ref.run(prog, sort_inputs(8, keys));
-  const auto ref_bytes = ref.last_result().comm.total_bytes();
-  const auto ref_steps = ref.last_result().io_per_step.size();
+  cgm::RunResult ref;
+  const auto expected = unrouted_run(4, keys, &ref);
+  const auto ref_bytes = ref.comm.total_bytes();
+  const auto ref_steps = ref.io_per_step.size();
   ASSERT_GT(ref_bytes, 0u);
-  EXPECT_EQ(ref.schedule(), nullptr);  // direct runs unscheduled
 
-  for (ScheduleKind kind : kNonDirectKinds) {
+  for (ScheduleKind kind : kAllScheduleKinds) {
     for (bool threads : {false, true}) {
       em::EmEngine e(sched_cfg(8, 4, kind, threads));
       const auto got = e.run(prog, sort_inputs(8, keys));
@@ -556,6 +573,9 @@ TEST(ScheduleEngine, EveryScheduleBitIdenticalToDirect) {
       EXPECT_GT(e.last_result().net.wire_bytes, 0u);
       ASSERT_NE(e.schedule(), nullptr);
       EXPECT_EQ(e.schedule()->kind, kind);
+      if (kind == ScheduleKind::kDirect) {
+        EXPECT_EQ(e.schedule()->steps.size(), 1u);  // the one-step case
+      }
     }
   }
 }
@@ -563,36 +583,76 @@ TEST(ScheduleEngine, EveryScheduleBitIdenticalToDirect) {
 TEST(ScheduleEngine, EveryScheduleBitIdenticalUnderAsyncIo) {
   const auto keys = random_keys(3141, 2000);
   algo::SampleSortProgram<std::uint64_t> prog;
-  em::EmEngine ref(sched_cfg(8, 4, ScheduleKind::kDirect));
-  const auto expected = ref.run(prog, sort_inputs(8, keys));
+  const auto expected = unrouted_run(4, keys);
 
-  for (ScheduleKind kind : kNonDirectKinds) {
-    auto cfg = sched_cfg(8, 4, kind, true);
-    cfg.io_threads = 2;
-    em::EmEngine e(cfg);
-    EXPECT_TRUE(same_outputs(expected, e.run(prog, sort_inputs(8, keys))))
-        << to_string(kind);
+  for (ScheduleKind kind : kAllScheduleKinds) {
+    for (bool threads : {false, true}) {
+      auto cfg = sched_cfg(8, 4, kind, threads);
+      cfg.io_threads = 2;
+      em::EmEngine e(cfg);
+      EXPECT_TRUE(same_outputs(expected, e.run(prog, sort_inputs(8, keys))))
+          << to_string(kind) << " threads=" << threads;
+    }
   }
 }
 
 TEST(ScheduleEngine, EveryScheduleBitIdenticalOverLossyLinks) {
   const auto keys = random_keys(2718, 2000);
   algo::SampleSortProgram<std::uint64_t> prog;
-  em::EmEngine ref(sched_cfg(8, 4, ScheduleKind::kDirect));
-  const auto expected = ref.run(prog, sort_inputs(8, keys));
-  const auto ref_bytes = ref.last_result().comm.total_bytes();
+  cgm::RunResult ref;
+  const auto expected = unrouted_run(4, keys, &ref);
 
   for (ScheduleKind kind : kAllScheduleKinds) {
-    auto cfg = sched_cfg(8, 4, kind);
-    cfg.net.fault.seed = 77;
+    for (bool threads : {false, true}) {
+      auto cfg = sched_cfg(8, 4, kind, threads);
+      cfg.net.fault.seed = 77;
+      cfg.net.fault.drop_prob = 0.05;
+      cfg.net.fault.corrupt_prob = 0.02;
+      cfg.net.retry.max_attempts = 16;
+      em::EmEngine e(cfg);
+      EXPECT_TRUE(same_outputs(expected, e.run(prog, sort_inputs(8, keys))))
+          << to_string(kind) << " threads=" << threads;
+      EXPECT_EQ(e.last_result().comm.total_bytes(), ref.comm.total_bytes())
+          << to_string(kind) << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ScheduleEngine, DegenerateSchedulesRunDirectsWire) {
+  // A schedule that collapses to one all-pairs step is direct in all but
+  // name: each host posts the same records to the same links during
+  // compute, so every NetStats field must equal direct's — over lossy
+  // links, threads off and on. Tree on the identity machine map (no
+  // file_roots) is direct at any p; at p = 2 every built-in is.
+  const auto keys = random_keys(4747, 2000);
+  algo::SampleSortProgram<std::uint64_t> prog;
+  auto lossy_cfg = [](std::uint32_t p, ScheduleKind kind, bool threads) {
+    auto cfg = sched_cfg(8, p, kind, threads);
+    cfg.net.fault.seed = 5;
     cfg.net.fault.drop_prob = 0.05;
-    cfg.net.fault.corrupt_prob = 0.02;
     cfg.net.retry.max_attempts = 16;
-    em::EmEngine e(cfg);
-    EXPECT_TRUE(same_outputs(expected, e.run(prog, sort_inputs(8, keys))))
-        << to_string(kind);
-    EXPECT_EQ(e.last_result().comm.total_bytes(), ref_bytes)
-        << to_string(kind);
+    return cfg;
+  };
+  const std::pair<std::uint32_t, ScheduleKind> cases[] = {
+      {4, ScheduleKind::kTree},
+      {2, ScheduleKind::kRing},
+      {2, ScheduleKind::kTree},
+      {2, ScheduleKind::kHyperSystolic}};
+  for (bool threads : {false, true}) {
+    for (const auto& [p, kind] : cases) {
+      em::EmEngine direct(lossy_cfg(p, ScheduleKind::kDirect, threads));
+      const auto want = direct.run(prog, sort_inputs(8, keys));
+      ASSERT_GT(direct.last_result().net.retransmissions, 0u);
+      em::EmEngine e(lossy_cfg(p, kind, threads));
+      const auto got = e.run(prog, sort_inputs(8, keys));
+      ASSERT_NE(e.schedule(), nullptr);
+      EXPECT_EQ(e.schedule()->steps.size(), 1u) << to_string(kind);
+      EXPECT_TRUE(same_outputs(want, got));
+      EXPECT_EQ(e.last_result().net, direct.last_result().net)
+          << to_string(kind) << " p=" << p << " threads=" << threads
+          << ": wire bytes " << e.last_result().net.wire_bytes << " vs "
+          << direct.last_result().net.wire_bytes;
+    }
   }
 }
 
@@ -608,8 +668,7 @@ TEST(ScheduleEngine, FailoverSweepUnderEverySchedule) {
     for (std::uint64_t step : {std::uint64_t{2}, steps / 2 + 1}) {
       auto cfg = sched_cfg(8, 4, kind);
       cfg.net.failover = true;
-      cfg.net.fault.fail_stop_proc = 3;
-      cfg.net.fault.fail_stop_at_step = step;
+      cfg.net.fault.fail_stops = {{3, step}};
       em::EmEngine e(cfg);
       const auto got = e.run(prog, sort_inputs(8, keys));
       EXPECT_TRUE(same_outputs(expected, got))
@@ -617,11 +676,8 @@ TEST(ScheduleEngine, FailoverSweepUnderEverySchedule) {
       fired += e.last_result().failovers;
       if (e.last_result().failovers > 0) {
         // The degraded epoch re-derived its schedule over the survivors.
-        if (kind != ScheduleKind::kDirect) {
-          ASSERT_NE(e.schedule(), nullptr);
-          EXPECT_EQ(e.schedule()->hosts,
-                    (std::vector<std::uint32_t>{0, 1, 2}));
-        }
+        ASSERT_NE(e.schedule(), nullptr);
+        EXPECT_EQ(e.schedule()->hosts, (std::vector<std::uint32_t>{0, 1, 2}));
       }
     }
   }
@@ -645,7 +701,7 @@ TEST(ScheduleEngine, RejoinSweepUnderEverySchedule) {
     EXPECT_TRUE(same_outputs(expected, e.run(prog, sort_inputs(8, keys))))
         << to_string(kind);
     rejoined += e.last_result().rejoins;
-    if (kind != ScheduleKind::kDirect && e.last_result().rejoins > 0) {
+    if (e.last_result().rejoins > 0) {
       ASSERT_NE(e.schedule(), nullptr);
       // Back to full membership after the re-admission.
       EXPECT_EQ(e.schedule()->hosts, (std::vector<std::uint32_t>{0, 1, 2, 3}));
@@ -695,14 +751,48 @@ TEST(ScheduleEngine, AggregatingSchedulesCutCrossingBytesOnTwoRootLayout) {
     std::filesystem::remove_all(r);
 }
 
+TEST(ScheduleEngine, StepZeroPostsFromHostsDuringCompute) {
+  // Step 0 of every schedule travels during compute: on a traced tree run
+  // over a 2-machine layout (gather, leader exchange, scatter) the hosts'
+  // own shards carry net_post spans with bytes in them, and the barrier
+  // runs only the later steps as sched_step rounds.
+  for (bool threads : {false, true}) {
+    test::ScopedTempDir machine_a("sched_post"), machine_b("sched_post");
+    auto cfg = sched_cfg(8, 4, ScheduleKind::kTree, threads);
+    cfg.backend = pdm::BackendKind::kFile;
+    cfg.file_roots = {machine_a.path() + "/p0", machine_a.path() + "/p1",
+                      machine_b.path() + "/p2", machine_b.path() + "/p3"};
+    cfg.obs.trace = true;
+    em::EmEngine e(cfg);
+    algo::SampleSortProgram<std::uint64_t> prog;
+    e.run(prog, sort_inputs(8, random_keys(3838, 2000)));
+    ASSERT_NE(e.schedule(), nullptr);
+    ASSERT_EQ(e.schedule()->steps.size(), 3u);
+    const auto& shards = e.tracer()->shards();
+    std::uint64_t posted = 0;
+    for (std::uint32_t h = 0; h < 4; ++h) {
+      for (const auto& span : shards[h].spans()) {
+        if (span.kind == obs::SpanKind::kNetPost) posted += span.aux0;
+      }
+    }
+    EXPECT_GT(posted, 0u) << "threads=" << threads;
+    std::uint64_t barrier_steps = 0;
+    for (const auto& span : shards.back().spans()) {  // engine shard
+      if (span.kind != obs::SpanKind::kSchedStep) continue;
+      EXPECT_GE(span.track, 1u) << "step 0 is not run at the barrier";
+      barrier_steps += 1;
+    }
+    EXPECT_GT(barrier_steps, 0u);
+  }
+}
+
 TEST(ScheduleEngine, TwoProcessorRunsWorkUnderEverySchedule) {
-  // Degenerate sizes: with p = 2 every non-direct schedule collapses to
-  // (at most) the single exchange step, and must still run and match.
+  // Degenerate sizes: with p = 2 every schedule collapses to (at most) the
+  // single exchange step, and must still run and match.
   const auto keys = random_keys(1212, 1200);
   algo::SampleSortProgram<std::uint64_t> prog;
-  em::EmEngine ref(sched_cfg(8, 2, ScheduleKind::kDirect));
-  const auto expected = ref.run(prog, sort_inputs(8, keys));
-  for (ScheduleKind kind : kNonDirectKinds) {
+  const auto expected = unrouted_run(2, keys);
+  for (ScheduleKind kind : kAllScheduleKinds) {
     em::EmEngine e(sched_cfg(8, 2, kind));
     EXPECT_TRUE(same_outputs(expected, e.run(prog, sort_inputs(8, keys))))
         << to_string(kind);
@@ -786,14 +876,16 @@ TEST(ScheduleCustom, MembershipChangeFallsBackToDirect) {
   auto cfg = sched_cfg(8, 4, ScheduleKind::kCustom);
   cfg.net.custom_schedule_json = ring.to_json();
   cfg.net.failover = true;
-  cfg.net.fault.fail_stop_proc = 3;
-  cfg.net.fault.fail_stop_at_step = 2;
+  cfg.net.fault.fail_stops = {{3, 2}};
   em::EmEngine e(cfg);
   const auto got = e.run(prog, sort_inputs(8, keys));
   EXPECT_TRUE(same_outputs(expected, got));
   ASSERT_GT(e.last_result().failovers, 0u);
-  // Degraded membership: the custom schedule is out of service.
-  EXPECT_EQ(e.schedule(), nullptr);
+  // Degraded membership: the custom schedule is out of service and the
+  // survivors exchange along the one-step direct schedule.
+  ASSERT_NE(e.schedule(), nullptr);
+  EXPECT_EQ(e.schedule()->kind, ScheduleKind::kDirect);
+  EXPECT_EQ(e.schedule()->steps.size(), 1u);
 }
 
 TEST(ScheduleCustom, RejoinRestoresTheCustomSchedule) {

@@ -1,10 +1,11 @@
 // Threaded-determinism sweeps. Two layers:
 //
 //  * Mailbox: SimNetwork's concurrent round (begin_round/post/finish_sender/
-//    collect) must be bit-identical to the serial send/run_to_quiescence
-//    path, invariant to which thread posts when, and invariant to the
-//    background pump being on or off — the pair-decomposition argument of
-//    sim_network.h, tested directly.
+//    collect, drained by the background pump) must be bit-identical to the
+//    serial send/run_to_quiescence path, invariant to which thread posts
+//    when — the pair-decomposition argument of sim_network.h, tested
+//    directly. Thread on/off equality at the engine level is covered by the
+//    use_threads sweeps here and in test_schedule/test_net.
 //
 //  * ThreadedStress: seeded schedule perturbation at the engine level. Real
 //    random sleeps are injected through the disk retry backoff hook (fired
@@ -53,10 +54,9 @@ bool same_inboxes(const std::vector<std::vector<net::Delivery>>& a,
   return true;
 }
 
-net::NetConfig faulty_net(std::uint64_t seed, bool pump) {
+net::NetConfig faulty_net(std::uint64_t seed) {
   net::NetConfig cfg;
   cfg.enabled = true;
-  cfg.mailbox_pump = pump;
   cfg.fault.seed = seed;
   cfg.fault.drop_prob = 0.1;
   cfg.fault.dup_prob = 0.05;
@@ -101,54 +101,54 @@ TEST(Mailbox, RoundMatchesSendPath) {
   // produce identical frames — then everything downstream (fault coins,
   // retransmissions, deliveries, statistics) must be identical too.
   const std::uint32_t p = 4;
-  for (bool pump : {false, true}) {
-    net::SimNetwork via_send(p, faulty_net(77, pump));
-    net::SimNetwork via_mail(p, faulty_net(77, pump));
+  net::SimNetwork via_send(p, faulty_net(77));
+  net::SimNetwork via_mail(p, faulty_net(77));
 
-    via_mail.begin_round();
-    for (std::uint32_t s = 0; s < p; ++s) {
-      for (std::uint32_t d = 0; d < p; ++d) {
-        if (s == d) continue;
-        const std::size_t len = 50 + 13 * s + 7 * d;
-        via_send.send(s, d, payload_for(s, d, 0, len));
-        // Two chunks that concatenate to the same stream: post() appends.
-        auto bytes = payload_for(s, d, 0, len);
-        std::vector<std::byte> head(bytes.begin(), bytes.begin() + len / 2);
-        std::vector<std::byte> tail(bytes.begin() + len / 2, bytes.end());
-        via_mail.post(s, d, std::move(head));
-        via_mail.post(s, d, std::move(tail));
-      }
+  via_mail.begin_round();
+  for (std::uint32_t s = 0; s < p; ++s) {
+    for (std::uint32_t d = 0; d < p; ++d) {
+      if (s == d) continue;
+      const std::size_t len = 50 + 13 * s + 7 * d;
+      via_send.send(s, d, payload_for(s, d, 0, len));
+      // Two chunks that concatenate to the same stream: post() appends.
+      auto bytes = payload_for(s, d, 0, len);
+      std::vector<std::byte> head(bytes.begin(), bytes.begin() + len / 2);
+      std::vector<std::byte> tail(bytes.begin() + len / 2, bytes.end());
+      via_mail.post(s, d, std::move(head));
+      via_mail.post(s, d, std::move(tail));
     }
-    for (std::uint32_t s = 0; s < p; ++s) via_mail.finish_sender(s);
-
-    const auto want = via_send.run_to_quiescence();
-    const auto got = via_mail.collect();
-    EXPECT_TRUE(same_inboxes(want, got)) << "pump=" << pump;
-    EXPECT_EQ(via_send.stats(), via_mail.stats()) << "pump=" << pump;
   }
+  for (std::uint32_t s = 0; s < p; ++s) via_mail.finish_sender(s);
+
+  const auto want = via_send.run_to_quiescence();
+  const auto got = via_mail.collect();
+  EXPECT_TRUE(same_inboxes(want, got));
+  EXPECT_EQ(via_send.stats(), via_mail.stats());
 }
 
 TEST(Mailbox, ConcurrentPostsAreDeterministic) {
   // p poster threads, each interleaving real random sleeps between its
   // post() calls and visiting destinations in a thread-specific order. Only
   // the per-link chunk order is fixed — and that is all the mailbox
-  // contract requires: every trial must match the inline reference exactly.
+  // contract requires: every trial must match the inline reference (one
+  // send() of each link's concatenated chunks, run to quiescence) exactly.
   const std::uint32_t p = 4;
   for (std::uint64_t trial = 0; trial < 5; ++trial) {
-    net::SimNetwork ref(p, faulty_net(900 + trial, false));
-    ref.begin_round();
+    net::SimNetwork ref(p, faulty_net(900 + trial));
     for (std::uint32_t s = 0; s < p; ++s) {
       for (std::uint32_t d = 0; d < p; ++d) {
         if (s == d) continue;
+        std::vector<std::byte> stream;
         for (std::uint32_t c = 0; c < 3; ++c) {
-          ref.post(s, d, payload_for(s, d, c, 30 + 11 * c));
+          const auto chunk = payload_for(s, d, c, 30 + 11 * c);
+          stream.insert(stream.end(), chunk.begin(), chunk.end());
         }
+        ref.send(s, d, std::move(stream));
       }
-      ref.finish_sender(s);
     }
-    const auto want = ref.collect();
+    const auto want = ref.run_to_quiescence();
 
-    net::SimNetwork nw(p, faulty_net(900 + trial, true));
+    net::SimNetwork nw(p, faulty_net(900 + trial));
     nw.begin_round();
     std::vector<std::thread> posters;
     for (std::uint32_t s = 0; s < p; ++s) {
@@ -172,38 +172,6 @@ TEST(Mailbox, ConcurrentPostsAreDeterministic) {
     const auto got = nw.collect();
     EXPECT_TRUE(same_inboxes(want, got)) << "trial " << trial;
     EXPECT_EQ(ref.stats(), nw.stats()) << "trial " << trial;
-  }
-}
-
-TEST(Mailbox, PumpOnOffBitIdenticalAtEngineLevel) {
-  const auto keys = random_keys(606, 2000);
-  algo::SampleSortProgram<std::uint64_t> prog;
-  std::vector<cgm::PartitionSet> want;
-  cgm::RunResult base;
-  for (bool pump : {false, true}) {
-    cgm::MachineConfig cfg;
-    cfg.v = 8;
-    cfg.p = 4;
-    cfg.disk.num_disks = 2;
-    cfg.disk.block_bytes = 512;
-    cfg.checkpointing = true;
-    cfg.use_threads = true;
-    cfg.net = faulty_net(4040, pump);
-    em::EmEngine e(cfg);
-    const auto out = e.run(prog, sort_inputs(8, keys));
-    const auto& res = e.last_result();
-    if (!pump) {
-      want = out;
-      base = res;
-    } else {
-      EXPECT_TRUE(same_outputs(want, out));
-      EXPECT_EQ(res.io, base.io);
-      EXPECT_EQ(res.net, base.net);
-      ASSERT_EQ(res.comm.steps.size(), base.comm.steps.size());
-      for (std::size_t i = 0; i < res.comm.steps.size(); ++i) {
-        EXPECT_EQ(res.comm.steps[i], base.comm.steps[i]) << "step " << i;
-      }
-    }
   }
 }
 
@@ -318,8 +286,8 @@ TEST(ThreadedStress, KillSweepConvergesAcrossSeeds) {
     for (bool threads : {false, true}) {
       auto cfg = stress_cfg(seed, threads);
       cfg.net.failover = true;
-      cfg.net.fault.fail_stop_proc = static_cast<std::uint32_t>(seed % 4);
-      cfg.net.fault.fail_stop_at_step = 1 + seed % steps;
+      cfg.net.fault.fail_stops = {
+          {static_cast<std::uint32_t>(seed % 4), 1 + seed % steps}};
       cfg.net.retry.max_attempts = 4;  // give up on the corpse quickly
       em::EmEngine e(cfg);
       EXPECT_TRUE(same_outputs(expected, e.run(prog, sort_inputs(8, keys))))
