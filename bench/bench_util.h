@@ -25,6 +25,7 @@
 #include "obs/trace.h"
 #include "pdm/cost_model.h"
 #include "pdm/disk_array.h"
+#include "util/json.h"
 #include "util/timer.h"
 
 namespace emcgm::bench {
@@ -102,35 +103,16 @@ class Table {
   /// formatted for humans, and a consumer that wants numbers can parse them
   /// without this header guessing types.
   void write_json(std::FILE* f, const std::string& name) const {
-    auto escape = [](const std::string& s) {
-      std::string out;
-      out.reserve(s.size());
-      for (char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out += ch;
-        }
-      }
-      return out;
-    };
-    std::fprintf(f, "{\"name\": \"%s\", \"rows\": [", escape(name).c_str());
+    std::fprintf(f, "{\"name\": %s, \"rows\": [", json::quote(name).c_str());
     for (std::size_t r = 0; r < rows_.size(); ++r) {
       std::fprintf(f, r == 0 ? "\n" : ",\n");
       std::fprintf(f, "  {");
       for (std::size_t c = 0; c < headers_.size(); ++c) {
         const std::string& cell =
             c < rows_[r].size() ? rows_[r][c] : std::string();
-        std::fprintf(f, "%s\"%s\": \"%s\"", c == 0 ? "" : ", ",
-                     escape(headers_[c]).c_str(), escape(cell).c_str());
+        std::fprintf(f, "%s%s: %s", c == 0 ? "" : ", ",
+                     json::quote(headers_[c]).c_str(),
+                     json::quote(cell).c_str());
       }
       std::fprintf(f, "}");
     }

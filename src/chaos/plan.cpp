@@ -1,11 +1,11 @@
 #include "chaos/plan.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "pdm/fault.h"
 #include "routing/schedule.h"
+#include "util/json.h"
 
 namespace emcgm::chaos {
 
@@ -222,112 +222,46 @@ std::string ChaosPlan::to_json() const {
   return os.str();
 }
 
-namespace {
-
-// Minimal cursor parser for exactly the plan schema: objects, arrays,
-// strings without escapes, and numbers. Anything else is kConfig.
-struct JsonCursor {
-  const char* p;
-  const char* end;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw IoError(IoErrorKind::kConfig, "chaos plan JSON: " + what);
-  }
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  void expect(char c) {
-    skip_ws();
-    if (p >= end || *p != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++p;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') fail("escape sequences unsupported");
-      s += *p++;
-    }
-    expect('"');
-    return s;
-  }
-  double parse_number() {
-    skip_ws();
-    char* after = nullptr;
-    const double d = std::strtod(p, &after);
-    if (after == p) fail("expected a number");
-    p = after;
-    return d;
-  }
-};
-
-}  // namespace
-
 ChaosPlan ChaosPlan::parse_json(const std::string& text) {
-  JsonCursor c{text.data(), text.data() + text.size()};
+  json::Reader r(text, "chaos plan");
   ChaosPlan plan;
   plan.seed = 0;
-  c.expect('{');
-  bool first_key = true;
-  while (!c.peek('}')) {
-    if (!first_key) c.expect(',');
-    first_key = false;
-    const std::string key = c.parse_string();
-    c.expect(':');
+  r.object([&](const std::string& key) {
     if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(c.parse_number());
+      plan.seed = r.integer<std::uint64_t>();
     } else if (key == "events") {
-      c.expect('[');
-      while (!c.peek(']')) {
-        if (!plan.events.empty()) c.expect(',');
-        c.expect('{');
+      r.array([&] {
         ChaosEvent e;
         bool have_kind = false;
-        bool first = true;
-        while (!c.peek('}')) {
-          if (!first) c.expect(',');
-          first = false;
-          const std::string field = c.parse_string();
-          c.expect(':');
+        r.object([&](const std::string& field) {
           if (field == "kind") {
-            const std::string name = c.parse_string();
-            have_kind = false;
+            const std::string name = r.string();
             for (ChaosEvent::Kind k : kAllKinds) {
               if (name == to_string(k)) {
                 e.kind = k;
                 have_kind = true;
               }
             }
-            if (!have_kind) c.fail("unknown event kind '" + name + "'");
+            if (!have_kind) r.fail("unknown event kind '" + name + "'");
           } else if (field == "proc") {
-            e.proc = static_cast<std::uint32_t>(c.parse_number());
+            e.proc = r.integer<std::uint32_t>();
           } else if (field == "value") {
-            e.value = static_cast<std::uint64_t>(c.parse_number());
+            e.value = r.integer<std::uint64_t>();
           } else if (field == "prob") {
-            e.prob = c.parse_number();
+            e.prob = r.number();
           } else {
-            c.fail("unknown event field '" + field + "'");
+            r.fail("unknown event field '" + field + "'");
           }
-        }
-        c.expect('}');
-        if (!have_kind) c.fail("event without a kind");
+        });
+        if (!have_kind) r.fail("event without a kind");
         plan.events.push_back(e);
-      }
-      c.expect(']');
+      });
     } else {
-      c.fail("unknown key '" + key + "'");
+      r.fail("unknown key '" + key + "'");
     }
-  }
-  c.expect('}');
-  if (plan.seed == 0) c.fail("missing or zero seed");
+  });
+  r.finish();
+  if (plan.seed == 0) r.fail("missing or zero seed");
   return plan;
 }
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
 #include "util/error.h"
+#include "util/json.h"
 
 namespace emcgm::routing {
 
@@ -354,135 +354,57 @@ std::string CommSchedule::to_json() const {
 
 namespace {
 
-/// Minimal cursor parser for exactly the schedule schema: objects, arrays,
-/// escape-free strings, and numbers. Mirrors the chaos-plan parser; the
-/// schema is small enough that sharing one would couple the layers for no
-/// gain.
-struct JsonCursor {
-  const char* p;
-  const char* end;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    bad_config("schedule JSON: " + what);
-  }
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  void expect(char c) {
-    skip_ws();
-    if (p >= end || *p != c) fail(std::string("expected '") + c + "'");
-    ++p;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') fail("escape sequences unsupported");
-      s += *p++;
-    }
-    expect('"');
-    return s;
-  }
-  double parse_number() {
-    skip_ws();
-    char* after = nullptr;
-    const double d = std::strtod(p, &after);
-    if (after == p) fail("expected a number");
-    p = after;
-    return d;
-  }
-};
-
-Transfer parse_transfer(JsonCursor& c) {
+Transfer parse_transfer(json::Reader& r) {
   Transfer t;
-  c.expect('{');
-  bool first = true;
-  while (!c.peek('}')) {
-    if (!first) c.expect(',');
-    first = false;
-    const std::string field = c.parse_string();
-    c.expect(':');
+  r.object([&](const std::string& field) {
     if (field == "src") {
-      t.src = static_cast<std::uint32_t>(c.parse_number());
+      t.src = r.integer<std::uint32_t>();
     } else if (field == "dst") {
-      t.dst = static_cast<std::uint32_t>(c.parse_number());
+      t.dst = r.integer<std::uint32_t>();
     } else if (field == "flows") {
-      c.expect('[');
-      while (!c.peek(']')) {
-        if (!t.flows.empty()) c.expect(',');
-        c.expect('[');
-        const auto o = static_cast<std::uint32_t>(c.parse_number());
-        c.expect(',');
-        const auto f = static_cast<std::uint32_t>(c.parse_number());
-        c.expect(']');
-        t.flows.push_back({o, f});
-      }
-      c.expect(']');
+      r.array([&] {
+        std::vector<std::uint32_t> pair;
+        r.array([&] { pair.push_back(r.integer<std::uint32_t>()); });
+        if (pair.size() != 2) r.fail("a flow is an [origin, final] pair");
+        t.flows.push_back({pair[0], pair[1]});
+      });
     } else {
-      c.fail("unknown transfer field '" + field + "'");
+      r.fail("unknown transfer field '" + field + "'");
     }
-  }
-  c.expect('}');
+  });
   return t;
 }
 
 }  // namespace
 
 CommSchedule parse_schedule_json(const std::string& text) {
-  JsonCursor c{text.data(), text.data() + text.size()};
+  json::Reader r(text, "schedule");
   CommSchedule s;
   bool have_p = false;
-  c.expect('{');
-  bool first_key = true;
-  while (!c.peek('}')) {
-    if (!first_key) c.expect(',');
-    first_key = false;
-    const std::string key = c.parse_string();
-    c.expect(':');
+  r.object([&](const std::string& key) {
     if (key == "kind") {
-      s.kind = schedule_kind_from_string(c.parse_string());
+      s.kind = schedule_kind_from_string(r.string());
     } else if (key == "p") {
-      s.p = static_cast<std::uint32_t>(c.parse_number());
+      s.p = r.integer<std::uint32_t>();
       have_p = true;
     } else if (key == "hosts") {
-      c.expect('[');
-      while (!c.peek(']')) {
-        if (!s.hosts.empty()) c.expect(',');
-        s.hosts.push_back(static_cast<std::uint32_t>(c.parse_number()));
-      }
-      c.expect(']');
+      r.array([&] { s.hosts.push_back(r.integer<std::uint32_t>()); });
     } else if (key == "max_degree") {
-      s.max_degree = static_cast<std::uint32_t>(c.parse_number());
+      s.max_degree = r.integer<std::uint32_t>();
     } else if (key == "slack") {
-      s.slack = c.parse_number();
+      s.slack = r.number();
     } else if (key == "steps") {
-      c.expect('[');
-      while (!c.peek(']')) {
-        if (!s.steps.empty()) c.expect(',');
-        c.expect('[');
+      r.array([&] {
         ScheduleStep step;
-        while (!c.peek(']')) {
-          if (!step.transfers.empty()) c.expect(',');
-          step.transfers.push_back(parse_transfer(c));
-        }
-        c.expect(']');
+        r.array([&] { step.transfers.push_back(parse_transfer(r)); });
         s.steps.push_back(std::move(step));
-      }
-      c.expect(']');
+      });
     } else {
-      c.fail("unknown key '" + key + "'");
+      r.fail("unknown key '" + key + "'");
     }
-  }
-  c.expect('}');
-  if (!have_p || s.p == 0) {
-    bad_config("schedule JSON: missing or zero \"p\"");
-  }
+  });
+  r.finish();
+  if (!have_p || s.p == 0) r.fail("missing or zero \"p\"");
   return s;
 }
 

@@ -14,6 +14,10 @@ JobService::JobService(ServiceConfig cfg) : cfg_(cfg), pool_(cfg.pool) {
     throw IoError(IoErrorKind::kConfig,
                   "quantum_bytes == 0 would never let a burst run");
   }
+  if (cfg_.workers == 0) {
+    throw IoError(IoErrorKind::kConfig,
+                  "workers == 0 would never step a tenant (want >= 1)");
+  }
   if (cfg_.workers == ServiceConfig::kWorkersAuto) {
     const unsigned hw = std::thread::hardware_concurrency();
     workers_ = hw > 0 ? static_cast<std::uint32_t>(hw) : 1u;
@@ -58,73 +62,6 @@ void JobService::admit() {
   }
 }
 
-Job* JobService::pick() {
-  std::uint32_t best = 0;
-  bool any = false;
-  for (const Slot& s : slots_) {
-    if (!s.job || s.finished) continue;
-    if (!any || s.spec.priority > best) best = s.spec.priority;
-    any = true;
-  }
-  if (!any) return nullptr;
-
-  // Keep the running burst while it stays in the top class with credit.
-  if (current_ != SIZE_MAX) {
-    Slot& cur = slots_[current_];
-    if (cur.job && !cur.finished && cur.spec.priority == best &&
-        cur.job->deficit > 0) {
-      return cur.job.get();
-    }
-  }
-
-  // Rotate to the next top-class job after the cursor and open its burst
-  // with one quantum of credit (leftover — or overdraft — carries).
-  for (std::size_t k = 1; k <= slots_.size(); ++k) {
-    const std::size_t idx = (rr_ + k) % slots_.size();
-    Slot& s = slots_[idx];
-    if (!s.job || s.finished || s.spec.priority != best) continue;
-    if (current_ != SIZE_MAX && current_ != idx) {
-      Slot& prev = slots_[current_];
-      if (prev.job && !prev.finished) ++prev.job->preemptions;
-    }
-    rr_ = idx;
-    current_ = idx;
-    s.job->deficit += static_cast<std::int64_t>(cfg_.quantum_bytes);
-    return s.job.get();
-  }
-  return nullptr;  // unreachable: `any` guaranteed a candidate
-}
-
-void JobService::run_serial() {
-  for (;;) {
-    bool all_done = true;
-    for (const Slot& s : slots_) {
-      if (!s.finished) all_done = false;
-    }
-    if (all_done) break;
-
-    ++tick_;
-    admit();
-    Job* job = pick();
-    if (!job) continue;  // only future arrivals remain; let the tick pass
-
-    const bool more = job->step();
-    const std::uint64_t cost = job->take_charge();
-    job->deficit -= static_cast<std::int64_t>(cost);
-    job->charged_total += cost;
-    if (!more) {
-      job->end_tick = tick_;
-      for (std::size_t i = 0; i < slots_.size(); ++i) {
-        if (slots_[i].job.get() != job) continue;
-        slots_[i].finished = true;
-        pool_.release(job->carve(), slots_[i].spec.disks);
-        if (current_ == i) current_ = SIZE_MAX;
-        break;
-      }
-    }
-  }
-}
-
 std::vector<std::vector<std::size_t>> JobService::group_chosen(
     const std::vector<std::size_t>& chosen) const {
   // Union-find over the chosen set, keyed by pool host: two tenants whose
@@ -164,7 +101,7 @@ std::vector<std::vector<std::size_t>> JobService::group_chosen(
   return items;
 }
 
-void JobService::run_parallel() {
+std::vector<JobResult> JobService::run_all() {
   WorkerPool wpool(workers_);
   // Chosen-set membership of the previous round, for the preemption
   // transition rule below. Kept across empty rounds (rounds where the dry
@@ -253,8 +190,7 @@ void JobService::run_parallel() {
 
     // Preemption accounting — two rules, both schedule-deterministic:
     //  * structural: a tenant stepped inside a shared work item paused at
-    //    its barrier so a co-resident could run (the serial loop's switch,
-    //    compressed into one round);
+    //    its barrier so a co-resident could run;
     //  * transition: a tenant the scheduler stepped last round but not this
     //    round — while something else ran — was switched away from.
     for (const std::vector<std::size_t>& item : items) {
@@ -273,14 +209,7 @@ void JobService::run_parallel() {
     }
     prev_chosen = std::move(chosen_mask);
   }
-}
 
-std::vector<JobResult> JobService::run_all() {
-  if (workers_ == 0) {
-    run_serial();
-  } else {
-    run_parallel();
-  }
   std::vector<JobResult> results;
   results.reserve(slots_.size());
   for (const Slot& s : slots_) results.push_back(s.job->result());

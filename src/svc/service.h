@@ -31,8 +31,6 @@
 // serialization — no lock ever guards an engine), while non-co-resident
 // tenants run concurrently. The join drains charges, retires finished jobs
 // and accounts preemptions in canonical (submission) slot order.
-// `workers == 0` selects the legacy serial tick loop, kept verbatim as the
-// reference the parallel loop is gated bit-identical against.
 //
 // Per-tenant isolation is structural: each job owns its engine, disks,
 // stores, network and tracer; tenants share capacity, never state. A job's
@@ -65,9 +63,9 @@ struct ServiceConfig {
   /// Per-job tracer with the job name as tenant label (ObsConfig::tenant).
   bool trace = false;
   /// Execution-phase worker threads. kWorkersAuto = hardware concurrency;
-  /// 0 = the serial tick loop (the bit-identity reference); any N >= 1 runs
-  /// the two-phase loop — the schedule, and with it every per-tenant
-  /// observable, is identical for all N >= 1 (N changes wall time only).
+  /// 0 is rejected with IoError(kConfig). The schedule, and with it every
+  /// per-tenant observable, is identical for all N >= 1 (N changes wall
+  /// time only).
   std::uint32_t workers = kWorkersAuto;
   /// Test hook: called by the executing worker immediately before each
   /// step(slot_index, tick). Schedule-perturbation stress injects seeded
@@ -92,7 +90,7 @@ class JobService {
   /// Scheduling ticks consumed by the last run_all().
   std::uint64_t ticks() const { return tick_; }
 
-  /// Resolved execution-phase worker count (0 = serial tick loop).
+  /// Resolved execution-phase worker count (>= 1).
   std::uint32_t workers() const { return workers_; }
 
   /// Export the per-tenant traces of the last run_all() as one combined
@@ -113,18 +111,6 @@ class JobService {
   /// later one overtake it within the same priority — carve order is FIFO).
   void admit();
 
-  /// The job to step next under strict priority + DRR, or null (serial
-  /// tick loop only).
-  Job* pick();
-
-  /// The legacy one-job-per-tick loop (workers == 0) — the reference side
-  /// of the serial-vs-parallel bit-identity contract.
-  void run_serial();
-
-  /// The two-phase loop (workers >= 1): deterministic arbitration, then
-  /// parallel execution of the chosen set, then a canonical-order join.
-  void run_parallel();
-
   /// Group the chosen slots into work items: slots whose carve-outs share a
   /// pool host land in one item (stepped sequentially inside it). Items are
   /// ordered by their smallest slot index, members ascending — a pure
@@ -137,8 +123,6 @@ class JobService {
   std::uint32_t workers_ = 0;  ///< resolved from cfg_.workers at construction
   std::vector<Slot> slots_;
   std::uint64_t tick_ = 0;
-  std::size_t current_ = SIZE_MAX;  ///< slot index of the running burst
-  std::size_t rr_ = 0;              ///< round-robin rotation cursor
 };
 
 /// Run one job alone on an otherwise empty pool of the same geometry — the

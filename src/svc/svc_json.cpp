@@ -1,243 +1,131 @@
 #include "svc/svc_json.h"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "util/error.h"
+#include "util/json.h"
 
 namespace emcgm::svc {
 
 namespace {
 
-struct JsonCursor {
-  const char* p;
-  const char* end;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw IoError(IoErrorKind::kConfig, "job file JSON: " + what);
-  }
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-  void expect(char c) {
-    skip_ws();
-    if (p >= end || *p != c) fail(std::string("expected '") + c + "'");
-    ++p;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string s;
-    while (p < end && *p != '"') {
-      if (*p == '\\') fail("escape sequences unsupported");
-      s += *p++;
-    }
-    expect('"');
-    return s;
-  }
-  double parse_number() {
-    skip_ws();
-    char* after = nullptr;
-    const double d = std::strtod(p, &after);
-    if (after == p) fail("expected a number");
-    p = after;
-    return d;
-  }
-  bool parse_bool() {
-    skip_ws();
-    if (end - p >= 4 && std::string(p, 4) == "true") {
-      p += 4;
-      return true;
-    }
-    if (end - p >= 5 && std::string(p, 5) == "false") {
-      p += 5;
-      return false;
-    }
-    fail("expected true or false");
-  }
-  /// Capture a balanced {...} object verbatim (a nested document handed to
-  /// another parser — the per-job chaos plan).
-  std::string capture_object() {
-    skip_ws();
-    if (p >= end || *p != '{') fail("expected '{'");
-    const char* start = p;
-    int depth = 0;
-    bool in_str = false;
-    while (p < end) {
-      const char c = *p++;
-      if (in_str) {
-        if (c == '"') in_str = false;
-        continue;
-      }
-      if (c == '"') in_str = true;
-      if (c == '{') ++depth;
-      if (c == '}' && --depth == 0) return std::string(start, p);
-    }
-    fail("unterminated object");
-  }
-
-  std::uint64_t parse_u64() {
-    return static_cast<std::uint64_t>(parse_number());
-  }
-  std::uint32_t parse_u32() {
-    return static_cast<std::uint32_t>(parse_number());
-  }
-};
-
-JobSpec parse_job(JsonCursor& c) {
+JobSpec parse_job(json::Reader& r) {
   JobSpec j;
-  c.expect('{');
-  bool first = true;
-  while (!c.peek('}')) {
-    if (!first) c.expect(',');
-    first = false;
-    const std::string key = c.parse_string();
-    c.expect(':');
+  r.object([&](const std::string& key) {
     if (key == "name") {
-      j.name = c.parse_string();
+      j.name = r.string();
     } else if (key == "workload") {
-      j.workload = c.parse_string();
+      j.workload = r.string();
     } else if (key == "n") {
-      j.n = c.parse_u64();
+      j.n = r.integer<std::uint64_t>();
     } else if (key == "seed") {
-      j.seed = c.parse_u64();
+      j.seed = r.integer<std::uint64_t>();
     } else if (key == "v") {
-      j.v = c.parse_u32();
+      j.v = r.integer<std::uint32_t>();
     } else if (key == "hosts") {
-      j.hosts = c.parse_u32();
+      j.hosts = r.integer<std::uint32_t>();
     } else if (key == "disks") {
-      j.disks = c.parse_u32();
+      j.disks = r.integer<std::uint32_t>();
     } else if (key == "priority") {
-      j.priority = c.parse_u32();
+      j.priority = r.integer<std::uint32_t>();
     } else if (key == "arrival_tick") {
-      j.arrival_tick = c.parse_u64();
+      j.arrival_tick = r.integer<std::uint64_t>();
     } else if (key == "use_threads") {
-      j.use_threads = c.parse_bool();
+      j.use_threads = r.boolean();
     } else if (key == "io_threads") {
-      j.io_threads = c.parse_u32();
+      j.io_threads = r.integer<std::uint32_t>();
     } else if (key == "prefetch_depth") {
-      j.prefetch_depth = c.parse_u32();
+      j.prefetch_depth = r.integer<std::uint32_t>();
     } else if (key == "chaos") {
-      j.chaos_json = c.capture_object();
+      j.chaos_json = r.raw_object();
     } else {
-      c.fail("unknown job field '" + key + "'");
+      r.fail("unknown job field '" + key + "'");
     }
-  }
-  c.expect('}');
+  });
   return j;
 }
 
-void parse_pool(JsonCursor& c, PoolConfig& pool) {
-  c.expect('{');
-  bool first = true;
-  while (!c.peek('}')) {
-    if (!first) c.expect(',');
-    first = false;
-    const std::string key = c.parse_string();
-    c.expect(':');
+void parse_pool(json::Reader& r, PoolConfig& pool) {
+  r.object([&](const std::string& key) {
     if (key == "hosts") {
-      pool.hosts = c.parse_u32();
+      pool.hosts = r.integer<std::uint32_t>();
     } else if (key == "disks_per_host") {
-      pool.disks_per_host = c.parse_u32();
+      pool.disks_per_host = r.integer<std::uint32_t>();
     } else if (key == "block_bytes") {
-      pool.block_bytes = static_cast<std::size_t>(c.parse_number());
+      pool.block_bytes = r.integer<std::size_t>();
     } else if (key == "placement") {
-      const std::string policy = c.parse_string();
+      const std::string policy = r.string();
       if (policy == "pack") {
         pool.placement = PlacementPolicy::kPack;
       } else if (policy == "spread") {
         pool.placement = PlacementPolicy::kSpread;
       } else {
-        c.fail("unknown placement policy '" + policy +
+        r.fail("unknown placement policy '" + policy +
                "' (want \"pack\" or \"spread\")");
       }
     } else {
-      c.fail("unknown pool field '" + key + "'");
+      r.fail("unknown pool field '" + key + "'");
     }
-  }
-  c.expect('}');
+  });
 }
 
-void parse_chaos(JsonCursor& c, ServiceSpec& spec) {
+void parse_chaos(json::Reader& r, ServiceSpec& spec) {
   chaos::PlanShape& sh = spec.chaos_shape;
-  c.expect('{');
-  bool first = true;
-  while (!c.peek('}')) {
-    if (!first) c.expect(',');
-    first = false;
-    const std::string key = c.parse_string();
-    c.expect(':');
+  r.object([&](const std::string& key) {
     if (key == "seed") {
-      spec.chaos_seed = c.parse_u64();
+      spec.chaos_seed = r.integer<std::uint64_t>();
     } else if (key == "target_tenant") {
-      sh.target_tenant = static_cast<std::int32_t>(c.parse_number());
+      sh.target_tenant = r.integer<std::int32_t>();
     } else if (key == "max_events") {
-      sh.max_events = c.parse_u32();
+      sh.max_events = r.integer<std::uint32_t>();
     } else if (key == "max_disk_op") {
-      sh.max_disk_op = c.parse_u64();
+      sh.max_disk_op = r.integer<std::uint64_t>();
     } else if (key == "max_step") {
-      sh.max_step = c.parse_u64();
+      sh.max_step = r.integer<std::uint64_t>();
     } else if (key == "max_prob") {
-      sh.max_prob = c.parse_number();
+      sh.max_prob = r.number();
     } else if (key == "quota_min_bytes") {
-      sh.quota_min_bytes = c.parse_u64();
+      sh.quota_min_bytes = r.integer<std::uint64_t>();
     } else if (key == "quota_max_bytes") {
-      sh.quota_max_bytes = c.parse_u64();
+      sh.quota_max_bytes = r.integer<std::uint64_t>();
     } else if (key == "allow_disk_crash") {
-      sh.allow_disk_crash = c.parse_bool();
+      sh.allow_disk_crash = r.boolean();
     } else if (key == "allow_kill") {
-      sh.allow_kill = c.parse_bool();
+      sh.allow_kill = r.boolean();
     } else if (key == "allow_rejoin") {
-      sh.allow_rejoin = c.parse_bool();
+      sh.allow_rejoin = r.boolean();
     } else if (key == "allow_schedule") {
-      sh.allow_schedule = c.parse_bool();
+      sh.allow_schedule = r.boolean();
     } else {
-      c.fail("unknown chaos field '" + key + "'");
+      r.fail("unknown chaos field '" + key + "'");
     }
-  }
-  c.expect('}');
+  });
 }
 
 }  // namespace
 
 ServiceSpec parse_service_json(const std::string& text) {
-  JsonCursor c{text.data(), text.data() + text.size()};
+  json::Reader r(text, "job file");
   ServiceSpec spec;
-  c.expect('{');
-  bool first = true;
-  while (!c.peek('}')) {
-    if (!first) c.expect(',');
-    first = false;
-    const std::string key = c.parse_string();
-    c.expect(':');
+  r.object([&](const std::string& key) {
     if (key == "pool") {
-      parse_pool(c, spec.service.pool);
+      parse_pool(r, spec.service.pool);
     } else if (key == "quantum_bytes") {
-      spec.service.quantum_bytes = c.parse_u64();
+      spec.service.quantum_bytes = r.integer<std::uint64_t>();
     } else if (key == "workers") {
-      spec.service.workers = c.parse_u32();
+      spec.service.workers = r.integer<std::uint32_t>();
     } else if (key == "trace") {
-      spec.service.trace = c.parse_bool();
+      spec.service.trace = r.boolean();
     } else if (key == "jobs") {
-      c.expect('[');
-      while (!c.peek(']')) {
-        if (!spec.jobs.empty()) c.expect(',');
-        spec.jobs.push_back(parse_job(c));
-      }
-      c.expect(']');
+      r.array([&] { spec.jobs.push_back(parse_job(r)); });
     } else if (key == "chaos") {
-      parse_chaos(c, spec);
+      parse_chaos(r, spec);
     } else {
-      c.fail("unknown key '" + key + "'");
+      r.fail("unknown key '" + key + "'");
     }
-  }
-  c.expect('}');
-  if (spec.jobs.empty()) c.fail("no jobs");
+  });
+  r.finish();
+  if (spec.jobs.empty()) r.fail("no jobs");
   return spec;
 }
 
@@ -270,9 +158,9 @@ std::string results_json(const std::vector<JobResult>& results,
   os << "{\"ticks\":" << ticks << ",\"jobs\":[";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const JobResult& r = results[i];
-    os << (i == 0 ? "" : ",") << "\n {\"name\":\"" << r.name << "\","
-       << "\"ok\":" << (r.ok ? "true" : "false") << ","
-       << "\"error\":\"" << r.error << "\","
+    os << (i == 0 ? "" : ",") << "\n {\"name\":" << json::quote(r.name)
+       << ",\"ok\":" << (r.ok ? "true" : "false")
+       << ",\"error\":" << json::quote(r.error) << ","
        << "\"output_hash\":\"0x" << std::hex << r.output_hash << std::dec
        << "\",\"supersteps\":" << r.supersteps
        << ",\"preemptions\":" << r.preemptions

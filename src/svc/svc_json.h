@@ -1,6 +1,6 @@
 // JSON framing of the job service: the job file tools/jobsvc consumes and
-// the per-job result document it emits. Same hand-rolled cursor idiom as
-// chaos/plan.cpp — no third-party JSON dependency anywhere in the tree.
+// the per-job result document it emits. The job file is read through
+// util/json, the tree's one JSON reader.
 #pragma once
 
 #include <cstdint>
@@ -43,9 +43,10 @@ struct ServiceSpec {
 ///   }
 ///
 /// Every field except job "name" and "workload" has the JobSpec default.
-/// "workers" selects the execution-phase thread count (0 = serial tick
-/// loop; absent = hardware concurrency); pool "placement" is "pack" or
-/// "spread" — any other string is rejected typed.
+/// "workers" selects the execution-phase thread count (>= 1; absent =
+/// hardware concurrency); pool "placement" is "pack" or "spread" — any other
+/// string is rejected typed. Integers must be plain decimals inside their
+/// field's range; a repeated key or bytes after the document are rejected.
 /// Throws IoError(kConfig) on malformed input.
 ServiceSpec parse_service_json(const std::string& text);
 

@@ -135,6 +135,7 @@ std::vector<T> bytes_to_vec(std::span<const std::byte> bytes) {
                                    << " not a multiple of item size "
                                    << sizeof(T));
   std::vector<T> v(bytes.size() / sizeof(T));
+  if (v.empty()) return v;  // an empty span's data() may be null
   std::memcpy(v.data(), bytes.data(), bytes.size());
   return v;
 }

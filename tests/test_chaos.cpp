@@ -20,6 +20,7 @@
 #include "emcgm/em_engine.h"
 #include "pdm/backend.h"
 #include "pdm/disk_array.h"
+#include "pdm/fault.h"
 #include "routing/schedule.h"
 #include "util/math.h"
 #include "util/rng.h"
@@ -269,7 +270,14 @@ TEST(Chaos, PlanJsonRoundTripsExactly) {
   shape.p = 2;
   shape.quota_min_bytes = 1000;
   shape.quota_max_bytes = 2000;
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) seeds.push_back(seed);
+  // The full-width seeds fuzz() derives for its plans: a double cannot
+  // hold them, so the repro only replays if the reader keeps every bit.
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    seeds.push_back(pdm::fault_mix(1 ^ (0xC2B2AE3D27D4EB4FULL * (i + 1))));
+  }
+  for (std::uint64_t seed : seeds) {
     const ChaosPlan plan = ChaosPlan::generate(seed, shape);
     ASSERT_FALSE(plan.events.empty());
     const ChaosPlan parsed = ChaosPlan::parse_json(plan.to_json());
@@ -287,6 +295,11 @@ TEST(Chaos, ParseJsonRejectsMalformedInput) {
       R"({"seed": 1, "events": [{"proc": 0}]})",  // event without a kind
       R"({"seed": 1, "events": [{"kind": "meteor-strike"}]})",
       R"({"bogus": 1})",
+      R"({"seed": 7.9, "events": []})",
+      R"({"seed": 7, "seed": 8, "events": []})",
+      R"({"seed": 1, "events": [{"kind": "kill", "proc": -4294967295}]})",
+      R"({"seed": 1, "events": [{"kind": "kill", "value": 2.5}]})",
+      R"({"seed": 1, "events": []} x)",
   };
   for (const char* text : bad) {
     try {

@@ -508,6 +508,11 @@ TEST(ScheduleJson, RejectsMalformedInput) {
            "{\"p\": 0, \"kind\": \"direct\"}",            // empty machine
            "{\"p\": 2, \"kind\": \"nope\"}",              // unknown kind
            "{\"p\": 2, \"kind\": \"direct\", \"steps\": 3}",
+           "{\"p\": 4294967298, \"kind\": \"direct\"}",
+           "{\"p\": 2.5, \"kind\": \"direct\"}",
+           "{\"p\": 2, \"kind\": \"direct\", \"steps\": [[{\"src\": "
+           "-4294967296, \"dst\": 1, \"flows\": [[0, 1]]}]]}",
+           "{\"p\": 2, \"kind\": \"direct\"} junk",
        }) {
     EXPECT_THROW(routing::parse_schedule_json(bad), IoError) << bad;
   }

@@ -384,6 +384,14 @@ TEST(SvcJson, RejectsMalformedJobFiles) {
            "{\"jobs\": [{\"name\": \"a\"}], \"x\": 1}",  // unknown key
            "{\"jobs\": [{\"nope\": 1}]}",          // unknown job field
            "{\"pool\": {\"spindles\": 2}, \"jobs\": [{\"name\": \"a\"}]}",
+           // Numbers are read exactly or rejected, never cast into range.
+           "{\"jobs\": [{\"name\": \"a\", \"disks\": -1}]}",
+           "{\"jobs\": [{\"name\": \"a\", \"n\": 1e30}]}",
+           "{\"jobs\": [{\"name\": \"a\", \"v\": 4.9}]}",
+           "{\"jobs\": [{\"name\": \"a\", \"hosts\": 4294967298}]}",
+           "{\"jobs\": [{\"name\": \"a\", \"n\": 8, \"n\": 9}]}",
+           "{\"jobs\": [{\"name\": \"a\tb\"}]}",  // raw control character
+           "{\"jobs\": [{\"name\": \"a\"}]}}",  // trailing bytes
        }) {
     EXPECT_THROW(parse_service_json(bad), IoError) << bad;
   }

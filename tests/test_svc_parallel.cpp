@@ -1,8 +1,9 @@
 // Parallel job-service executor (src/svc): the work-stealing WorkerPool,
 // the two-phase tick loop's worker-count invariance (every per-tenant
-// observable bit-identical across workers 0/1/2/4/8), seeded schedule
-// perturbation converging to the serial reference, chaos targeting under a
-// parallel run, the spread placement policy, and the new JSON knobs.
+// observable bit-identical to the tenant's solo run for workers 1/2/4/8),
+// seeded schedule perturbation converging to the solo reference, chaos
+// targeting under a parallel run, the spread placement policy, and the new
+// JSON knobs.
 //
 // Suite names matter: CI's TSan job selects tests by regex, and
 // `WorkerPool|Parallel|Placement` pulls these in so concurrently stepped
@@ -82,7 +83,14 @@ std::vector<JobResult> run_with_workers(
   return rs;
 }
 
-/// Everything that must not depend on the worker count (vs the serial
+/// Each tenant alone on an empty pool — the isolation contract's reference.
+std::vector<JobResult> solo_runs(const std::vector<JobSpec>& specs) {
+  std::vector<JobResult> rs;
+  for (const JobSpec& s : specs) rs.push_back(run_job_solo(s, small_pool()));
+  return rs;
+}
+
+/// Everything that must not depend on the worker count (vs the solo
 /// reference): outputs, engine stats, and the DRR-charged bytes.
 void expect_observables_equal(const JobResult& a, const JobResult& b) {
   EXPECT_EQ(a.ok, b.ok) << a.name;
@@ -190,7 +198,7 @@ TEST(WorkerPool, ReusableAcrossBatchesAndZeroWorkersRejected) {
 
 TEST(SvcParallel, ObservablesBitIdenticalAcrossWorkerCounts) {
   const auto specs = mixed_specs();
-  const auto reference = run_with_workers(specs, 0);  // serial tick loop
+  const auto reference = solo_runs(specs);
   ASSERT_EQ(reference.size(), specs.size());
   for (const auto& r : reference) EXPECT_TRUE(r.ok) << r.name << r.error;
 
@@ -229,9 +237,14 @@ TEST(SvcParallel, WorkersAutoResolvesToAtLeastOne) {
   EXPECT_EQ(sc.workers, ServiceConfig::kWorkersAuto);
   JobService svc(sc);
   EXPECT_GE(svc.workers(), 1u);
-  ServiceConfig serial = sc;
-  serial.workers = 0;
-  EXPECT_EQ(JobService(serial).workers(), 0u);
+  ServiceConfig none = sc;
+  none.workers = 0;
+  try {
+    JobService bad(none);
+    FAIL() << "workers == 0 accepted";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), IoErrorKind::kConfig);
+  }
 }
 
 TEST(SvcParallel, ThreadedTenantsUnderFourWorkers) {
@@ -248,7 +261,7 @@ TEST(SvcParallel, ThreadedTenantsUnderFourWorkers) {
   s1.prefetch_depth = 4;
   specs.push_back(s1);
 
-  const auto reference = run_with_workers(specs, 0);
+  const auto reference = solo_runs(specs);
   const auto rs = run_with_workers(specs, 4);
   for (std::size_t i = 0; i < rs.size(); ++i) {
     EXPECT_TRUE(rs[i].ok) << rs[i].error;
@@ -261,10 +274,10 @@ TEST(SvcParallel, ThreadedTenantsUnderFourWorkers) {
 TEST(ParallelStress, PerturbedWorkerTimingConvergesToSerialReference) {
   // Seeded sleeps at step boundaries reshuffle which worker runs what and
   // when — if worker timing could leak into any observable, this amplifies
-  // the leak. Three perturbation seeds, all bit-identical to the serial
-  // reference.
+  // the leak. Three perturbation seeds, all bit-identical to each tenant's
+  // solo run, where no co-tenant competes for a burst or a worker.
   const auto specs = mixed_specs();
-  const auto reference = run_with_workers(specs, 0);
+  const auto reference = solo_runs(specs);
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     auto delay = [seed](std::size_t slot, std::uint64_t tick) {
       const std::uint64_t us = mix(seed, slot, tick) % 150;

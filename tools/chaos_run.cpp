@@ -31,6 +31,7 @@
 #include "chaos/fuzzer.h"
 #include "chaos/plan.h"
 #include "chaos/shrink.h"
+#include "util/json.h"
 
 using namespace emcgm;
 using namespace emcgm::chaos;
@@ -59,9 +60,12 @@ struct Args {
   std::exit(2);
 }
 
-std::uint64_t num_arg(int argc, char** argv, int& i) {
+template <typename T>
+T num_arg(int argc, char** argv, int& i) {
   if (i + 1 >= argc) usage(std::string("missing value for ") + argv[i]);
-  return std::strtoull(argv[++i], nullptr, 10);
+  const std::string flag = argv[i];
+  if (const auto v = json::parse_integer<T>(argv[++i])) return *v;
+  usage("malformed value '" + std::string(argv[i]) + "' for " + flag);
 }
 
 std::string str_arg(int argc, char** argv, int& i) {
@@ -78,15 +82,15 @@ Args parse(int argc, char** argv) {
   }
   for (int i = 2; i < argc; ++i) {
     const std::string f = argv[i];
-    if (f == "--seed") a.seed = num_arg(argc, argv, i);
-    else if (f == "--plans") a.plans = static_cast<std::uint32_t>(num_arg(argc, argv, i));
-    else if (f == "--p") a.machine.p = static_cast<std::uint32_t>(num_arg(argc, argv, i));
-    else if (f == "--v") a.machine.v = static_cast<std::uint32_t>(num_arg(argc, argv, i));
-    else if (f == "--io-threads") a.machine.io_threads = static_cast<std::uint32_t>(num_arg(argc, argv, i));
+    if (f == "--seed") a.seed = num_arg<std::uint64_t>(argc, argv, i);
+    else if (f == "--plans") a.plans = num_arg<std::uint32_t>(argc, argv, i);
+    else if (f == "--p") a.machine.p = num_arg<std::uint32_t>(argc, argv, i);
+    else if (f == "--v") a.machine.v = num_arg<std::uint32_t>(argc, argv, i);
+    else if (f == "--io-threads") a.machine.io_threads = num_arg<std::uint32_t>(argc, argv, i);
     else if (f == "--threads") a.machine.use_threads = true;
-    else if (f == "--keys") a.machine.keys = static_cast<std::size_t>(num_arg(argc, argv, i));
-    else if (f == "--quota-min") a.shape.quota_min_bytes = num_arg(argc, argv, i);
-    else if (f == "--quota-max") a.shape.quota_max_bytes = num_arg(argc, argv, i);
+    else if (f == "--keys") a.machine.keys = num_arg<std::size_t>(argc, argv, i);
+    else if (f == "--quota-min") a.shape.quota_min_bytes = num_arg<std::uint64_t>(argc, argv, i);
+    else if (f == "--quota-max") a.shape.quota_max_bytes = num_arg<std::uint64_t>(argc, argv, i);
     else if (f == "--schedules") a.shape.allow_schedule = true;
     else if (f == "--plan") a.plan_file = str_arg(argc, argv, i);
     else if (f == "--out") { a.out = str_arg(argc, argv, i); a.out_set = true; }

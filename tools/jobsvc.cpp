@@ -9,9 +9,9 @@
 //       JSON (or write it to --out).
 //
 //       --workers N overrides the job file's execution-phase worker count
-//       (0 = the serial tick loop; default = hardware concurrency). The
-//       schedule — and every per-tenant observable — is identical for every
-//       worker count; N changes wall time only.
+//       (N >= 1; default = hardware concurrency). The schedule — and every
+//       per-tenant observable — is identical for every worker count; N
+//       changes wall time only.
 //
 //       --trace-out FILE (implies --trace) exports the combined per-tenant
 //       Chrome trace: every tenant's spans in canonical submission order on
@@ -24,18 +24,20 @@
 //       mismatch.
 //
 //       Exit 0 when every job completed ok (and, with --verify-solo, solo
-//       runs matched); exit 1 when a job failed; exit 2 on a config error or
-//       an isolation violation.
+//       runs matched); exit 1 when a job failed; exit 2 on a usage or config
+//       error (a malformed flag value included) or an isolation violation.
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "svc/service.h"
 #include "svc/svc_json.h"
 #include "util/error.h"
+#include "util/json.h"
 
 using namespace emcgm;
 using namespace emcgm::svc;
@@ -95,7 +97,7 @@ int main(int argc, char** argv) {
   std::string jobs_file;
   std::string out_file;
   std::string trace_out;
-  long long workers = -1;  // -1 = keep the job file's / default value
+  std::optional<std::uint32_t> workers;  // unset = keep the job file's
   bool verify_solo = false;
   bool trace = false;
   for (int i = 1; i < argc; ++i) {
@@ -108,8 +110,8 @@ int main(int argc, char** argv) {
       out_file = argv[++i];
     } else if (f == "--workers") {
       if (i + 1 >= argc) usage("missing value for --workers");
-      workers = std::atoll(argv[++i]);
-      if (workers < 0) usage("--workers wants a count >= 0");
+      workers = json::parse_integer<std::uint32_t>(argv[++i]);
+      if (!workers || *workers == 0) usage("--workers wants a count >= 1");
     } else if (f == "--verify-solo") {
       verify_solo = true;
     } else if (f == "--trace") {
@@ -128,9 +130,7 @@ int main(int argc, char** argv) {
     ServiceSpec spec = parse_service_json(read_file(jobs_file));
     arm_service_chaos(spec);
     if (trace) spec.service.trace = true;
-    if (workers >= 0) {
-      spec.service.workers = static_cast<std::uint32_t>(workers);
-    }
+    if (workers) spec.service.workers = *workers;
 
     JobService service(spec.service);
     for (const JobSpec& j : spec.jobs) service.submit(j);

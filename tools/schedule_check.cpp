@@ -33,6 +33,7 @@
 
 #include "routing/schedule.h"
 #include "util/error.h"
+#include "util/json.h"
 
 using namespace emcgm;
 using namespace emcgm::routing;
@@ -63,6 +64,11 @@ std::string str_arg(int argc, char** argv, int& i) {
   return argv[++i];
 }
 
+std::uint32_t id_arg(const std::string& flag, const std::string& text) {
+  if (const auto v = json::parse_integer<std::uint32_t>(text)) return *v;
+  usage("malformed value '" + text + "' for " + flag);
+}
+
 std::vector<std::string> split(const std::string& s) {
   std::vector<std::string> out;
   std::string cur;
@@ -87,12 +93,10 @@ Args parse(int argc, char** argv) {
     else if (f == "--json-out") a.json_out = str_arg(argc, argv, i);
     else if (f == "--all") a.all = true;
     else if (f == "--p") {
-      a.p = static_cast<std::uint32_t>(
-          std::strtoul(str_arg(argc, argv, i).c_str(), nullptr, 10));
+      a.p = id_arg(f, str_arg(argc, argv, i));
     } else if (f == "--hosts") {
       for (const std::string& h : split(str_arg(argc, argv, i))) {
-        a.hosts.push_back(static_cast<std::uint32_t>(
-            std::strtoul(h.c_str(), nullptr, 10)));
+        a.hosts.push_back(id_arg(f, h));
       }
     } else if (f == "--roots") {
       a.roots = split(str_arg(argc, argv, i));
