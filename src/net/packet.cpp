@@ -1,5 +1,6 @@
 #include "net/packet.h"
 
+#include <array>
 #include <cstring>
 
 #include "pdm/checksum.h"
@@ -48,10 +49,12 @@ std::optional<Packet> parse_packet(std::span<const std::byte> frame) {
   const std::uint32_t length = get_u32(frame.data() + 24);
   if (frame.size() != kPacketHeaderBytes + length) return std::nullopt;
 
-  const std::uint32_t stored_crc = get_u32(frame.data() + 28);
-  std::vector<std::byte> zeroed(frame.begin(), frame.end());
-  put_u32(zeroed.data() + 28, 0);
-  if (pdm::crc32c(zeroed) != stored_crc) return std::nullopt;
+  // Chain the CRC around its own field, which frame_packet sealed as zero.
+  constexpr std::array<std::byte, 4> kZeroCrcField{};
+  std::uint32_t crc = pdm::crc32c(frame.first(28));
+  crc = pdm::crc32c(kZeroCrcField, crc);
+  crc = pdm::crc32c(frame.subspan(kPacketHeaderBytes), crc);
+  if (crc != get_u32(frame.data() + 28)) return std::nullopt;
 
   Packet p;
   p.type = static_cast<PacketType>(type);

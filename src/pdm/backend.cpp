@@ -32,16 +32,11 @@ void MemoryBackend::read_block(std::uint32_t disk, std::uint64_t track,
                                std::span<std::byte> out) {
   EMCGM_CHECK(disk < geom_.num_disks);
   EMCGM_CHECK(out.size() == geom_.block_bytes);
-  auto& d = disks_[disk];
-  const std::size_t off = track * geom_.block_bytes;
-  if (off + geom_.block_bytes <= d.size()) {
-    std::memcpy(out.data(), d.data() + off, geom_.block_bytes);
+  const auto& d = disks_[disk];
+  if (track < d.size() && d[track]) {
+    std::memcpy(out.data(), d[track].get(), out.size());
   } else {
-    // Sparse read: unwritten tracks are all-zero.
-    std::memset(out.data(), 0, out.size());
-    if (off < d.size()) {
-      std::memcpy(out.data(), d.data() + off, d.size() - off);
-    }
+    std::memset(out.data(), 0, out.size());  // never written: sparse zeros
   }
 }
 
@@ -51,14 +46,17 @@ void MemoryBackend::write_block(std::uint32_t disk, std::uint64_t track,
   EMCGM_CHECK(data.size() == geom_.block_bytes);
   ensure_space(disk, track);
   auto& d = disks_[disk];
-  const std::size_t off = track * geom_.block_bytes;
-  if (off + geom_.block_bytes > d.size()) d.resize(off + geom_.block_bytes);
-  std::memcpy(d.data() + off, data.data(), geom_.block_bytes);
+  if (track >= d.size()) d.resize(track + 1);
+  auto& block = d[track];
+  if (!block) {
+    block = std::make_unique_for_overwrite<std::byte[]>(geom_.block_bytes);
+  }
+  std::memcpy(block.get(), data.data(), data.size());
 }
 
 std::uint64_t MemoryBackend::tracks_used(std::uint32_t disk) const {
   EMCGM_CHECK(disk < geom_.num_disks);
-  return disks_[disk].size() / geom_.block_bytes;
+  return disks_[disk].size();
 }
 
 // ------------------------------------------------------------------ File --

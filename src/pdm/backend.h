@@ -1,6 +1,6 @@
 // Storage backends for the simulated disk array.
 //
-// MemoryBackend keeps every track in RAM — the default for tests and
+// MemoryBackend keeps every written track in RAM — the default for tests and
 // benchmarks, where only the I/O *counts* matter. FileBackend stores one
 // flat file per simulated disk and performs real pread/pwrite at
 // track-aligned offsets, demonstrating that the same code path drives real
@@ -19,7 +19,10 @@
 namespace emcgm::pdm {
 
 /// Abstract per-disk block store. Implementations must allow sparse writes:
-/// writing track t implicitly materializes (zero-filled) tracks below t.
+/// any track may be written first, and a track never written reads as zero
+/// bytes. Space is counted by high-water mark: writing track t counts every
+/// track below t as used, whether the implementation stores those tracks or
+/// not.
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -33,7 +36,8 @@ class StorageBackend {
   virtual void write_block(std::uint32_t disk, std::uint64_t track,
                            std::span<const std::byte> data) = 0;
 
-  /// Highest materialized track count per disk (capacity usage reporting).
+  /// High-water mark of `disk`: one past the highest track ever written
+  /// (capacity usage reporting; unwritten tracks below it count).
   virtual std::uint64_t tracks_used(std::uint32_t disk) const = 0;
 
   /// Called by DiskArray once per parallel I/O operation, before its block
@@ -48,9 +52,9 @@ class StorageBackend {
   virtual void sync() {}
 
   /// Per-disk capacity quota in bytes (0 = unlimited, the default). A write
-  /// that would *materialize* a disk past the quota throws
-  /// IoError(kNoSpace) before touching the media; overwrites of tracks
-  /// already materialized always succeed, so lowering the quota under live
+  /// that would raise a disk's high-water mark past the quota throws
+  /// IoError(kNoSpace) before touching the media; writes below the
+  /// high-water mark always succeed, so lowering the quota under live
   /// data never bricks it — and raising (or clearing) the quota makes the
   /// refused writes succeed verbatim, which is what lets a checkpointed run
   /// resume bit-identically after space is freed. Quotas count the bytes on
@@ -67,8 +71,7 @@ class StorageBackend {
   }
 
   /// Quota check for write paths: throws IoError(kNoSpace) when writing
-  /// `track` would grow `disk` beyond the quota (sparse semantics: writing
-  /// track t materializes every track below it too).
+  /// `track` would raise the high-water mark of `disk` beyond the quota.
   void ensure_space(std::uint32_t disk, std::uint64_t track) const;
 
   DiskGeometry geom_;
@@ -77,7 +80,10 @@ class StorageBackend {
   std::uint64_t quota_ = 0;  ///< per-disk byte quota; 0 = unlimited
 };
 
-/// In-RAM backing store; tracks grow on demand.
+/// In-RAM backing store. Each track is allocated on its first write and
+/// overwritten in place after that, so the gaps that region layouts leave
+/// between written tracks cost one null pointer each. Disks share no state:
+/// executor workers that own disjoint disks need no lock.
 class MemoryBackend final : public StorageBackend {
  public:
   explicit MemoryBackend(const DiskGeometry& geom);
@@ -89,8 +95,9 @@ class MemoryBackend final : public StorageBackend {
   std::uint64_t tracks_used(std::uint32_t disk) const override;
 
  private:
-  // disks_[d] is the linearized track data of disk d.
-  std::vector<std::vector<std::byte>> disks_;
+  // disks_[d][t] is track t of disk d (block_bytes long), or null if never
+  // written; disks_[d].size() is the high-water mark.
+  std::vector<std::vector<std::unique_ptr<std::byte[]>>> disks_;
 };
 
 /// One flat file per disk under a caller-supplied directory. Files are

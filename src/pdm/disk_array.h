@@ -131,10 +131,10 @@ class DiskArray {
   std::uint64_t in_flight() const;
 
   /// Set the per-disk capacity quota in bytes (0 = unlimited); forwarded to
-  /// the backend, which enforces it on every materializing write with a
-  /// typed IoError(kNoSpace). Quotas count physical bytes (checksum
-  /// envelope included). Drains first so the quota change lands between
-  /// parallel ops, exactly as it would serially.
+  /// the backend, which enforces it on every write that raises a disk's
+  /// high-water mark, with a typed IoError(kNoSpace). Quotas count physical
+  /// bytes (checksum envelope included). Drains first so the quota change
+  /// lands between parallel ops, exactly as it would serially.
   void set_quota_bytes(std::uint64_t quota) {
     drain();
     backend_->set_disk_quota_bytes(quota);
@@ -160,8 +160,9 @@ class DiskArray {
     stats_ = IoStats{};
   }
 
-  /// Total tracks currently materialized across all disks (space usage).
-  /// Drains first so pending write-behind extensions are visible.
+  /// Sum of the disks' high-water marks (space usage; see
+  /// StorageBackend::tracks_used). Drains first so pending write-behind
+  /// extensions are visible.
   std::uint64_t tracks_used() const;
 
   StorageBackend& backend() { return *backend_; }

@@ -66,6 +66,49 @@ TEST(Checksum, Crc32cKnownAnswer) {
   EXPECT_EQ(crc32c(std::span<const std::byte>{}), 0u);
 }
 
+TEST(Checksum, Crc32cKernelsMatchBitwiseReference) {
+  // Bit-at-a-time CRC32C: shares neither the table nor the crc32 instruction
+  // with the kernels under test. The lengths cover every tail after the
+  // 8-byte word loop, a 4 KiB payload, a 4 KiB block in its envelope, and
+  // two of them; the start offsets cover every word misalignment.
+  const auto reference = [](std::span<const std::byte> data,
+                            std::uint32_t seed) {
+    std::uint32_t c = ~seed;
+    for (std::byte b : data) {
+      c ^= static_cast<std::uint8_t>(b);
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? (c >> 1) ^ 0x82F63B78u : c >> 1;
+      }
+    }
+    return ~c;
+  };
+  std::vector<std::byte> buf(8216 + 7);
+  Rng rng(14);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.next());
+  std::vector<std::size_t> lengths(81);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.insert(lengths.end(), {4096, 4096 + kEnvelopeBytes, 8216});
+  const std::uint32_t seed = 0x9E3779B9u;
+  for (const std::size_t len : lengths) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const auto data = std::span<const std::byte>(buf).subspan(off, len);
+      const std::uint32_t want = reference(data, seed);
+      EXPECT_EQ(crc32c(data, seed), want) << "len " << len << " off " << off;
+      EXPECT_EQ(crc32c_portable(data, seed), want)
+          << "len " << len << " off " << off;
+    }
+  }
+  // Chaining: crc32c(b, crc32c(a)) == crc32c(a || b), cutting inside and
+  // between words.
+  const auto whole =
+      std::span<const std::byte>(buf).first(4096 + kEnvelopeBytes);
+  for (const std::size_t cut : {0, 1, 7, 8, 13, 24, 4096, 4119, 4120}) {
+    EXPECT_EQ(crc32c(whole.subspan(cut), crc32c(whole.first(cut))),
+              crc32c(whole))
+        << "cut " << cut;
+  }
+}
+
 TEST(Checksum, SealUnsealRoundTrip) {
   const auto payload = pattern(100, 3);
   std::vector<std::byte> phys(100 + kEnvelopeBytes);

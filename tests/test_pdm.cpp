@@ -7,6 +7,7 @@
 // and the checksummed-envelope geometry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <tuple>
@@ -30,6 +31,27 @@ std::vector<std::byte> pattern(std::size_t n, std::uint8_t seed) {
     v[i] = static_cast<std::byte>((i * 31 + seed) & 0xFF);
   }
   return v;
+}
+
+/// Write track 9 and then track 3 of `disk`: every track below the
+/// high-water mark that was not written (0-2, 4-8) must read zero, and the
+/// backend must report the high-water mark, 10, as used.
+void expect_holes_read_zero(DiskArray& a, std::uint32_t disk) {
+  const auto data = pattern(a.block_bytes(), 9);
+  for (const std::uint64_t t : {9u, 3u}) {
+    WriteSlot w{BlockAddr{disk, t}, data};
+    a.parallel_write(std::span<const WriteSlot>(&w, 1));
+  }
+  const std::vector<std::byte> zeros(a.block_bytes());
+  std::vector<std::byte> out(a.block_bytes());
+  for (std::uint64_t t = 0; t < 10; ++t) {
+    std::fill(out.begin(), out.end(), std::byte{0xAB});
+    ReadSlot r{BlockAddr{disk, t}, out};
+    a.parallel_read(std::span<const ReadSlot>(&r, 1));
+    EXPECT_EQ(out, t == 3 || t == 9 ? data : zeros) << "track " << t;
+  }
+  a.drain();
+  EXPECT_EQ(a.backend().tracks_used(disk), 10u);
 }
 
 }  // namespace
@@ -141,6 +163,7 @@ TEST_P(BackendSuite, UnwrittenTracksReadZero) {
   ReadSlot r{BlockAddr{0, 99}, out};
   a->parallel_read(std::span<const ReadSlot>(&r, 1));
   for (auto b : out) EXPECT_EQ(b, std::byte{0});
+  expect_holes_read_zero(*a, 1);
 }
 
 TEST_P(BackendSuite, ChecksummedRoundTrip) {
@@ -161,6 +184,7 @@ TEST_P(BackendSuite, ChecksummedRoundTrip) {
   ReadSlot r2{BlockAddr{0, 40}, out};
   a->parallel_read(std::span<const ReadSlot>(&r2, 1));
   for (auto b : out) EXPECT_EQ(b, std::byte{0});
+  expect_holes_read_zero(*a, 1);
   EXPECT_EQ(a->stats().corruptions, 0u);
 }
 
