@@ -77,7 +77,8 @@ struct MachineConfig {
   std::size_t staggered_slot_bytes = 0;
 
   /// Observation 2: reuse one physical copy of the staggered message matrix
-  /// by alternating orientation between supersteps.
+  /// by alternating orientation between supersteps. Staggered layout and
+  /// p == 1 only (validate() rejects anything else).
   bool single_copy_matrix = false;
 
   pdm::BackendKind backend = pdm::BackendKind::kMemory;
@@ -150,6 +151,11 @@ struct MachineConfig {
           "checkpointing cannot replay a superstep under the Observation-2"
           " single-copy matrix (outgoing slots overwrite the inbox being"
           " replayed)");
+    check(!single_copy_matrix || layout == MsgLayout::kStaggeredMatrix,
+          "single_copy_matrix requires the staggered layout");
+    check(!single_copy_matrix || p == 1,
+          "Observation-2 single-copy mode requires p == 1 (the paper"
+          " presents it for the sequential simulation)");
     check(retry.max_attempts >= 1, "retry policy needs at least one attempt");
     check(fault_per_proc.empty() || fault_per_proc.size() == p,
           "fault_per_proc must be empty or have exactly p entries");

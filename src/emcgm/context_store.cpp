@@ -14,6 +14,14 @@ ContextStore::ContextStore(pdm::DiskArray& array, pdm::TrackSpace& space,
   EMCGM_CHECK(nlocal_ >= 1);
 }
 
+ContextStore::~ContextStore() {
+  try {
+    drop_prefetches();
+  } catch (...) {
+    // A pending I/O error has nowhere to go during teardown.
+  }
+}
+
 void ContextStore::prefetch(std::uint32_t local) {
   EMCGM_CHECK(local < nlocal_);
   if (prefetched_[local].has_value()) return;
@@ -51,21 +59,12 @@ void ContextStore::write(std::uint32_t local,
 }
 
 std::vector<std::byte> ContextStore::read(std::uint32_t local) {
-  EMCGM_CHECK(local < nlocal_);
-  Region& r = regions_[active_];
-  EMCGM_CHECK_MSG(r.extents[local].has_value(),
-                  "context " << local << " was never written");
-  const pdm::Extent& e = *r.extents[local];
-  if (prefetched_[local].has_value()) {
-    Prefetched p = std::move(*prefetched_[local]);
-    prefetched_[local].reset();
-    array_.wait(p.ticket);
-    p.buf.resize(e.bytes);  // trim the whole-block padding
-    return std::move(p.buf);
-  }
-  std::vector<std::byte> out(e.bytes);
-  read_striped(array_, r.tracks, e, out);
-  return out;
+  prefetch(local);  // no-op when already in flight
+  Prefetched p = std::move(*prefetched_[local]);
+  prefetched_[local].reset();
+  array_.wait(p.ticket);
+  p.buf.resize(context_bytes(local));  // trim the whole-block padding
+  return std::move(p.buf);
 }
 
 std::size_t ContextStore::context_bytes(std::uint32_t local) const {

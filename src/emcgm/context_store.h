@@ -27,12 +27,19 @@ class ContextStore {
   /// nlocal = number of virtual processors simulated on this real processor.
   ContextStore(pdm::DiskArray& array, pdm::TrackSpace& space,
                std::uint32_t nlocal);
+  /// Waits for prefetches still in flight (a pass that threw can leave
+  /// some): their reads target buffers this store owns.
+  ~ContextStore();
+
+  ContextStore(const ContextStore&) = delete;
+  ContextStore& operator=(const ContextStore&) = delete;
 
   /// Write the context of local virtual processor `local` into the inactive
   /// region (the one that becomes readable after the next flip()).
   void write(std::uint32_t local, std::span<const std::byte> context);
 
-  /// Read local virtual processor `local`'s context from the active region.
+  /// Read local virtual processor `local`'s context from the active region:
+  /// prefetch(local) if it is not in flight yet, then wait for it.
   std::vector<std::byte> read(std::uint32_t local);
 
   /// Start an async read of `local`'s context (double-buffered prefetch:

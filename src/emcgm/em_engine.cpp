@@ -58,14 +58,53 @@ struct DeadProcsError {
   std::exception_ptr cause;
 };
 
-bool is_crash(const std::exception_ptr& e) {
-  try {
-    std::rethrow_exception(e);
-  } catch (const IoError& io) {
-    return io.kind() == IoErrorKind::kCrash;
-  } catch (...) {
-    return false;
+// The fail-stop crashes (IoError kCrash) of one barrier pass over the store
+// groups: a crash out of group g's own disks means machine g died. Anything
+// else is not a death and propagates as it is.
+struct CrashSet {
+  std::vector<std::uint32_t> groups;
+  std::exception_ptr cause;  ///< the first crash, in group order
+
+  void add(std::uint32_t g, std::exception_ptr e) {
+    try {
+      std::rethrow_exception(e);
+    } catch (const IoError& io) {
+      if (io.kind() != IoErrorKind::kCrash) throw;
+    }
+    groups.push_back(g);
+    if (!cause) cause = e;
   }
+
+  /// Hand the casualties to the fail-over path (DeadProcsError) or, with
+  /// fail-over off, rethrow the first crash. No-op when nobody crashed.
+  void raise(bool failover) {
+    if (groups.empty()) return;
+    if (failover) throw DeadProcsError{std::move(groups), cause};
+    std::rethrow_exception(cause);
+  }
+};
+
+// Check a commit record's CRC32C trailer and magic/version header; `what`
+// names the record in the typed errors. Returns a reader over the body,
+// positioned after the header.
+ReadArchive open_commit_record(std::span<const std::byte> blob,
+                               const char* what) {
+  EMCGM_CHECK_MSG(blob.size() > 4, what << " truncated");
+  const auto body = blob.first(blob.size() - 4);
+  std::uint32_t stored_crc;
+  std::memcpy(&stored_crc, blob.data() + body.size(), 4);
+  if (stored_crc != pdm::crc32c(body)) {
+    throw IoError(IoErrorKind::kCorruption,
+                  std::string(what) + " checksum mismatch");
+  }
+  ReadArchive ar(body);
+  const auto magic = ar.get<std::uint32_t>();
+  const auto version = ar.get<std::uint32_t>();
+  if (magic != kCkptMagic || version != kCkptVersion) {
+    throw IoError(IoErrorKind::kCorruption,
+                  std::string(what) + " has bad magic/version");
+  }
+  return ar;
 }
 
 // Serialized context layout: inputs (round 0 only), program state, outputs.
@@ -164,7 +203,7 @@ struct EmEngine::RealProc {
   }
 };
 
-// One store group's work during a computation superstep. A store group is
+// One store group's work during a superstep. A store group is
 // indexed by the real processor that originally owned it; after a fail-over
 // several groups can be driven by the same surviving host, but each group
 // still reads and writes its own stores — which is why the outcome (and the
@@ -207,10 +246,6 @@ struct EmEngine::RunState {
 
 EmEngine::EmEngine(cgm::MachineConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.validate();
-  if (cfg_.single_copy_matrix) {
-    EMCGM_CHECK_MSG(cfg_.layout == cgm::MsgLayout::kStaggeredMatrix,
-                    "single_copy_matrix requires the staggered layout");
-  }
   // Tracer first: RealProc disk arrays may carry a queue-depth probe into it.
   if (cfg_.obs.trace) {
     tracer_ = std::make_unique<obs::Tracer>(cfg_.p);
@@ -299,8 +334,7 @@ void EmEngine::commit(std::uint64_t round, Phase phase) {
   // casualties and let the fail-over path deal with them. commit_ is only
   // advanced when every record landed, so a partial commit leaves the
   // previous boundary (in the other slot) authoritative.
-  std::vector<std::uint32_t> crashed;
-  std::exception_ptr cause;
+  CrashSet crashed;
   obs::Tracer* tr = tracer_.get();
   for (std::uint32_t g = 0; g < cfg_.p; ++g) {
     auto& rp = *procs_[g];
@@ -334,16 +368,11 @@ void EmEngine::commit(std::uint64_t round, Phase phase) {
       ck.extent = ck.cursor.alloc(blob.size(), rp.disks->block_bytes());
       pdm::write_striped(*rp.disks, ck.tracks, ck.extent, blob);
       rp.disks->sync();  // a boundary is committed only once it is durable
-    } catch (const IoError& e) {
-      if (e.kind() != IoErrorKind::kCrash) throw;
-      crashed.push_back(g);
-      if (!cause) cause = std::current_exception();
+    } catch (...) {
+      crashed.add(g, std::current_exception());
     }
   }
-  if (!crashed.empty()) {
-    if (cfg_.net.failover) throw DeadProcsError{std::move(crashed), cause};
-    std::rethrow_exception(cause);
-  }
+  crashed.raise(cfg_.net.failover);
   commit_ = Commit{true, seq, round, phase};
 }
 
@@ -370,25 +399,8 @@ void EmEngine::restore_from_commit() {
     EMCGM_CHECK_MSG(rp->contexts && rp->messages,
                     "resume() before run() set up the stores");
     auto& ck = *rp->ckpt[slot];
-    std::vector<std::byte> blob(ck.extent.bytes);
-    pdm::read_striped(*rp->disks, ck.tracks, ck.extent, blob);
-
-    EMCGM_CHECK_MSG(blob.size() > 4, "commit record truncated");
-    const auto body =
-        std::span<const std::byte>(blob.data(), blob.size() - 4);
-    std::uint32_t stored_crc;
-    std::memcpy(&stored_crc, blob.data() + blob.size() - 4, 4);
-    if (stored_crc != pdm::crc32c(body)) {
-      throw IoError(IoErrorKind::kCorruption,
-                    "commit record checksum mismatch");
-    }
-    ReadArchive ar(body);
-    const auto magic = ar.get<std::uint32_t>();
-    const auto version = ar.get<std::uint32_t>();
-    if (magic != kCkptMagic || version != kCkptVersion) {
-      throw IoError(IoErrorKind::kCorruption,
-                    "commit record has bad magic/version");
-    }
+    const auto blob = pdm::read_striped(*rp->disks, ck.tracks, ck.extent);
+    ReadArchive ar = open_commit_record(blob, "commit record");
     const auto seq = ar.get<std::uint64_t>();
     const auto round = ar.get<std::uint64_t>();
     const auto phase = ar.get<std::uint32_t>();
@@ -558,9 +570,7 @@ void EmEngine::verify_drained(const char* where) const {
 std::vector<std::byte> EmEngine::read_commit_blob(std::uint32_t g) {
   auto& rp = *procs_[g];
   auto& ck = *rp.ckpt[static_cast<int>(commit_.seq % 2)];
-  std::vector<std::byte> blob(ck.extent.bytes);
-  pdm::read_striped(*rp.disks, ck.tracks, ck.extent, blob);
-  return blob;
+  return pdm::read_striped(*rp.disks, ck.tracks, ck.extent);
 }
 
 void EmEngine::validate_commit_record(std::uint32_t g,
@@ -570,21 +580,7 @@ void EmEngine::validate_commit_record(std::uint32_t g,
   // disks are authoritative and the new host reads them directly — but a
   // host handing over a stale or torn record must be caught here, not a
   // superstep later.
-  EMCGM_CHECK_MSG(blob.size() > 4, "migrated commit record truncated");
-  const auto body = std::span<const std::byte>(blob.data(), blob.size() - 4);
-  std::uint32_t stored_crc;
-  std::memcpy(&stored_crc, blob.data() + blob.size() - 4, 4);
-  if (stored_crc != pdm::crc32c(body)) {
-    throw IoError(IoErrorKind::kCorruption,
-                  "migrated commit record checksum mismatch");
-  }
-  ReadArchive ar(body);
-  const auto magic = ar.get<std::uint32_t>();
-  const auto version = ar.get<std::uint32_t>();
-  if (magic != kCkptMagic || version != kCkptVersion) {
-    throw IoError(IoErrorKind::kCorruption,
-                  "migrated commit record has bad magic/version");
-  }
+  ReadArchive ar = open_commit_record(blob, "migrated commit record");
   const auto seq = ar.get<std::uint64_t>();
   EMCGM_CHECK_MSG(seq == commit_.seq,
                   "group " << g << " migrated a stale commit record (seq "
@@ -907,7 +903,12 @@ void EmEngine::start(const cgm::Program& program,
       const auto blob = pack_context(mine, *state, {});
       procs_[owner_of(g)]->contexts->write(g % nloc, blob);
     }
-    for (auto& rp : procs_) rp->contexts->flip();
+    for (auto& rp : procs_) {
+      rp->contexts->flip();
+      // start() ends quiescent, like every step(): the write-behind is
+      // counted (and charged) inside the call that submitted it.
+      rp->disks->drain();
+    }
   }
 
   // Superstep 0 is now recoverable: the inputs live on disk. A machine that
@@ -1002,8 +1003,15 @@ void EmEngine::record_step_io(RunState& rs, const char* phase_label,
   rs.step_timer.reset();
 }
 
-void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
-                                  ProcOutcome& out) {
+// One store group's pass over its local virtual processors (Algorithm 2).
+// Both physical superstep kinds share it: per vproc, (b) read the inbox,
+// keep the prefetch window full, (d) write the outgoing messages. The
+// compute phase adds (a) the context read, (c) the program call and (e) the
+// context write back; the regrouping superstep of balanced routing (Lemma 2)
+// instead turns the inbox into its outgoing messages engine-side and
+// touches only the message store.
+void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
+                         ProcOutcome& out) {
   const cgm::Program& program = *rs.program;
   const std::uint32_t v = cfg_.v;
   const std::uint32_t p = cfg_.p;
@@ -1030,9 +1038,10 @@ void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
     for (std::uint32_t jl = 0; jl < nloc; ++jl) {
       const std::uint32_t g = r * nloc + jl;
       // (a) context in.
-      auto state = program.make_state();
+      std::unique_ptr<cgm::ProcState> state;
       UnpackedContext unpacked;
-      {
+      if (compute) {
+        state = program.make_state();
         obs::SpanScope span(tr, shard, obs::SpanKind::kContextRead, host, r,
                             r, g, phys_step_, rs.round, io_src);
         const auto blob = rp.contexts->read(jl);
@@ -1044,12 +1053,12 @@ void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
         obs::SpanScope span(tr, shard, obs::SpanKind::kInboxRead, host, r,
                             r, g, phys_step_, rs.round, io_src);
         inbox = rp.messages->read_incoming(g);
-        if (balanced && rs.round > 0) {
+        if (compute && balanced && rs.round > 0) {
           inbox = routing::decode_phase_b(v, g, inbox);
         }
       }
       const std::size_t inbox_msgs = inbox.size();
-      // Overlap: submit the *next* virtual processor's context and inbox
+      // Overlap: submit the *next* virtual processors' context and inbox
       // reads now, so the executor services them while this one computes.
       // Safe against this superstep's in-flight writes — context writes
       // target the inactive region, and in Observation-2 single-copy mode
@@ -1058,14 +1067,14 @@ void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
       // pair regardless). Serial arrays skip this: the prefetch would
       // just execute the reads early, changing nothing but span shapes.
       // A window of prefetch_depth vprocs is kept in flight; when the model
-      // grants finite memory the window additionally stops once its context
-      // bytes would exceed M/2, leaving the computing vproc its own
+      // grants finite memory the compute window additionally stops once its
+      // context bytes would exceed M/2, leaving the computing vproc its own
       // residency (cgm::MachineConfig::prefetch_depth). The cursor `pf`
       // guarantees each vproc's reads are issued exactly once per superstep
       // whatever the window shape.
       if (rp.disks->async() && jl + 1 < nloc) {
         std::uint32_t hi = std::min<std::uint32_t>(nloc - 1, jl + depth);
-        if (cfg_.memory_bytes > 0 && depth > 1) {
+        if (compute && cfg_.memory_bytes > 0 && depth > 1) {
           std::uint64_t budget = cfg_.memory_bytes / 2;
           std::uint32_t lim = jl + 1;  // one ahead is always allowed
           for (std::uint32_t k = jl + 1; k <= hi; ++k) {
@@ -1081,7 +1090,7 @@ void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
           obs::SpanScope span(tr, shard, obs::SpanKind::kIoPrefetch, host, r,
                               r, g + 1, phys_step_, rs.round, io_src);
           for (; pf <= hi; ++pf) {
-            rp.contexts->prefetch(pf);
+            if (compute) rp.contexts->prefetch(pf);
             rp.messages->prefetch_incoming(r * nloc + pf);
           }
         }
@@ -1089,7 +1098,7 @@ void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
       // (c) compute.
       cgm::ProcCtx pctx(g, v, cfg_.seed);
       std::vector<cgm::Message> physical;
-      {
+      if (compute) {
         obs::SpanScope span(tr, shard, obs::SpanKind::kCompute, host, r, r,
                             g, phys_step_, rs.round);
         pctx.set_inputs(std::move(unpacked.inputs));
@@ -1115,6 +1124,7 @@ void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
       {
         obs::SpanScope span(tr, shard, obs::SpanKind::kOutboxWrite, host, r,
                             r, g, phys_step_, rs.round, io_src);
+        if (!compute) physical = routing::transform_intermediate(v, g, inbox);
         if (tr) {
           std::uint64_t bytes = 0;
           for (const auto& m : physical) bytes += m.payload.size();
@@ -1128,6 +1138,7 @@ void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
           }
         }
       }
+      if (!compute) continue;
       // (e) context out (inputs are consumed by round 0).
       obs::SpanScope span(tr, shard, obs::SpanKind::kContextWrite, host, r,
                           r, g, phys_step_, rs.round, io_src);
@@ -1146,74 +1157,6 @@ void EmEngine::simulate_real_proc(RunState& rs, std::uint32_t r,
       // that fired on a deferred write surfaces here and is collected
       // exactly like a synchronous one, and the superstep's IoStats are
       // fully reaped before the barrier records them.
-      obs::SpanScope span(tr, shard, obs::SpanKind::kIoDrain, host, r, r,
-                          -1, phys_step_, rs.round, io_src);
-      rp.disks->drain();
-    }
-  } catch (...) {
-    out.error = std::current_exception();
-  }
-}
-
-// Engine-side regrouping superstep of balanced routing (Lemma 2); touches
-// only the message store — contexts are not read or written.
-void EmEngine::regroup_real_proc(RunState& rs, std::uint32_t r,
-                                 ProcOutcome& out) {
-  const std::uint32_t v = cfg_.v;
-  const std::uint32_t p = cfg_.p;
-  const std::uint32_t nloc = nlocal();
-  obs::Tracer* const tr = tracer_.get();
-  try {
-    auto& rp = *procs_[r];
-    const std::uint32_t host = group_host_[r];
-    obs::TraceShard* shard = tr ? &tr->host_shard(host) : nullptr;
-    const pdm::IoStats* io_src = tr ? &rp.disks->stats() : nullptr;
-    obs::SpanScope group_span(tr, shard, obs::SpanKind::kGroupStep, host, r,
-                              r, -1, phys_step_, rs.round, io_src);
-    out.by_owner.assign(p, {});
-    const std::uint32_t depth = cfg_.prefetch_depth;
-    std::uint32_t pf = 1;
-    for (std::uint32_t jl = 0; jl < nloc; ++jl) {
-      const std::uint32_t g = r * nloc + jl;
-      std::vector<cgm::Message> inbox;
-      {
-        obs::SpanScope span(tr, shard, obs::SpanKind::kInboxRead, host, r,
-                            r, g, phys_step_, rs.round, io_src);
-        inbox = rp.messages->read_incoming(g);
-      }
-      // Overlap the next inbox fetches with this regrouping pass (same
-      // safety argument and pf-cursor window as in the compute phase;
-      // regrouping touches no contexts, so only the message store is
-      // prefetched and the M/2 context bound does not apply).
-      if (rp.disks->async() && jl + 1 < nloc) {
-        const std::uint32_t hi =
-            std::min<std::uint32_t>(nloc - 1, jl + depth);
-        if (pf < jl + 1) pf = jl + 1;
-        if (pf <= hi) {
-          obs::SpanScope span(tr, shard, obs::SpanKind::kIoPrefetch, host, r,
-                              r, g + 1, phys_step_, rs.round, io_src);
-          for (; pf <= hi; ++pf) {
-            rp.messages->prefetch_incoming(r * nloc + pf);
-          }
-        }
-      }
-      obs::SpanScope span(tr, shard, obs::SpanKind::kOutboxWrite, host, r,
-                          r, g, phys_step_, rs.round, io_src);
-      auto physical = routing::transform_intermediate(v, g, inbox);
-      if (tr) {
-        std::uint64_t bytes = 0;
-        for (const auto& m : physical) bytes += m.payload.size();
-        span.set_aux(physical.size(), bytes);
-      }
-      if (p == 1) {
-        rp.messages->write_messages(physical);
-      } else {
-        for (auto& m : physical) {
-          out.by_owner[owner_of(m.dst)].push_back(std::move(m));
-        }
-      }
-    }
-    if (rp.disks->async()) {
       obs::SpanScope span(tr, shard, obs::SpanKind::kIoDrain, host, r, r,
                           -1, phys_step_, rs.round, io_src);
       rp.disks->drain();
@@ -1271,11 +1214,7 @@ std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
   auto drive_host = [&](std::uint32_t host) {
     for (std::uint32_t g = 0; g < p; ++g) {
       if (group_host_[g] != host) continue;
-      if (compute) {
-        simulate_real_proc(rs, g, outcomes[g]);
-      } else {
-        regroup_real_proc(rs, g, outcomes[g]);
-      }
+      run_group(rs, g, compute, outcomes[g]);
       if (net_ && !outcomes[g].error) post_group(rs, host, g, outcomes[g]);
     }
     if (net_) net_->finish_sender(host);
@@ -1294,22 +1233,16 @@ std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
   } else {
     for (std::uint32_t h : hosts) drive_host(h);
   }
-  std::vector<std::uint32_t> crashed;
-  std::exception_ptr cause;
+  const bool failed = std::any_of(outcomes.begin(), outcomes.end(),
+                                  [](const ProcOutcome& o) {
+                                    return o.error != nullptr;
+                                  });
+  if (failed && net_) net_->abort_round();
+  CrashSet crashed;
   for (std::uint32_t g = 0; g < p; ++g) {
-    if (!outcomes[g].error) continue;
-    if (!is_crash(outcomes[g].error)) {
-      if (net_) net_->abort_round();
-      std::rethrow_exception(outcomes[g].error);
-    }
-    crashed.push_back(g);
-    if (!cause) cause = outcomes[g].error;
+    if (outcomes[g].error) crashed.add(g, outcomes[g].error);
   }
-  if (!crashed.empty()) {
-    if (net_) net_->abort_round();
-    if (cfg_.net.failover) throw DeadProcsError{std::move(crashed), cause};
-    std::rethrow_exception(cause);
-  }
+  crashed.raise(cfg_.net.failover);
   return outcomes;
 }
 
@@ -1499,8 +1432,7 @@ void EmEngine::deliver_staged(RunState& rs,
       }
     }
 
-    std::vector<std::uint32_t> crashed;
-    std::exception_ptr cause;
+    CrashSet crashed;
     for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
       std::vector<cgm::Message> arrivals;
       for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
@@ -1529,20 +1461,12 @@ void EmEngine::deliver_staged(RunState& rs,
         }
         try {
           procs_[dst_g]->messages->write_messages(arrivals);
-        } catch (const IoError& e) {
-          // Group dst_g's own disks fail-stopped: machine dst_g died.
-          if (e.kind() != IoErrorKind::kCrash) throw;
-          crashed.push_back(dst_g);
-          if (!cause) cause = std::current_exception();
+        } catch (...) {
+          crashed.add(dst_g, std::current_exception());
         }
       }
     }
-    if (!crashed.empty()) {
-      if (cfg_.net.failover) {
-        throw DeadProcsError{std::move(crashed), cause};
-      }
-      std::rethrow_exception(cause);
-    }
+    crashed.raise(cfg_.net.failover);
   }
   rs.result.comm.steps.push_back(step);
   rs.result.comm_steps += 1;
@@ -1553,23 +1477,15 @@ void EmEngine::deliver_staged(RunState& rs,
 // collected here, before the stores flip and the superstep's I/O is
 // recorded. Serial arrays make this a no-op.
 void EmEngine::drain_arrival_writes() {
-  std::vector<std::uint32_t> crashed;
-  std::exception_ptr cause;
+  CrashSet crashed;
   for (std::uint32_t g = 0; g < cfg_.p; ++g) {
-    auto& rp = *procs_[g];
-    if (!rp.disks->async()) continue;
     try {
-      rp.disks->drain();
-    } catch (const IoError& e) {
-      if (e.kind() != IoErrorKind::kCrash) throw;
-      crashed.push_back(g);
-      if (!cause) cause = std::current_exception();
+      procs_[g]->disks->drain();
+    } catch (...) {
+      crashed.add(g, std::current_exception());
     }
   }
-  if (!crashed.empty()) {
-    if (cfg_.net.failover) throw DeadProcsError{std::move(crashed), cause};
-    std::rethrow_exception(cause);
-  }
+  crashed.raise(cfg_.net.failover);
 }
 
 // ---------------------------------------------------------------- step ----
@@ -1638,13 +1554,13 @@ bool EmEngine::step() {
       // fail-over settled — deterministically, in every threading mode.
       try_rejoin(rs.round, rs.result);
     }
-    if (rs.phase == Phase::kCompute) {
-      // Open step 0 of the schedule: hosts post crossing batches as their
-      // groups finish; deliver_staged closes it at the barrier.
-      if (net_) net_->begin_round();
-      auto outcomes = run_phase(rs, /*compute=*/true);
+    const bool compute = rs.phase == Phase::kCompute;
+    // Open step 0 of the schedule: hosts post crossing batches as their
+    // groups finish; deliver_staged closes it at the barrier.
+    if (net_) net_->begin_round();
+    auto outcomes = run_phase(rs, compute);
+    if (compute) {
       rs.result.app_rounds += 1;
-
       bool any_done = false;
       rs.all_done = true;
       for (const auto& o : outcomes) {
@@ -1672,32 +1588,20 @@ bool EmEngine::step() {
         ++phys_step_;
         return false;
       }
-
-      deliver_staged(rs, outcomes);
-      drain_arrival_writes();
-      verify_drained("the compute barrier");
-      for (auto& rp : procs_) rp->messages->flip();
-      const std::uint64_t ran_round = rs.round;
-      if (balanced) {
-        rs.phase = Phase::kRegroup;
-      } else {
-        ++rs.round;
-      }
-      if (cfg_.checkpointing) commit(rs.round, rs.phase);
-      record_step_io(rs, "compute", true, ran_round);
+    }
+    deliver_staged(rs, outcomes);
+    drain_arrival_writes();
+    verify_drained(compute ? "the compute barrier" : "the regroup barrier");
+    for (auto& rp : procs_) rp->messages->flip();
+    const std::uint64_t ran_round = rs.round;
+    if (compute && balanced) {
+      rs.phase = Phase::kRegroup;
     } else {
-      if (net_) net_->begin_round();
-      auto regroup = run_phase(rs, /*compute=*/false);
-      deliver_staged(rs, regroup);
-      drain_arrival_writes();
-      verify_drained("the regroup barrier");
-      for (auto& rp : procs_) rp->messages->flip();
-      const std::uint64_t ran_round = rs.round;
       rs.phase = Phase::kCompute;
       ++rs.round;
-      if (cfg_.checkpointing) commit(rs.round, rs.phase);
-      record_step_io(rs, "regroup", true, ran_round);
     }
+    if (cfg_.checkpointing) commit(rs.round, rs.phase);
+    record_step_io(rs, compute ? "compute" : "regroup", true, ran_round);
     ++phys_step_;
   } catch (const DeadProcsError& e) {
     // One or more machines died mid-superstep. Absorb the loss (or rethrow

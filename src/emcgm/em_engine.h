@@ -215,8 +215,8 @@ class EmEngine final : public cgm::Engine {
   // operate on the installed RunState.
   void record_step_io(RunState& rs, const char* phase_label, bool has_comm,
                       std::uint64_t step_round);
-  void simulate_real_proc(RunState& rs, std::uint32_t r, ProcOutcome& out);
-  void regroup_real_proc(RunState& rs, std::uint32_t r, ProcOutcome& out);
+  void run_group(RunState& rs, std::uint32_t r, bool compute,
+                 ProcOutcome& out);
   void post_group(RunState& rs, std::uint32_t host, std::uint32_t g,
                   ProcOutcome& out);
   std::vector<ProcOutcome> run_phase(RunState& rs, bool compute);

@@ -1,7 +1,6 @@
 #include "emcgm/message_store.h"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 
 #include "util/error.h"
@@ -11,22 +10,126 @@ namespace emcgm::em {
 
 namespace {
 
+// ---------------------------------------------------------------- Inbox --
+
+// The inbox pipeline both layouts share: pending whole-block buffers per
+// local destination, prefetch (one greedy async read of every block of the
+// inbox), wait, assemble and drop. A layout supplies only its directory:
+// which messages an inbox holds and where their blocks live.
+class InboxStore : public MessageStore {
+ public:
+  /// Waits for prefetches still in flight (a pass that threw can leave
+  /// some): their reads target buffers this store owns.
+  ~InboxStore() override {
+    try {
+      drop_prefetches();
+    } catch (...) {
+      // A pending I/O error has nowhere to go during teardown.
+    }
+  }
+
+  InboxStore(const InboxStore&) = delete;
+  InboxStore& operator=(const InboxStore&) = delete;
+
+  std::vector<cgm::Message> read_incoming(std::uint32_t dst_global) final {
+    prefetch_incoming(dst_global);  // no-op when already in flight
+    const std::uint32_t dloc = dst_global - cfg_.local_base;
+    Inbox in = std::move(*prefetched_[dloc]);
+    prefetched_[dloc].reset();
+    array_.wait(in.ticket);
+
+    std::vector<cgm::Message> out;
+    out.reserve(in.msgs.size());
+    for (auto& m : in.msgs) {
+      m.buf.resize(static_cast<std::size_t>(m.bytes));
+      out.push_back(cgm::Message{m.src, dst_global, std::move(m.buf)});
+    }
+    std::sort(out.begin(), out.end(),
+              [](const cgm::Message& a, const cgm::Message& b) {
+                return a.src < b.src;
+              });
+    return out;
+  }
+
+  void prefetch_incoming(std::uint32_t dst_global) final {
+    check_local(dst_global);
+    const std::uint32_t dloc = dst_global - cfg_.local_base;
+    if (prefetched_[dloc].has_value()) return;
+    const std::size_t B = array_.block_bytes();
+    Inbox in;
+    std::vector<pdm::BlockAddr> addrs;
+    take_inbox(dloc, in.msgs, addrs);
+    std::vector<pdm::ReadSlot> slots;
+    slots.reserve(addrs.size());
+    for (auto& m : in.msgs) {
+      m.buf.resize(ceil_div(m.bytes, B) * B);
+      for (std::size_t off = 0; off < m.buf.size(); off += B) {
+        slots.push_back(pdm::ReadSlot{
+            addrs[slots.size()], std::span<std::byte>(m.buf).subspan(off, B)});
+      }
+    }
+    if (!slots.empty()) in.ticket = pdm::greedy_read_async(array_, slots);
+    prefetched_[dloc] = std::move(in);
+  }
+
+ protected:
+  /// One message being fetched: buffer rounded up to whole blocks.
+  struct Pending {
+    std::uint32_t src = 0;
+    std::uint64_t bytes = 0;
+    std::vector<std::byte> buf;
+  };
+
+  InboxStore(pdm::DiskArray& array, const MessageStoreConfig& cfg)
+      : array_(array), cfg_(cfg), prefetched_(cfg.nlocal) {}
+
+  /// Layout hook: consume local destination `dloc`'s directory entries,
+  /// appending one Pending (src, bytes) per message and the address of
+  /// every block of those messages, message by message.
+  virtual void take_inbox(std::uint32_t dloc, std::vector<Pending>& msgs,
+                          std::vector<pdm::BlockAddr>& addrs) = 0;
+
+  /// Quiesce and discard unconsumed prefetches (flip/load).
+  void drop_prefetches() {
+    for (auto& in : prefetched_) {
+      if (in.has_value()) {
+        array_.wait(in->ticket);  // reads target in->msgs buffers
+        in.reset();
+      }
+    }
+  }
+
+  void check_local(std::uint32_t dst) const {
+    EMCGM_CHECK_MSG(dst >= cfg_.local_base &&
+                        dst < cfg_.local_base + cfg_.nlocal,
+                    "message for non-local destination " << dst);
+  }
+
+  pdm::DiskArray& array_;
+  MessageStoreConfig cfg_;
+
+ private:
+  struct Inbox {
+    std::vector<Pending> msgs;
+    pdm::IoTicket ticket = 0;
+  };
+  std::vector<std::optional<Inbox>> prefetched_;  // per local dst
+};
+
 // ------------------------------------------------------------- Staggered --
 
-class StaggeredMatrixStore final : public MessageStore {
+class StaggeredMatrixStore final : public InboxStore {
  public:
   StaggeredMatrixStore(pdm::DiskArray& array, pdm::TrackSpace& space,
                        const MessageStoreConfig& cfg)
-      : array_(array),
-        cfg_(cfg),
+      : InboxStore(array, cfg),
         slot_blocks_(ceil_div(cfg.slot_bytes, array.block_bytes())),
         regions_{pdm::TrackRegion(space), pdm::TrackRegion(space)},
         lengths_{std::vector<std::uint64_t>(
                      static_cast<std::size_t>(cfg.v) * cfg.nlocal, 0),
                  std::vector<std::uint64_t>(
                      static_cast<std::size_t>(cfg.v) * cfg.nlocal, 0)},
-        freed_(static_cast<std::size_t>(cfg.v) * cfg.nlocal, true),
-        prefetched_(cfg.nlocal) {
+        freed_(static_cast<std::size_t>(cfg.v) * cfg.nlocal, true) {
     EMCGM_CHECK_MSG(cfg_.slot_bytes >= 1,
                     "staggered layout needs a positive slot capacity");
     EMCGM_CHECK(slot_blocks_ >= 1);
@@ -36,11 +139,10 @@ class StaggeredMatrixStore final : public MessageStore {
   }
 
   void write_messages(std::span<const cgm::Message> msgs) override {
-    const std::size_t B = array_.block_bytes();
     // Gather the used blocks of every message in the batch, then batch them
     // into parallel ops together; the staggered slot starts spread the
     // blocks across the disks (paper Fig. 2).
-    std::vector<std::vector<std::byte>> padded;  // owns zero-padded tails
+    std::vector<std::vector<std::byte>> pads;
     std::vector<pdm::WriteSlot> slots;
     for (const auto& m : msgs) {
       check_local(m.dst);
@@ -51,86 +153,23 @@ class StaggeredMatrixStore final : public MessageStore {
                         << "; enable balanced_routing, raise"
                         << " staggered_slot_bytes, or use the chained layout");
       if (m.payload.empty()) continue;
+      const std::uint32_t dloc = m.dst - cfg_.local_base;
       if (cfg_.single_copy) {
-        EMCGM_CHECK_MSG(freed_[phys_slot(write_parity(), m.src,
-                                         m.dst - cfg_.local_base)],
-                        "Observation-2 overwrite of a live slot");
-        freed_[phys_slot(write_parity(), m.src, m.dst - cfg_.local_base)] =
-            false;
+        const std::size_t ps = phys_slot(write_parity(), m.src, dloc);
+        EMCGM_CHECK_MSG(freed_[ps], "Observation-2 overwrite of a live slot");
+        freed_[ps] = false;
       }
-      auto& len =
-          lengths_[writing_side()][lin(m.src, m.dst - cfg_.local_base)];
+      auto& len = lengths_[writing_side()][lin(m.src, dloc)];
       EMCGM_CHECK_MSG(len == 0, "pair written twice in one superstep");
       len = m.payload.size();
-
-      const std::uint64_t used = ceil_div(m.payload.size(), B);
-      for (std::uint64_t q = 0; q < used; ++q) {
-        pdm::BlockAddr a = block_addr(write_parity(), m.src,
-                                      m.dst - cfg_.local_base, q);
-        const std::size_t off = static_cast<std::size_t>(q) * B;
-        if (off + B <= m.payload.size()) {
-          slots.push_back(
-              pdm::WriteSlot{a, std::span<const std::byte>(
-                                    m.payload.data() + off, B)});
-        } else {
-          padded.emplace_back(B);
-          std::memcpy(padded.back().data(), m.payload.data() + off,
-                      m.payload.size() - off);
-          slots.push_back(pdm::WriteSlot{
-              a, std::span<const std::byte>(padded.back())});
-        }
-      }
+      pdm::append_block_slots(
+          m.payload, array_.block_bytes(),
+          [&](std::uint64_t q) {
+            return block_addr(write_parity(), m.src, dloc, q);
+          },
+          slots, pads);
     }
     if (!slots.empty()) pdm::greedy_write(array_, slots);
-  }
-
-  std::vector<cgm::Message> read_incoming(std::uint32_t dst_global) override {
-    check_local(dst_global);
-    const std::uint32_t dloc = dst_global - cfg_.local_base;
-    if (!prefetched_[dloc].has_value()) prefetch_incoming(dst_global);
-    PrefetchedInbox pf = std::move(*prefetched_[dloc]);
-    prefetched_[dloc].reset();
-    array_.wait(pf.ticket);
-
-    std::vector<cgm::Message> out;
-    out.reserve(pf.pending.size());
-    for (auto& p : pf.pending) {
-      p.buf.resize(static_cast<std::size_t>(p.bytes));
-      out.push_back(cgm::Message{p.src, dst_global, std::move(p.buf)});
-    }
-    return out;  // collected in ascending source order already
-  }
-
-  void prefetch_incoming(std::uint32_t dst_global) override {
-    check_local(dst_global);
-    const std::uint32_t dloc = dst_global - cfg_.local_base;
-    if (prefetched_[dloc].has_value()) return;
-    const std::size_t B = array_.block_bytes();
-    const int parity = read_parity();
-
-    PrefetchedInbox pf;
-    std::vector<pdm::ReadSlot> slots;
-    for (std::uint32_t s = 0; s < cfg_.v; ++s) {
-      auto& len = lengths_[reading_side()][lin(s, dloc)];
-      if (len == 0) continue;
-      PendingMsg p;
-      p.src = s;
-      p.bytes = len;
-      p.buf.resize(ceil_div(len, B) * B);
-      pf.pending.push_back(std::move(p));
-      len = 0;
-      if (cfg_.single_copy) freed_[phys_slot(parity, s, dloc)] = true;
-    }
-    for (auto& p : pf.pending) {
-      const std::uint64_t used = p.buf.size() / B;
-      for (std::uint64_t q = 0; q < used; ++q) {
-        slots.push_back(pdm::ReadSlot{
-            block_addr(parity, p.src, dloc, q),
-            std::span<std::byte>(p.buf.data() + q * B, B)});
-      }
-    }
-    if (!slots.empty()) pf.ticket = pdm::greedy_read_async(array_, slots);
-    prefetched_[dloc] = std::move(pf);
   }
 
   void flip() override {
@@ -162,34 +201,26 @@ class StaggeredMatrixStore final : public MessageStore {
   }
 
  private:
-  /// One source's message being fetched: buffer rounded to whole blocks.
-  struct PendingMsg {
-    std::uint32_t src = 0;
-    std::uint64_t bytes = 0;
-    std::vector<std::byte> buf;
-  };
-  struct PrefetchedInbox {
-    std::vector<PendingMsg> pending;
-    pdm::IoTicket ticket = 0;
-  };
-
-  void drop_prefetches() {
-    for (auto& pf : prefetched_) {
-      if (pf.has_value()) {
-        array_.wait(pf->ticket);  // reads target pf->pending buffers
-        pf.reset();
+  // Sources ascending, so the inbox is already in source order.
+  void take_inbox(std::uint32_t dloc, std::vector<Pending>& msgs,
+                  std::vector<pdm::BlockAddr>& addrs) override {
+    const std::size_t B = array_.block_bytes();
+    const int parity = read_parity();
+    for (std::uint32_t s = 0; s < cfg_.v; ++s) {
+      auto& len = lengths_[reading_side()][lin(s, dloc)];
+      if (len == 0) continue;
+      msgs.push_back(Pending{s, len, {}});
+      const std::uint64_t used = ceil_div(len, B);
+      for (std::uint64_t q = 0; q < used; ++q) {
+        addrs.push_back(block_addr(parity, s, dloc, q));
       }
+      len = 0;
+      if (cfg_.single_copy) freed_[phys_slot(parity, s, dloc)] = true;
     }
   }
 
   std::size_t lin(std::uint32_t src, std::uint32_t dloc) const {
     return static_cast<std::size_t>(src) * cfg_.nlocal + dloc;
-  }
-
-  void check_local(std::uint32_t dst) const {
-    EMCGM_CHECK_MSG(dst >= cfg_.local_base &&
-                        dst < cfg_.local_base + cfg_.nlocal,
-                    "message for non-local destination " << dst);
   }
 
   // Which of the two length directories / regions the current writes and
@@ -237,112 +268,42 @@ class StaggeredMatrixStore final : public MessageStore {
     return a;
   }
 
-  pdm::DiskArray& array_;
-  MessageStoreConfig cfg_;
   std::uint64_t slot_blocks_;
   pdm::TrackRegion regions_[2];
   std::vector<std::uint64_t> lengths_[2];  // [side][src * nlocal + dloc]
   std::vector<bool> freed_;                // single-copy live-slot tracking
   std::uint64_t step_ = 0;
-  std::vector<std::optional<PrefetchedInbox>> prefetched_;  // per local dst
 };
 
 // --------------------------------------------------------------- Chained --
 
-class ChainedStore final : public MessageStore {
+class ChainedStore final : public InboxStore {
  public:
   ChainedStore(pdm::DiskArray& array, pdm::TrackSpace& space,
                const MessageStoreConfig& cfg)
-      : array_(array),
-        cfg_(cfg),
+      : InboxStore(array, cfg),
         sides_{Side(space, array.num_disks(), cfg.nlocal),
-               Side(space, array.num_disks(), cfg.nlocal)},
-        prefetched_(cfg.nlocal) {}
+               Side(space, array.num_disks(), cfg.nlocal)} {}
 
   void write_messages(std::span<const cgm::Message> msgs) override {
     Side& w = sides_[1 - active_];
     const std::size_t B = array_.block_bytes();
+    const std::uint32_t D = array_.num_disks();
     // Extents come from one bump cursor, so the blocks of the whole batch
     // are stripe-consecutive and FIFO batching yields ceil(total/D) ops.
-    std::vector<std::vector<std::byte>> padded;
+    std::vector<std::vector<std::byte>> pads;
     std::vector<pdm::WriteSlot> slots;
     for (const auto& m : msgs) {
       check_local(m.dst);
       if (m.payload.empty()) continue;
-      pdm::Extent e = w.cursor.alloc(m.payload.size(), B);
-      const std::uint64_t blocks = e.blocks(B);
-      for (std::uint64_t q = 0; q < blocks; ++q) {
-        pdm::BlockAddr a = e.addr(array_.num_disks(), q);
-        a.track = w.tracks.physical_track(a.track);
-        const std::size_t off = static_cast<std::size_t>(q) * B;
-        if (off + B <= m.payload.size()) {
-          slots.push_back(
-              pdm::WriteSlot{a, std::span<const std::byte>(
-                                    m.payload.data() + off, B)});
-        } else {
-          padded.emplace_back(B);
-          std::memcpy(padded.back().data(), m.payload.data() + off,
-                      m.payload.size() - off);
-          slots.push_back(pdm::WriteSlot{
-              a, std::span<const std::byte>(padded.back())});
-        }
-      }
+      const pdm::Extent e = w.cursor.alloc(m.payload.size(), B);
+      pdm::append_block_slots(
+          m.payload, B,
+          [&](std::uint64_t q) { return pdm::extent_block(w.tracks, e, D, q); },
+          slots, pads);
       w.by_dst[m.dst - cfg_.local_base].push_back(Entry{m.src, e});
     }
     if (!slots.empty()) pdm::fifo_write(array_, slots);
-  }
-
-  std::vector<cgm::Message> read_incoming(std::uint32_t dst_global) override {
-    check_local(dst_global);
-    const std::uint32_t dloc = dst_global - cfg_.local_base;
-    if (!prefetched_[dloc].has_value()) prefetch_incoming(dst_global);
-    PrefetchedInbox pf = std::move(*prefetched_[dloc]);
-    prefetched_[dloc].reset();
-    array_.wait(pf.ticket);
-
-    std::vector<cgm::Message> out;
-    out.reserve(pf.pending.size());
-    for (auto& p : pf.pending) {
-      p.buf.resize(static_cast<std::size_t>(p.bytes));
-      out.push_back(cgm::Message{p.src, dst_global, std::move(p.buf)});
-    }
-    std::sort(out.begin(), out.end(),
-              [](const cgm::Message& a, const cgm::Message& b) {
-                return a.src < b.src;
-              });
-    return out;
-  }
-
-  void prefetch_incoming(std::uint32_t dst_global) override {
-    check_local(dst_global);
-    const std::uint32_t dloc = dst_global - cfg_.local_base;
-    if (prefetched_[dloc].has_value()) return;
-    Side& r = sides_[active_];
-    auto& entries = r.by_dst[dloc];
-    const std::size_t B = array_.block_bytes();
-
-    PrefetchedInbox pf;
-    std::vector<pdm::ReadSlot> slots;
-    for (const auto& en : entries) {
-      PendingMsg p;
-      p.src = en.src;
-      p.bytes = en.ext.bytes;
-      p.buf.resize(en.ext.blocks(B) * B);
-      pf.pending.push_back(std::move(p));
-    }
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const pdm::Extent& e = entries[i].ext;
-      const std::uint64_t blocks = e.blocks(B);
-      for (std::uint64_t q = 0; q < blocks; ++q) {
-        pdm::BlockAddr a = e.addr(array_.num_disks(), q);
-        a.track = r.tracks.physical_track(a.track);
-        slots.push_back(pdm::ReadSlot{
-            a, std::span<std::byte>(pf.pending[i].buf.data() + q * B, B)});
-      }
-    }
-    if (!slots.empty()) pf.ticket = pdm::greedy_read_async(array_, slots);
-    entries.clear();
-    prefetched_[dloc] = std::move(pf);
   }
 
   void flip() override {
@@ -408,36 +369,25 @@ class ChainedStore final : public MessageStore {
     Side(pdm::TrackSpace& space, std::uint32_t D, std::uint32_t nlocal)
         : tracks(space), cursor(D), by_dst(nlocal) {}
   };
-  struct PendingMsg {
-    std::uint32_t src = 0;
-    std::uint64_t bytes = 0;
-    std::vector<std::byte> buf;  // rounded up to whole blocks
-  };
-  struct PrefetchedInbox {
-    std::vector<PendingMsg> pending;
-    pdm::IoTicket ticket = 0;
-  };
 
-  void drop_prefetches() {
-    for (auto& pf : prefetched_) {
-      if (pf.has_value()) {
-        array_.wait(pf->ticket);  // reads target pf->pending buffers
-        pf.reset();
+  // Arrival order; read_incoming sorts by source.
+  void take_inbox(std::uint32_t dloc, std::vector<Pending>& msgs,
+                  std::vector<pdm::BlockAddr>& addrs) override {
+    Side& r = sides_[active_];
+    const std::size_t B = array_.block_bytes();
+    const std::uint32_t D = array_.num_disks();
+    for (const Entry& en : r.by_dst[dloc]) {
+      msgs.push_back(Pending{en.src, en.ext.bytes, {}});
+      const std::uint64_t used = en.ext.blocks(B);
+      for (std::uint64_t q = 0; q < used; ++q) {
+        addrs.push_back(pdm::extent_block(r.tracks, en.ext, D, q));
       }
     }
+    r.by_dst[dloc].clear();
   }
 
-  void check_local(std::uint32_t dst) const {
-    EMCGM_CHECK_MSG(dst >= cfg_.local_base &&
-                        dst < cfg_.local_base + cfg_.nlocal,
-                    "message for non-local destination " << dst);
-  }
-
-  pdm::DiskArray& array_;
-  MessageStoreConfig cfg_;
   Side sides_[2];
   int active_ = 0;
-  std::vector<std::optional<PrefetchedInbox>> prefetched_;  // per local dst
 };
 
 }  // namespace

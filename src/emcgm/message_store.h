@@ -18,6 +18,13 @@
 //    double-buffered region with an in-memory O(v^2/p) directory. Handles
 //    arbitrary (unbalanced) message sizes: writes are fully parallel; reads
 //    pay at most one partial parallel op per message.
+//
+// A layout decides only where blocks live. Everything else is one pipeline
+// both share: payloads are cut into block slots with a zero-padded tail
+// (pdm::append_block_slots), and an inbox is read by prefetch_incoming —
+// pending whole-block buffers, one greedy async read of every block, then
+// wait, assemble in source order and drop in read_incoming. read_incoming
+// on an inbox nobody prefetched simply prefetches it first.
 #pragma once
 
 #include <cstdint>

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <type_traits>
 
 namespace emcgm::pdm {
 
 namespace {
 
-// io_threads resolution: 0 = serial, kIoThreadsAuto = hw_concurrency, both
+// io_threads resolution: 0 = inline, kIoThreadsAuto = hw_concurrency, both
 // clamped to the number of disks (more workers than disks cannot help — one
 // parallel op has at most one block per disk).
 std::uint32_t resolve_io_workers(std::uint32_t requested, std::uint32_t D) {
@@ -39,215 +40,70 @@ DiskArray::DiskArray(std::unique_ptr<StorageBackend> backend,
                                          << kEnvelopeBytes
                                          << "-byte checksum envelope");
     geom_.block_bytes -= kEnvelopeBytes;  // expose the logical view
-    scratch_.resize(backend_->geometry().block_bytes);
   }
-  // Every backoff — serial or executor worker — goes through one resolved
-  // sleep function, so the injectable hook covers all schedules.
-  if (opts_.retry.sleep) {
-    sleep_fn_ = opts_.retry.sleep;
-  } else {
-    sleep_fn_ = [](std::uint64_t us) {
+  // Every backoff — inline or on an executor worker — goes through one
+  // resolved sleep function, so the injectable hook covers all schedules.
+  IoExecutor::SleepFn sleep = opts_.retry.sleep;
+  if (!sleep) {
+    sleep = [](std::uint64_t us) {
       if (us > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(us));
       }
     };
   }
   injector_ = dynamic_cast<FaultInjectingBackend*>(backend_.get());
-  const std::uint32_t workers =
-      resolve_io_workers(opts_.io_threads, num_disks());
-  if (workers > 0) {
-    exec_ = std::make_unique<IoExecutor>(*backend_, workers, opts_.checksums,
-                                         opts_.retry, sleep_fn_,
-                                         opts_.on_queue_depth);
-  }
+  exec_ = std::make_unique<IoExecutor>(
+      *backend_, resolve_io_workers(opts_.io_threads, num_disks()), opts_,
+      std::move(sleep), stats_);
 }
 
 DiskArray::~DiskArray() {
-  if (exec_) {
-    // Quiesce: pending jobs reference buffers the owners are about to free.
-    try {
-      exec_->drain(stats_);
-    } catch (...) {
-      // A pending error has nowhere to go during teardown.
-    }
+  // Quiesce: pending jobs reference buffers the owners are about to free.
+  try {
+    exec_->drain();
+  } catch (...) {
+    // A pending error has nowhere to go during teardown.
   }
 }
 
-namespace {
-
-// Builds the per-op disk occupancy mask, throwing on a same-disk conflict.
 template <typename Slot>
-std::uint64_t occupancy_mask(std::span<const Slot> slots, std::uint32_t D) {
-  std::uint64_t mask = 0;
-  for (const auto& s : slots) {
-    EMCGM_CHECK_MSG(s.addr.disk < D,
-                    "disk index " << s.addr.disk << " out of range (D=" << D
-                                  << ")");
+IoTicket DiskArray::submit(std::span<const Slot> slots) {
+  constexpr bool kWrite = std::is_same_v<Slot, WriteSlot>;
+  constexpr const char* kind = kWrite ? "write" : "read";
+  const std::uint32_t D = num_disks();
+  EMCGM_CHECK_MSG(!slots.empty(), "empty parallel " << kind);
+  EMCGM_CHECK_MSG(slots.size() <= D, "parallel " << kind << " of "
+                                                 << slots.size()
+                                                 << " blocks on " << D
+                                                 << " disks");
+  std::uint64_t mask = 0;  // disk occupancy of this op
+  for (const Slot& s : slots) {
+    EMCGM_CHECK_MSG(s.addr.disk < D, "disk index " << s.addr.disk
+                                                   << " out of range (D="
+                                                   << D << ")");
     const std::uint64_t bit = 1ULL << s.addr.disk;
     EMCGM_CHECK_MSG((mask & bit) == 0,
                     "parallel op touches disk " << s.addr.disk << " twice");
     mask |= bit;
-  }
-  return mask;
-}
-
-}  // namespace
-
-void DiskArray::backoff(std::uint32_t retry) const {
-  sleep_fn_(opts_.retry.backoff_us(retry));
-}
-
-void DiskArray::read_one(const ReadSlot& s) {
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    try {
-      if (!opts_.checksums) {
-        backend_->read_block(s.addr.disk, s.addr.track, s.out);
-      } else {
-        backend_->read_block(s.addr.disk, s.addr.track, scratch_);
-        unseal_block(s.addr.disk, s.addr.track, scratch_, s.out);
-      }
-      return;
-    } catch (const IoError& e) {
-      if (e.kind() == IoErrorKind::kCorruption) {
-        stats_.corruptions += 1;
-        throw;
-      }
-      if (e.kind() != IoErrorKind::kTransient) throw;
-      if (attempt >= opts_.retry.max_attempts) {
-        throw IoError(IoErrorKind::kExhausted,
-                      std::string("read gave up after ") +
-                          std::to_string(attempt) + " attempts: " + e.what());
-      }
-      stats_.retries += 1;
-      backoff(attempt);
+    if constexpr (kWrite) {
+      EMCGM_CHECK(s.data.size() == block_bytes());
+    } else {
+      EMCGM_CHECK(s.out.size() == block_bytes());
     }
   }
-}
-
-void DiskArray::write_one(const WriteSlot& s) {
-  std::span<const std::byte> phys = s.data;
-  if (opts_.checksums) {
-    seal_block(s.addr.disk, s.addr.track, s.data, scratch_);
-    phys = scratch_;
-  }
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    try {
-      backend_->write_block(s.addr.disk, s.addr.track, phys);
-      return;
-    } catch (const IoError& e) {
-      if (e.kind() != IoErrorKind::kTransient) throw;
-      if (attempt >= opts_.retry.max_attempts) {
-        throw IoError(IoErrorKind::kExhausted,
-                      std::string("write gave up after ") +
-                          std::to_string(attempt) + " attempts: " + e.what());
-      }
-      stats_.retries += 1;
-      backoff(attempt);
-    }
-  }
-}
-
-void DiskArray::pre_submit() {
   // With a fail-stop plan armed, the crash must land exactly between
-  // completed parallel ops, as it does serially: quiesce before counting
-  // the next op so no in-flight job observes the transition.
-  if (exec_ && injector_ && injector_->armed() &&
+  // completed parallel ops, as it does inline: quiesce the workers before
+  // noting the next op so no in-flight job observes the transition.
+  if (async() && injector_ && injector_->armed() &&
       injector_->plan().crash_after_ops != 0) {
     drain();
   }
-}
-
-void DiskArray::parallel_read(std::span<const ReadSlot> slots) {
-  if (exec_) {
-    wait(parallel_read_async(slots));
-    return;
-  }
-  EMCGM_CHECK_MSG(!slots.empty(), "empty parallel read");
-  EMCGM_CHECK_MSG(slots.size() <= num_disks(),
-                  "parallel read of " << slots.size() << " blocks on "
-                                      << num_disks() << " disks");
-  (void)occupancy_mask(slots, num_disks());
   backend_->note_parallel_op();
-  for (const auto& s : slots) {
-    EMCGM_CHECK(s.out.size() == block_bytes());
-    read_one(s);
-  }
-  stats_.read_ops += 1;
-  stats_.blocks_read += slots.size();
-  if (slots.size() == num_disks()) stats_.full_stripe_ops += 1;
-  if (opts_.on_charge) opts_.on_charge(slots.size());
+  return exec_->submit(slots);
 }
 
-void DiskArray::parallel_write(std::span<const WriteSlot> slots) {
-  if (exec_) {
-    (void)parallel_write_async(slots);  // write-behind
-    return;
-  }
-  EMCGM_CHECK_MSG(!slots.empty(), "empty parallel write");
-  EMCGM_CHECK_MSG(slots.size() <= num_disks(),
-                  "parallel write of " << slots.size() << " blocks on "
-                                       << num_disks() << " disks");
-  (void)occupancy_mask(slots, num_disks());
-  backend_->note_parallel_op();
-  for (const auto& s : slots) {
-    EMCGM_CHECK(s.data.size() == block_bytes());
-    write_one(s);
-  }
-  stats_.write_ops += 1;
-  stats_.blocks_written += slots.size();
-  if (slots.size() == num_disks()) stats_.full_stripe_ops += 1;
-  if (opts_.on_charge) opts_.on_charge(slots.size());
-}
-
-IoTicket DiskArray::parallel_read_async(std::span<const ReadSlot> slots) {
-  if (!exec_) {
-    parallel_read(slots);
-    return 0;
-  }
-  EMCGM_CHECK_MSG(!slots.empty(), "empty parallel read");
-  EMCGM_CHECK_MSG(slots.size() <= num_disks(),
-                  "parallel read of " << slots.size() << " blocks on "
-                                      << num_disks() << " disks");
-  (void)occupancy_mask(slots, num_disks());
-  for (const auto& s : slots) {
-    EMCGM_CHECK(s.out.size() == block_bytes());
-  }
-  pre_submit();
-  backend_->note_parallel_op();
-  if (opts_.on_charge) opts_.on_charge(slots.size());
-  return exec_->submit_read(slots);
-}
-
-IoTicket DiskArray::parallel_write_async(std::span<const WriteSlot> slots) {
-  if (!exec_) {
-    parallel_write(slots);
-    return 0;
-  }
-  EMCGM_CHECK_MSG(!slots.empty(), "empty parallel write");
-  EMCGM_CHECK_MSG(slots.size() <= num_disks(),
-                  "parallel write of " << slots.size() << " blocks on "
-                                       << num_disks() << " disks");
-  (void)occupancy_mask(slots, num_disks());
-  for (const auto& s : slots) {
-    EMCGM_CHECK(s.data.size() == block_bytes());
-  }
-  pre_submit();
-  backend_->note_parallel_op();
-  if (opts_.on_charge) opts_.on_charge(slots.size());
-  return exec_->submit_write(slots);
-}
-
-void DiskArray::wait(IoTicket ticket) const {
-  if (exec_) exec_->wait(ticket, stats_);
-}
-
-void DiskArray::drain() const {
-  if (exec_) exec_->drain(stats_);
-}
-
-std::uint64_t DiskArray::in_flight() const {
-  return exec_ ? exec_->in_flight_blocks() : 0;
-}
+template IoTicket DiskArray::submit(std::span<const ReadSlot>);
+template IoTicket DiskArray::submit(std::span<const WriteSlot>);
 
 std::uint64_t DiskArray::tracks_used() const {
   drain();

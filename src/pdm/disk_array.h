@@ -7,13 +7,16 @@
 // genuinely achieve the parallelism it claims — the op counts reported in
 // benchmarks cannot be gamed by accident.
 //
-// With options().io_threads > 0 the array executes ops through the per-disk
-// async executor (io_executor.h): parallel_write becomes write-behind
-// (payloads are copied; completion deferred to the next wait/drain/sync),
-// parallel_read waits for its own op, and the *_async variants expose
-// tickets for prefetch pipelines. Per-disk FIFO order makes read-after-write
-// on a disk safe without waiting. io_threads == 0 keeps the original serial
-// path, bit for bit.
+// Every op, read or write, sync or async, passes one admission routine: it
+// validates the op (non-empty, at most D blocks, one per disk, whole
+// blocks), notes it with the backend (the fail-stop crash trigger), and
+// hands it to the executor (io_executor.h), which counts and charges it.
+// With options().io_threads == 0 the executor runs the op inline on the
+// caller's thread — the serial case; otherwise on per-disk workers:
+// parallel_write becomes write-behind (payloads are copied; completion
+// deferred to the next wait/drain/sync), parallel_read waits for its own
+// op, and parallel_read_async exposes tickets for prefetch pipelines.
+// Per-disk FIFO order makes read-after-write on a disk safe without waiting.
 #pragma once
 
 #include <cstddef>
@@ -50,13 +53,16 @@ using IoTicket = std::uint64_t;
 /// DiskArrayOptions.io_threads value asking for min(D, hw_concurrency).
 inline constexpr std::uint32_t kIoThreadsAuto = 0xFFFFFFFFu;
 
-/// Arbitration probe: called once per parallel op at submission, with the
-/// number of blocks the op moves, from whichever thread submits it (the
-/// engine's host workers under use_threads — the sink must be thread-safe).
-/// This is what a fair-share scheduler (src/svc/) charges its deficit
-/// round-robin accounts with: blocks are the PDM cost unit, and submission
-/// order is deterministic, so the charge stream is too. Counted work, never
-/// wall time — arbitration decisions stay bit-reproducible.
+/// Arbitration probe: called once per parallel op, with the number of blocks
+/// the op moves, where the op is counted — inline at submission serially, at
+/// reap (wait/drain, in submission order) with executor workers — so the
+/// charge stream always equals the counted IoStats: a failed op, and any op
+/// after it, is charged nowhere. The job service (src/svc/) charges its
+/// deficit round-robin accounts with it: blocks are the PDM cost unit,
+/// counted work and never wall time, so arbitration decisions stay
+/// bit-reproducible. Calls arrive from whichever thread submits or reaps
+/// (the engine's host workers under use_threads) — the sink must be
+/// thread-safe.
 using IoChargeFn = std::function<void(std::uint64_t blocks)>;
 
 /// Fault-tolerance and execution configuration of one disk array.
@@ -67,10 +73,10 @@ struct DiskArrayOptions {
   bool checksums = false;
   /// Retry schedule for IoError(kTransient) block faults.
   RetryPolicy retry{};
-  /// Async I/O worker threads: 0 = serial path (the default; byte-identical
-  /// legacy behavior), kIoThreadsAuto = min(D, hw_concurrency), otherwise
-  /// clamped to [1, D]. Workers own disks round-robin (disk d -> worker
-  /// d mod W).
+  /// Async I/O worker threads: 0 = every op runs inline on the submitting
+  /// thread (the default), kIoThreadsAuto = min(D, hw_concurrency),
+  /// otherwise clamped to [1, D]. Workers own disks round-robin (disk d ->
+  /// worker d mod W).
   std::uint32_t io_threads = 0;
   /// Observability sink for the executor's in-flight block count; called on
   /// every submit/completion from submitter and worker threads (serialized
@@ -101,34 +107,35 @@ class DiskArray {
   /// single I/O operation regardless of how many disks participate
   /// (paper §6.2: "An operation involving fewer elements incurs the same
   /// cost"). In async mode, waits for this op (and every prior one).
-  void parallel_read(std::span<const ReadSlot> slots);
+  void parallel_read(std::span<const ReadSlot> slots) { wait(submit(slots)); }
 
   /// One parallel write of 1..D blocks, at most one per disk. In async mode
-  /// this is write-behind: it returns after submission, and any error
-  /// surfaces at the next wait/drain/sync with canonical ordering.
-  void parallel_write(std::span<const WriteSlot> slots);
+  /// this is write-behind: it returns after submission (payloads copied),
+  /// and any error surfaces at the next wait/drain/sync with canonical
+  /// ordering.
+  void parallel_write(std::span<const WriteSlot> slots) { (void)submit(slots); }
 
-  /// Async submission (prefetch pipelines). In serial mode these execute
+  /// Async read submission (prefetch pipelines). Serially the read runs
   /// immediately and the returned ticket is already complete. The read
-  /// buffers must stay alive until wait(ticket) returns; write payloads are
-  /// copied.
-  IoTicket parallel_read_async(std::span<const ReadSlot> slots);
-  IoTicket parallel_write_async(std::span<const WriteSlot> slots);
+  /// buffers must stay alive until wait(ticket) returns.
+  IoTicket parallel_read_async(std::span<const ReadSlot> slots) {
+    return submit(slots);
+  }
 
   /// Wait until every op up to `ticket` is complete and its stats reaped.
   /// Rethrows the canonically-first pending error, if any.
-  void wait(IoTicket ticket) const;
+  void wait(IoTicket ticket) const { exec_->wait(ticket); }
 
   /// Completion barrier: wait for everything submitted so far.
-  void drain() const;
+  void drain() const { exec_->drain(); }
 
-  /// True when the async executor is on (io_threads resolved to >= 1).
-  bool async() const { return exec_ != nullptr; }
+  /// True when ops run on executor workers (io_threads resolved to >= 1).
+  bool async() const { return exec_->num_workers() > 0; }
 
   /// Blocks currently submitted but not yet reaped (0 in serial mode and at
   /// every quiesce point). The chaos invariant layer asserts this is 0 at
   /// superstep barriers — write-behind must never leak across a commit.
-  std::uint64_t in_flight() const;
+  std::uint64_t in_flight() const { return exec_->in_flight_blocks(); }
 
   /// Set the per-disk capacity quota in bytes (0 = unlimited); forwarded to
   /// the backend, which enforces it on every write that raises a disk's
@@ -152,13 +159,9 @@ class DiskArray {
   }
 
   /// Counters reaped so far. Exact at quiesce points (after wait/drain/sync
-  /// or in serial mode); while async ops are in flight, op-level counters
-  /// lag submission and per-block counters may run ahead.
+  /// or in serial mode); while async ops are in flight, counters lag
+  /// submission.
   const IoStats& stats() const { return stats_; }
-  void reset_stats() {
-    drain();
-    stats_ = IoStats{};
-  }
 
   /// Sum of the disks' high-water marks (space usage; see
   /// StorageBackend::tracks_used). Drains first so pending write-behind
@@ -170,28 +173,24 @@ class DiskArray {
 
   /// (Re-)attach the per-op charge probe after construction (the job
   /// service installs per-tenant accounts on engines it did not build).
-  /// Must not be called while ops are being submitted concurrently.
+  /// Must not be called while ops are in flight or being submitted
+  /// concurrently: the probe fires where ops are counted.
   void set_charge_hook(IoChargeFn fn) { opts_.on_charge = std::move(fn); }
 
   /// The fault injector wrapping the backend, or nullptr if none.
   FaultInjectingBackend* fault_injector() { return injector_; }
 
  private:
-  void validate_batch_disks(std::size_t count,
-                            const std::uint64_t disk_mask) const;
-  void pre_submit();
-  void read_one(const ReadSlot& slot);
-  void write_one(const WriteSlot& slot);
-  void backoff(std::uint32_t retry) const;
+  /// The admission routine every op passes (see the file comment).
+  template <typename Slot>
+  IoTicket submit(std::span<const Slot> slots);
 
   std::unique_ptr<StorageBackend> backend_;
   DiskArrayOptions opts_;
   DiskGeometry geom_;  ///< logical geometry (envelope stripped)
-  std::vector<std::byte> scratch_;  ///< physical-block staging (serial path)
-  IoExecutor::SleepFn sleep_fn_;    ///< every backoff routes through this
   FaultInjectingBackend* injector_ = nullptr;
-  std::unique_ptr<IoExecutor> exec_;  ///< null = serial path
-  mutable IoStats stats_;  ///< mutable: reaped from const wait/drain
+  mutable IoStats stats_;  ///< counted by exec_, also from const wait/drain
+  std::unique_ptr<IoExecutor> exec_;  ///< declared last: joins first
 };
 
 /// Build a DiskArray with the whole fault-tolerance stack in one call: a

@@ -162,7 +162,7 @@ class FaultInjectingBackend final : public StorageBackend {
 };
 
 /// Bounded-retry policy with exponential backoff for transient faults.
-/// Applied per block inside DiskArray::parallel_read/parallel_write.
+/// Applied per block by the executor's block routine (io_executor.h).
 struct RetryPolicy {
   std::uint32_t max_attempts = 1;      ///< total attempts (1 = no retry)
   std::uint64_t base_backoff_us = 0;   ///< delay before the first retry
@@ -171,10 +171,10 @@ struct RetryPolicy {
 
   /// Injectable clock: called with the computed delay before each retry.
   /// Null = sleep for real (std::this_thread) when the delay is non-zero.
-  /// Every backoff in the disk subsystem routes through this hook — the
-  /// serial path and each async executor worker alike — so schedule
-  /// perturbation in tests is complete. With io_threads > 0 the hook is
-  /// called concurrently from the worker threads and must be thread-safe.
+  /// Every backoff in the disk subsystem routes through this hook — inline
+  /// and on each executor worker alike — so schedule perturbation in tests
+  /// is complete. With io_threads > 0 the hook is called concurrently from
+  /// the worker threads and must be thread-safe.
   std::function<void(std::uint64_t delay_us)> sleep;
 
   /// Backoff before retry number `retry` (1-based), in microseconds.

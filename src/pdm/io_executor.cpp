@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "pdm/checksum.h"
@@ -11,24 +12,22 @@
 namespace emcgm::pdm {
 
 IoExecutor::IoExecutor(StorageBackend& backend, std::uint32_t num_workers,
-                       bool checksums, const RetryPolicy& retry, SleepFn sleep,
-                       DepthFn depth)
+                       const DiskArrayOptions& opts, SleepFn sleep,
+                       IoStats& stats)
     : backend_(backend),
-      checksums_(checksums),
-      retry_(retry),
+      opts_(opts),
       sleep_(std::move(sleep)),
-      depth_(std::move(depth)) {
+      stats_(stats),
+      scratch_(opts.checksums && num_workers == 0
+                   ? backend.geometry().block_bytes
+                   : 0) {
   const std::uint32_t D = backend_.geometry().num_disks;
-  EMCGM_CHECK_MSG(num_workers >= 1 && num_workers <= D,
-                  "executor wants 1.." << D << " workers, got "
-                                       << num_workers);
+  EMCGM_CHECK_MSG(num_workers <= D, "executor wants 0.." << D
+                                                         << " workers, got "
+                                                         << num_workers);
   queues_.reserve(num_workers);
   for (std::uint32_t w = 0; w < num_workers; ++w) {
     queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  disk_counters_.reserve(D);
-  for (std::uint32_t d = 0; d < D; ++d) {
-    disk_counters_.push_back(std::make_unique<DiskCounters>());
   }
   workers_.reserve(num_workers);
   for (std::uint32_t w = 0; w < num_workers; ++w) {
@@ -47,7 +46,23 @@ IoExecutor::~IoExecutor() {
   for (auto& t : workers_) t.join();
 }
 
-std::uint64_t IoExecutor::submit_read(std::span<const ReadSlot> slots) {
+template <typename Slot>
+std::uint64_t IoExecutor::submit(std::span<const Slot> slots) {
+  constexpr bool kWrite = std::is_same_v<Slot, WriteSlot>;
+  if (queues_.empty()) {
+    // Inline: the caller's thread moves the blocks in slot order, so the
+    // first failing slot is the canonical error, and the op is counted
+    // only once every block landed.
+    for (const Slot& s : slots) {
+      if constexpr (kWrite) {
+        transfer(s.addr, {}, s.data, scratch_, stats_);
+      } else {
+        transfer(s.addr, s.out, {}, scratch_, stats_);
+      }
+    }
+    count_op(kWrite, slots.size());
+    return 0;
+  }
   Op* op = nullptr;
   std::uint64_t seq = 0;
   {
@@ -55,23 +70,25 @@ std::uint64_t IoExecutor::submit_read(std::span<const ReadSlot> slots) {
     ops_.push_back(std::make_unique<Op>());
     op = ops_.back().get();
     op->seq = seq = next_seq_++;
-    op->is_write = false;
-    op->blocks = static_cast<std::uint32_t>(slots.size());
-    op->full_stripe = slots.size() == backend_.geometry().num_disks;
-    op->pending = op->blocks;
+    op->is_write = kWrite;
+    op->blocks = op->pending = static_cast<std::uint32_t>(slots.size());
     pending_blocks_ += slots.size();
-    if (depth_) depth_(pending_blocks_);
+    if (opts_.on_queue_depth) opts_.on_queue_depth(pending_blocks_);
   }
   const std::uint32_t W = num_workers();
   for (std::uint32_t i = 0; i < slots.size(); ++i) {
     Job job;
     job.op = op;
     job.slot = i;
-    job.disk = slots[i].addr.disk;
-    job.track = slots[i].addr.track;
-    job.is_write = false;
-    job.out = slots[i].out;
-    auto& q = *queues_[job.disk % W];
+    job.addr = slots[i].addr;
+    if constexpr (kWrite) {
+      // Write-behind: the caller's buffer may be a stack temporary (tail
+      // pads, message staging) — own a copy for the job's lifetime.
+      job.payload.assign(slots[i].data.begin(), slots[i].data.end());
+    } else {
+      job.out = slots[i].out;
+    }
+    auto& q = *queues_[job.addr.disk % W];
     {
       std::lock_guard<std::mutex> lk(q.mu);
       q.jobs.push_back(std::move(job));
@@ -81,46 +98,13 @@ std::uint64_t IoExecutor::submit_read(std::span<const ReadSlot> slots) {
   return seq;
 }
 
-std::uint64_t IoExecutor::submit_write(std::span<const WriteSlot> slots) {
-  Op* op = nullptr;
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lk(done_mu_);
-    ops_.push_back(std::make_unique<Op>());
-    op = ops_.back().get();
-    op->seq = seq = next_seq_++;
-    op->is_write = true;
-    op->blocks = static_cast<std::uint32_t>(slots.size());
-    op->full_stripe = slots.size() == backend_.geometry().num_disks;
-    op->pending = op->blocks;
-    pending_blocks_ += slots.size();
-    if (depth_) depth_(pending_blocks_);
-  }
-  const std::uint32_t W = num_workers();
-  for (std::uint32_t i = 0; i < slots.size(); ++i) {
-    Job job;
-    job.op = op;
-    job.slot = i;
-    job.disk = slots[i].addr.disk;
-    job.track = slots[i].addr.track;
-    job.is_write = true;
-    // Write-behind: the caller's buffer may be a stack temporary (striping
-    // tail pads, message staging) — own a copy for the job's lifetime.
-    job.payload.assign(slots[i].data.begin(), slots[i].data.end());
-    auto& q = *queues_[job.disk % W];
-    {
-      std::lock_guard<std::mutex> lk(q.mu);
-      q.jobs.push_back(std::move(job));
-    }
-    q.cv.notify_one();
-  }
-  return seq;
-}
+template std::uint64_t IoExecutor::submit(std::span<const ReadSlot>);
+template std::uint64_t IoExecutor::submit(std::span<const WriteSlot>);
 
 void IoExecutor::run_worker(std::uint32_t w) {
   auto& q = *queues_[w];
   std::vector<std::byte> scratch(
-      checksums_ ? backend_.geometry().block_bytes : 0);
+      opts_.checksums ? backend_.geometry().block_bytes : 0);
   for (;;) {
     Job job;
     {
@@ -132,74 +116,72 @@ void IoExecutor::run_worker(std::uint32_t w) {
       job = std::move(q.jobs.front());
       q.jobs.pop_front();
     }
+    IoStats counts;
     std::exception_ptr err;
     try {
-      execute(job, scratch, *disk_counters_[job.disk]);
+      transfer(job.addr, job.out, job.payload, scratch, counts);
     } catch (...) {
       err = std::current_exception();
     }
     {
+      // The error moves into the op: the reaping thread then holds the only
+      // reference, and releases it.
       std::lock_guard<std::mutex> lk(done_mu_);
-      if (err) job.op->errors.emplace_back(job.slot, err);
+      if (err) job.op->errors.emplace_back(job.slot, std::move(err));
+      block_counts_ += counts;
       --job.op->pending;
       --pending_blocks_;
-      if (depth_) depth_(pending_blocks_);
+      if (opts_.on_queue_depth) opts_.on_queue_depth(pending_blocks_);
     }
     done_cv_.notify_all();
   }
 }
 
-void IoExecutor::execute(Job& job, std::vector<std::byte>& scratch,
-                         DiskCounters& counters) {
-  if (!job.is_write) {
-    // Mirrors the serial DiskArray::read_one retry loop, with the counters
-    // redirected into this disk's shard.
-    for (std::uint32_t attempt = 1;; ++attempt) {
-      try {
-        if (!checksums_) {
-          backend_.read_block(job.disk, job.track, job.out);
-        } else {
-          backend_.read_block(job.disk, job.track, scratch);
-          unseal_block(job.disk, job.track, scratch, job.out);
-        }
-        return;
-      } catch (const IoError& e) {
-        if (e.kind() == IoErrorKind::kCorruption) {
-          counters.corruptions.fetch_add(1, std::memory_order_relaxed);
-          throw;
-        }
-        if (e.kind() != IoErrorKind::kTransient) throw;
-        if (attempt >= retry_.max_attempts) {
-          throw IoError(IoErrorKind::kExhausted,
-                        std::string("read gave up after ") +
-                            std::to_string(attempt) +
-                            " attempts: " + e.what());
-        }
-        counters.retries.fetch_add(1, std::memory_order_relaxed);
-        sleep_(retry_.backoff_us(attempt));
-      }
-    }
-  }
-  std::span<const std::byte> phys = job.payload;
-  if (checksums_) {
-    seal_block(job.disk, job.track, job.payload, scratch);
+void IoExecutor::transfer(BlockAddr a, std::span<std::byte> out,
+                          std::span<const std::byte> in,
+                          std::span<std::byte> scratch, IoStats& counts) {
+  const bool write = !in.empty();
+  std::span<const std::byte> phys = in;
+  if (write && opts_.checksums) {
+    seal_block(a.disk, a.track, in, scratch);
     phys = scratch;
   }
   for (std::uint32_t attempt = 1;; ++attempt) {
     try {
-      backend_.write_block(job.disk, job.track, phys);
+      if (write) {
+        backend_.write_block(a.disk, a.track, phys);
+      } else if (!opts_.checksums) {
+        backend_.read_block(a.disk, a.track, out);
+      } else {
+        backend_.read_block(a.disk, a.track, scratch);
+        unseal_block(a.disk, a.track, scratch, out);
+      }
       return;
     } catch (const IoError& e) {
+      if (e.kind() == IoErrorKind::kCorruption) counts.corruptions += 1;
       if (e.kind() != IoErrorKind::kTransient) throw;
-      if (attempt >= retry_.max_attempts) {
+      if (attempt >= opts_.retry.max_attempts) {
         throw IoError(IoErrorKind::kExhausted,
-                      std::string("write gave up after ") +
-                          std::to_string(attempt) + " attempts: " + e.what());
+                      std::string(write ? "write" : "read") +
+                          " gave up after " + std::to_string(attempt) +
+                          " attempts: " + e.what());
       }
-      counters.retries.fetch_add(1, std::memory_order_relaxed);
-      sleep_(retry_.backoff_us(attempt));
+      counts.retries += 1;
+      sleep_(opts_.retry.backoff_us(attempt));
     }
   }
+}
+
+void IoExecutor::count_op(bool is_write, std::size_t blocks) {
+  if (is_write) {
+    stats_.write_ops += 1;
+    stats_.blocks_written += blocks;
+  } else {
+    stats_.read_ops += 1;
+    stats_.blocks_read += blocks;
+  }
+  if (blocks == backend_.geometry().num_disks) stats_.full_stripe_ops += 1;
+  if (opts_.on_charge) opts_.on_charge(blocks);
 }
 
 bool IoExecutor::prefix_complete_locked(std::uint64_t ticket) const {
@@ -210,77 +192,53 @@ bool IoExecutor::prefix_complete_locked(std::uint64_t ticket) const {
   return true;
 }
 
-void IoExecutor::fold_shards_locked(IoStats& stats) {
-  std::uint64_t retries = 0, corruptions = 0;
-  for (const auto& d : disk_counters_) {
-    retries += d->retries.load(std::memory_order_relaxed);
-    corruptions += d->corruptions.load(std::memory_order_relaxed);
-  }
-  stats.retries += retries - folded_retries_;
-  stats.corruptions += corruptions - folded_corruptions_;
-  folded_retries_ = retries;
-  folded_corruptions_ = corruptions;
-}
-
-std::exception_ptr IoExecutor::reap_locked(IoStats& stats, bool count_ops) {
-  std::exception_ptr first;
-  while (!ops_.empty() && ops_.front()->pending == 0) {
-    std::unique_ptr<Op> op = std::move(ops_.front());
-    ops_.pop_front();
-    if (!first && !op->errors.empty()) {
-      // Canonically-first failure: smallest slot of the smallest op seq.
-      auto it = std::min_element(
-          op->errors.begin(), op->errors.end(),
-          [](const auto& a, const auto& b) { return a.first < b.first; });
-      first = it->second;
-    }
-    if (!first && count_ops) {
-      // Op-level stats in submission order; ops at/after the canonical
-      // error are dropped — the serial path would never have reached them.
-      if (op->is_write) {
-        stats.write_ops += 1;
-        stats.blocks_written += op->blocks;
-      } else {
-        stats.read_ops += 1;
-        stats.blocks_read += op->blocks;
-      }
-      if (op->full_stripe) stats.full_stripe_ops += 1;
-    }
-  }
-  fold_shards_locked(stats);
-  return first;
-}
-
-void IoExecutor::wait_and_reap(std::uint64_t ticket, IoStats& stats) {
-  std::exception_ptr err;
+void IoExecutor::wait(std::uint64_t ticket) {
+  if (queues_.empty()) return;  // inline ops are counted as they run
+  std::vector<std::unique_ptr<Op>> reaped;  // completed ops, in op order
+  IoStats counts;
   {
     std::unique_lock<std::mutex> lk(done_mu_);
     done_cv_.wait(lk, [&] { return prefix_complete_locked(ticket); });
-    err = reap_locked(stats, /*count_ops=*/true);
-    if (err) {
+    bool failed = false;
+    while (!ops_.empty() && ops_.front()->pending == 0) {
+      failed = failed || !ops_.front()->errors.empty();
+      reaped.push_back(std::move(ops_.front()));
+      ops_.pop_front();
+    }
+    if (failed) {
       // Quiesce fully before re-raising so the caller sees a stable array
-      // (and the error is cleared for whoever retries). Later ops lose to
-      // the canonical first error and are not counted — the serial path
-      // would never have reached them.
+      // (and the error is cleared for whoever retries).
       done_cv_.wait(lk, [&] { return pending_blocks_ == 0; });
-      (void)reap_locked(stats, /*count_ops=*/false);
+      for (auto& op : ops_) reaped.push_back(std::move(op));
       ops_.clear();
     }
+    counts = std::exchange(block_counts_, IoStats{});
   }
-  if (err) std::rethrow_exception(err);
+  // Counting and charging belong to the waiting (driving) thread; the
+  // charge probe runs outside the completion lock.
+  stats_ += counts;
+  for (const auto& op : reaped) {
+    if (!op->errors.empty()) {
+      // Canonically-first failure: smallest slot of the smallest op seq.
+      // Ops after it are dropped uncounted — inline execution would never
+      // have reached them.
+      auto it = std::min_element(
+          op->errors.begin(), op->errors.end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
+      std::rethrow_exception(it->second);
+    }
+    count_op(op->is_write, op->blocks);
+  }
 }
 
-void IoExecutor::wait(std::uint64_t ticket, IoStats& stats) {
-  wait_and_reap(ticket, stats);
-}
-
-void IoExecutor::drain(IoStats& stats) {
+void IoExecutor::drain() {
+  if (queues_.empty()) return;
   std::uint64_t last;
   {
     std::lock_guard<std::mutex> lk(done_mu_);
     last = next_seq_ - 1;
   }
-  wait_and_reap(last, stats);
+  wait(last);
 }
 
 }  // namespace emcgm::pdm

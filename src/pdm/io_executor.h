@@ -1,32 +1,33 @@
-// Asynchronous per-disk I/O executor: the engine that makes a "parallel I/O"
-// actually parallel on the wall clock.
+// The one place a DiskArray's parallel ops run: inline on the submitting
+// thread, or on per-disk worker threads that make a "parallel I/O" actually
+// parallel on the wall clock.
 //
 // The PDM cost rule says one parallel operation moves up to D blocks, one
-// per disk, at unit cost — but a serial loop over the blocks makes the wall
-// clock D× a single-block latency. The executor runs W = min(io_threads, D)
-// worker threads; worker w owns disks {d : d mod W == w} and drains one FIFO
-// submission queue per worker. Because DiskArray's occupancy mask already
+// per disk, at unit cost. With zero workers (io_threads == 0, the serial
+// case) submit() moves the op's blocks in slot order on the caller's thread
+// and counts the op before returning — no Op/Job objects, no lock. With
+// W = min(io_threads, D) workers, worker w owns disks {d : d mod W == w} and
+// drains one FIFO submission queue. Because DiskArray's occupancy mask
 // guarantees that one operation never names a disk twice, and each disk's
 // jobs execute in submission order, per-disk timelines are
 // schedule-independent: read-after-write on a disk is ordered by the FIFO,
 // and the fault injector's per-disk coin streams (fault.h) see the same
 // per-disk op sequence no matter how the workers interleave.
 //
-// Determinism contract (DESIGN.md §12):
-//   * submission order defines everything observable — op-level IoStats are
-//     applied at *reap* time in ascending op order, so counters are
-//     bit-identical to the serial path;
+// Both cases share one block routine (transfer: retry, backoff, seal and
+// unseal) and one op-count step (count_op: op-level IoStats and the charge
+// probe). Determinism contract (DESIGN.md §12):
+//   * submission order defines everything observable — the workers' ops
+//     are counted and charged at *reap* time in ascending op order, so
+//     counters and the charge stream are bit-identical to the inline case;
 //   * errors are re-raised canonically: the failure with the smallest
 //     (op sequence, slot index) wins, regardless of which worker hit an
 //     error first on the wall clock; ops submitted after the failed one are
-//     drained but not counted, matching the serial path (which would never
+//     drained but neither counted nor charged, as inline (which would never
 //     have reached them);
-//   * per-block counters (retries, corruptions) are per-disk shards owned by
-//     the workers, folded into IoStats at reap — exact whenever the array is
-//     quiescent (wait/drain returned).
-//
-// DiskArray is the only intended client; it keeps the serial path verbatim
-// when io_threads == 0.
+//   * per-block counters (retries, corruptions) are added under the
+//     completion lock as each job finishes and folded into IoStats at
+//     reap — exact whenever the array is quiescent (wait/drain returned).
 #pragma once
 
 #include <atomic>
@@ -48,51 +49,56 @@ namespace emcgm::pdm {
 
 struct ReadSlot;
 struct WriteSlot;
-struct RetryPolicy;
+struct DiskArrayOptions;
 
 class IoExecutor {
  public:
   /// Called after every submit/completion with the number of in-flight
   /// blocks, under the completion lock (so calls are serialized, but they
-  /// arrive from worker threads — the sink must be thread-safe).
+  /// arrive from worker threads — the sink must be thread-safe). Never
+  /// called with zero workers: nothing is ever in flight.
   using DepthFn = std::function<void(std::uint64_t in_flight_blocks)>;
   using SleepFn = std::function<void(std::uint64_t delay_us)>;
 
-  /// `backend` and `retry` outlive the executor. `checksums` mirrors
-  /// DiskArrayOptions.checksums: workers then carry a per-worker physical
-  /// scratch block and seal/unseal around the backend calls.
+  /// `backend`, `opts` and `stats` belong to the owning DiskArray and
+  /// outlive the executor. `opts` supplies the checksum envelope, the retry
+  /// policy and the depth/charge probes (read at each use, so the owner may
+  /// re-point on_charge between ops); `sleep` is the resolved backoff clock;
+  /// `stats` receives every count.
   IoExecutor(StorageBackend& backend, std::uint32_t num_workers,
-             bool checksums, const RetryPolicy& retry, SleepFn sleep,
-             DepthFn depth);
+             const DiskArrayOptions& opts, SleepFn sleep, IoStats& stats);
   ~IoExecutor();  ///< stops and joins workers; DiskArray drains first, so
                   ///< the queues are empty by the time this runs.
 
   IoExecutor(const IoExecutor&) = delete;
   IoExecutor& operator=(const IoExecutor&) = delete;
 
-  /// Enqueue one parallel read; buffers in `slots` must stay valid until the
-  /// returned ticket is waited on. Returns the op's sequence number.
-  std::uint64_t submit_read(std::span<const ReadSlot> slots);
-
-  /// Enqueue one parallel write; payloads are *copied* into the jobs, so the
-  /// caller's buffers may die immediately (write-behind).
-  std::uint64_t submit_write(std::span<const WriteSlot> slots);
+  /// Run one admitted parallel op (ReadSlot or WriteSlot). With zero
+  /// workers the op is done, counted and charged when this returns, and the
+  /// ticket is 0. Otherwise it is enqueued and its sequence number
+  /// returned: read buffers must stay valid until the ticket is waited on;
+  /// write payloads are *copied* into the jobs, so the caller's buffers may
+  /// die immediately (write-behind).
+  template <typename Slot>
+  std::uint64_t submit(std::span<const Slot> slots);
 
   /// Block until every op with sequence <= ticket has completed, then reap:
-  /// apply op-level stats in ascending op order and fold the per-disk retry/
-  /// corruption shards into `stats`. On error, drains everything in flight,
-  /// then re-raises the canonically-first failure (clearing it).
-  void wait(std::uint64_t ticket, IoStats& stats);
+  /// fold the per-block counters and count and charge the completed ops in
+  /// ascending op order, on the calling thread. On error, drains everything
+  /// in flight, then re-raises the canonically-first failure (clearing it).
+  /// No-op with zero workers. One thread drives an array: wait/drain are
+  /// not called concurrently with each other or with submit.
+  void wait(std::uint64_t ticket);
 
   /// wait() for everything submitted so far — the completion barrier.
-  void drain(IoStats& stats);
+  void drain();
 
   std::uint32_t num_workers() const {
     return static_cast<std::uint32_t>(queues_.size());
   }
 
   /// Blocks submitted but not yet completed (snapshot under the completion
-  /// lock; exact at quiesce points).
+  /// lock; exact at quiesce points; always 0 with zero workers).
   std::uint64_t in_flight_blocks() const {
     std::lock_guard<std::mutex> lk(done_mu_);
     return pending_blocks_;
@@ -103,7 +109,6 @@ class IoExecutor {
     std::uint64_t seq = 0;
     bool is_write = false;
     std::uint32_t blocks = 0;      ///< slots in the op
-    bool full_stripe = false;      ///< op named every disk
     std::uint32_t pending = 0;     ///< jobs not yet completed (done_mu_)
     /// (slot index, error) for every failed job; canonical order at reap.
     std::vector<std::pair<std::uint32_t, std::exception_ptr>> errors;
@@ -112,9 +117,7 @@ class IoExecutor {
   struct Job {
     Op* op = nullptr;
     std::uint32_t slot = 0;
-    std::uint32_t disk = 0;
-    std::uint64_t track = 0;
-    bool is_write = false;
+    BlockAddr addr;
     std::span<std::byte> out;        ///< read destination
     std::vector<std::byte> payload;  ///< owned write payload copy
   };
@@ -125,38 +128,31 @@ class IoExecutor {
     std::deque<Job> jobs;
   };
 
-  /// Per-disk block-level counter shards. Written only by the disk's owning
-  /// worker; atomics because reaps may fold them while *other* ops are still
-  /// executing on the disk.
-  struct DiskCounters {
-    std::atomic<std::uint64_t> retries{0};
-    std::atomic<std::uint64_t> corruptions{0};
-  };
-
+  /// Move one block: a write (non-empty `in`) or a read into `out`, with
+  /// retry/backoff for transient faults and the checksum envelope in
+  /// `scratch`. Retries and corruptions go to `counts`.
+  void transfer(BlockAddr a, std::span<std::byte> out,
+                std::span<const std::byte> in, std::span<std::byte> scratch,
+                IoStats& counts);
+  /// The op-count step: op-level IoStats plus the charge probe.
+  void count_op(bool is_write, std::size_t blocks);
   void run_worker(std::uint32_t w);
-  void execute(Job& job, std::vector<std::byte>& scratch,
-               DiskCounters& counters);
   bool prefix_complete_locked(std::uint64_t ticket) const;
-  std::exception_ptr reap_locked(IoStats& stats, bool count_ops);
-  void fold_shards_locked(IoStats& stats);
-  void wait_and_reap(std::uint64_t ticket, IoStats& stats);
 
   StorageBackend& backend_;
-  const bool checksums_;
-  const RetryPolicy& retry_;
+  const DiskArrayOptions& opts_;
   SleepFn sleep_;
-  DepthFn depth_;
+  IoStats& stats_;
+  std::vector<std::byte> scratch_;  ///< physical-block staging (inline case)
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::unique_ptr<DiskCounters>> disk_counters_;  ///< per disk
+  std::vector<std::unique_ptr<WorkerQueue>> queues_;  ///< empty = inline
 
   mutable std::mutex done_mu_;  ///< mutable: in_flight_blocks() is const
   std::condition_variable done_cv_;
   std::deque<std::unique_ptr<Op>> ops_;  ///< in-flight + unreaped, seq order
   std::uint64_t next_seq_ = 1;
   std::uint64_t pending_blocks_ = 0;
-  std::uint64_t folded_retries_ = 0;  ///< shard totals already in stats
-  std::uint64_t folded_corruptions_ = 0;
+  IoStats block_counts_;  ///< finished jobs' retries/corruptions (done_mu_)
   std::atomic<bool> stop_{false};
 
   std::vector<std::thread> workers_;  ///< last member: joins before teardown

@@ -1,102 +1,6 @@
 #include "pdm/striping.h"
 
-#include <cstring>
-
 namespace emcgm::pdm {
-
-void write_striped(DiskArray& array, TrackRegion& region, const Extent& e,
-                   std::span<const std::byte> data) {
-  EMCGM_CHECK(data.size() == e.bytes);
-  const std::size_t B = array.block_bytes();
-  const std::uint32_t D = array.num_disks();
-  const std::uint64_t blocks = e.blocks(B);
-
-  std::vector<std::byte> pad(B);  // zero-padded tail block
-  std::vector<WriteSlot> batch;
-  batch.reserve(D);
-
-  for (std::uint64_t q = 0; q < blocks; ++q) {
-    BlockAddr a = e.addr(D, q);
-    a.track = region.physical_track(a.track);
-
-    const std::size_t off = q * B;
-    std::span<const std::byte> src;
-    if (off + B <= data.size()) {
-      src = data.subspan(off, B);
-    } else {
-      std::memset(pad.data(), 0, B);
-      std::memcpy(pad.data(), data.data() + off, data.size() - off);
-      src = std::span<const std::byte>(pad);
-    }
-    batch.push_back(WriteSlot{a, src});
-
-    // Consecutive format guarantees the next D blocks hit D distinct disks,
-    // so a batch flushes exactly when it reaches D slots.
-    if (batch.size() == D || q + 1 == blocks) {
-      array.parallel_write(batch);
-      batch.clear();
-    }
-  }
-}
-
-void read_striped(DiskArray& array, TrackRegion& region, const Extent& e,
-                  std::span<std::byte> out) {
-  EMCGM_CHECK(out.size() == e.bytes);
-  const std::size_t B = array.block_bytes();
-  const std::uint32_t D = array.num_disks();
-  const std::uint64_t blocks = e.blocks(B);
-
-  std::vector<std::byte> tail(B);
-  std::vector<ReadSlot> batch;
-  batch.reserve(D);
-  bool batch_has_tail = false;
-
-  for (std::uint64_t q = 0; q < blocks; ++q) {
-    BlockAddr a = e.addr(D, q);
-    a.track = region.physical_track(a.track);
-
-    const std::size_t off = q * B;
-    if (off + B <= out.size()) {
-      batch.push_back(ReadSlot{a, out.subspan(off, B)});
-    } else {
-      batch.push_back(ReadSlot{a, std::span<std::byte>(tail)});
-      batch_has_tail = true;
-    }
-
-    if (batch.size() == D || q + 1 == blocks) {
-      array.parallel_read(batch);
-      if (batch_has_tail) {
-        const std::size_t tail_off = (blocks - 1) * B;
-        std::memcpy(out.data() + tail_off, tail.data(),
-                    out.size() - tail_off);
-        batch_has_tail = false;
-      }
-      batch.clear();
-    }
-  }
-}
-
-IoTicket read_striped_async(DiskArray& array, TrackRegion& region,
-                            const Extent& e, std::span<std::byte> out) {
-  const std::size_t B = array.block_bytes();
-  const std::uint32_t D = array.num_disks();
-  const std::uint64_t blocks = e.blocks(B);
-  EMCGM_CHECK(out.size() == blocks * B);
-
-  IoTicket last = 0;
-  std::vector<ReadSlot> batch;
-  batch.reserve(D);
-  for (std::uint64_t q = 0; q < blocks; ++q) {
-    BlockAddr a = e.addr(D, q);
-    a.track = region.physical_track(a.track);
-    batch.push_back(ReadSlot{a, out.subspan(q * B, B)});
-    if (batch.size() == D || q + 1 == blocks) {
-      last = array.parallel_read_async(batch);
-      batch.clear();
-    }
-  }
-  return last;
-}
 
 namespace {
 
@@ -126,22 +30,6 @@ std::uint64_t fifo_batch(std::uint32_t D, std::span<const Slot> slots,
   return ops;
 }
 
-}  // namespace
-
-std::uint64_t fifo_write(DiskArray& array, std::span<const WriteSlot> slots) {
-  return fifo_batch(array.num_disks(), slots, [&](auto span) {
-    array.parallel_write(span);
-  });
-}
-
-std::uint64_t fifo_read(DiskArray& array, std::span<const ReadSlot> slots) {
-  return fifo_batch(array.num_disks(), slots, [&](auto span) {
-    array.parallel_read(span);
-  });
-}
-
-namespace {
-
 template <typename Slot, typename IssueFn>
 std::uint64_t greedy_batch(std::uint32_t D, std::span<const Slot> slots,
                            IssueFn issue) {
@@ -167,16 +55,60 @@ std::uint64_t greedy_batch(std::uint32_t D, std::span<const Slot> slots,
 
 }  // namespace
 
-std::uint64_t greedy_write(DiskArray& array,
-                           std::span<const WriteSlot> slots) {
-  return greedy_batch(array.num_disks(), slots, [&](auto span) {
+// Consecutive format puts every D consecutive blocks of an extent on D
+// distinct disks, so FIFO batching cuts an extent's run exactly every D
+// blocks, in both directions.
+
+void write_striped(DiskArray& array, TrackRegion& region, const Extent& e,
+                   std::span<const std::byte> data) {
+  EMCGM_CHECK(data.size() == e.bytes);
+  const std::uint32_t D = array.num_disks();
+  std::vector<WriteSlot> slots;
+  std::vector<std::vector<std::byte>> pads;
+  append_block_slots(
+      data, array.block_bytes(),
+      [&](std::uint64_t q) { return extent_block(region, e, D, q); }, slots,
+      pads);
+  fifo_write(array, slots);
+}
+
+IoTicket read_striped_async(DiskArray& array, TrackRegion& region,
+                            const Extent& e, std::span<std::byte> out) {
+  const std::size_t B = array.block_bytes();
+  const std::uint32_t D = array.num_disks();
+  const std::uint64_t blocks = e.blocks(B);
+  EMCGM_CHECK(out.size() == blocks * B);
+  std::vector<ReadSlot> slots;
+  slots.reserve(blocks);
+  for (std::uint64_t q = 0; q < blocks; ++q) {
+    slots.push_back(
+        ReadSlot{extent_block(region, e, D, q), out.subspan(q * B, B)});
+  }
+  IoTicket last = 0;
+  fifo_batch(D, std::span<const ReadSlot>(slots),
+             [&](auto span) { last = array.parallel_read_async(span); });
+  return last;
+}
+
+std::vector<std::byte> read_striped(DiskArray& array, TrackRegion& region,
+                                    const Extent& e) {
+  std::vector<std::byte> out(e.blocks(array.block_bytes()) *
+                             array.block_bytes());
+  array.wait(read_striped_async(array, region, e, out));
+  out.resize(e.bytes);
+  return out;
+}
+
+std::uint64_t fifo_write(DiskArray& array, std::span<const WriteSlot> slots) {
+  return fifo_batch(array.num_disks(), slots, [&](auto span) {
     array.parallel_write(span);
   });
 }
 
-std::uint64_t greedy_read(DiskArray& array, std::span<const ReadSlot> slots) {
+std::uint64_t greedy_write(DiskArray& array,
+                           std::span<const WriteSlot> slots) {
   return greedy_batch(array.num_disks(), slots, [&](auto span) {
-    array.parallel_read(span);
+    array.parallel_write(span);
   });
 }
 

@@ -1,5 +1,5 @@
-// Striped ("consecutive format") layout helpers and the FIFO write/read
-// batching discipline of the paper's DiskWrite procedure.
+// Striped ("consecutive format") layout helpers, the FIFO write batching of
+// the paper's DiskWrite procedure, and the order-free greedy batching.
 //
 // TrackSpace / TrackRegion carve the single unbounded track space of a
 // DiskArray into independent regions (context store, message matrix, user
@@ -10,6 +10,7 @@
 // the paper's footnote-2 scheme.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -54,10 +55,6 @@ class TrackRegion {
     return chunks_[chunk] + ltrack % chunk_tracks_;
   }
 
-  std::uint64_t tracks_reserved() const {
-    return chunks_.size() * chunk_tracks_;
-  }
-
  private:
   TrackSpace* space_;
   std::uint64_t chunk_tracks_;
@@ -80,6 +77,34 @@ struct Extent {
     return consecutive_addr(D, start_disk, start_track, q);
   }
 };
+
+/// Physical address of block q of extent e inside `region`.
+inline BlockAddr extent_block(TrackRegion& region, const Extent& e,
+                              std::uint32_t D, std::uint64_t q) {
+  BlockAddr a = e.addr(D, q);
+  a.track = region.physical_track(a.track);
+  return a;
+}
+
+/// Cut `data` into one write slot per block, block q at addr(q). A partial
+/// last block is zero-padded in a buffer appended to `pads`, which must
+/// outlive the slots.
+template <typename AddrFn>
+void append_block_slots(std::span<const std::byte> data, std::size_t B,
+                        AddrFn&& addr, std::vector<WriteSlot>& slots,
+                        std::vector<std::vector<std::byte>>& pads) {
+  for (std::size_t off = 0; off < data.size(); off += B) {
+    std::span<const std::byte> src = data.subspan(off);
+    if (src.size() >= B) {
+      src = src.first(B);
+    } else {
+      auto& pad = pads.emplace_back(B);
+      std::copy(src.begin(), src.end(), pad.begin());
+      src = pad;
+    }
+    slots.push_back(WriteSlot{addr(off / B), src});
+  }
+}
 
 /// Bump allocator of extents within one region, tracking the global block
 /// cursor so consecutive allocations continue the stripe seamlessly
@@ -120,31 +145,23 @@ class StripeCursor {
 void write_striped(DiskArray& array, TrackRegion& region, const Extent& e,
                    std::span<const std::byte> data);
 
-/// Read an extent previously written with write_striped. out.size() must be
-/// e.bytes.
-void read_striped(DiskArray& array, TrackRegion& region, const Extent& e,
-                  std::span<std::byte> out);
-
-/// Async (prefetch) variant of read_striped: issues the same batches through
-/// parallel_read_async and returns the last ticket. `out` must hold whole
-/// blocks — e.blocks(B) * B bytes — so no tail staging is needed; the caller
-/// trims to e.bytes after waiting. In serial mode the reads execute
-/// immediately and the returned ticket is already complete.
+/// Submit the reads of an extent previously written with write_striped in
+/// the same batches, without waiting, and return the last ticket. `out`
+/// must hold whole blocks — e.blocks(B) * B bytes — so no tail staging is
+/// needed; the bytes past e.bytes are the zero padding. Serially the reads
+/// execute immediately and the returned ticket is already complete.
 IoTicket read_striped_async(DiskArray& array, TrackRegion& region,
                             const Extent& e, std::span<std::byte> out);
 
-/// Async variant of greedy_read: same batching, submitted without waiting.
-/// Returns the last ticket (0 when slots is empty or in serial mode).
-IoTicket greedy_read_async(DiskArray& array, std::span<const ReadSlot> slots);
+/// read_striped_async plus wait: the extent's e.bytes bytes.
+std::vector<std::byte> read_striped(DiskArray& array, TrackRegion& region,
+                                    const Extent& e);
 
 /// FIFO batched write, per the paper's DiskWrite procedure: slots are
 /// serviced strictly in order; a parallel op accumulates slots until one
 /// conflicts (same disk) with an earlier slot of the op or the op holds D
 /// blocks. Returns the number of parallel ops issued.
 std::uint64_t fifo_write(DiskArray& array, std::span<const WriteSlot> slots);
-
-/// FIFO batched read with the same discipline.
-std::uint64_t fifo_read(DiskArray& array, std::span<const ReadSlot> slots);
 
 /// Order-free batched write: slots are grouped into parallel ops by pulling
 /// one pending block per disk per op (round-robin over per-disk queues).
@@ -153,7 +170,8 @@ std::uint64_t fifo_read(DiskArray& array, std::span<const ReadSlot> slots);
 /// FIFO order would conflict needlessly.
 std::uint64_t greedy_write(DiskArray& array, std::span<const WriteSlot> slots);
 
-/// Order-free batched read with the same grouping.
-std::uint64_t greedy_read(DiskArray& array, std::span<const ReadSlot> slots);
+/// Order-free batched read with greedy_write's grouping, submitted without
+/// waiting. Returns the last ticket (0 when slots is empty or serially).
+IoTicket greedy_read_async(DiskArray& array, std::span<const ReadSlot> slots);
 
 }  // namespace emcgm::pdm

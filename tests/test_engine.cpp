@@ -4,8 +4,10 @@
 // O(N/(pDB)) I/O linearity of the simulated sort.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <numeric>
 #include <optional>
+#include <thread>
 
 #include "algo/sort.h"
 #include "cgm/machine.h"
@@ -19,10 +21,17 @@ using namespace emcgm;
 
 namespace {
 
-pdm::DiskArray make_array(std::uint32_t D, std::size_t B) {
+pdm::DiskArray make_array(std::uint32_t D, std::size_t B,
+                          std::uint32_t io_threads = 0) {
+  pdm::DiskArrayOptions opts;
+  opts.io_threads = io_threads;
   return pdm::DiskArray(
-      std::make_unique<pdm::MemoryBackend>(pdm::DiskGeometry{D, B}));
+      std::make_unique<pdm::MemoryBackend>(pdm::DiskGeometry{D, B}), opts);
 }
+
+// The store tests run on both array paths: every op inline on the calling
+// thread (io_threads 0) and on executor workers with write-behind (2).
+constexpr std::uint32_t kArrayPaths[] = {0, 2};
 
 std::vector<std::byte> blob(std::size_t n, std::uint8_t seed) {
   std::vector<std::byte> v(n);
@@ -37,18 +46,28 @@ std::vector<std::byte> blob(std::size_t n, std::uint8_t seed) {
 // ----------------------------------------------------------- ContextStore --
 
 TEST(ContextStore, RoundTripsVaryingSizes) {
-  auto a = make_array(4, 128);
-  pdm::TrackSpace space;
-  em::ContextStore store(a, space, 3);
-  for (int step = 0; step < 5; ++step) {
-    std::vector<std::vector<std::byte>> ctxs;
-    for (std::uint32_t j = 0; j < 3; ++j) {
-      ctxs.push_back(blob(17 + 97 * j * (step + 1), static_cast<std::uint8_t>(step * 3 + j)));
-      store.write(j, ctxs.back());
-    }
-    store.flip();
-    for (std::uint32_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(store.read(j), ctxs[j]) << "step " << step << " proc " << j;
+  // Plain read() and prefetch()-then-read() must return the same bytes.
+  for (std::uint32_t T : kArrayPaths) {
+    for (bool prefetch : {false, true}) {
+      SCOPED_TRACE("io_threads=" + std::to_string(T) +
+                   (prefetch ? " prefetch" : " read"));
+      auto a = make_array(4, 128, T);
+      pdm::TrackSpace space;
+      em::ContextStore store(a, space, 3);
+      for (int step = 0; step < 5; ++step) {
+        std::vector<std::vector<std::byte>> ctxs;
+        for (std::uint32_t j = 0; j < 3; ++j) {
+          ctxs.push_back(blob(17 + 97 * j * (step + 1), static_cast<std::uint8_t>(step * 3 + j)));
+          store.write(j, ctxs.back());
+        }
+        store.flip();
+        if (prefetch) {
+          for (std::uint32_t j = 0; j < 3; ++j) store.prefetch(j);
+        }
+        for (std::uint32_t j = 0; j < 3; ++j) {
+          EXPECT_EQ(store.read(j), ctxs[j]) << "step " << step << " proc " << j;
+        }
+      }
     }
   }
 }
@@ -85,63 +104,75 @@ TEST(ContextStore, StripedIoIsFullyParallel) {
 
 // ----------------------------------------------------------- MessageStore --
 
+// Parameterized over the layout; each test also runs on both array paths
+// (kArrayPaths), in-body so the suite's test names stay put.
 class MessageStoreSuite : public ::testing::TestWithParam<cgm::MsgLayout> {};
 
 TEST_P(MessageStoreSuite, DeliversAcrossSupersteps) {
-  auto a = make_array(4, 64);
-  pdm::TrackSpace space;
-  em::MessageStoreConfig cfg;
-  cfg.v = 4;
-  cfg.local_base = 0;
-  cfg.nlocal = 4;
-  cfg.slot_bytes = 512;
-  auto store = em::make_message_store(GetParam(), a, space, cfg);
+  for (std::uint32_t T : kArrayPaths) {
+    SCOPED_TRACE("io_threads=" + std::to_string(T));
+    auto a = make_array(4, 64, T);
+    pdm::TrackSpace space;
+    em::MessageStoreConfig cfg;
+    cfg.v = 4;
+    cfg.local_base = 0;
+    cfg.nlocal = 4;
+    cfg.slot_bytes = 512;
+    auto store = em::make_message_store(GetParam(), a, space, cfg);
 
-  std::vector<cgm::Message> batch;
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    for (std::uint32_t d = 0; d < 4; ++d) {
-      batch.push_back(cgm::Message{s, d, blob(30 + 40 * s + d, static_cast<std::uint8_t>(s * 4 + d))});
-    }
-  }
-  store->write_messages(batch);
-  store->flip();
-  for (std::uint32_t d = 0; d < 4; ++d) {
-    auto in = store->read_incoming(d);
-    ASSERT_EQ(in.size(), 4u);
+    std::vector<cgm::Message> batch;
     for (std::uint32_t s = 0; s < 4; ++s) {
-      EXPECT_EQ(in[s].src, s);
-      EXPECT_EQ(in[s].payload, blob(30 + 40 * s + d, static_cast<std::uint8_t>(s * 4 + d)));
+      for (std::uint32_t d = 0; d < 4; ++d) {
+        batch.push_back(cgm::Message{s, d, blob(30 + 40 * s + d, static_cast<std::uint8_t>(s * 4 + d))});
+      }
+    }
+    store->write_messages(batch);
+    store->flip();
+    for (std::uint32_t d = 0; d < 4; ++d) {
+      if (d % 2 == 1) store->prefetch_incoming(d);  // both read paths
+      auto in = store->read_incoming(d);
+      ASSERT_EQ(in.size(), 4u);
+      for (std::uint32_t s = 0; s < 4; ++s) {
+        EXPECT_EQ(in[s].src, s);
+        EXPECT_EQ(in[s].payload, blob(30 + 40 * s + d, static_cast<std::uint8_t>(s * 4 + d)));
+      }
     }
   }
 }
 
 TEST_P(MessageStoreSuite, EmptyAndConsumedInboxes) {
-  auto a = make_array(2, 64);
-  pdm::TrackSpace space;
-  em::MessageStoreConfig cfg;
-  cfg.v = 2;
-  cfg.nlocal = 2;
-  cfg.slot_bytes = 256;
-  auto store = em::make_message_store(GetParam(), a, space, cfg);
-  EXPECT_TRUE(store->read_incoming(0).empty());
-  std::vector<cgm::Message> batch{cgm::Message{0, 1, blob(20, 9)}};
-  store->write_messages(batch);
-  store->flip();
-  EXPECT_EQ(store->read_incoming(1).size(), 1u);
-  EXPECT_TRUE(store->read_incoming(1).empty());  // consumed
+  for (std::uint32_t T : kArrayPaths) {
+    SCOPED_TRACE("io_threads=" + std::to_string(T));
+    auto a = make_array(2, 64, T);
+    pdm::TrackSpace space;
+    em::MessageStoreConfig cfg;
+    cfg.v = 2;
+    cfg.nlocal = 2;
+    cfg.slot_bytes = 256;
+    auto store = em::make_message_store(GetParam(), a, space, cfg);
+    EXPECT_TRUE(store->read_incoming(0).empty());
+    std::vector<cgm::Message> batch{cgm::Message{0, 1, blob(20, 9)}};
+    store->write_messages(batch);
+    store->flip();
+    EXPECT_EQ(store->read_incoming(1).size(), 1u);
+    EXPECT_TRUE(store->read_incoming(1).empty());  // consumed
+  }
 }
 
 TEST_P(MessageStoreSuite, RejectsNonLocalDestination) {
-  auto a = make_array(2, 64);
-  pdm::TrackSpace space;
-  em::MessageStoreConfig cfg;
-  cfg.v = 4;
-  cfg.local_base = 2;
-  cfg.nlocal = 2;
-  cfg.slot_bytes = 256;
-  auto store = em::make_message_store(GetParam(), a, space, cfg);
-  std::vector<cgm::Message> batch{cgm::Message{0, 0, blob(8, 1)}};
-  EXPECT_THROW(store->write_messages(batch), Error);
+  for (std::uint32_t T : kArrayPaths) {
+    SCOPED_TRACE("io_threads=" + std::to_string(T));
+    auto a = make_array(2, 64, T);
+    pdm::TrackSpace space;
+    em::MessageStoreConfig cfg;
+    cfg.v = 4;
+    cfg.local_base = 2;
+    cfg.nlocal = 2;
+    cfg.slot_bytes = 256;
+    auto store = em::make_message_store(GetParam(), a, space, cfg);
+    std::vector<cgm::Message> batch{cgm::Message{0, 0, blob(8, 1)}};
+    EXPECT_THROW(store->write_messages(batch), Error);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, MessageStoreSuite,
@@ -299,6 +330,21 @@ TEST(EmEngine, MemoryLimitEnforced) {
   cgm::Machine m(cgm::EngineKind::kEm, cfg);
   auto keys = random_keys(3, 8192);
   EXPECT_THROW(algo::sort_keys(m, keys), Error);
+  // On executor workers with a deep prefetch window the failed pass leaves
+  // reads in flight — slowed here by retried transient faults — and
+  // tearing the engine down must wait for them before the stores free
+  // their buffers (the sanitizer build checks the teardown).
+  cfg.v = 16;
+  cfg.disk.block_bytes = 128;
+  cfg.io_threads = 4;
+  cfg.prefetch_depth = 8;
+  cfg.fault.transient_read_prob = 0.2;
+  cfg.retry.max_attempts = 1000;
+  cfg.retry.sleep = [](std::uint64_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  };
+  cgm::Machine async(cgm::EngineKind::kEm, cfg);
+  EXPECT_THROW(algo::sort_keys(async, keys), Error);
 }
 
 TEST(EmEngine, BalancedRoutingDoublesCommSteps) {

@@ -612,6 +612,41 @@ TEST(Checkpoint, SingleCopyMatrixIncompatibleWithCheckpointing) {
   EXPECT_THROW(cfg.validate(), Error);
 }
 
+namespace {
+
+// The single-copy matrix exists only in the staggered layout, and only for
+// the sequential simulation: validate() rejects both misuses up front with
+// a typed kConfig, before an engine is built.
+void expect_config_error(const cgm::MachineConfig& cfg) {
+  try {
+    cfg.validate();
+    ADD_FAILURE() << "expected IoError(kConfig)";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), IoErrorKind::kConfig) << e.what();
+  }
+  EXPECT_THROW(em::EmEngine{cfg}, IoError);
+}
+
+}  // namespace
+
+TEST(Checkpoint, SingleCopyMatrixRequiresStaggeredLayout) {
+  cgm::MachineConfig cfg;
+  cfg.v = 4;
+  cfg.layout = cgm::MsgLayout::kChained;
+  cfg.single_copy_matrix = true;
+  expect_config_error(cfg);
+}
+
+TEST(Checkpoint, SingleCopyMatrixRequiresOneRealProcessor) {
+  cgm::MachineConfig cfg;
+  cfg.v = 4;
+  cfg.p = 2;
+  cfg.layout = cgm::MsgLayout::kStaggeredMatrix;
+  cfg.staggered_slot_bytes = 1 << 12;
+  cfg.single_copy_matrix = true;
+  expect_config_error(cfg);
+}
+
 // ----------------------------------------------- membership (rejoin) sweep --
 
 TEST(MembershipSweep, KillRejoinKillBitIdenticalAcrossModes) {

@@ -199,8 +199,7 @@ TEST_P(BackendSuite, StripingExtentRoundTripAndOpCount) {
   write_striped(*a, region, e, data);
   a->drain();
   EXPECT_EQ(a->stats().write_ops, 3u);
-  std::vector<std::byte> out(data.size());
-  read_striped(*a, region, e, out);
+  const auto out = read_striped(*a, region, e);
   EXPECT_EQ(a->stats().read_ops, 3u);
   EXPECT_EQ(out, data);
 }

@@ -165,17 +165,23 @@ TEST(PdmAsync, AutoThreadsResolvesAndWorks) {
 
 TEST(PdmAsync, CanonicalErrorMatchesSerial) {
   // Retry exhaustion on one specific per-disk read index must surface with
-  // the identical exception kind, message, and retry count in both modes.
+  // the identical exception kind, message, and retry count in both modes —
+  // and the charge probe must see exactly the counted blocks: the failed
+  // op is charged nowhere, in either mode.
   FaultPlan plan;
   plan.transient_read_at = 2;  // disk 1's second read, below
   plan.transient_burst = 100;
   std::string msgs[2];
   IoStats stats[2];
+  std::uint64_t charged[2] = {0, 0};
   int i = 0;
   for (std::uint32_t T : {0u, 4u}) {
     DiskArrayOptions opts;
     opts.retry.max_attempts = 3;
     opts.io_threads = T;
+    opts.on_charge = [&charged, i](std::uint64_t blocks) {
+      charged[i] += blocks;
+    };
     auto a = make_disk_array(BackendKind::kMemory, DiskGeometry{4, 128}, "",
                              opts, plan);
     const auto data = pattern(128, 3);
@@ -201,10 +207,12 @@ TEST(PdmAsync, CanonicalErrorMatchesSerial) {
       msgs[i] = e.what();
     }
     stats[i] = a->stats();
+    EXPECT_EQ(charged[i], stats[i].total_blocks()) << "io_threads=" << T;
     ++i;
   }
   EXPECT_EQ(msgs[0], msgs[1]);
   EXPECT_EQ(stats[0], stats[1]);
+  EXPECT_EQ(charged[0], charged[1]);
 }
 
 TEST(PdmAsync, CrashSurfacesIdenticallyToSerial) {
@@ -449,4 +457,45 @@ TEST(PdmAsync, PrefetchDepthInvisibleUnderThreadsAndFaults) {
   const auto ref = run_engine(cfg, 2);
   cfg.prefetch_depth = 4;
   expect_same(ref, run_engine(cfg, 2), "prefetch_depth=4 threaded+faults");
+}
+
+TEST(PdmAsync, CooperativeCallsChargeWhatTheyCounted) {
+  // The job service drains an engine's charge account after every
+  // cooperative call, so each call must be charged exactly the blocks it
+  // counted — start() included, whose context writes are write-behind —
+  // and the per-call charge sequence may not depend on io_threads.
+  cgm::MachineConfig cfg;
+  cfg.v = 4;
+  cfg.p = 2;
+  cfg.disk.num_disks = 4;
+  cfg.disk.block_bytes = 128;
+  cfg.layout = cgm::MsgLayout::kChained;
+  cfg.net.enabled = true;
+  cfg.seed = 7;
+  std::vector<std::uint64_t> per_call[2];
+  int i = 0;
+  for (std::uint32_t T : {0u, 4u}) {
+    cfg.io_threads = T;
+    em::EmEngine e(cfg);
+    std::uint64_t charged = 0;
+    e.set_io_charge_hook([&charged](std::uint64_t blocks) {
+      charged += blocks;
+    });
+    auto counted = [&] {
+      return e.io_stats(0).total_blocks() + e.io_stats(1).total_blocks();
+    };
+    algo::SampleSortProgram<std::uint64_t> prog;
+    e.start(prog, keyed_inputs(cfg.v, 2000));
+    bool more = true;
+    while (more) {
+      EXPECT_EQ(charged, counted()) << "io_threads=" << T;
+      per_call[i].push_back(charged);
+      more = e.step();
+    }
+    e.finish();
+    EXPECT_EQ(charged, counted()) << "io_threads=" << T;
+    per_call[i].push_back(charged);
+    ++i;
+  }
+  EXPECT_EQ(per_call[0], per_call[1]);
 }
