@@ -15,8 +15,7 @@ namespace emcgm::algo {
 
 struct PermuteState {
   std::uint32_t phase = 0;
-  void save(WriteArchive& ar) const { ar.put(phase); }
-  void load(ReadArchive& ar) { phase = ar.get<std::uint32_t>(); }
+  auto fields() { return std::tie(phase); }
 };
 
 /// Permute N items: item at global position i moves to global position
@@ -56,29 +55,9 @@ void PermuteProgram<T>::round(cgm::ProcCtx& ctx, PermuteState& st) const {
       for (std::uint32_t j = 0; j < v; ++j) ctx.send_vec(j, by_dst[j]);
       break;
     }
-    case 1: {  // place received items at their local offsets
-      const std::uint64_t base = chunk_begin(total_, v, ctx.pid());
-      const std::uint64_t mine = chunk_size(total_, v, ctx.pid());
-      std::vector<T> out(static_cast<std::size_t>(mine));
-      std::vector<char> seen(static_cast<std::size_t>(mine), 0);
-      std::uint64_t received = 0;
-      for (const auto& m : ctx.inbox()) {
-        for (const auto& t : bytes_to_vec<prim::Tagged<T>>(m.payload)) {
-          const std::uint64_t local = t.idx - base;
-          EMCGM_CHECK_MSG(local < mine, "misrouted permutation item");
-          EMCGM_CHECK_MSG(!seen[local],
-                          "duplicate permutation target " << t.idx);
-          seen[static_cast<std::size_t>(local)] = 1;
-          out[static_cast<std::size_t>(local)] = t.val;
-          ++received;
-        }
-      }
-      EMCGM_CHECK_MSG(received == mine,
-                      "permutation is not onto: processor " << ctx.pid()
-                          << " received " << received << " of " << mine);
-      ctx.set_output(out, 0);
+    case 1:  // place received items at their local offsets
+      ctx.set_output(prim::place_tagged<T>(ctx, total_), 0);
       break;
-    }
     default:
       EMCGM_CHECK_MSG(false, "cgm_permute ran past its final round");
   }

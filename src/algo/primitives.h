@@ -1,11 +1,15 @@
 // Communication idioms used inside CGM program rounds: broadcast,
-// (all-)gather, personalized all-to-all, and index-tagged routing. Each of
-// these is one h-relation; host programs sequence them through their phase
-// machines, so the helpers themselves are stateless.
+// (all-)gather, personalized all-to-all, regular sampling, and index-tagged
+// routing. Each of these is one h-relation; host programs sequence them
+// through their phase machines, so the helpers themselves are stateless.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cgm/proc_ctx.h"
@@ -39,12 +43,96 @@ std::vector<std::vector<T>> recv_by_src(const cgm::ProcCtx& ctx) {
   return out;
 }
 
+/// Regular sampling: v samples at positions k*n/v of a sorted local run
+/// (none when the run is empty).
+template <typename T>
+std::vector<T> regular_samples(const std::vector<T>& sorted, std::uint32_t v) {
+  std::vector<T> samples;
+  if (sorted.empty()) return samples;
+  samples.reserve(v);
+  for (std::uint32_t k = 0; k < v; ++k) {
+    samples.push_back(sorted[static_cast<std::size_t>(k) * sorted.size() / v]);
+  }
+  return samples;
+}
+
+/// Sort the gathered regular samples and pick v-1 splitters at positions
+/// ceil((k+1)m/v)-1 (none when no samples arrived).
+template <typename T, typename Less = std::less<>>
+std::vector<T> pick_splitters(std::vector<T> samples, std::uint32_t v,
+                              Less less = {}) {
+  std::sort(samples.begin(), samples.end(), less);
+  std::vector<T> spl;
+  if (samples.empty()) return spl;
+  spl.reserve(v - 1);
+  for (std::uint32_t k = 0; k + 1 < v; ++k) {
+    const std::uint64_t pos =
+        ceil_div(static_cast<std::uint64_t>(k + 1) * samples.size(), v) - 1;
+    spl.push_back(samples[static_cast<std::size_t>(pos)]);
+  }
+  return spl;
+}
+
+/// The slab processor j owns between the v-1 splitters of pick_splitters:
+/// [spl[j-1], spl[j]), unbounded at either end of the line, and the whole
+/// line when there are no splitters.
+inline std::pair<double, double> slab(const std::vector<double>& spl,
+                                      std::uint32_t j, std::uint32_t v) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return {j == 0 || spl.empty() ? -kInf : spl[j - 1],
+          j + 1 < v && !spl.empty() ? spl[j] : kInf};
+}
+
+/// Copy each item spanning [x1, x2] into every slab it overlaps: slabs
+/// upper_bound(x1) .. lower_bound(x2) of the splitters.
+template <typename T>
+std::vector<std::vector<T>> split_by_slab(const std::vector<T>& items,
+                                          const std::vector<double>& spl,
+                                          std::uint32_t v) {
+  std::vector<std::vector<T>> out(v);
+  for (const auto& item : items) {
+    const auto first = static_cast<std::uint32_t>(
+        std::upper_bound(spl.begin(), spl.end(), item.x1) - spl.begin());
+    const auto last = static_cast<std::uint32_t>(
+        std::lower_bound(spl.begin(), spl.end(), item.x2) - spl.begin());
+    for (std::uint32_t s = first; s <= last && s < v; ++s) {
+      out[s].push_back(item);
+    }
+  }
+  return out;
+}
+
 /// An item routed by explicit global index (CGMPermute-style traffic).
 template <typename T>
 struct Tagged {
   std::uint64_t idx;
   T val;
 };
+
+/// Place the received index-tagged items at their offsets in this
+/// processor's chunk of a total-item vector; every index of the chunk must
+/// arrive exactly once.
+template <typename T>
+std::vector<T> place_tagged(const cgm::ProcCtx& ctx, std::uint64_t total) {
+  const std::uint64_t base = chunk_begin(total, ctx.nprocs(), ctx.pid());
+  const auto mine = static_cast<std::size_t>(
+      chunk_size(total, ctx.nprocs(), ctx.pid()));
+  std::vector<T> out(mine);
+  std::vector<char> seen(mine, 0);
+  std::size_t received = 0;
+  for (const auto& t : ctx.recv_concat<Tagged<T>>()) {
+    const std::uint64_t local = t.idx - base;
+    EMCGM_CHECK_MSG(local < mine && !seen[local],
+                    "misrouted or duplicate target index " << t.idx);
+    seen[local] = 1;
+    out[local] = t.val;
+    ++received;
+  }
+  EMCGM_CHECK_MSG(received == mine, "targets are not onto: processor "
+                                        << ctx.pid() << " received "
+                                        << received << " of " << mine);
+  return out;
+}
 
 /// Exclusive prefix sum of a dense per-processor value table (the second
 /// half of the canonical two-round CGM scan: all-gather the v totals, then

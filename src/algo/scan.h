@@ -16,14 +16,7 @@ struct ScanState {
   std::uint32_t phase = 0;
   std::vector<std::int64_t> data;
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(data);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    data = ar.get_vec<std::int64_t>();
-  }
+  auto fields() { return std::tie(phase, data); }
 };
 
 /// Inclusive or exclusive prefix sums over int64 (lambda = 2).

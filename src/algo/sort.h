@@ -41,20 +41,7 @@ struct SampleSortState {
   std::uint64_t total = 0;
   std::uint64_t my_offset = 0;
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(data);
-    ar.put_vec(splitters);
-    ar.put(total);
-    ar.put(my_offset);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    data = ar.get_vec<WithId<T>>();
-    splitters = ar.get_vec<WithId<T>>();
-    total = ar.get<std::uint64_t>();
-    my_offset = ar.get<std::uint64_t>();
-  }
+  auto fields() { return std::tie(phase, data, splitters, total, my_offset); }
 };
 
 template <typename T, typename Less = std::less<T>>
@@ -75,33 +62,13 @@ class SampleSortProgram final : public cgm::ProgramT<SampleSortState<T>> {
               raw[i], static_cast<std::uint64_t>(i) * v + ctx.pid()});
         }
         std::sort(st.data.begin(), st.data.end(), cmp());
-        std::vector<WithId<T>> samples;
-        if (!st.data.empty()) {
-          samples.reserve(v);
-          for (std::uint32_t k = 0; k < v; ++k) {
-            samples.push_back(
-                st.data[static_cast<std::size_t>(k) * st.data.size() / v]);
-          }
-        }
-        ctx.send_vec(0, samples);
+        ctx.send_vec(0, prim::regular_samples(st.data, v));
         break;
       }
       case 1: {  // processor 0 chooses and broadcasts splitters
         if (ctx.pid() == 0) {
-          auto samples = ctx.recv_concat<WithId<T>>();
-          std::sort(samples.begin(), samples.end(), cmp());
-          std::vector<WithId<T>> spl;
-          if (!samples.empty()) {
-            spl.reserve(v - 1);
-            for (std::uint32_t k = 0; k + 1 < v; ++k) {
-              const std::size_t pos =
-                  ceil_div(static_cast<std::uint64_t>(k + 1) * samples.size(),
-                           v) -
-                  1;
-              spl.push_back(samples[pos]);
-            }
-          }
-          prim::send_all(ctx, spl);
+          prim::send_all(ctx, prim::pick_splitters(
+                                  ctx.recv_concat<WithId<T>>(), v, cmp()));
         }
         break;
       }
@@ -122,9 +89,6 @@ class SampleSortProgram final : public cgm::ProgramT<SampleSortState<T>> {
               k, std::span<const WithId<T>>(st.data.data() + begin,
                                             end - begin));
           begin = end;
-          if (begin == st.data.size() && k + 1 >= st.splitters.size()) {
-            // remaining buckets are empty
-          }
         }
         st.data.clear();
         st.data.shrink_to_fit();

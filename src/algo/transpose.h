@@ -15,8 +15,7 @@ namespace emcgm::algo {
 
 struct TransposeState {
   std::uint32_t phase = 0;
-  void save(WriteArchive& ar) const { ar.put(phase); }
-  void load(ReadArchive& ar) { phase = ar.get<std::uint32_t>(); }
+  auto fields() { return std::tie(phase); }
 };
 
 template <typename T>
@@ -44,22 +43,9 @@ class TransposeProgram final : public cgm::ProgramT<TransposeState> {
         for (std::uint32_t j = 0; j < v; ++j) ctx.send_vec(j, by_dst[j]);
         break;
       }
-      case 1: {
-        const std::uint64_t base = chunk_begin(total_, v, ctx.pid());
-        const std::uint64_t mine = chunk_size(total_, v, ctx.pid());
-        std::vector<T> out(static_cast<std::size_t>(mine));
-        std::uint64_t received = 0;
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& t : bytes_to_vec<prim::Tagged<T>>(m.payload)) {
-            EMCGM_CHECK(t.idx >= base && t.idx - base < mine);
-            out[static_cast<std::size_t>(t.idx - base)] = t.val;
-            ++received;
-          }
-        }
-        EMCGM_CHECK(received == mine);
-        ctx.set_output(out, 0);
+      case 1:
+        ctx.set_output(prim::place_tagged<T>(ctx, total_), 0);
         break;
-      }
       default:
         EMCGM_CHECK_MSG(false, "cgm_transpose ran past its final round");
     }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -50,15 +51,19 @@ class ProcCtx {
 
   /// All inbox payloads concatenated (in source order) as items of type T.
   template <typename T>
+    requires std::is_trivially_copyable_v<T>
   std::vector<T> recv_concat() const {
     std::size_t bytes = 0;
-    for (const auto& m : inbox_) bytes += m.payload.size();
-    EMCGM_CHECK(bytes % sizeof(T) == 0);
-    std::vector<T> out;
-    out.reserve(bytes / sizeof(T));
     for (const auto& m : inbox_) {
-      auto v = bytes_to_vec<T>(m.payload);
-      out.insert(out.end(), v.begin(), v.end());
+      EMCGM_CHECK(m.payload.size() % sizeof(T) == 0);
+      bytes += m.payload.size();
+    }
+    std::vector<T> out(bytes / sizeof(T));
+    auto* dst = reinterpret_cast<std::byte*>(out.data());
+    for (const auto& m : inbox_) {
+      if (m.payload.empty()) continue;  // its data() may be null
+      std::memcpy(dst, m.payload.data(), m.payload.size());
+      dst += m.payload.size();
     }
     return out;
   }

@@ -33,7 +33,8 @@ class Program {
 
   virtual std::unique_ptr<ProcState> make_state() const = 0;
 
-  /// One compound superstep: consume ctx.inbox(), compute, ctx.send(...).
+  /// One compound superstep: read the inbox through the ProcCtx readers
+  /// (recv_concat, recv_from, prim::recv_by_src), compute, ctx.send(...).
   /// At superstep 0 the inbox is empty and ctx.input(k) is available; the
   /// program must absorb inputs into its state during round 0.
   virtual void round(ProcCtx& ctx, ProcState& state) const = 0;
@@ -46,7 +47,9 @@ class Program {
 };
 
 /// Convenience adaptor: programs with a concrete state type S providing
-/// default construction plus save(WriteArchive&) const / load(ReadArchive&).
+/// default construction plus `auto fields()`, a std::tie of its members in
+/// archive order. Both directions of the context encoding derive from that
+/// one list (WriteArchive::put_fields / ReadArchive::get_fields).
 template <typename S>
 class ProgramT : public Program {
  public:
@@ -68,8 +71,12 @@ class ProgramT : public Program {
  private:
   struct Wrap final : ProcState {
     S s{};
-    void save(WriteArchive& ar) const override { s.save(ar); }
-    void load(ReadArchive& ar) override { s.load(ar); }
+    // A Wrap is never a const object, so reading through the mutable
+    // field list is sound.
+    void save(WriteArchive& ar) const override {
+      ar.put_fields(const_cast<S&>(s).fields());
+    }
+    void load(ReadArchive& ar) override { ar.get_fields(s.fields()); }
   };
 };
 

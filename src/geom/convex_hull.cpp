@@ -48,8 +48,7 @@ std::vector<Point2> sort_dedup(std::vector<Point2> pts) {
 
 struct HullState {
   std::uint32_t phase = 0;
-  void save(WriteArchive& ar) const { ar.put(phase); }
-  void load(ReadArchive& ar) { phase = ar.get<std::uint32_t>(); }
+  auto fields() { return std::tie(phase); }
 };
 
 class HullProgram final : public cgm::ProgramT<HullState> {

@@ -32,21 +32,8 @@ struct DomState {
   std::vector<std::uint64_t> fullb;   // earlier-proc, lower-bucket weight
   std::vector<std::uint32_t> bucket;  // y-bucket of each local point
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(points);
-    ar.put_vec(splitters);
-    ar.put_vec(local);
-    ar.put_vec(fullb);
-    ar.put_vec(bucket);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    points = ar.get_vec<WPoint2>();
-    splitters = ar.get_vec<double>();
-    local = ar.get_vec<std::uint64_t>();
-    fullb = ar.get_vec<std::uint64_t>();
-    bucket = ar.get_vec<std::uint32_t>();
+  auto fields() {
+    return std::tie(phase, points, splitters, local, fullb, bucket);
   }
 };
 
@@ -63,30 +50,13 @@ class DominanceProgram final : public cgm::ProgramT<DomState> {
         ys.reserve(st.points.size());
         for (const auto& p : st.points) ys.push_back(p.y);
         std::sort(ys.begin(), ys.end());
-        std::vector<double> samples;
-        if (!ys.empty()) {
-          for (std::uint32_t k = 0; k < v; ++k) {
-            samples.push_back(ys[static_cast<std::size_t>(k) * ys.size() / v]);
-          }
-        }
-        ctx.send_vec(0, samples);
+        ctx.send_vec(0, prim::regular_samples(ys, v));
         break;
       }
       case 1: {  // processor 0 broadcasts y-splitters
         if (ctx.pid() == 0) {
-          auto samples = ctx.recv_concat<double>();
-          std::sort(samples.begin(), samples.end());
-          std::vector<double> spl;
-          if (!samples.empty()) {
-            for (std::uint32_t k = 0; k + 1 < v; ++k) {
-              spl.push_back(samples[ceil_div(
-                                        static_cast<std::uint64_t>(k + 1) *
-                                            samples.size(),
-                                        v) -
-                                    1]);
-            }
-          }
-          prim::send_all(ctx, spl);
+          prim::send_all(ctx,
+                         prim::pick_splitters(ctx.recv_concat<double>(), v));
         }
         break;
       }
@@ -166,10 +136,8 @@ class DominanceProgram final : public cgm::ProgramT<DomState> {
       }
       case 5: {  // combine the three contributions
         std::vector<std::uint64_t> partial(st.points.size(), 0);
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& a : bytes_to_vec<Answer>(m.payload)) {
-            partial[static_cast<std::size_t>(a.idx)] = a.partial;
-          }
+        for (const auto& a : ctx.recv_concat<Answer>()) {
+          partial[static_cast<std::size_t>(a.idx)] = a.partial;
         }
         std::vector<DomCount> res(st.points.size());
         for (std::size_t i = 0; i < st.points.size(); ++i) {

@@ -92,16 +92,7 @@ struct LEState {
   std::vector<Segment> segs;
   std::vector<double> splitters;
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(segs);
-    ar.put_vec(splitters);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    segs = ar.get_vec<Segment>();
-    splitters = ar.get_vec<double>();
-  }
+  auto fields() { return std::tie(phase, segs, splitters); }
 };
 
 class EnvelopeProgram final : public cgm::ProgramT<LEState> {
@@ -119,61 +110,25 @@ class EnvelopeProgram final : public cgm::ProgramT<LEState> {
           xs.push_back(s.x2);
         }
         std::sort(xs.begin(), xs.end());
-        std::vector<double> samples;
-        if (!xs.empty()) {
-          for (std::uint32_t k = 0; k < v; ++k) {
-            samples.push_back(xs[static_cast<std::size_t>(k) * xs.size() / v]);
-          }
-        }
-        ctx.send_vec(0, samples);
+        ctx.send_vec(0, prim::regular_samples(xs, v));
         break;
       }
       case 1: {  // broadcast slab boundaries
         if (ctx.pid() == 0) {
-          auto samples = ctx.recv_concat<double>();
-          std::sort(samples.begin(), samples.end());
-          std::vector<double> spl;
-          if (!samples.empty()) {
-            for (std::uint32_t k = 0; k + 1 < v; ++k) {
-              spl.push_back(samples[ceil_div(
-                                        static_cast<std::uint64_t>(k + 1) *
-                                            samples.size(),
-                                        v) -
-                                    1]);
-            }
-          }
-          prim::send_all(ctx, spl);
+          prim::send_all(ctx,
+                         prim::pick_splitters(ctx.recv_concat<double>(), v));
         }
         break;
       }
       case 2: {  // route segments to the slabs they overlap
         st.splitters = ctx.recv_from<double>(0);
-        std::vector<std::vector<Segment>> by_slab(v);
-        for (const auto& s : st.segs) {
-          const auto first = static_cast<std::uint32_t>(
-              std::upper_bound(st.splitters.begin(), st.splitters.end(),
-                               s.x1) -
-              st.splitters.begin());
-          const auto last = static_cast<std::uint32_t>(
-              std::lower_bound(st.splitters.begin(), st.splitters.end(),
-                               s.x2) -
-              st.splitters.begin());
-          for (std::uint32_t k = first; k <= last && k < v; ++k) {
-            by_slab[k].push_back(s);
-          }
-        }
+        const auto by_slab = prim::split_by_slab(st.segs, st.splitters, v);
         for (std::uint32_t k = 0; k < v; ++k) ctx.send_vec(k, by_slab[k]);
         st.segs.clear();
         break;
       }
       case 3: {  // sweep inside the slab; pieces are the distributed output
-        const double lo =
-            (ctx.pid() == 0 || st.splitters.empty())
-                ? -kInf
-                : st.splitters[ctx.pid() - 1];
-        const double hi = (ctx.pid() + 1 < v && !st.splitters.empty())
-                              ? st.splitters[ctx.pid()]
-                              : kInf;
+        const auto [lo, hi] = prim::slab(st.splitters, ctx.pid(), v);
         ctx.set_output(slab_envelope(ctx.recv_concat<Segment>(), lo, hi), 0);
         break;
       }

@@ -90,18 +90,7 @@ struct MaxState {
   std::vector<Stair> acc;          // staircase of a contiguous processor range
   std::vector<Stair> pending;      // staircase received this round
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(candidates);
-    ar.put_vec(acc);
-    ar.put_vec(pending);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    candidates = ar.get_vec<Point3>();
-    acc = ar.get_vec<Stair>();
-    pending = ar.get_vec<Stair>();
-  }
+  auto fields() { return std::tie(phase, candidates, acc, pending); }
 };
 
 // Phases: 0 = local staircase + first prefix-doubling send; 1..K = doubling

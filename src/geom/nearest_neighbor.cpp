@@ -80,18 +80,7 @@ struct NNState {
   std::vector<double> d2;    // current best squared distance per point
   std::vector<std::uint64_t> nn;  // current best neighbor id per point
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(pts);
-    ar.put_vec(d2);
-    ar.put_vec(nn);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    pts = ar.get_vec<Point2>();
-    d2 = ar.get_vec<double>();
-    nn = ar.get_vec<std::uint64_t>();
-  }
+  auto fields() { return std::tie(phase, pts, d2, nn); }
 };
 
 class NNProgram final : public cgm::ProgramT<NNState> {
@@ -133,31 +122,27 @@ class NNProgram final : public cgm::ProgramT<NNState> {
       }
       case 2: {  // answer remote queries with the best local candidate
         std::vector<std::vector<Reply>> out(v);
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& q : bytes_to_vec<Query>(m.payload)) {
-            Point2 qp{q.x, q.y, q.id};
-            // Scan with the incoming bound: only candidates at least as
-            // good as the sender's current best are reported; the owner
-            // re-applies the (distance, id) tie-break when combining.
-            double best = q.best_d2;
-            std::uint64_t nn = std::numeric_limits<std::uint64_t>::max();
-            scan_candidates(st.pts, qp, best, nn);
-            if (nn != std::numeric_limits<std::uint64_t>::max()) {
-              out[q.src].push_back(Reply{q.local_idx, 0, best, nn});
-            }
+        for (const auto& q : ctx.recv_concat<Query>()) {
+          Point2 qp{q.x, q.y, q.id};
+          // Scan with the incoming bound: only candidates at least as
+          // good as the sender's current best are reported; the owner
+          // re-applies the (distance, id) tie-break when combining.
+          double best = q.best_d2;
+          std::uint64_t nn = std::numeric_limits<std::uint64_t>::max();
+          scan_candidates(st.pts, qp, best, nn);
+          if (nn != std::numeric_limits<std::uint64_t>::max()) {
+            out[q.src].push_back(Reply{q.local_idx, 0, best, nn});
           }
         }
         for (std::uint32_t s = 0; s < v; ++s) ctx.send_vec(s, out[s]);
         break;
       }
       case 3: {  // combine
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<Reply>(m.payload)) {
-            if (better(r.d2, r.nn_id, st.d2[r.local_idx],
-                       st.nn[r.local_idx])) {
-              st.d2[r.local_idx] = r.d2;
-              st.nn[r.local_idx] = r.nn_id;
-            }
+        for (const auto& r : ctx.recv_concat<Reply>()) {
+          if (better(r.d2, r.nn_id, st.d2[r.local_idx],
+                     st.nn[r.local_idx])) {
+            st.d2[r.local_idx] = r.d2;
+            st.nn[r.local_idx] = r.nn_id;
           }
         }
         std::vector<NNResult> res(st.pts.size());

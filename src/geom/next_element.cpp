@@ -108,18 +108,7 @@ struct NEState {
   std::vector<Point2> queries;
   std::vector<double> splitters;
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(segs);
-    ar.put_vec(queries);
-    ar.put_vec(splitters);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    segs = ar.get_vec<Segment>();
-    queries = ar.get_vec<Point2>();
-    splitters = ar.get_vec<double>();
-  }
+  auto fields() { return std::tie(phase, segs, queries, splitters); }
 };
 
 class NextElementProgram final : public cgm::ProgramT<NEState> {
@@ -139,30 +128,13 @@ class NextElementProgram final : public cgm::ProgramT<NEState> {
         }
         for (const auto& q : st.queries) xs.push_back(q.x);
         std::sort(xs.begin(), xs.end());
-        std::vector<double> samples;
-        if (!xs.empty()) {
-          for (std::uint32_t k = 0; k < v; ++k) {
-            samples.push_back(xs[static_cast<std::size_t>(k) * xs.size() / v]);
-          }
-        }
-        ctx.send_vec(0, samples);
+        ctx.send_vec(0, prim::regular_samples(xs, v));
         break;
       }
       case 1: {  // broadcast slab boundaries
         if (ctx.pid() == 0) {
-          auto samples = ctx.recv_concat<double>();
-          std::sort(samples.begin(), samples.end());
-          std::vector<double> spl;
-          if (!samples.empty()) {
-            for (std::uint32_t k = 0; k + 1 < v; ++k) {
-              spl.push_back(samples[ceil_div(
-                                        static_cast<std::uint64_t>(k + 1) *
-                                            samples.size(),
-                                        v) -
-                                    1]);
-            }
-          }
-          prim::send_all(ctx, spl);
+          prim::send_all(ctx,
+                         prim::pick_splitters(ctx.recv_concat<double>(), v));
         }
         break;
       }
@@ -201,22 +173,14 @@ class NextElementProgram final : public cgm::ProgramT<NEState> {
       case 3: {  // sweep; answers are this slab's output
         std::vector<Segment> segs;
         std::vector<NRec> queries;
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<NRec>(m.payload)) {
-            if (r.kind == 0) {
-              segs.push_back(Segment{r.a, r.b, r.c, r.d, r.id});
-            } else {
-              queries.push_back(r);
-            }
+        for (const auto& r : ctx.recv_concat<NRec>()) {
+          if (r.kind == 0) {
+            segs.push_back(Segment{r.a, r.b, r.c, r.d, r.id});
+          } else {
+            queries.push_back(r);
           }
         }
-        const double lo =
-            (ctx.pid() == 0 || st.splitters.empty())
-                ? -kInf
-                : st.splitters[ctx.pid() - 1];
-        const double hi = (ctx.pid() + 1 < v && !st.splitters.empty())
-                              ? st.splitters[ctx.pid()]
-                              : kInf;
+        const auto [lo, hi] = prim::slab(st.splitters, ctx.pid(), v);
         ctx.set_output(slab_answers(segs, queries, lo, hi), 0);
         break;
       }

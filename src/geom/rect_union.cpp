@@ -100,16 +100,7 @@ struct RUState {
   std::vector<Rect> rects;
   std::vector<double> splitters;
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(rects);
-    ar.put_vec(splitters);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    rects = ar.get_vec<Rect>();
-    splitters = ar.get_vec<double>();
-  }
+  auto fields() { return std::tie(phase, rects, splitters); }
 };
 
 class RectUnionProgram final : public cgm::ProgramT<RUState> {
@@ -128,61 +119,25 @@ class RectUnionProgram final : public cgm::ProgramT<RUState> {
           xs.push_back(r.x2);
         }
         std::sort(xs.begin(), xs.end());
-        std::vector<double> samples;
-        if (!xs.empty()) {
-          for (std::uint32_t k = 0; k < v; ++k) {
-            samples.push_back(xs[static_cast<std::size_t>(k) * xs.size() / v]);
-          }
-        }
-        ctx.send_vec(0, samples);
+        ctx.send_vec(0, prim::regular_samples(xs, v));
         break;
       }
       case 1: {  // processor 0 broadcasts slab boundaries
         if (ctx.pid() == 0) {
-          auto samples = ctx.recv_concat<double>();
-          std::sort(samples.begin(), samples.end());
-          std::vector<double> spl;
-          if (!samples.empty()) {
-            for (std::uint32_t k = 0; k + 1 < v; ++k) {
-              spl.push_back(samples[ceil_div(
-                                        static_cast<std::uint64_t>(k + 1) *
-                                            samples.size(),
-                                        v) -
-                                    1]);
-            }
-          }
-          prim::send_all(ctx, spl);
+          prim::send_all(ctx,
+                         prim::pick_splitters(ctx.recv_concat<double>(), v));
         }
         break;
       }
       case 2: {  // route each rectangle to every slab it overlaps
         st.splitters = ctx.recv_from<double>(0);
-        std::vector<std::vector<Rect>> by_slab(v);
-        for (const auto& r : st.rects) {
-          const auto first = static_cast<std::uint32_t>(
-              std::upper_bound(st.splitters.begin(), st.splitters.end(),
-                               r.x1) -
-              st.splitters.begin());
-          const auto last = static_cast<std::uint32_t>(
-              std::lower_bound(st.splitters.begin(), st.splitters.end(),
-                               r.x2) -
-              st.splitters.begin());
-          for (std::uint32_t s = first; s <= last && s < v; ++s) {
-            by_slab[s].push_back(r);
-          }
-        }
+        const auto by_slab = prim::split_by_slab(st.rects, st.splitters, v);
         for (std::uint32_t s = 0; s < v; ++s) ctx.send_vec(s, by_slab[s]);
         st.rects.clear();
         break;
       }
       case 3: {  // sweep inside the slab; partial area to processor 0
-        const double lo =
-            (ctx.pid() == 0 || st.splitters.empty())
-                ? -std::numeric_limits<double>::infinity()
-                : st.splitters[ctx.pid() - 1];
-        const double hi = ctx.pid() + 1 < v && !st.splitters.empty()
-                              ? st.splitters[ctx.pid()]
-                              : std::numeric_limits<double>::infinity();
+        const auto [lo, hi] = prim::slab(st.splitters, ctx.pid(), v);
         const double area = slab_area(ctx.recv_concat<Rect>(), lo, hi);
         ctx.send_vec(0, std::vector<double>{area});
         break;

@@ -35,22 +35,7 @@ struct StabState {
   std::vector<StabQuery> queries;   // this processor's queries
   std::vector<std::uint64_t> lo_off, hi_off;  // global chunk offsets
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(los);
-    ar.put_vec(his);
-    ar.put_vec(queries);
-    ar.put_vec(lo_off);
-    ar.put_vec(hi_off);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    los = ar.get_vec<double>();
-    his = ar.get_vec<double>();
-    queries = ar.get_vec<StabQuery>();
-    lo_off = ar.get_vec<std::uint64_t>();
-    hi_off = ar.get_vec<std::uint64_t>();
-  }
+  auto fields() { return std::tie(phase, los, his, queries, lo_off, hi_off); }
 };
 
 /// Route x to the owning chunk: the first chunk whose max >= x; empty
@@ -140,27 +125,25 @@ class StabProgram final : public cgm::ProgramT<StabState> {
       }
       case 2: {  // resolve ranks by local binary search
         std::vector<std::vector<RankAnswer>> out(v);
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& q : bytes_to_vec<RankQuery>(m.payload)) {
-            if (q.kind >= 2) {  // echoed pre-resolved total
-              out[q.src].push_back(RankAnswer{
-                  q.local_idx, static_cast<std::uint64_t>(q.x), q.kind - 2});
-              continue;
-            }
-            std::uint64_t rank;
-            if (q.kind == 0) {  // #{lo <= x}
-              rank = st.lo_off[ctx.pid()] +
-                     static_cast<std::uint64_t>(
-                         std::upper_bound(st.los.begin(), st.los.end(), q.x) -
-                         st.los.begin());
-            } else {  // #{hi < x}
-              rank = st.hi_off[ctx.pid()] +
-                     static_cast<std::uint64_t>(
-                         std::lower_bound(st.his.begin(), st.his.end(), q.x) -
-                         st.his.begin());
-            }
-            out[q.src].push_back(RankAnswer{q.local_idx, rank, q.kind});
+        for (const auto& q : ctx.recv_concat<RankQuery>()) {
+          if (q.kind >= 2) {  // echoed pre-resolved total
+            out[q.src].push_back(RankAnswer{
+                q.local_idx, static_cast<std::uint64_t>(q.x), q.kind - 2});
+            continue;
           }
+          std::uint64_t rank;
+          if (q.kind == 0) {  // #{lo <= x}
+            rank = st.lo_off[ctx.pid()] +
+                   static_cast<std::uint64_t>(
+                       std::upper_bound(st.los.begin(), st.los.end(), q.x) -
+                       st.los.begin());
+          } else {  // #{hi < x}
+            rank = st.hi_off[ctx.pid()] +
+                   static_cast<std::uint64_t>(
+                       std::lower_bound(st.his.begin(), st.his.end(), q.x) -
+                       st.his.begin());
+          }
+          out[q.src].push_back(RankAnswer{q.local_idx, rank, q.kind});
         }
         for (std::uint32_t s = 0; s < v; ++s) ctx.send_vec(s, out[s]);
         break;
@@ -168,10 +151,8 @@ class StabProgram final : public cgm::ProgramT<StabState> {
       case 3: {  // combine: count = rank_lo - rank_hi
         std::vector<std::uint64_t> lo_rank(st.queries.size(), 0);
         std::vector<std::uint64_t> hi_rank(st.queries.size(), 0);
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& a : bytes_to_vec<RankAnswer>(m.payload)) {
-            (a.kind == 0 ? lo_rank : hi_rank)[a.local_idx] = a.rank;
-          }
+        for (const auto& a : ctx.recv_concat<RankAnswer>()) {
+          (a.kind == 0 ? lo_rank : hi_rank)[a.local_idx] = a.rank;
         }
         std::vector<StabCount> res(st.queries.size());
         for (std::size_t i = 0; i < st.queries.size(); ++i) {

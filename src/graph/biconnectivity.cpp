@@ -33,25 +33,8 @@ struct AggState {
   std::vector<std::uint64_t> blk_min, blk_max;
   std::vector<std::uint64_t> low, high;
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(mmin);
-    ar.put_vec(mmax);
-    ar.put_vec(sz);
-    ar.put_vec(blk_min);
-    ar.put_vec(blk_max);
-    ar.put_vec(low);
-    ar.put_vec(high);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    mmin = ar.get_vec<std::uint64_t>();
-    mmax = ar.get_vec<std::uint64_t>();
-    sz = ar.get_vec<std::uint64_t>();
-    blk_min = ar.get_vec<std::uint64_t>();
-    blk_max = ar.get_vec<std::uint64_t>();
-    low = ar.get_vec<std::uint64_t>();
-    high = ar.get_vec<std::uint64_t>();
+  auto fields() {
+    return std::tie(phase, mmin, mmax, sz, blk_min, blk_max, low, high);
   }
 };
 
@@ -105,35 +88,31 @@ class SubtreeAggProgram final : public cgm::ProgramT<AggState> {
       case 1: {  // collect block table; answer boundary ranges
         st.blk_min.assign(v, kInf);
         st.blk_max.assign(v, 0);
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<BMsg>(m.payload)) {
-            if (r.kind == kBlock) {
-              st.blk_min[static_cast<std::size_t>(r.a)] = r.b;
-              st.blk_max[static_cast<std::size_t>(r.a)] = r.c;
-              continue;
-            }
-            EMCGM_ASSERT(r.kind == kRangeQ);
-            std::uint64_t mn = kInf, mx = 0;
-            for (std::uint64_t p = r.a; p <= r.b; ++p) {
-              const auto i = static_cast<std::size_t>(p - base);
-              mn = std::min(mn, st.mmin[i]);
-              mx = std::max(mx, st.mmax[i]);
-            }
-            out[owner(r.c)].push_back(BMsg{kRangeA, 0, r.c, mn, mx});
+        for (const auto& r : ctx.recv_concat<BMsg>()) {
+          if (r.kind == kBlock) {
+            st.blk_min[static_cast<std::size_t>(r.a)] = r.b;
+            st.blk_max[static_cast<std::size_t>(r.a)] = r.c;
+            continue;
           }
+          EMCGM_ASSERT(r.kind == kRangeQ);
+          std::uint64_t mn = kInf, mx = 0;
+          for (std::uint64_t p = r.a; p <= r.b; ++p) {
+            const auto i = static_cast<std::size_t>(p - base);
+            mn = std::min(mn, st.mmin[i]);
+            mx = std::max(mx, st.mmax[i]);
+          }
+          out[owner(r.c)].push_back(BMsg{kRangeA, 0, r.c, mn, mx});
         }
         break;
       }
       case 2: {  // combine boundaries with middle blocks
         st.low.assign(st.sz.size(), kInf);
         st.high.assign(st.sz.size(), 0);
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<BMsg>(m.payload)) {
-            EMCGM_ASSERT(r.kind == kRangeA);
-            const auto i = static_cast<std::size_t>(r.a - base);
-            st.low[i] = std::min(st.low[i], r.b);
-            st.high[i] = std::max(st.high[i], r.c);
-          }
+        for (const auto& r : ctx.recv_concat<BMsg>()) {
+          EMCGM_ASSERT(r.kind == kRangeA);
+          const auto i = static_cast<std::size_t>(r.a - base);
+          st.low[i] = std::min(st.low[i], r.b);
+          st.high[i] = std::max(st.high[i], r.c);
         }
         for (std::size_t i = 0; i < st.sz.size(); ++i) {
           const std::uint64_t x = base + i;

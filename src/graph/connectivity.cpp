@@ -44,25 +44,9 @@ struct CcState {
   std::vector<std::uint64_t> labels;   // C(x) for local vertices
   std::vector<Edge> forest;            // hooking edges chosen locally
 
-  void save(WriteArchive& ar) const {
-    ar.put(mode);
-    ar.put(chase_round);
-    ar.put(live_total);
-    ar.put_vec(edges);
-    ar.put_vec(cu);
-    ar.put_vec(cv);
-    ar.put_vec(labels);
-    ar.put_vec(forest);
-  }
-  void load(ReadArchive& ar) {
-    mode = ar.get<std::uint32_t>();
-    chase_round = ar.get<std::uint32_t>();
-    live_total = ar.get<std::uint64_t>();
-    edges = ar.get_vec<Edge>();
-    cu = ar.get_vec<std::uint64_t>();
-    cv = ar.get_vec<std::uint64_t>();
-    labels = ar.get_vec<std::uint64_t>();
-    forest = ar.get_vec<Edge>();
+  auto fields() {
+    return std::tie(mode, chase_round, live_total, edges, cu, cv, labels,
+                    forest);
   }
 };
 
@@ -111,10 +95,11 @@ class ConnectivityProgram final : public cgm::ProgramT<CcState> {
       }
 
       case kAnswer: {
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<CMsg>(m.payload)) {
+        const auto by_src = prim::recv_by_src<CMsg>(ctx);
+        for (std::uint32_t src = 0; src < v; ++src) {
+          for (const auto& r : by_src[src]) {
             EMCGM_ASSERT(r.kind == kLabelQ);
-            out[m.src].push_back(CMsg{
+            out[src].push_back(CMsg{
                 kLabelA, 0, r.b, r.c,
                 st.labels[static_cast<std::size_t>(r.a - vbase)], 0});
           }
@@ -124,12 +109,10 @@ class ConnectivityProgram final : public cgm::ProgramT<CcState> {
       }
 
       case kPropose: {
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<CMsg>(m.payload)) {
-            EMCGM_ASSERT(r.kind == kLabelA);
-            auto& slot = r.b == 0 ? st.cu : st.cv;
-            slot[static_cast<std::size_t>(r.a)] = r.c;
-          }
+        for (const auto& r : ctx.recv_concat<CMsg>()) {
+          EMCGM_ASSERT(r.kind == kLabelA);
+          auto& slot = r.b == 0 ? st.cu : st.cv;
+          slot[static_cast<std::size_t>(r.a)] = r.c;
         }
         std::uint64_t live = 0;
         for (std::size_t i = 0; i < st.edges.size(); ++i) {
@@ -154,16 +137,14 @@ class ConnectivityProgram final : public cgm::ProgramT<CcState> {
         std::vector<CMsg> best(vcnt,
                                CMsg{kProp, 0, 0, kNil, 0, 0});
         std::uint64_t live_total = 0;
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<CMsg>(m.payload)) {
-            if (r.kind == kLive) {
-              live_total += r.a;
-              continue;
-            }
-            EMCGM_ASSERT(r.kind == kProp);
-            auto& b = best[static_cast<std::size_t>(r.a - vbase)];
-            if (r.b < b.b) b = r;
+        for (const auto& r : ctx.recv_concat<CMsg>()) {
+          if (r.kind == kLive) {
+            live_total += r.a;
+            continue;
           }
+          EMCGM_ASSERT(r.kind == kProp);
+          auto& b = best[static_cast<std::size_t>(r.a - vbase)];
+          if (r.b < b.b) b = r;
         }
         st.live_total = live_total;
         if (live_total == 0) {
@@ -196,10 +177,11 @@ class ConnectivityProgram final : public cgm::ProgramT<CcState> {
       }
 
       case kChaseReply: {
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<CMsg>(m.payload)) {
+        const auto by_src = prim::recv_by_src<CMsg>(ctx);
+        for (std::uint32_t src = 0; src < v; ++src) {
+          for (const auto& r : by_src[src]) {
             EMCGM_ASSERT(r.kind == kChaseQ);
-            out[m.src].push_back(CMsg{
+            out[src].push_back(CMsg{
                 kChaseA, 0, r.b,
                 st.labels[static_cast<std::size_t>(r.a - vbase)], 0, 0});
           }
@@ -209,11 +191,9 @@ class ConnectivityProgram final : public cgm::ProgramT<CcState> {
       }
 
       case kChaseApply: {
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<CMsg>(m.payload)) {
-            EMCGM_ASSERT(r.kind == kChaseA);
-            st.labels[static_cast<std::size_t>(r.a - vbase)] = r.b;
-          }
+        for (const auto& r : ctx.recv_concat<CMsg>()) {
+          EMCGM_ASSERT(r.kind == kChaseA);
+          st.labels[static_cast<std::size_t>(r.a - vbase)] = r.b;
         }
         st.chase_round += 1;
         if (st.chase_round < jumps_) {

@@ -49,16 +49,7 @@ struct SuccState {
   std::vector<Edge> edges;  // this chunk of the sorted directed edges
   std::vector<std::uint64_t> succ;
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(edges);
-    ar.put_vec(succ);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    edges = ar.get_vec<Edge>();
-    succ = ar.get_vec<std::uint64_t>();
-  }
+  auto fields() { return std::tie(phase, edges, succ); }
 };
 
 class EulerSuccProgram final : public cgm::ProgramT<SuccState> {
@@ -97,14 +88,12 @@ class EulerSuccProgram final : public cgm::ProgramT<SuccState> {
                  std::vector<std::pair<std::uint64_t, std::uint64_t>>>
             adj;
         std::vector<EMsg> queries;
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<EMsg>(m.payload)) {
-            if (r.kind == kAdj) {
-              adj[r.a].emplace_back(r.b, r.c);
-            } else {
-              EMCGM_ASSERT(r.kind == kQuery);
-              queries.push_back(r);
-            }
+        for (const auto& r : ctx.recv_concat<EMsg>()) {
+          if (r.kind == kAdj) {
+            adj[r.a].emplace_back(r.b, r.c);
+          } else {
+            EMCGM_ASSERT(r.kind == kQuery);
+            queries.push_back(r);
           }
         }
         for (auto& [x, nb] : adj) std::sort(nb.begin(), nb.end());
@@ -133,13 +122,11 @@ class EulerSuccProgram final : public cgm::ProgramT<SuccState> {
         const std::uint64_t base = chunk_begin(t_, v, ctx.pid());
         std::vector<ListNode> nodes(st.edges.size());
         std::vector<char> seen(st.edges.size(), 0);
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<EMsg>(m.payload)) {
-            EMCGM_ASSERT(r.kind == kReply);
-            const auto i = static_cast<std::size_t>(r.a - base);
-            nodes[i] = ListNode{r.a, r.b};
-            seen[i] = 1;
-          }
+        for (const auto& r : ctx.recv_concat<EMsg>()) {
+          EMCGM_ASSERT(r.kind == kReply);
+          const auto i = static_cast<std::size_t>(r.a - base);
+          nodes[i] = ListNode{r.a, r.b};
+          seen[i] = 1;
         }
         for (char s : seen) EMCGM_CHECK(s);
         ctx.set_output(nodes, 0);
@@ -167,16 +154,7 @@ struct ReportState {
   std::vector<Edge> edges;
   std::vector<std::uint64_t> pos;
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(edges);
-    ar.put_vec(pos);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    edges = ar.get_vec<Edge>();
-    pos = ar.get_vec<std::uint64_t>();
-  }
+  auto fields() { return std::tie(phase, edges, pos); }
 };
 
 class EulerReportProgram final : public cgm::ProgramT<ReportState> {
@@ -223,14 +201,12 @@ class EulerReportProgram final : public cgm::ProgramT<ReportState> {
         };
         std::map<std::uint64_t, std::vector<In>> incoming;
         std::map<std::uint64_t, std::vector<Out>> outgoing;
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<EMsg>(m.payload)) {
-            if (r.kind == kRptIn) {
-              incoming[r.a].push_back(In{r.b, r.c, r.d});
-            } else {
-              EMCGM_ASSERT(r.kind == kRptOut);
-              outgoing[r.a].push_back(Out{r.b, r.c});
-            }
+        for (const auto& r : ctx.recv_concat<EMsg>()) {
+          if (r.kind == kRptIn) {
+            incoming[r.a].push_back(In{r.b, r.c, r.d});
+          } else {
+            EMCGM_ASSERT(r.kind == kRptOut);
+            outgoing[r.a].push_back(Out{r.b, r.c});
           }
         }
         const std::uint64_t vbase = chunk_begin(n_, v, ctx.pid());
@@ -284,13 +260,11 @@ class EulerReportProgram final : public cgm::ProgramT<ReportState> {
         std::vector<std::int64_t> delta(st.edges.size(), 0);
         std::vector<std::int64_t> downflag(st.edges.size(), 0);
         const std::uint64_t base = chunk_begin(t_, v, ctx.pid());
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<EMsg>(m.payload)) {
-            EMCGM_ASSERT(r.kind == kDown);
-            const auto i = static_cast<std::size_t>(r.a - base);
-            delta[i] = r.b ? +1 : -1;
-            downflag[i] = r.b ? 1 : 0;
-          }
+        for (const auto& r : ctx.recv_concat<EMsg>()) {
+          EMCGM_ASSERT(r.kind == kDown);
+          const auto i = static_cast<std::size_t>(r.a - base);
+          delta[i] = r.b ? +1 : -1;
+          downflag[i] = r.b ? 1 : 0;
         }
         ctx.set_output(delta, 0);
         // slot 1 (vertex summaries) was emitted in phase 1.
@@ -327,18 +301,7 @@ struct FinalState {
   std::vector<PVert> verts;
   std::vector<std::int64_t> depth_prefix, pre_prefix;
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(verts);
-    ar.put_vec(depth_prefix);
-    ar.put_vec(pre_prefix);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    verts = ar.get_vec<PVert>();
-    depth_prefix = ar.get_vec<std::int64_t>();
-    pre_prefix = ar.get_vec<std::int64_t>();
-  }
+  auto fields() { return std::tie(phase, verts, depth_prefix, pre_prefix); }
 };
 
 class EulerFinalizeProgram final : public cgm::ProgramT<FinalState> {
@@ -373,15 +336,13 @@ class EulerFinalizeProgram final : public cgm::ProgramT<FinalState> {
         auto vowner = [&](std::uint64_t x) {
           return static_cast<std::uint32_t>(chunk_owner(n_, v, x));
         };
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<EMsg>(m.payload)) {
-            EMCGM_ASSERT(r.kind == kPosQ);
-            const auto i = static_cast<std::size_t>(r.a - base);
-            out[vowner(r.b)].push_back(EMsg{
-                kPosA, 0, r.b,
-                static_cast<std::uint64_t>(st.depth_prefix[i]),
-                static_cast<std::uint64_t>(st.pre_prefix[i]), 0});
-          }
+        for (const auto& r : ctx.recv_concat<EMsg>()) {
+          EMCGM_ASSERT(r.kind == kPosQ);
+          const auto i = static_cast<std::size_t>(r.a - base);
+          out[vowner(r.b)].push_back(EMsg{
+              kPosA, 0, r.b,
+              static_cast<std::uint64_t>(st.depth_prefix[i]),
+              static_cast<std::uint64_t>(st.pre_prefix[i]), 0});
         }
         for (std::uint32_t s = 0; s < v; ++s) ctx.send_vec(s, out[s]);
         break;
@@ -394,13 +355,11 @@ class EulerFinalizeProgram final : public cgm::ProgramT<FinalState> {
           res[i] = EulerResult{pv.id, pv.parent, 0, 0, pv.subtree,
                                pv.first_pos};
         }
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<EMsg>(m.payload)) {
-            EMCGM_ASSERT(r.kind == kPosA);
-            const auto i = static_cast<std::size_t>(r.a - vbase);
-            res[i].depth = r.b;
-            res[i].preorder = r.c;
-          }
+        for (const auto& r : ctx.recv_concat<EMsg>()) {
+          EMCGM_ASSERT(r.kind == kPosA);
+          const auto i = static_cast<std::size_t>(r.a - vbase);
+          res[i].depth = r.b;
+          res[i].preorder = r.c;
         }
         ctx.set_output(res, 0);
         break;

@@ -38,31 +38,9 @@ struct LcaState {
   std::vector<std::uint64_t> blk_d, blk_v;  // per-chunk minima
   std::vector<std::uint64_t> ans_d, ans_v;  // running minima per query
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(verts);
-    ar.put_vec(tour);
-    ar.put_vec(tdepth);
-    ar.put_vec(queries);
-    ar.put_vec(fu);
-    ar.put_vec(fv);
-    ar.put_vec(blk_d);
-    ar.put_vec(blk_v);
-    ar.put_vec(ans_d);
-    ar.put_vec(ans_v);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    verts = ar.get_vec<EulerResult>();
-    tour = ar.get_vec<std::uint64_t>();
-    tdepth = ar.get_vec<std::uint64_t>();
-    queries = ar.get_vec<LcaQuery>();
-    fu = ar.get_vec<std::uint64_t>();
-    fv = ar.get_vec<std::uint64_t>();
-    blk_d = ar.get_vec<std::uint64_t>();
-    blk_v = ar.get_vec<std::uint64_t>();
-    ans_d = ar.get_vec<std::uint64_t>();
-    ans_v = ar.get_vec<std::uint64_t>();
+  auto fields() {
+    return std::tie(phase, verts, tour, tdepth, queries, fu, fv, blk_d, blk_v,
+                    ans_d, ans_v);
   }
 };
 
@@ -102,19 +80,20 @@ class LcaProgram final : public cgm::ProgramT<LcaState> {
         break;
       }
       case 1: {  // vertex owners answer depth and first-position lookups
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<LMsg>(m.payload)) {
+        const auto by_src = prim::recv_by_src<LMsg>(ctx);
+        for (std::uint32_t src = 0; src < v; ++src) {
+          for (const auto& r : by_src[src]) {
             const auto& ev =
                 st.verts[static_cast<std::size_t>(r.a - vbase)];
             if (r.kind == kDepthQ) {
-              out[m.src].push_back(LMsg{kDepthA, 0, r.b, ev.depth});
+              out[src].push_back(LMsg{kDepthA, 0, r.b, ev.depth});
             } else {
               EMCGM_ASSERT(r.kind == kFposQ);
               // Root has no down edge; encode with kInfDepth sentinel and
               // let the asker special-case it.
               const std::uint64_t f =
                   ev.parent == kNil ? kInfDepth : ev.first_pos;
-              out[m.src].push_back(LMsg{kFposA, 0, r.b, r.c, f});
+              out[src].push_back(LMsg{kFposA, 0, r.b, r.c, f});
             }
           }
         }
@@ -124,15 +103,13 @@ class LcaProgram final : public cgm::ProgramT<LcaState> {
         st.tdepth.assign(st.tour.size(), 0);
         st.fu.assign(st.queries.size(), 0);
         st.fv.assign(st.queries.size(), 0);
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<LMsg>(m.payload)) {
-            if (r.kind == kDepthA) {
-              st.tdepth[static_cast<std::size_t>(r.a)] = r.b;
-            } else {
-              EMCGM_ASSERT(r.kind == kFposA);
-              (r.b == 0 ? st.fu : st.fv)[static_cast<std::size_t>(r.a)] =
-                  r.c;
-            }
+        for (const auto& r : ctx.recv_concat<LMsg>()) {
+          if (r.kind == kDepthA) {
+            st.tdepth[static_cast<std::size_t>(r.a)] = r.b;
+          } else {
+            EMCGM_ASSERT(r.kind == kFposA);
+            (r.b == 0 ? st.fu : st.fv)[static_cast<std::size_t>(r.a)] =
+                r.c;
           }
         }
         // Per-chunk minimum of (depth, vertex).
@@ -170,8 +147,9 @@ class LcaProgram final : public cgm::ProgramT<LcaState> {
       case 3: {  // answer boundary minima; collect the block table
         st.blk_d.assign(v, kInfDepth);
         st.blk_v.assign(v, 0);
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<LMsg>(m.payload)) {
+        const auto by_src = prim::recv_by_src<LMsg>(ctx);
+        for (std::uint32_t src = 0; src < v; ++src) {
+          for (const auto& r : by_src[src]) {
             if (r.kind == kBlockMin) {
               st.blk_d[static_cast<std::size_t>(r.a)] = r.b;
               st.blk_v[static_cast<std::size_t>(r.a)] = r.c;
@@ -186,20 +164,18 @@ class LcaProgram final : public cgm::ProgramT<LcaState> {
                 mv = st.tour[i];
               }
             }
-            out[m.src].push_back(LMsg{kRangeA, 0, r.c, md, mv});
+            out[src].push_back(LMsg{kRangeA, 0, r.c, md, mv});
           }
         }
         break;
       }
       case 4: {  // combine boundary + middle-block minima
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<LMsg>(m.payload)) {
-            EMCGM_ASSERT(r.kind == kRangeA);
-            const auto i = static_cast<std::size_t>(r.a);
-            if (r.b < st.ans_d[i]) {
-              st.ans_d[i] = r.b;
-              st.ans_v[i] = r.c;
-            }
+        for (const auto& r : ctx.recv_concat<LMsg>()) {
+          EMCGM_ASSERT(r.kind == kRangeA);
+          const auto i = static_cast<std::size_t>(r.a);
+          if (r.b < st.ans_d[i]) {
+            st.ans_d[i] = r.b;
+            st.ans_v[i] = r.c;
           }
         }
         std::vector<LcaResult> res(st.queries.size());

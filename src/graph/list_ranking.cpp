@@ -50,35 +50,9 @@ struct LrState {
   std::vector<std::uint32_t> removed_round;
   std::vector<std::uint64_t> rem_succ, rem_w, rank;
 
-  void save(WriteArchive& ar) const {
-    ar.put(mode);
-    ar.put(contract_round);
-    ar.put(recon_round);
-    ar.put(active_total);
-    ar.put_vec(succ);
-    ar.put_vec(pred);
-    ar.put_vec(w);
-    ar.put_vec(active);
-    ar.put_vec(ranked);
-    ar.put_vec(removed_round);
-    ar.put_vec(rem_succ);
-    ar.put_vec(rem_w);
-    ar.put_vec(rank);
-  }
-  void load(ReadArchive& ar) {
-    mode = ar.get<std::uint32_t>();
-    contract_round = ar.get<std::uint32_t>();
-    recon_round = ar.get<std::uint32_t>();
-    active_total = ar.get<std::uint64_t>();
-    succ = ar.get_vec<std::uint64_t>();
-    pred = ar.get_vec<std::uint64_t>();
-    w = ar.get_vec<std::uint64_t>();
-    active = ar.get_vec<std::uint8_t>();
-    ranked = ar.get_vec<std::uint8_t>();
-    removed_round = ar.get_vec<std::uint32_t>();
-    rem_succ = ar.get_vec<std::uint64_t>();
-    rem_w = ar.get_vec<std::uint64_t>();
-    rank = ar.get_vec<std::uint64_t>();
+  auto fields() {
+    return std::tie(mode, contract_round, recon_round, active_total, succ, pred,
+                    w, active, ranked, removed_round, rem_succ, rem_w, rank);
   }
 };
 
@@ -109,43 +83,41 @@ class ListRankProgram final : public cgm::ProgramT<LrState> {
     std::vector<LrMsg> queries, base_nodes;
     std::uint64_t counted = 0;
     bool have_count = false;
-    for (const auto& m : ctx.inbox()) {
-      for (const auto& r : bytes_to_vec<LrMsg>(m.payload)) {
-        switch (r.kind) {
-          case kPredSet:
-            st.pred[local(r.a)] = r.b;
-            break;
-          case kSuccSet: {
-            const auto i = local(r.a);
-            st.succ[i] = r.b;
-            st.w[i] += r.c;
-            break;
-          }
-          case kCount:
-            counted += r.a;
-            have_count = true;
-            break;
-          case kBaseNode:
-            base_nodes.push_back(r);
-            break;
-          case kRankSet: {
-            const auto i = local(r.a);
-            st.rank[i] = r.b;
-            st.ranked[i] = 1;
-            break;
-          }
-          case kQuery:
-            queries.push_back(r);
-            break;
-          case kReply: {
-            const auto i = local(r.a);
-            st.rank[i] = r.b + st.rem_w[i];
-            st.ranked[i] = 1;
-            break;
-          }
-          default:
-            EMCGM_CHECK_MSG(false, "unknown list-ranking record");
+    for (const auto& r : ctx.recv_concat<LrMsg>()) {
+      switch (r.kind) {
+        case kPredSet:
+          st.pred[local(r.a)] = r.b;
+          break;
+        case kSuccSet: {
+          const auto i = local(r.a);
+          st.succ[i] = r.b;
+          st.w[i] += r.c;
+          break;
         }
+        case kCount:
+          counted += r.a;
+          have_count = true;
+          break;
+        case kBaseNode:
+          base_nodes.push_back(r);
+          break;
+        case kRankSet: {
+          const auto i = local(r.a);
+          st.rank[i] = r.b;
+          st.ranked[i] = 1;
+          break;
+        }
+        case kQuery:
+          queries.push_back(r);
+          break;
+        case kReply: {
+          const auto i = local(r.a);
+          st.rank[i] = r.b + st.rem_w[i];
+          st.ranked[i] = 1;
+          break;
+        }
+        default:
+          EMCGM_CHECK_MSG(false, "unknown list-ranking record");
       }
     }
     if (have_count) st.active_total = counted;

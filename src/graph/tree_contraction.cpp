@@ -40,14 +40,7 @@ struct TourState {
   std::uint32_t phase = 0;
   std::vector<ExprNode> nodes;
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put_vec(nodes);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    nodes = ar.get_vec<ExprNode>();
-  }
+  auto fields() { return std::tie(phase, nodes); }
 };
 
 /// Builds the tour successor list directly from the binary structure:
@@ -87,31 +80,27 @@ class TourBuildProgram final : public cgm::ProgramT<TourState> {
       }
       case 1: {  // parents answer the up-successor queries
         const std::uint64_t base = chunk_begin(n_, v, ctx.pid());
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<TMsg>(m.payload)) {
-            EMCGM_ASSERT(r.kind == kUpQ);
-            const ExprNode& p =
-                st.nodes[static_cast<std::size_t>(r.a - base)];
-            std::uint64_t succ;
-            if (r.b == p.left) {
-              succ = 2 * p.right;  // descend into the right subtree
-            } else {
-              EMCGM_CHECK(r.b == p.right);
-              succ = p.parent == kNil ? kNil : 2 * p.id + 1;
-            }
-            out[nowner(r.b)].push_back(TMsg{kUpA, 0, r.b, succ});
+        for (const auto& r : ctx.recv_concat<TMsg>()) {
+          EMCGM_ASSERT(r.kind == kUpQ);
+          const ExprNode& p =
+              st.nodes[static_cast<std::size_t>(r.a - base)];
+          std::uint64_t succ;
+          if (r.b == p.left) {
+            succ = 2 * p.right;  // descend into the right subtree
+          } else {
+            EMCGM_CHECK(r.b == p.right);
+            succ = p.parent == kNil ? kNil : 2 * p.id + 1;
           }
+          out[nowner(r.b)].push_back(TMsg{kUpA, 0, r.b, succ});
         }
         break;
       }
       case 2: {  // emit both edges of every non-root node
         std::vector<std::uint64_t> up_succ(st.nodes.size(), kNil);
         const std::uint64_t base = chunk_begin(n_, v, ctx.pid());
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<TMsg>(m.payload)) {
-            EMCGM_ASSERT(r.kind == kUpA);
-            up_succ[static_cast<std::size_t>(r.a - base)] = r.b;
-          }
+        for (const auto& r : ctx.recv_concat<TMsg>()) {
+          EMCGM_ASSERT(r.kind == kUpA);
+          up_succ[static_cast<std::size_t>(r.a - base)] = r.b;
         }
         for (std::size_t i = 0; i < st.nodes.size(); ++i) {
           const ExprNode& x = st.nodes[i];
@@ -137,14 +126,12 @@ class TourBuildProgram final : public cgm::ProgramT<TourState> {
         std::vector<ListNode> list(ecnt);
         std::vector<std::uint64_t> leaf_of(ecnt, kNil);
         std::vector<char> seen(ecnt, 0);
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<TMsg>(m.payload)) {
-            EMCGM_ASSERT(r.kind == kEdgeRec);
-            const auto i = static_cast<std::size_t>(r.a - ebase);
-            list[i] = ListNode{r.a, r.b};
-            if (r.c) leaf_of[i] = r.d;
-            seen[i] = 1;
-          }
+        for (const auto& r : ctx.recv_concat<TMsg>()) {
+          EMCGM_ASSERT(r.kind == kEdgeRec);
+          const auto i = static_cast<std::size_t>(r.a - ebase);
+          list[i] = ListNode{r.a, r.b};
+          if (r.c) leaf_of[i] = r.d;
+          seen[i] = 1;
         }
         for (char s : seen) EMCGM_CHECK(s);
         ctx.set_output(list, 0);
@@ -187,8 +174,7 @@ struct LeafPosLess {
 
 struct PairState {
   std::uint32_t phase = 0;
-  void save(WriteArchive& ar) const { ar.put(phase); }
-  void load(ReadArchive& ar) { phase = ar.get<std::uint32_t>(); }
+  auto fields() { return std::tie(phase); }
 };
 
 /// Local join of tour ranks with the leaf markers.
@@ -252,11 +238,9 @@ class LeafIndexProgram final : public cgm::ProgramT<PairState> {
         const std::uint64_t base = chunk_begin(n_, v, ctx.pid());
         const std::uint64_t cnt = chunk_size(n_, v, ctx.pid());
         std::vector<std::uint64_t> idx(cnt, kNil);
-        for (const auto& m : ctx.inbox()) {
-          for (const auto& r : bytes_to_vec<TMsg>(m.payload)) {
-            EMCGM_ASSERT(r.kind == kIdxSet);
-            idx[static_cast<std::size_t>(r.a - base)] = r.b;
-          }
+        for (const auto& r : ctx.recv_concat<TMsg>()) {
+          EMCGM_ASSERT(r.kind == kIdxSet);
+          idx[static_cast<std::size_t>(r.a - base)] = r.b;
         }
         ctx.set_output(idx, 0);
         break;
@@ -312,18 +296,7 @@ struct ContractState {
   std::uint64_t leaf_total = 0;
   std::vector<CNode> nodes;
 
-  void save(WriteArchive& ar) const {
-    ar.put(mode);
-    ar.put(rounds);
-    ar.put(leaf_total);
-    ar.put_vec(nodes);
-  }
-  void load(ReadArchive& ar) {
-    mode = ar.get<std::uint32_t>();
-    rounds = ar.get<std::uint32_t>();
-    leaf_total = ar.get<std::uint64_t>();
-    nodes = ar.get_vec<CNode>();
-  }
+  auto fields() { return std::tie(mode, rounds, leaf_total, nodes); }
 };
 
 class ContractionProgram final : public cgm::ProgramT<ContractState> {
@@ -344,46 +317,44 @@ class ContractionProgram final : public cgm::ProgramT<ContractState> {
     std::vector<TMsg> rake_reqs;
     std::uint64_t counted = 0;
     bool have_count = false;
-    for (const auto& m : ctx.inbox()) {
-      for (const auto& r : bytes_to_vec<TMsg>(m.payload)) {
-        switch (r.kind) {
-          case kSide:
-            st.nodes[static_cast<std::size_t>(r.a - base)].side =
-                static_cast<std::uint32_t>(r.b);
-            break;
-          case kCount:
-            counted += r.a;
-            have_count = true;
-            break;
-          case kRakeReq:
-            rake_reqs.push_back(r);
-            break;
-          case kRakeSet: {
-            auto& s = st.nodes[static_cast<std::size_t>(r.a - base)];
-            s.parent = r.b;
-            s.side = static_cast<std::uint32_t>(r.c);
-            // Compose f_p( op(c_l, f_s(x)) ), all mod 2^64.
-            const std::uint64_t op = r.d, cl = r.e, ap = r.f, bp = r.g;
-            std::uint64_t ma, mb;
-            if (op == 1) {  // '+'
-              ma = s.fa;
-              mb = s.fb + cl;
-            } else {  // '*'
-              ma = cl * s.fa;
-              mb = cl * s.fb;
-            }
-            s.fa = ap * ma;
-            s.fb = ap * mb + bp;
-            break;
+    for (const auto& r : ctx.recv_concat<TMsg>()) {
+      switch (r.kind) {
+        case kSide:
+          st.nodes[static_cast<std::size_t>(r.a - base)].side =
+              static_cast<std::uint32_t>(r.b);
+          break;
+        case kCount:
+          counted += r.a;
+          have_count = true;
+          break;
+        case kRakeReq:
+          rake_reqs.push_back(r);
+          break;
+        case kRakeSet: {
+          auto& s = st.nodes[static_cast<std::size_t>(r.a - base)];
+          s.parent = r.b;
+          s.side = static_cast<std::uint32_t>(r.c);
+          // Compose f_p( op(c_l, f_s(x)) ), all mod 2^64.
+          const std::uint64_t op = r.d, cl = r.e, ap = r.f, bp = r.g;
+          std::uint64_t ma, mb;
+          if (op == 1) {  // '+'
+            ma = s.fa;
+            mb = s.fb + cl;
+          } else {  // '*'
+            ma = cl * s.fa;
+            mb = cl * s.fb;
           }
-          case kChild: {
-            auto& g = st.nodes[static_cast<std::size_t>(r.a - base)];
-            (r.b == 0 ? g.left : g.right) = r.c;
-            break;
-          }
-          default:
-            EMCGM_CHECK_MSG(false, "unexpected contraction record");
+          s.fa = ap * ma;
+          s.fb = ap * mb + bp;
+          break;
         }
+        case kChild: {
+          auto& g = st.nodes[static_cast<std::size_t>(r.a - base)];
+          (r.b == 0 ? g.left : g.right) = r.c;
+          break;
+        }
+        default:
+          EMCGM_CHECK_MSG(false, "unexpected contraction record");
       }
     }
     if (have_count) st.leaf_total = counted;

@@ -1,8 +1,9 @@
 #include "routing/balanced_routing.h"
 
 #include <algorithm>
+#include <cstring>
+#include <span>
 
-#include "util/archive.h"
 #include "util/error.h"
 
 namespace emcgm::routing {
@@ -17,75 +18,88 @@ struct FragHeader {
 };
 
 constexpr std::size_t kHeaderBytes = sizeof(FragHeader);
+static_assert(kHeaderBytes == 24, "the wire header has no padding");
+
+/// Byte l of message src -> dst goes to bin (src + dst + l) mod v, so bin k
+/// carries bytes l0, l0+v, l0+2v, ... with l0 = (k - src - dst) mod v.
+std::uint64_t first_byte(std::uint32_t v, std::uint32_t k, std::uint32_t src,
+                         std::uint32_t dst) {
+  return (static_cast<std::uint64_t>(k) + 2ULL * v - (src % v) - (dst % v)) %
+         v;
+}
+
+/// How many bytes of a len-byte message start at l0 with stride v.
+std::uint64_t stride_count(std::uint64_t len, std::uint64_t l0,
+                           std::uint32_t v) {
+  return l0 < len ? (len - l0 - 1) / v + 1 : 0;
+}
+
+/// Walk the fragment records of a physical payload in place. Each header
+/// must be complete and its bytes must fit the rest of the payload.
+template <typename F>
+void for_each_fragment(std::span<const std::byte> payload, F&& f) {
+  for (std::size_t pos = 0; pos < payload.size();) {
+    EMCGM_CHECK_MSG(payload.size() - pos >= kHeaderBytes,
+                    "fragment header truncated at byte " << pos);
+    FragHeader h;
+    std::memcpy(&h, payload.data() + pos, kHeaderBytes);
+    pos += kHeaderBytes;
+    EMCGM_CHECK_MSG(h.frag_len <= payload.size() - pos,
+                    "fragment of " << h.frag_len << " bytes overruns its "
+                                   << payload.size() << "-byte payload");
+    f(h, payload.data() + pos);
+    pos += static_cast<std::size_t>(h.frag_len);
+  }
+}
+
+/// A fragment in bin k must name two processors and carry exactly its
+/// round-robin share of the message, which bounds total_len by v times the
+/// payload size before anything is allocated from it. Returns its l0.
+std::uint64_t check_fragment(const FragHeader& h, std::uint32_t v,
+                             std::uint32_t k) {
+  EMCGM_CHECK_MSG(h.orig_src < v && h.final_dst < v,
+                  "fragment " << h.orig_src << " -> " << h.final_dst
+                              << " names a processor outside v = " << v);
+  const std::uint64_t l0 = first_byte(v, k, h.orig_src, h.final_dst);
+  EMCGM_CHECK_MSG(
+      h.frag_len != 0 && h.frag_len == stride_count(h.total_len, l0, v),
+      "fragment in bin " << k << " carries " << h.frag_len << " bytes of a "
+                         << h.total_len << "-byte message");
+  return l0;
+}
+
+/// Append a fragment record's header to a payload; returns where its
+/// frag_len bytes go.
+std::byte* add_fragment(std::vector<std::byte>& payload, const FragHeader& h) {
+  const std::size_t at = payload.size();
+  payload.resize(at + kHeaderBytes + h.frag_len);
+  std::memcpy(payload.data() + at, &h, kHeaderBytes);
+  return payload.data() + at + kHeaderBytes;
+}
 
 }  // namespace
-
-std::vector<std::vector<Fragment>> bin_phase_a(
-    std::uint32_t v, std::uint32_t src,
-    const std::vector<cgm::Message>& outbox) {
-  std::vector<std::vector<Fragment>> bins(v);
-  for (const auto& msg : outbox) {
-    EMCGM_CHECK(msg.src == src);
-    const std::uint64_t len = msg.payload.size();
-    if (len == 0) continue;
-    // Byte l goes to bin (src + dst + l) mod v. Bin k therefore receives
-    // bytes l0, l0+v, l0+2v, ... where l0 = (k - src - dst) mod v.
-    for (std::uint32_t k = 0; k < v; ++k) {
-      const std::uint64_t l0 =
-          (static_cast<std::uint64_t>(k) + 2ULL * v - (src % v) -
-           (msg.dst % v)) %
-          v;
-      if (l0 >= len) continue;
-      const std::uint64_t count = (len - l0 + v - 1) / v;
-      Fragment f;
-      f.orig_src = src;
-      f.final_dst = msg.dst;
-      f.total_len = len;
-      f.data.resize(count);
-      for (std::uint64_t t = 0; t < count; ++t) {
-        f.data[t] = msg.payload[l0 + t * v];
-      }
-      bins[k].push_back(std::move(f));
-    }
-  }
-  return bins;
-}
-
-cgm::Message pack_fragments(std::uint32_t src, std::uint32_t dst,
-                            const std::vector<Fragment>& frags) {
-  WriteArchive ar;
-  for (const auto& f : frags) {
-    FragHeader h{f.orig_src, f.final_dst, f.total_len, f.data.size()};
-    ar.put(h);
-    ar.write_raw(f.data.data(), f.data.size());
-  }
-  return cgm::Message{src, dst, ar.take()};
-}
-
-std::vector<Fragment> unpack_fragments(const cgm::Message& msg) {
-  std::vector<Fragment> out;
-  ReadArchive ar(msg.payload);
-  while (!ar.exhausted()) {
-    const auto h = ar.get<FragHeader>();
-    Fragment f;
-    f.orig_src = h.orig_src;
-    f.final_dst = h.final_dst;
-    f.total_len = h.total_len;
-    f.data.resize(static_cast<std::size_t>(h.frag_len));
-    ar.read_raw(f.data.data(), f.data.size());
-    out.push_back(std::move(f));
-  }
-  return out;
-}
 
 std::vector<cgm::Message> encode_phase_a(
     std::uint32_t v, std::uint32_t src,
     const std::vector<cgm::Message>& outbox) {
-  auto bins = bin_phase_a(v, src, outbox);
+  std::vector<std::vector<std::byte>> bins(v);
+  for (const auto& msg : outbox) {
+    EMCGM_CHECK(msg.src == src);
+    const std::uint64_t len = msg.payload.size();
+    for (std::uint32_t k = 0; k < v; ++k) {
+      const std::uint64_t l0 = first_byte(v, k, src, msg.dst);
+      const FragHeader h{src, msg.dst, len, stride_count(len, l0, v)};
+      if (h.frag_len == 0) continue;
+      std::byte* data = add_fragment(bins[k], h);
+      for (std::uint64_t t = 0; t < h.frag_len; ++t) {
+        data[t] = msg.payload[l0 + t * v];
+      }
+    }
+  }
   std::vector<cgm::Message> physical;
   for (std::uint32_t k = 0; k < v; ++k) {
     if (bins[k].empty()) continue;
-    physical.push_back(pack_fragments(src, k, bins[k]));
+    physical.push_back(cgm::Message{src, k, std::move(bins[k])});
   }
   return physical;
 }
@@ -94,22 +108,31 @@ std::vector<cgm::Message> transform_intermediate(
     std::uint32_t v, std::uint32_t k, const std::vector<cgm::Message>& inbox) {
   // Regroup every received fragment by its final destination (Step 3 of
   // Algorithm 1), then emit one round-B message per destination (Step 4).
-  std::vector<std::vector<Fragment>> by_dst(v);
+  struct Ref {
+    FragHeader h;
+    const std::byte* data;
+  };
+  std::vector<std::vector<Ref>> by_dst(v);
   for (const auto& msg : inbox) {
-    for (auto& f : unpack_fragments(msg)) {
-      EMCGM_CHECK(f.final_dst < v);
-      by_dst[f.final_dst].push_back(std::move(f));
-    }
+    for_each_fragment(msg.payload,
+                      [&](const FragHeader& h, const std::byte* data) {
+                        check_fragment(h, v, k);
+                        by_dst[h.final_dst].push_back(Ref{h, data});
+                      });
   }
   std::vector<cgm::Message> physical;
   for (std::uint32_t j = 0; j < v; ++j) {
     if (by_dst[j].empty()) continue;
     // Deterministic order for reproducibility across engines.
     std::sort(by_dst[j].begin(), by_dst[j].end(),
-              [](const Fragment& a, const Fragment& b) {
-                return a.orig_src < b.orig_src;
+              [](const Ref& a, const Ref& b) {
+                return a.h.orig_src < b.h.orig_src;
               });
-    physical.push_back(pack_fragments(k, j, by_dst[j]));
+    std::vector<std::byte> payload;
+    for (const auto& f : by_dst[j]) {
+      std::memcpy(add_fragment(payload, f.h), f.data, f.h.frag_len);
+    }
+    physical.push_back(cgm::Message{k, j, std::move(payload)});
   }
   return physical;
 }
@@ -117,47 +140,44 @@ std::vector<cgm::Message> transform_intermediate(
 std::vector<cgm::Message> decode_phase_b(
     std::uint32_t v, std::uint32_t dst,
     const std::vector<cgm::Message>& inbox) {
-  // Collect fragments per original source; msg.src of a round-B physical
-  // message identifies the intermediate, which determines the byte stride
-  // positions.
+  // Reassemble per original source; msg.src of a round-B physical message
+  // is the intermediate, which fixes the byte positions of its fragments.
   struct Partial {
-    std::uint64_t total_len = 0;
     std::uint64_t filled = 0;
-    std::vector<std::byte> data;
+    std::vector<std::byte> data;  // sized by its first fragment
   };
   std::vector<Partial> partials(v);
 
   for (const auto& msg : inbox) {
-    const std::uint32_t k = msg.src;  // intermediate processor
-    for (const auto& f : unpack_fragments(msg)) {
-      EMCGM_CHECK(f.final_dst == dst);
-      auto& p = partials[f.orig_src];
-      if (p.data.empty()) {
-        p.total_len = f.total_len;
-        p.data.resize(static_cast<std::size_t>(f.total_len));
+    std::uint64_t next_src = 0;  // round B lists orig_src ascending
+    for_each_fragment(msg.payload, [&](const FragHeader& h,
+                                       const std::byte* data) {
+      const std::uint64_t l0 = check_fragment(h, v, msg.src);
+      EMCGM_CHECK_MSG(h.final_dst == dst && h.orig_src >= next_src,
+                      "fragment " << h.orig_src << " -> " << h.final_dst
+                                  << " out of place in the payload "
+                                  << msg.src << " -> " << dst);
+      next_src = h.orig_src + 1ULL;
+      auto& p = partials[h.orig_src];
+      if (p.data.empty()) p.data.resize(static_cast<std::size_t>(h.total_len));
+      EMCGM_CHECK_MSG(p.data.size() == h.total_len,
+                      "fragments of message " << h.orig_src << " -> " << dst
+                                              << " disagree on its length");
+      for (std::uint64_t t = 0; t < h.frag_len; ++t) {
+        p.data[l0 + t * v] = data[t];
       }
-      EMCGM_CHECK(p.total_len == f.total_len);
-      const std::uint64_t l0 =
-          (static_cast<std::uint64_t>(k) + 2ULL * v - (f.orig_src % v) -
-           (dst % v)) %
-          v;
-      for (std::uint64_t t = 0; t < f.data.size(); ++t) {
-        const std::uint64_t pos = l0 + t * v;
-        EMCGM_CHECK(pos < p.total_len);
-        p.data[pos] = f.data[t];
-      }
-      p.filled += f.data.size();
-    }
+      p.filled += h.frag_len;
+    });
   }
 
   std::vector<cgm::Message> out;
   for (std::uint32_t i = 0; i < v; ++i) {
     auto& p = partials[i];
     if (p.data.empty()) continue;
-    EMCGM_CHECK_MSG(p.filled == p.total_len,
+    EMCGM_CHECK_MSG(p.filled == p.data.size(),
                     "reassembly of message " << i << " -> " << dst
                                              << " incomplete: " << p.filled
-                                             << " of " << p.total_len);
+                                             << " of " << p.data.size());
     out.push_back(cgm::Message{i, dst, std::move(p.data)});
   }
   return out;
@@ -165,13 +185,10 @@ std::vector<cgm::Message> decode_phase_b(
 
 std::uint64_t data_bytes(const cgm::Message& physical) {
   std::uint64_t data = 0;
-  ReadArchive ar(physical.payload);
-  while (!ar.exhausted()) {
-    const auto h = ar.get<FragHeader>();
-    data += h.frag_len;
-    std::vector<std::byte> skip(static_cast<std::size_t>(h.frag_len));
-    ar.read_raw(skip.data(), skip.size());
-  }
+  for_each_fragment(physical.payload,
+                    [&](const FragHeader& h, const std::byte*) {
+                      data += h.frag_len;
+                    });
   return data;
 }
 

@@ -12,8 +12,13 @@
 //
 // Wire format of a physical payload (both phases): a sequence of fragment
 // records {u32 orig_src, u32 final_dst, u64 total_len, u64 frag_len,
-// frag_len bytes}. Headers are bookkeeping overhead of O(v) per processor
-// pair and are excluded from the balance analysis (data_bytes below).
+// frag_len bytes}. Round A lists a source's fragments in outbox order;
+// round B lists them by orig_src ascending. Headers are bookkeeping overhead
+// of O(v) per processor pair and are excluded from the balance analysis
+// (data_bytes below). Regroup and decode reject a malformed record
+// (truncated, overrunning its payload, naming a processor outside v, or
+// carrying other than its round-robin share of the message) with
+// emcgm::Error before allocating anything from it.
 #pragma once
 
 #include <cstdint>
@@ -22,29 +27,6 @@
 #include "cgm/message.h"
 
 namespace emcgm::routing {
-
-/// A piece of an application message in transit.
-struct Fragment {
-  std::uint32_t orig_src = 0;
-  std::uint32_t final_dst = 0;
-  std::uint64_t total_len = 0;  ///< length of the whole application message
-  std::vector<std::byte> data;
-};
-
-/// Round-A binning at source processor `src`: splits the application outbox
-/// into v bins; result[k] holds the fragments bound for intermediate k.
-/// Bins for k == src stay local but are still produced (the engines
-/// short-circuit self-sends uniformly).
-std::vector<std::vector<Fragment>> bin_phase_a(
-    std::uint32_t v, std::uint32_t src,
-    const std::vector<cgm::Message>& outbox);
-
-/// Serialize one bin into a physical message payload.
-cgm::Message pack_fragments(std::uint32_t src, std::uint32_t dst,
-                            const std::vector<Fragment>& frags);
-
-/// Parse a physical payload back into fragments.
-std::vector<Fragment> unpack_fragments(const cgm::Message& msg);
 
 /// Phase A at `src`: outbox -> physical round-A messages (one per
 /// intermediate with non-empty bin).

@@ -1,8 +1,9 @@
 // Byte-oriented serialization used for virtual-processor contexts and
 // messages. Contexts must round-trip exactly: the EM engine destroys the
 // in-memory state of a virtual processor after each compound superstep and
-// rebuilds it from disk, so every Program state type provides save()/load()
-// in terms of these archives.
+// rebuilds it from disk, so every Program state type lists its fields once
+// (a std::tie of its members) and put_fields/get_fields derive both
+// directions from that list.
 //
 // The format is a flat little-endian byte stream with no framing; writer and
 // reader must agree on the sequence of fields (they are the same class).
@@ -14,6 +15,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -60,6 +62,14 @@ class WriteArchive {
     write_raw(bytes.data(), bytes.size());
   }
 
+  /// Write a field list (a std::tie of members) in order: a vector of
+  /// trivially copyable items as put_vec, any other trivially copyable
+  /// field as put. Other field types do not compile.
+  template <typename... Fs>
+  void put_fields(const std::tuple<Fs&...>& fields) {
+    std::apply([this](const auto&... f) { (put_field(f), ...); }, fields);
+  }
+
   std::size_t size() const { return buf_.size(); }
   const std::vector<std::byte>& buffer() const { return buf_; }
 
@@ -67,6 +77,11 @@ class WriteArchive {
   std::vector<std::byte> take() { return std::move(buf_); }
 
  private:
+  template <typename T>
+  void put_field(const std::vector<T>& f) { put_vec(f); }
+  template <typename T>
+  void put_field(const T& f) { put(f); }
+
   std::vector<std::byte> buf_;
 };
 
@@ -110,11 +125,22 @@ class ReadArchive {
 
   std::vector<std::byte> get_bytes() { return get_vec<std::byte>(); }
 
+  /// Read a field list written by put_fields, in the same order.
+  template <typename... Fs>
+  void get_fields(std::tuple<Fs&...> fields) {
+    std::apply([this](auto&... f) { (get_field(f), ...); }, fields);
+  }
+
   std::size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return pos_ == data_.size(); }
   std::size_t position() const { return pos_; }
 
  private:
+  template <typename T>
+  void get_field(std::vector<T>& f) { f = get_vec<T>(); }
+  template <typename T>
+  void get_field(T& f) { f = get<T>(); }
+
   std::span<const std::byte> data_;
   std::size_t pos_ = 0;
 };

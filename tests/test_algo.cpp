@@ -9,6 +9,8 @@
 #include "algo/sort.h"
 #include "algo/transpose.h"
 #include "cgm/machine.h"
+#include "cgm/proc_ctx.h"
+#include "cgm/program.h"
 #include "util/archive.h"
 #include "util/fenwick.h"
 #include "util/math.h"
@@ -56,6 +58,61 @@ TEST(Archive, BytesHelpers) {
   EXPECT_EQ(bytes.size(), 12u);
   EXPECT_EQ(bytes_to_vec<std::uint32_t>(bytes), xs);
   EXPECT_THROW(bytes_to_vec<std::uint64_t>(bytes), Error);  // 12 % 8 != 0
+}
+
+TEST(Archive, FieldListMatchesHandWrittenEncoding) {
+  // A ProgramT state derives its context encoding from one field list; the
+  // bytes must be exactly the hand-written put / put_vec sequence.
+  struct Padded {
+    std::uint8_t tag;
+    std::uint64_t val;  // 7 padding bytes precede it
+  };
+  static_assert(sizeof(Padded) == 16);
+  struct EncState {
+    std::uint32_t phase = 0;
+    double x = 0;
+    std::vector<std::uint8_t> bytes;
+    std::vector<Padded> items;
+    auto fields() { return std::tie(phase, x, bytes, items); }
+  };
+  class EncProgram final : public cgm::ProgramT<EncState> {
+   public:
+    std::string name() const override { return "field_list_probe"; }
+    void round(cgm::ProcCtx&, EncState& st) const override { seen = st; }
+    bool done(const cgm::ProcCtx&, const EncState&) const override {
+      return true;
+    }
+    mutable EncState seen;
+  };
+
+  std::vector<Padded> items(2);  // value-initialized: padding is zero
+  items[0].tag = 1;
+  items[0].val = 10;
+  items[1].tag = 2;
+  items[1].val = 1ull << 40;
+  WriteArchive hand;
+  hand.put<std::uint32_t>(7);
+  hand.put<double>(2.5);
+  hand.put_vec(std::vector<std::uint8_t>{1, 2, 3});
+  hand.put_vec(items);
+
+  EncProgram prog;
+  auto state = prog.make_state();
+  ReadArchive in(hand.buffer());
+  state->load(in);
+  EXPECT_TRUE(in.exhausted());
+  cgm::ProcCtx ctx(0, 1, 0);
+  static_cast<const cgm::Program&>(prog).round(ctx, *state);
+  EXPECT_EQ(prog.seen.phase, 7u);
+  EXPECT_EQ(prog.seen.x, 2.5);
+  EXPECT_EQ(prog.seen.bytes, (std::vector<std::uint8_t>{1, 2, 3}));
+  ASSERT_EQ(prog.seen.items.size(), 2u);
+  EXPECT_EQ(prog.seen.items[1].tag, 2u);
+  EXPECT_EQ(prog.seen.items[1].val, 1ull << 40);
+
+  WriteArchive out;
+  state->save(out);
+  EXPECT_EQ(out.buffer(), hand.buffer());
 }
 
 // ------------------------------------------------------------------- math --

@@ -19,16 +19,7 @@ struct FuzzState {
   std::uint64_t checksum = 0;
   std::vector<std::uint64_t> carry;
 
-  void save(WriteArchive& ar) const {
-    ar.put(phase);
-    ar.put(checksum);
-    ar.put_vec(carry);
-  }
-  void load(ReadArchive& ar) {
-    phase = ar.get<std::uint32_t>();
-    checksum = ar.get<std::uint64_t>();
-    carry = ar.get_vec<std::uint64_t>();
-  }
+  auto fields() { return std::tie(phase, checksum, carry); }
 };
 
 /// Each round: fold the inbox into a running checksum and a carried

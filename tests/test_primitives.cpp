@@ -18,8 +18,7 @@ namespace {
 /// vector to all, then checks it received exactly v vectors.
 struct GossipState {
   std::uint32_t phase = 0;
-  void save(WriteArchive& ar) const { ar.put(phase); }
-  void load(ReadArchive& ar) { phase = ar.get<std::uint32_t>(); }
+  auto fields() { return std::tie(phase); }
 };
 
 class GossipProgram final : public cgm::ProgramT<GossipState> {
@@ -166,8 +165,7 @@ TEST(Primitives, SelfSendDelivered) {
   // both engines (the EM engine routes it through the disk store).
   struct SelfState {
     std::uint32_t phase = 0;
-    void save(WriteArchive& ar) const { ar.put(phase); }
-    void load(ReadArchive& ar) { phase = ar.get<std::uint32_t>(); }
+    auto fields() { return std::tie(phase); }
   };
   class SelfProgram final : public cgm::ProgramT<SelfState> {
    public:

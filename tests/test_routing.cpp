@@ -3,9 +3,11 @@
 // message-size distributions.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "routing/balanced_routing.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 using namespace emcgm;
@@ -163,6 +165,70 @@ TEST_P(RoutingSuite, VariedLengthsRoundTrip) {
     }
     EXPECT_EQ(matched, expected_count);
   }
+}
+
+TEST(Routing, MalformedFragmentsAreTypedErrors) {
+  // One 8-byte message 0 -> 1 on v = 4: every intermediate k forwards one
+  // round-B fragment carrying 2 of its bytes.
+  const std::uint32_t v = 4, dst = 1;
+  const std::vector<cgm::Message> outbox{
+      cgm::Message{0, dst, std::vector<std::byte>(8, std::byte{7})}};
+  std::vector<std::vector<cgm::Message>> inter(v);
+  for (auto& m : routing::encode_phase_a(v, 0, outbox)) {
+    inter[m.dst].push_back(std::move(m));
+  }
+  std::vector<cgm::Message> good;  // good[k] comes from intermediate k
+  for (std::uint32_t k = 0; k < v; ++k) {
+    for (auto& m : routing::transform_intermediate(v, k, inter[k])) {
+      good.push_back(std::move(m));
+    }
+  }
+  ASSERT_EQ(good.size(), v);
+  ASSERT_EQ(routing::decode_phase_b(v, dst, good).at(0).payload,
+            outbox[0].payload);
+
+  // Header: u32 orig_src @0, u32 final_dst @4, u64 total_len @8,
+  // u64 frag_len @16, then frag_len bytes.
+  auto patched = [](std::vector<cgm::Message> msgs, std::size_t i,
+                    std::size_t off, auto value) {
+    std::memcpy(msgs[i].payload.data() + off, &value, sizeof value);
+    return msgs;
+  };
+  auto decode_fails = [&](const std::vector<cgm::Message>& inbox,
+                          const char* what) {
+    EXPECT_THROW(routing::decode_phase_b(v, dst, inbox), Error) << what;
+  };
+  auto truncated = good;
+  truncated[0].payload.resize(10);
+  decode_fails(truncated, "incomplete header");
+  decode_fails(patched(good, 0, 16, std::uint64_t{100}),
+               "frag_len overruns the payload");
+  decode_fails(patched(good, 0, 0, std::uint32_t{1000}), "orig_src >= v");
+  decode_fails(patched(good, 0, 4, std::uint32_t{9}), "final_dst >= v");
+  decode_fails(patched(good, 0, 4, std::uint32_t{2}), "final_dst != dst");
+  decode_fails(patched(good, 0, 8, std::uint64_t{1} << 62),
+               "frag_len is not the round-robin count of total_len");
+  // From k = 1 the fragment starts at byte 0, and 2 bytes is also its
+  // share of a 7-byte message: a consistent header that disagrees with the
+  // 8 bytes fragment 0 announced.
+  decode_fails(patched(good, 1, 8, std::uint64_t{7}),
+               "total_len disagrees across fragments");
+  auto repeated = good;
+  repeated[0].payload.insert(repeated[0].payload.end(),
+                             good[0].payload.begin(), good[0].payload.end());
+  decode_fails(repeated, "a fragment repeated in one payload");
+  decode_fails(std::vector<cgm::Message>(good.begin(), good.end() - 1),
+               "incomplete reassembly");
+
+  // Regroup and data_bytes walk the same headers.
+  EXPECT_THROW(
+      routing::transform_intermediate(v, 1, patched(inter[1], 0, 0,
+                                                    std::uint32_t{1000})),
+      Error);
+  auto cut = inter[1];
+  cut[0].payload.pop_back();
+  EXPECT_THROW(routing::transform_intermediate(v, 1, cut), Error);
+  EXPECT_THROW(routing::data_bytes(truncated[0]), Error);
 }
 
 INSTANTIATE_TEST_SUITE_P(Vs, RoutingSuite,
