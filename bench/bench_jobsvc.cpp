@@ -17,12 +17,14 @@
 //      1/2/4/8 — every tenant's output hash, IoStats, NetStats and charged
 //      bytes bit-identical at every count to the same job run alone (hard
 //      gate), with the wall-time speedup reported and, when the machine has
-//      >= 4 cores, gated > 1.0x at workers=4.
+//      >= 4 cores, gated > 1.0x at workers=4 on the medians of five
+//      alternating runs of workers=1 and workers=4.
 //
 // Exit 2 on any gate failure, so CI can hold the line.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -246,7 +248,8 @@ int main(int argc, char** argv) {
       "over worker counts. One tenant runs host threads, two run async\n"
       "I/O, one runs under a seeded absorbed chaos campaign. Outputs,\n"
       "counted I/O, wire bytes and charged bytes may not move; only wall\n"
-      "time may.\n\n");
+      "time may. workers=1 and workers=4 show the median of five\n"
+      "alternating runs each.\n\n");
 
   ServiceSpec wspec;
   wspec.service.pool = bench_pool();
@@ -277,40 +280,59 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: sweep chaos campaign never fired\n");
     gate_ok = false;
   }
-  double wall_one = 0.0;
-  double wall_four = 0.0;
-  for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
+  // One timed run_all per call; every tenant must stay bit-identical to
+  // its solo run at every worker count.
+  std::map<std::uint32_t, std::vector<double>> walls;
+  std::map<std::uint32_t, bool> same;
+  auto timed_run = [&](std::uint32_t workers) {
     ServiceConfig cfg = wspec.service;
     cfg.workers = workers;
     JobService sweep(cfg);
     for (const JobSpec& j : wspec.jobs) sweep.submit(j);
     const auto t0 = std::chrono::steady_clock::now();
     const auto rs = sweep.run_all();
-    const double wall =
+    walls[workers].push_back(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (workers == 1) wall_one = wall;
-    if (workers == 4) wall_four = wall;
-
-    bool same = true;
+            .count());
+    same.emplace(workers, true);
     for (std::size_t i = 0; i < rs.size(); ++i) {
       if (!rs[i].ok || !identical_to_solo(rs[i], solo_ref[i])) {
-        same = false;
+        same[workers] = false;
       }
     }
-    if (!same) {
+  };
+  // The gate compares workers=4 with workers=1 on the medians of
+  // kGateReps alternating runs of each: one ~0.02 s run is at the mercy of
+  // whatever else the machine does during it.
+  constexpr int kGateReps = 5;
+  for (int rep = 0; rep < kGateReps; ++rep) {
+    timed_run(rep % 2 == 0 ? 1 : 4);
+    timed_run(rep % 2 == 0 ? 4 : 1);
+  }
+  timed_run(2);
+  timed_run(8);
+  auto median_wall = [&](std::uint32_t workers) {
+    auto w = walls[workers];
+    std::sort(w.begin(), w.end());
+    return w[w.size() / 2];
+  };
+  const double wall_one = median_wall(1);
+  const double wall_four = median_wall(4);
+  for (std::uint32_t workers : {1u, 2u, 4u, 8u}) {
+    if (!same[workers]) {
       std::fprintf(stderr,
                    "FAIL: workers=%u changed a tenant observable — a tenant"
                    " diverged from its solo run\n",
                    workers);
       gate_ok = false;
     }
-
+    const double wall = median_wall(workers);
     char wall_s[32];
     std::snprintf(wall_s, sizeof wall_s, "%.3f", wall);
     char speed_s[32];
     std::snprintf(speed_s, sizeof speed_s, "%.2fx", wall_one / wall);
-    sweep_table.row({fmt_u(workers), wall_s, speed_s, same ? "yes" : "NO"});
+    sweep_table.row(
+        {fmt_u(workers), wall_s, speed_s, same[workers] ? "yes" : "NO"});
   }
   sweep_table.print();
 

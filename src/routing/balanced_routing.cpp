@@ -4,6 +4,10 @@
 #include <cstring>
 #include <span>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 #include "util/error.h"
 
 namespace emcgm::routing {
@@ -68,13 +72,80 @@ std::uint64_t check_fragment(const FragHeader& h, std::uint32_t v,
   return l0;
 }
 
-/// Append a fragment record's header to a payload; returns where its
-/// frag_len bytes go.
-std::byte* add_fragment(std::vector<std::byte>& payload, const FragHeader& h) {
-  const std::size_t at = payload.size();
-  payload.resize(at + kHeaderBytes + h.frag_len);
-  std::memcpy(payload.data() + at, &h, kHeaderBytes);
-  return payload.data() + at + kHeaderBytes;
+#ifdef __SSE2__
+/// out[j][i] = in[i][j] for a 16 x 16 byte block. Each round interleaves
+/// registers 2i and 2i + 1 into i (low halves) and i + 8 (high halves), at
+/// 8-, 16-, 32- and then 64-bit width; after the four rounds column j sits
+/// in register kBitReversed[j].
+void transpose16(const std::byte* const in[16], std::byte* const out[16]) {
+  static constexpr int kBitReversed[16] = {0, 8, 4, 12, 2, 10, 6, 14,
+                                           1, 9, 5, 13, 3, 11, 7, 15};
+  __m128i a[16], b[16];
+  for (int i = 0; i < 16; ++i) {
+    a[i] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in[i]));
+  }
+  for (int i = 0; i < 8; ++i) {
+    b[i] = _mm_unpacklo_epi8(a[2 * i], a[2 * i + 1]);
+    b[i + 8] = _mm_unpackhi_epi8(a[2 * i], a[2 * i + 1]);
+  }
+  for (int i = 0; i < 8; ++i) {
+    a[i] = _mm_unpacklo_epi16(b[2 * i], b[2 * i + 1]);
+    a[i + 8] = _mm_unpackhi_epi16(b[2 * i], b[2 * i + 1]);
+  }
+  for (int i = 0; i < 8; ++i) {
+    b[i] = _mm_unpacklo_epi32(a[2 * i], a[2 * i + 1]);
+    b[i + 8] = _mm_unpackhi_epi32(a[2 * i], a[2 * i + 1]);
+  }
+  for (int i = 0; i < 8; ++i) {
+    a[i] = _mm_unpacklo_epi64(b[2 * i], b[2 * i + 1]);
+    a[i + 8] = _mm_unpackhi_epi64(b[2 * i], b[2 * i + 1]);
+  }
+  for (int j = 0; j < 16; ++j) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out[j]), a[kBitReversed[j]]);
+  }
+}
+#endif
+
+/// Copy a len-byte message between its rows and its columns. Row r is
+/// bytes [r v, r v + v) at msg + r v; column c at cols[c] holds bytes c,
+/// c + v, c + 2v, ..., which is the fragment with l0 = c. Encode copies the
+/// rows into the columns, decode the columns into the rows. Every full
+/// 16 x 16 block goes through transpose16 when v is a multiple of 16; the
+/// row loop takes everything else.
+template <bool kToColumns, typename Row, typename Col>
+void transpose(std::uint32_t v, std::uint64_t len, Row* msg,
+               Col* const* cols) {
+  std::uint64_t r = 0;
+#ifdef __SSE2__
+  if (v % 16 == 0) {
+    for (; r + 16 <= len / v; r += 16) {
+      for (std::uint32_t c = 0; c < v; c += 16) {
+        Row* rows[16];
+        Col* block[16];
+        for (std::uint32_t i = 0; i < 16; ++i) {
+          rows[i] = msg + (r + i) * v + c;
+          block[i] = cols[c + i] + r;
+        }
+        if constexpr (kToColumns) {
+          transpose16(rows, block);
+        } else {
+          transpose16(block, rows);
+        }
+      }
+    }
+  }
+#endif
+  for (; r * v < len; ++r) {
+    Row* row = msg + r * v;
+    const std::uint64_t width = std::min<std::uint64_t>(v, len - r * v);
+    for (std::uint64_t c = 0; c < width; ++c) {
+      if constexpr (kToColumns) {
+        cols[c][r] = row[c];
+      } else {
+        row[c] = cols[c][r];
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -82,19 +153,34 @@ std::byte* add_fragment(std::vector<std::byte>& payload, const FragHeader& h) {
 std::vector<cgm::Message> encode_phase_a(
     std::uint32_t v, std::uint32_t src,
     const std::vector<cgm::Message>& outbox) {
-  std::vector<std::vector<std::byte>> bins(v);
+  // Size every bin once, then write each message's headers and transpose
+  // its rows into its columns: column l0 is its fragment in bin k.
+  std::vector<std::uint64_t> at(v, 0);  // bin k's size, then its cursor
   for (const auto& msg : outbox) {
     EMCGM_CHECK(msg.src == src);
+    for (std::uint32_t k = 0; k < v; ++k) {
+      const std::uint64_t n = stride_count(
+          msg.payload.size(), first_byte(v, k, src, msg.dst), v);
+      if (n != 0) at[k] += kHeaderBytes + n;
+    }
+  }
+  std::vector<std::vector<std::byte>> bins(v);
+  for (std::uint32_t k = 0; k < v; ++k) {
+    bins[k].resize(static_cast<std::size_t>(at[k]));
+    at[k] = 0;
+  }
+  std::vector<std::byte*> cols(v);
+  for (const auto& msg : outbox) {
     const std::uint64_t len = msg.payload.size();
     for (std::uint32_t k = 0; k < v; ++k) {
       const std::uint64_t l0 = first_byte(v, k, src, msg.dst);
       const FragHeader h{src, msg.dst, len, stride_count(len, l0, v)};
       if (h.frag_len == 0) continue;
-      std::byte* data = add_fragment(bins[k], h);
-      for (std::uint64_t t = 0; t < h.frag_len; ++t) {
-        data[t] = msg.payload[l0 + t * v];
-      }
+      std::memcpy(bins[k].data() + at[k], &h, kHeaderBytes);
+      cols[l0] = bins[k].data() + at[k] + kHeaderBytes;
+      at[k] += kHeaderBytes + h.frag_len;
     }
+    transpose<true>(v, len, msg.payload.data(), cols.data());
   }
   std::vector<cgm::Message> physical;
   for (std::uint32_t k = 0; k < v; ++k) {
@@ -107,30 +193,38 @@ std::vector<cgm::Message> encode_phase_a(
 std::vector<cgm::Message> transform_intermediate(
     std::uint32_t v, std::uint32_t k, const std::vector<cgm::Message>& inbox) {
   // Regroup every received fragment by its final destination (Step 3 of
-  // Algorithm 1), then emit one round-B message per destination (Step 4).
-  struct Ref {
-    FragHeader h;
-    const std::byte* data;
+  // Algorithm 1), then emit one round-B message per destination (Step 4),
+  // its records copied as they arrived, ordered by orig_src so that both
+  // engines produce the same bytes.
+  struct Record {
+    std::uint32_t dst, src;
+    const std::byte* bytes;  // header, then frag_len bytes
+    std::size_t size;
   };
-  std::vector<std::vector<Ref>> by_dst(v);
+  std::vector<Record> records;
+  std::vector<std::uint64_t> size(v, 0);
   for (const auto& msg : inbox) {
     for_each_fragment(msg.payload,
                       [&](const FragHeader& h, const std::byte* data) {
                         check_fragment(h, v, k);
-                        by_dst[h.final_dst].push_back(Ref{h, data});
+                        const std::size_t n = kHeaderBytes + h.frag_len;
+                        records.push_back(Record{h.final_dst, h.orig_src,
+                                                 data - kHeaderBytes, n});
+                        size[h.final_dst] += n;
                       });
   }
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) {
+              return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
+            });
   std::vector<cgm::Message> physical;
-  for (std::uint32_t j = 0; j < v; ++j) {
-    if (by_dst[j].empty()) continue;
-    // Deterministic order for reproducibility across engines.
-    std::sort(by_dst[j].begin(), by_dst[j].end(),
-              [](const Ref& a, const Ref& b) {
-                return a.h.orig_src < b.h.orig_src;
-              });
-    std::vector<std::byte> payload;
-    for (const auto& f : by_dst[j]) {
-      std::memcpy(add_fragment(payload, f.h), f.data, f.h.frag_len);
+  for (auto it = records.begin(); it != records.end();) {
+    const std::uint32_t j = it->dst;
+    std::vector<std::byte> payload(static_cast<std::size_t>(size[j]));
+    for (std::byte* at = payload.data(); it != records.end() && it->dst == j;
+         ++it) {
+      std::memcpy(at, it->bytes, it->size);
+      at += it->size;
     }
     physical.push_back(cgm::Message{k, j, std::move(payload)});
   }
@@ -140,11 +234,11 @@ std::vector<cgm::Message> transform_intermediate(
 std::vector<cgm::Message> decode_phase_b(
     std::uint32_t v, std::uint32_t dst,
     const std::vector<cgm::Message>& inbox) {
-  // Reassemble per original source; msg.src of a round-B physical message
-  // is the intermediate, which fixes the byte positions of its fragments.
+  // Find every original message's columns; msg.src of a round-B physical
+  // message is the intermediate, which fixes each fragment's l0.
   struct Partial {
-    std::uint64_t filled = 0;
-    std::vector<std::byte> data;  // sized by its first fragment
+    std::uint64_t len = 0, filled = 0;
+    std::vector<const std::byte*> cols;  // [l0], sized by its first fragment
   };
   std::vector<Partial> partials(v);
 
@@ -159,13 +253,18 @@ std::vector<cgm::Message> decode_phase_b(
                                   << msg.src << " -> " << dst);
       next_src = h.orig_src + 1ULL;
       auto& p = partials[h.orig_src];
-      if (p.data.empty()) p.data.resize(static_cast<std::size_t>(h.total_len));
-      EMCGM_CHECK_MSG(p.data.size() == h.total_len,
+      if (p.cols.empty()) {
+        p.len = h.total_len;
+        p.cols.assign(v, nullptr);
+      }
+      EMCGM_CHECK_MSG(p.len == h.total_len,
                       "fragments of message " << h.orig_src << " -> " << dst
                                               << " disagree on its length");
-      for (std::uint64_t t = 0; t < h.frag_len; ++t) {
-        p.data[l0 + t * v] = data[t];
-      }
+      EMCGM_CHECK_MSG(p.cols[l0] == nullptr,
+                      "fragment l0 = " << l0 << " of message " << h.orig_src
+                                       << " -> " << dst
+                                       << " delivered twice");
+      p.cols[l0] = data;
       p.filled += h.frag_len;
     });
   }
@@ -173,12 +272,14 @@ std::vector<cgm::Message> decode_phase_b(
   std::vector<cgm::Message> out;
   for (std::uint32_t i = 0; i < v; ++i) {
     auto& p = partials[i];
-    if (p.data.empty()) continue;
-    EMCGM_CHECK_MSG(p.filled == p.data.size(),
+    if (p.cols.empty()) continue;
+    EMCGM_CHECK_MSG(p.filled == p.len,
                     "reassembly of message " << i << " -> " << dst
                                              << " incomplete: " << p.filled
-                                             << " of " << p.data.size());
-    out.push_back(cgm::Message{i, dst, std::move(p.data)});
+                                             << " of " << p.len);
+    std::vector<std::byte> data(static_cast<std::size_t>(p.len));
+    transpose<false>(v, p.len, data.data(), p.cols.data());
+    out.push_back(cgm::Message{i, dst, std::move(data)});
   }
   return out;
 }

@@ -10,6 +10,12 @@
 // engine runs transform_intermediate as the compute phase of an extra
 // physical superstep (Lemma 2 doubles the superstep count).
 //
+// Read a len-byte message as floor(len / v) rows of v bytes plus a tail of
+// len mod v bytes: column c (bytes c, c + v, c + 2v, ...) is exactly the
+// fragment for bin (src + dst + c) mod v. Encode transposes rows into
+// columns and decode transposes them back, so each stage reads its input
+// once and writes every output byte once, into buffers sized up front.
+//
 // Wire format of a physical payload (both phases): a sequence of fragment
 // records {u32 orig_src, u32 final_dst, u64 total_len, u64 frag_len,
 // frag_len bytes}. Round A lists a source's fragments in outbox order;
@@ -18,7 +24,8 @@
 // (data_bytes below). Regroup and decode reject a malformed record
 // (truncated, overrunning its payload, naming a processor outside v, or
 // carrying other than its round-robin share of the message) with
-// emcgm::Error before allocating anything from it.
+// emcgm::Error before allocating anything from it; decode also rejects a
+// fragment delivered twice, even when the byte count still adds up.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +47,8 @@ std::vector<cgm::Message> transform_intermediate(
 
 /// At final destination `dst`: reassemble the original application messages
 /// from the round-B fragment streams. The byte-level round-robin assignment
-/// is deterministic, so each fragment's bytes scatter back to positions
-/// l0, l0+v, l0+2v, ... of the original message.
+/// is deterministic, so each fragment's bytes go back to positions
+/// l0, l0+v, l0+2v, ... (column l0) of the original message.
 std::vector<cgm::Message> decode_phase_b(std::uint32_t v, std::uint32_t dst,
                                          const std::vector<cgm::Message>& inbox);
 

@@ -4,6 +4,7 @@
 // O(N/(pDB)) I/O linearity of the simulated sort.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <numeric>
 #include <optional>
@@ -482,43 +483,62 @@ TEST(IoComplexity, MoreDisksFewerOps) {
 // ------------------------------------------------------- engine equivalence --
 
 TEST(Equivalence, SortAllConfigsAgree) {
-  auto keys = random_keys(12, 6000);
-  cgm::MachineConfig base;
-  base.v = 6;
-  cgm::Machine native(cgm::EngineKind::kNative, base);
-  const auto want = algo::sort_keys(native, keys);
-
-  for (bool balanced : {false, true}) {
-    for (auto layout :
-         {cgm::MsgLayout::kChained, cgm::MsgLayout::kStaggeredMatrix}) {
-      for (std::uint32_t p : {1u, 2u, 3u}) {
-        cgm::MachineConfig cfg = base;
-        cfg.p = p;
-        cfg.balanced_routing = balanced;
-        cfg.layout = layout;
-        if (layout == cgm::MsgLayout::kStaggeredMatrix) {
-          cfg.staggered_slot_bytes = 1 << 16;
-        }
-        // p > 1 configs also sweep the threaded driver; both modes must
-        // agree with the native engine and with each other on every counted
-        // I/O and communication total.
-        std::optional<pdm::IoStats> serial_io;
-        std::optional<std::uint64_t> serial_comm;
-        for (bool threads : {false, true}) {
-          if (threads && p == 1) continue;
-          cfg.use_threads = threads;
-          cgm::Machine m(cgm::EngineKind::kEm, cfg);
-          EXPECT_EQ(algo::sort_keys(m, keys), want)
-              << "balanced=" << balanced << " p=" << p
-              << " threads=" << threads;
-          if (!threads) {
-            serial_io = m.total().io;
-            serial_comm = m.total().comm.total_bytes();
-          } else {
-            EXPECT_EQ(m.total().io, *serial_io)
-                << "balanced=" << balanced << " p=" << p;
-            EXPECT_EQ(m.total().comm.total_bytes(), *serial_comm)
-                << "balanced=" << balanced << " p=" << p;
+  // v = 16 and 32 run balanced routing on messages of several 16 x 16
+  // byte tiles, v = 6 on the row loop alone.
+  struct Case {
+    std::uint32_t v;
+    std::size_t n;
+    std::vector<bool> balanced;
+    std::vector<cgm::MsgLayout> layouts;
+    std::vector<std::uint32_t> ps;
+  };
+  const Case cases[] = {
+      {6, 6000, {false, true},
+       {cgm::MsgLayout::kChained, cgm::MsgLayout::kStaggeredMatrix},
+       {1, 2, 3}},
+      {16, 1 << 15, {true}, {cgm::MsgLayout::kChained}, {1, 2}},
+      {32, 1 << 17, {true}, {cgm::MsgLayout::kChained}, {1, 2}},
+  };
+  for (const Case& c : cases) {
+    const auto keys = random_keys(12, c.n);
+    auto want = keys;
+    std::sort(want.begin(), want.end());
+    for (bool balanced : c.balanced) {
+      cgm::MachineConfig base;
+      base.v = c.v;
+      base.balanced_routing = balanced;
+      cgm::Machine native(cgm::EngineKind::kNative, base);
+      EXPECT_EQ(algo::sort_keys(native, keys), want)
+          << "native v=" << c.v << " balanced=" << balanced;
+      for (auto layout : c.layouts) {
+        for (std::uint32_t p : c.ps) {
+          cgm::MachineConfig cfg = base;
+          cfg.p = p;
+          cfg.layout = layout;
+          if (layout == cgm::MsgLayout::kStaggeredMatrix) {
+            cfg.staggered_slot_bytes = 1 << 16;
+          }
+          // p > 1 configs also sweep the threaded driver; both modes must
+          // agree with the native engine and with each other on every
+          // counted I/O and communication total.
+          std::optional<pdm::IoStats> serial_io;
+          std::optional<std::uint64_t> serial_comm;
+          for (bool threads : {false, true}) {
+            if (threads && p == 1) continue;
+            cfg.use_threads = threads;
+            cgm::Machine m(cgm::EngineKind::kEm, cfg);
+            EXPECT_EQ(algo::sort_keys(m, keys), want)
+                << "v=" << c.v << " balanced=" << balanced << " p=" << p
+                << " threads=" << threads;
+            if (!threads) {
+              serial_io = m.total().io;
+              serial_comm = m.total().comm.total_bytes();
+            } else {
+              EXPECT_EQ(m.total().io, *serial_io)
+                  << "v=" << c.v << " balanced=" << balanced << " p=" << p;
+              EXPECT_EQ(m.total().comm.total_bytes(), *serial_comm)
+                  << "v=" << c.v << " balanced=" << balanced << " p=" << p;
+            }
           }
         }
       }

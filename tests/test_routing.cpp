@@ -1,6 +1,6 @@
-// BalancedRouting (Algorithm 1): content preservation and the Theorem 1 /
-// Corollary 1 message-size bounds, over parameterized v and adversarial
-// message-size distributions.
+// BalancedRouting (Algorithm 1): content preservation, the physical byte
+// layout of both rounds, and the Theorem 1 / Corollary 1 message-size
+// bounds, over parameterized v and adversarial message-size distributions.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -135,10 +135,12 @@ TEST_P(RoutingSuite, UniformAllToAllBounds) {
 }
 
 TEST_P(RoutingSuite, VariedLengthsRoundTrip) {
-  // Lengths 0, 1, v-1, v, v+1, large: exercise every stride edge case.
+  // Lengths 0, 1, v-1, v, v+1, large: exercise every stride edge case;
+  // 33v + 5 bytes are two 16-row blocks of tiles, one more row and a tail.
   const std::uint32_t v = GetParam();
   Rng rng(400 + v);
-  const std::size_t lens[] = {0, 1, v - 1 + 1, v, v + 1, 7 * v + 3};
+  const std::size_t lens[] = {0, 1, v - 1 + 1, v, v + 1, 7 * v + 3,
+                              33 * v + 5};
   std::vector<std::vector<cgm::Message>> outbox(v);
   std::vector<std::vector<std::vector<std::byte>>> expect(
       v, std::vector<std::vector<std::byte>>(v));
@@ -164,6 +166,108 @@ TEST_P(RoutingSuite, VariedLengthsRoundTrip) {
       if (!expect[j][i].empty()) ++expected_count;
     }
     EXPECT_EQ(matched, expected_count);
+  }
+}
+
+TEST(Routing, PhysicalBytesFollowAlgorithm1) {
+  // Build both rounds' payloads straight from the rule (byte l of src -> dst
+  // travels in bin (src + dst + l) mod v) and compare them byte for byte
+  // with what encode and regroup write; decode must invert the rule-built
+  // round B. The lengths hit every 16 x 16 tile edge and every tail.
+
+  // records[k]: the fragment record of message m in bin k, or nothing.
+  auto rule_records = [](std::uint32_t v, const cgm::Message& m) {
+    std::vector<std::vector<std::byte>> bytes(v), records(v);
+    for (std::size_t l = 0; l < m.payload.size(); ++l) {
+      bytes[(m.src + m.dst + l) % v].push_back(m.payload[l]);
+    }
+    for (std::uint32_t k = 0; k < v; ++k) {
+      if (bytes[k].empty()) continue;
+      const std::uint32_t ids[2] = {m.src, m.dst};
+      const std::uint64_t lens[2] = {m.payload.size(), bytes[k].size()};
+      const auto* a = reinterpret_cast<const std::byte*>(ids);
+      const auto* b = reinterpret_cast<const std::byte*>(lens);
+      records[k].insert(records[k].end(), a, a + sizeof ids);
+      records[k].insert(records[k].end(), b, b + sizeof lens);
+      records[k].insert(records[k].end(), bytes[k].begin(), bytes[k].end());
+    }
+    return records;
+  };
+  for (std::uint32_t v : {1u, 3u, 8u, 16u, 32u, 48u}) {
+    const std::size_t lens[] = {1,          v - 1,  v,          v + 1,
+                                15 * v + 7, 16 * v, 17 * v + 1, 33 * v + 5};
+    // Message i -> j gets lens[(i + j + shift) % 8]; i + j takes 2v - 1
+    // values, so the small v need several passes to see every length.
+    for (std::size_t shift = 0; shift < std::size(lens); shift += 2 * v - 1) {
+      SCOPED_TRACE("v = " + std::to_string(v) + ", shift " +
+                   std::to_string(shift));
+      Rng rng(500 + v + shift);
+      // Outbox order is a rotation of the destinations, not ascending.
+      std::vector<std::vector<cgm::Message>> outbox(v);
+      for (std::uint32_t i = 0; i < v; ++i) {
+        for (std::uint32_t t = 0; t < v; ++t) {
+          const std::uint32_t j = (i + v - t) % v;
+          const std::size_t len = lens[(i + j + shift) % std::size(lens)];
+          if (len == 0) continue;
+          outbox[i].push_back(cgm::Message{i, j, make_payload(rng, len)});
+        }
+      }
+      // want_a[i][k]: round A, src -> k; want_b[j][k]: round B, k -> j.
+      std::vector<std::vector<std::vector<std::byte>>> want_a(
+          v, std::vector<std::vector<std::byte>>(v)),
+          want_b = want_a;
+      std::vector<std::vector<const cgm::Message*>> to(v);  // [dst][src]
+      for (std::uint32_t i = 0; i < v; ++i) {  // so round B is by src
+        for (const auto& m : outbox[i]) {
+          const auto records = rule_records(v, m);
+          for (std::uint32_t k = 0; k < v; ++k) {
+            auto& a = want_a[i][k];
+            auto& b = want_b[m.dst][k];
+            a.insert(a.end(), records[k].begin(), records[k].end());
+            b.insert(b.end(), records[k].begin(), records[k].end());
+          }
+          to[m.dst].push_back(&m);
+        }
+      }
+      // Round A as encoded, and regroup fed the rule-built round A.
+      std::vector<std::vector<cgm::Message>> inter(v);
+      for (std::uint32_t i = 0; i < v; ++i) {
+        std::vector<std::vector<std::byte>> got(v);
+        for (auto& m : routing::encode_phase_a(v, i, outbox[i])) {
+          ASSERT_EQ(m.src, i);
+          got[m.dst] = std::move(m.payload);
+        }
+        for (std::uint32_t k = 0; k < v; ++k) {
+          EXPECT_EQ(got[k], want_a[i][k]) << "round A " << i << " -> " << k;
+          if (!want_a[i][k].empty()) {
+            inter[k].push_back(cgm::Message{i, k, want_a[i][k]});
+          }
+        }
+      }
+      std::vector<std::vector<cgm::Message>> final_phys(v);
+      for (std::uint32_t k = 0; k < v; ++k) {
+        std::vector<std::vector<std::byte>> got(v);
+        for (auto& m : routing::transform_intermediate(v, k, inter[k])) {
+          ASSERT_EQ(m.src, k);
+          got[m.dst] = std::move(m.payload);
+        }
+        for (std::uint32_t j = 0; j < v; ++j) {
+          EXPECT_EQ(got[j], want_b[j][k]) << "round B " << k << " -> " << j;
+          if (!want_b[j][k].empty()) {
+            final_phys[j].push_back(cgm::Message{k, j, want_b[j][k]});
+          }
+        }
+      }
+      for (std::uint32_t j = 0; j < v; ++j) {
+        const auto got = routing::decode_phase_b(v, j, final_phys[j]);
+        ASSERT_EQ(got.size(), to[j].size());
+        for (std::size_t s = 0; s < got.size(); ++s) {
+          EXPECT_EQ(got[s].src, to[j][s]->src);
+          EXPECT_EQ(got[s].payload, to[j][s]->payload)
+              << "message " << got[s].src << " -> " << j;
+        }
+      }
+    }
   }
 }
 
@@ -219,6 +323,10 @@ TEST(Routing, MalformedFragmentsAreTypedErrors) {
   decode_fails(repeated, "a fragment repeated in one payload");
   decode_fails(std::vector<cgm::Message>(good.begin(), good.end() - 1),
                "incomplete reassembly");
+  // Intermediate 0's payload twice and intermediate 1's lost: the byte
+  // count still adds up to 8, but bytes 0 and 4 would never arrive.
+  decode_fails({good[0], good[0], good[2], good[3]},
+               "a fragment delivered twice in place of a missing one");
 
   // Regroup and data_bytes walk the same headers.
   EXPECT_THROW(
@@ -232,7 +340,8 @@ TEST(Routing, MalformedFragmentsAreTypedErrors) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Vs, RoutingSuite,
-                         ::testing::Values(1u, 2u, 3u, 4u, 7u, 8u, 16u, 33u),
+                         ::testing::Values(1u, 2u, 3u, 4u, 7u, 8u, 16u, 32u,
+                                           33u, 48u),
                          [](const ::testing::TestParamInfo<std::uint32_t>& i) {
                            return "v" + std::to_string(i.param);
                          });
