@@ -94,9 +94,11 @@ struct MachineConfig {
 
   /// Run real processors on std::thread, one per host, with each store
   /// group's step-0 batches posted into SimNetwork's per-link mailboxes as
-  /// the group finishes (the network's pump thread overlaps delivery with
-  /// compute). Guaranteed bit-identical to the serial schedule — outputs,
-  /// IoStats, StepComm, and NetStats alike (DESIGN.md §10).
+  /// the group finishes; the host whose finish completes an endpoint pair
+  /// simulates it on its own thread. With threads off, nothing in the
+  /// network runs off the caller's thread. Guaranteed bit-identical to the
+  /// serial schedule — outputs, IoStats, StepComm, and NetStats alike
+  /// (DESIGN.md §10).
   bool use_threads = false;
 
   std::uint64_t seed = 1;  ///< seed for randomized algorithm steps

@@ -629,16 +629,10 @@ std::uint64_t EmEngine::migrate_groups(
   }
   // A cascading loss during the hand-over round itself is unrecoverable
   // from here (this may already be the fail-over path); let it surface.
-  auto inboxes = net_->collect();
+  const net::LinkStreams streams = net_->collect();
   for (std::uint32_t h = 0; h < cfg_.p; ++h) {
-    std::vector<std::vector<std::byte>> stream_from(cfg_.p);
-    for (auto& d : inboxes[h]) {
-      auto& s = stream_from[d.src];
-      s.insert(s.end(), d.payload.begin(), d.payload.end());
-    }
-    for (std::uint32_t hs = 0; hs < cfg_.p; ++hs) {
-      if (stream_from[hs].empty()) continue;
-      ReadArchive ar(stream_from[hs]);
+    for (const auto& s : streams[h]) {
+      ReadArchive ar(s);
       while (!ar.exhausted()) {
         const auto g = ar.get<std::uint32_t>();
         EMCGM_CHECK_MSG(g < cfg_.p && group_host_[g] == h,
@@ -1206,7 +1200,8 @@ void EmEngine::post_group(RunState& rs, std::uint32_t host, std::uint32_t g,
 // (the open mailbox round is aborted either way so the fault-coin cursors
 // stay mode-independent — see SimNetwork::abort_round). With the network
 // enabled each host posts a group's step-0 batches as soon as the group
-// finishes, so the pump overlaps delivery with the remaining compute.
+// finishes, and its finish_sender() simulates every endpoint pair it
+// completes on the host's own thread, while slower hosts still compute.
 std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
                                                        bool compute) {
   const std::uint32_t p = cfg_.p;
@@ -1317,14 +1312,12 @@ void EmEngine::deliver_staged(RunState& rs,
       obs::SpanScope net_span(tr, eshard, obs::SpanKind::kNetCollect, epid,
                               0, -1, -1, phys_step_, rs.round);
       const net::NetStats net_mark = net_->stats();
-      // Close the open round, then sort its arrivals one receiving host at
-      // a time: reassemble each sender's fragment stream (per-link delivery
-      // is FIFO, so concatenation in arrival order restores it exactly) and
-      // parse the self-delimiting batch records back out.
+      // Close the open round, then parse the self-delimiting batch records
+      // back out of each link's stream, one receiving host at a time.
       auto close_round = [&] {
-        std::vector<std::vector<net::Delivery>> inboxes;
+        net::LinkStreams streams;
         try {
-          inboxes = net_->collect();
+          streams = net_->collect();
         } catch (const net::NetError&) {
           // Attribute the exhausted link before giving up: a fail-stopped
           // peer is a fail-over, an overwhelmed retry budget is an error.
@@ -1335,12 +1328,7 @@ void EmEngine::deliver_staged(RunState& rs,
           throw;
         }
         for (std::uint32_t h = 0; h < p; ++h) {
-          std::vector<std::vector<std::byte>> stream_from(p);
-          for (auto& d : inboxes[h]) {
-            auto& s = stream_from[d.src];
-            s.insert(s.end(), d.payload.begin(), d.payload.end());
-          }
-          for (const auto& s : stream_from) {
+          for (const auto& s : streams[h]) {
             ReadArchive ar(s);
             while (!ar.exhausted()) {
               const std::size_t begin = ar.position();

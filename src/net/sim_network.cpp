@@ -55,8 +55,6 @@ SimNetwork::SimNetwork(std::uint32_t p, NetConfig cfg)
       links_(static_cast<std::size_t>(p) * p),
       mail_(static_cast<std::size_t>(p) * p),
       sender_done_(p, 0),
-      pair_out_(static_cast<std::size_t>(p) * p),
-      pair_done_(static_cast<std::size_t>(p) * p, 0),
       last_seen_(p, 0) {
   EMCGM_CHECK(p >= 1);
   EMCGM_CHECK(cfg_.retry.max_attempts >= 1);
@@ -69,15 +67,6 @@ void SimNetwork::set_machine_map(std::vector<std::uint32_t> machines) {
   EMCGM_CHECK_MSG(machines.size() == p_,
                   "machine map must name all " << p_ << " processors");
   machine_ = std::move(machines);
-}
-
-SimNetwork::~SimNetwork() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  if (pump_.joinable()) pump_.join();
 }
 
 bool SimNetwork::round_active() const {
@@ -175,23 +164,6 @@ std::vector<std::uint32_t> SimNetwork::rejoin_round(
   return candidates;
 }
 
-void SimNetwork::send(std::uint32_t src, std::uint32_t dst,
-                      std::vector<std::byte> payload) {
-  EMCGM_CHECK(src < p_ && dst < p_ && src != dst);
-  EMCGM_CHECK_MSG(!round_active(), "send during an open mailbox round");
-  EMCGM_CHECK_MSG(!dead_[src] && !dead_[dst],
-                  "send on a link with a dead endpoint: " << src << "->"
-                                                          << dst);
-  LinkState& l = link(src, dst);
-  Packet pkt;
-  pkt.type = PacketType::kData;
-  pkt.src = src;
-  pkt.dst = dst;
-  pkt.seq = l.next_seq++;
-  pkt.payload = std::move(payload);
-  l.window.push_back(Unacked{pkt.seq, frame_packet(pkt), 0, 0});
-}
-
 std::uint64_t SimNetwork::rto(std::uint32_t attempts) const {
   // Never time out before a same-tick ack could possibly arrive: one base
   // latency each way plus slack, whatever the retry policy's base says.
@@ -213,31 +185,15 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
   std::uint64_t tick = 0;
   std::uint64_t order_counter = 0;
 
-  auto transmit = [&](const Packet& pkt, const std::vector<std::byte>& frame) {
-    switch (pkt.type) {
-      case PacketType::kData:
-        ++out.stats.data_sent;
-        break;
-      case PacketType::kAck:
-        ++out.stats.acks_sent;
-        break;
-      case PacketType::kHeartbeat:
-        ++out.stats.heartbeats_sent;
-        break;
-      case PacketType::kRejoinReq:
-        ++out.stats.rejoin_requests;
-        break;
-      case PacketType::kRejoinAck:
-        ++out.stats.rejoin_acks;
-        break;
-    }
+  // A pair carries only data and acks, and the sender knows the type and
+  // both ends of every frame it puts on the wire.
+  auto transmit = [&](PacketType type, std::uint32_t src, std::uint32_t dst,
+                      const std::vector<std::byte>& frame) {
+    ++(type == PacketType::kData ? out.stats.data_sent : out.stats.acks_sent);
     out.stats.wire_bytes += frame.size();
-    if (crossing(pkt.src, pkt.dst)) {
-      out.stats.crossing_wire_bytes += frame.size();
-    }
+    if (crossing(src, dst)) out.stats.crossing_wire_bytes += frame.size();
 
-    const LinkVerdict v =
-        injector_.on_transmit(pkt.src, pkt.dst, pkt.type, frame.size());
+    const LinkVerdict v = injector_.on_transmit(src, dst, type, frame.size());
     if (v.drop) {
       ++out.stats.dropped;
       return;
@@ -261,25 +217,14 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
   };
 
   auto handle_arrival = [&](const std::vector<std::byte>& frame) {
-    const std::optional<Packet> parsed = parse_packet(frame);
+    std::optional<Packet> parsed = parse_packet(frame);
     if (!parsed) {
       // In-flight corruption: the CRC (or frame structure) check rejected
       // it. The sender's retransmission timer recovers.
       ++out.stats.corrupt_discarded;
       return;
     }
-    const Packet& pkt = *parsed;
-    if (pkt.src >= p_ || pkt.dst >= p_) return;
-    if (dead_[pkt.src] || dead_[pkt.dst]) return;
-    // Heartbeat-class frames never travel through pair simulations (the
-    // heartbeat and rejoin rounds are their own synchronous exchanges);
-    // anything else here is ours.
-    if (pkt.type == PacketType::kHeartbeat ||
-        pkt.type == PacketType::kRejoinReq ||
-        pkt.type == PacketType::kRejoinAck) {
-      return;
-    }
-
+    Packet& pkt = *parsed;
     if (pkt.type == PacketType::kAck) {
       // Cumulative ack for the data direction dst -> src of the ack frame.
       LinkState& l = link(pkt.dst, pkt.src);
@@ -291,25 +236,25 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
     }
 
     LinkState& l = link(pkt.src, pkt.dst);
-    std::vector<Delivery>& inbox = pkt.dst == lo ? out.to_lo : out.to_hi;
+    std::vector<std::byte>& stream = pkt.dst == lo ? out.to_lo : out.to_hi;
+    auto deliver = [&](const std::vector<std::byte>& payload) {
+      ++out.stats.delivered_messages;
+      out.stats.delivered_payload_bytes += payload.size();
+      stream.insert(stream.end(), payload.begin(), payload.end());
+      ++l.expect;
+    };
     if (pkt.seq < l.expect) {
       ++out.stats.duplicates_discarded;
     } else if (pkt.seq == l.expect) {
-      ++out.stats.delivered_messages;
-      out.stats.delivered_payload_bytes += pkt.payload.size();
-      inbox.push_back(Delivery{pkt.src, std::move(parsed->payload)});
-      ++l.expect;
+      deliver(pkt.payload);
       // Drain the resequencing buffer while it continues the in-order run.
       for (auto it = l.ooo.find(l.expect); it != l.ooo.end();
            it = l.ooo.find(l.expect)) {
-        ++out.stats.delivered_messages;
-        out.stats.delivered_payload_bytes += it->second.size();
-        inbox.push_back(Delivery{pkt.src, std::move(it->second)});
+        deliver(it->second);
         l.ooo.erase(it);
-        ++l.expect;
       }
     } else {
-      if (l.ooo.emplace(pkt.seq, parsed->payload).second) {
+      if (l.ooo.emplace(pkt.seq, std::move(pkt.payload)).second) {
         ++out.stats.out_of_order_buffered;
       } else {
         ++out.stats.duplicates_discarded;
@@ -323,7 +268,7 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
     ack.src = pkt.dst;
     ack.dst = pkt.src;
     ack.seq = l.expect - 1;
-    transmit(ack, frame_packet(ack));
+    transmit(PacketType::kAck, ack.src, ack.dst, frame_packet(ack));
   };
 
   // The pair's two directed links, in canonical order — the same relative
@@ -339,9 +284,7 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
         if (u.attempts != 0) continue;
         u.attempts = 1;
         u.last_sent = tick;
-        const std::optional<Packet> pkt = parse_packet(u.frame);
-        EMCGM_ASSERT(pkt.has_value());
-        transmit(*pkt, u.frame);
+        transmit(PacketType::kData, e[0], e[1], u.frame);
       }
     }
 
@@ -386,9 +329,7 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
         ++u.attempts;
         u.last_sent = tick;
         ++out.stats.retransmissions;
-        const std::optional<Packet> pkt = parse_packet(u.frame);
-        EMCGM_ASSERT(pkt.has_value());
-        transmit(*pkt, u.frame);
+        transmit(PacketType::kData, e[0], e[1], u.frame);
       }
     }
   }
@@ -396,8 +337,7 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
   // duplicates and stale acks — dropped with the pair-local queue.
 }
 
-std::vector<std::vector<Delivery>> SimNetwork::finish_pairs(
-    std::vector<PairOutcome>& outs) {
+LinkStreams SimNetwork::finish_pairs(std::vector<PairOutcome>& outs) {
   // Merge statistics in canonical pair order. Every counter is an additive
   // total, so the merged value equals what one global event loop would have
   // counted — order only matters for reproducibility of intermediate reads.
@@ -444,93 +384,58 @@ std::vector<std::vector<Delivery>> SimNetwork::finish_pairs(
       }
     }
   }
-  // Canonical inbox assembly: per destination, per-link FIFO streams merged
-  // in src-ascending order. (Callers that need a different order sort the
-  // parsed records themselves — the engine stable-sorts by (src, dst).)
-  std::vector<std::vector<Delivery>> inbox(p_);
-  for (std::uint32_t dst = 0; dst < p_; ++dst) {
-    for (std::uint32_t src = 0; src < p_; ++src) {
-      if (src == dst) continue;
-      PairOutcome& o = outs[slot(std::min(src, dst), std::max(src, dst))];
-      std::vector<Delivery>& from = dst < src ? o.to_lo : o.to_hi;
-      for (Delivery& d : from) inbox[dst].push_back(std::move(d));
-      from.clear();
-    }
-  }
-  return inbox;
-}
-
-std::vector<std::vector<Delivery>> SimNetwork::run_to_quiescence() {
-  EMCGM_CHECK_MSG(!round_active(),
-                  "run_to_quiescence during an open mailbox round");
-  std::vector<PairOutcome> outs(static_cast<std::size_t>(p_) * p_);
+  LinkStreams streams(p_, std::vector<std::vector<std::byte>>(p_));
   for (std::uint32_t lo = 0; lo < p_; ++lo) {
     for (std::uint32_t hi = lo + 1; hi < p_; ++hi) {
-      PairOutcome& out = outs[slot(lo, hi)];
-      if (tracer_) out.t0_ns = tracer_->now_ns();
-      run_pair(lo, hi, out);
-      if (tracer_) out.t1_ns = tracer_->now_ns();
+      PairOutcome& o = outs[slot(lo, hi)];
+      streams[hi][lo] = std::move(o.to_hi);
+      streams[lo][hi] = std::move(o.to_lo);
     }
   }
-  return finish_pairs(outs);
+  return streams;
 }
 
 // --------------------------------------------------------- mailbox round ----
 
-void SimNetwork::note_sender_done_locked(std::uint32_t s) {
-  EMCGM_ASSERT(!sender_done_[s]);
-  sender_done_[s] = 1;
-  // A pair becomes runnable when its *second* endpoint finishes, so each
-  // pair is enqueued exactly once.
-  bool woke = false;
+void SimNetwork::finish_locked(std::uint32_t src, std::vector<PairId>& ready) {
+  sender_done_[src] = 1;
   for (std::uint32_t t = 0; t < p_; ++t) {
-    if (t == s || !sender_done_[t]) continue;
-    ready_.push_back(
-        static_cast<std::uint32_t>(slot(std::min(s, t), std::max(s, t))));
-    woke = true;
+    if (t != src && sender_done_[t]) {
+      ready.emplace_back(std::min(src, t), std::max(src, t));
+    }
   }
-  if (woke) work_cv_.notify_one();
 }
 
-void SimNetwork::run_pair_slot(std::uint32_t lo, std::uint32_t hi,
-                               std::unique_lock<std::mutex>& lk) {
-  // Take ownership of the pair's mailboxes, then simulate without the lock:
-  // the pair's links and coin cursors are touched by no one else until
-  // pair_done_ is published below.
-  std::vector<std::byte> lo_hi = std::move(mail_[slot(lo, hi)]);
-  std::vector<std::byte> hi_lo = std::move(mail_[slot(hi, lo)]);
-  mail_[slot(lo, hi)].clear();
-  mail_[slot(hi, lo)].clear();
-  lk.unlock();
-
-  PairOutcome& out = pair_out_[slot(lo, hi)];
-  if (tracer_) out.t0_ns = tracer_->now_ns();
-  load_pair_mail(lo, hi, std::move(lo_hi), std::move(hi_lo));
-  run_pair(lo, hi, out);
-  if (tracer_) out.t1_ns = tracer_->now_ns();
-
-  lk.lock();
-  pair_done_[slot(lo, hi)] = 1;
-  EMCGM_ASSERT(pairs_left_ > 0);
-  if (--pairs_left_ == 0) done_cv_.notify_all();
+void SimNetwork::run_ready(const std::vector<PairId>& ready) {
+  if (ready.empty()) return;
+  for (const auto& [lo, hi] : ready) {
+    PairOutcome& out = pair_out_[slot(lo, hi)];
+    if (tracer_) out.t0_ns = tracer_->now_ns();
+    load_pair_mail(lo, hi, out);
+    run_pair(lo, hi, out);
+    if (tracer_) out.t1_ns = tracer_->now_ns();
+  }
+  std::lock_guard<std::mutex> lk(mu_);
+  pairs_left_ -= static_cast<std::uint32_t>(ready.size());
 }
 
 void SimNetwork::load_pair_mail(std::uint32_t lo, std::uint32_t hi,
-                                std::vector<std::byte> lo_to_hi,
-                                std::vector<std::byte> hi_to_lo) {
+                                PairOutcome& out) {
   const std::size_t mtu = cfg_.mtu_bytes;
   EMCGM_CHECK(mtu > 0);
   const std::uint32_t ends[2][2] = {{lo, hi}, {hi, lo}};
-  const std::vector<std::byte>* streams[2] = {&lo_to_hi, &hi_to_lo};
+  std::vector<std::byte>* const received[2] = {&out.to_hi, &out.to_lo};
   for (int d = 0; d < 2; ++d) {
-    const std::vector<std::byte>& bytes = *streams[d];
-    LinkState& l = link(ends[d][0], ends[d][1]);
+    const std::uint32_t src = ends[d][0], dst = ends[d][1];
+    const std::vector<std::byte> bytes = std::move(mail_[slot(src, dst)]);
+    received[d]->reserve(bytes.size());
+    LinkState& l = link(src, dst);
     for (std::size_t off = 0; off < bytes.size(); off += mtu) {
       const std::size_t len = std::min(mtu, bytes.size() - off);
       Packet pkt;
       pkt.type = PacketType::kData;
-      pkt.src = ends[d][0];
-      pkt.dst = ends[d][1];
+      pkt.src = src;
+      pkt.dst = dst;
       pkt.seq = l.next_seq++;
       pkt.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(off),
                          bytes.begin() + static_cast<std::ptrdiff_t>(off + len));
@@ -539,41 +444,27 @@ void SimNetwork::load_pair_mail(std::uint32_t lo, std::uint32_t hi,
   }
 }
 
-void SimNetwork::pump_main() {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    work_cv_.wait(lk, [&] { return shutdown_ || !ready_.empty(); });
-    if (shutdown_) return;
-    const std::uint32_t s = ready_.front();
-    ready_.pop_front();
-    run_pair_slot(s / p_, s % p_, lk);
-  }
-}
-
 void SimNetwork::begin_round() {
-  std::unique_lock<std::mutex> lk(mu_);
-  EMCGM_CHECK_MSG(!round_active_, "begin_round with a round already open");
-  round_active_ = true;
-  std::fill(sender_done_.begin(), sender_done_.end(), char{0});
-  for (auto& m : mail_) m.clear();
-  for (auto& o : pair_out_) o = PairOutcome{};
-  std::fill(pair_done_.begin(), pair_done_.end(), char{0});
-  ready_.clear();
-  pairs_left_ = p_ * (p_ - 1) / 2;
-  if (p_ > 1 && !pump_.joinable()) {
-    pump_ = std::thread([this] { pump_main(); });
+  std::vector<PairId> ready;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    EMCGM_CHECK_MSG(!round_active_, "begin_round with a round already open");
+    round_active_ = true;
+    std::fill(sender_done_.begin(), sender_done_.end(), char{0});
+    pair_out_.assign(static_cast<std::size_t>(p_) * p_, PairOutcome{});
+    pairs_left_ = p_ * (p_ - 1) / 2;
+    // Dead processors post nothing, so they finish at once; a pair of two
+    // dead endpoints is simulated right here (zero frames, zero coins).
+    for (std::uint32_t q = 0; q < p_; ++q) {
+      if (dead_[q]) finish_locked(q, ready);
+    }
   }
-  // Dead processors post nothing: their pairs are runnable immediately
-  // (trivially empty — zero frames, zero fault coins).
-  for (std::uint32_t q = 0; q < p_; ++q) {
-    if (dead_[q]) note_sender_done_locked(q);
-  }
+  run_ready(ready);
 }
 
 void SimNetwork::post(std::uint32_t src, std::uint32_t dst,
                       std::vector<std::byte> bytes) {
   EMCGM_CHECK(src < p_ && dst < p_ && src != dst);
-  if (bytes.empty()) return;
   std::lock_guard<std::mutex> lk(mu_);
   EMCGM_CHECK_MSG(round_active_, "post outside a mailbox round");
   EMCGM_CHECK_MSG(!sender_done_[src], "post after finish_sender");
@@ -586,43 +477,56 @@ void SimNetwork::post(std::uint32_t src, std::uint32_t dst,
 
 void SimNetwork::finish_sender(std::uint32_t src) {
   EMCGM_CHECK(src < p_);
-  std::lock_guard<std::mutex> lk(mu_);
-  EMCGM_CHECK_MSG(round_active_, "finish_sender outside a mailbox round");
-  EMCGM_CHECK_MSG(!sender_done_[src], "finish_sender called twice");
-  note_sender_done_locked(src);
+  std::vector<PairId> ready;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    EMCGM_CHECK_MSG(round_active_, "finish_sender outside a mailbox round");
+    EMCGM_CHECK_MSG(!sender_done_[src], "finish_sender called twice");
+    finish_locked(src, ready);
+  }
+  run_ready(ready);
 }
 
-std::vector<std::vector<Delivery>> SimNetwork::collect() {
-  std::unique_lock<std::mutex> lk(mu_);
-  EMCGM_CHECK_MSG(round_active_, "collect outside a mailbox round");
-  for (std::uint32_t s = 0; s < p_; ++s) {
-    EMCGM_CHECK_MSG(sender_done_[s],
-                    "collect before sender " << s << " finished");
-  }
-  // The pump simulates every pair (p == 1 has none to wait for).
-  done_cv_.wait(lk, [&] { return pairs_left_ == 0; });
-  std::vector<PairOutcome> outs = std::move(pair_out_);
-  pair_out_.assign(static_cast<std::size_t>(p_) * p_, PairOutcome{});
-  ready_.clear();
+std::vector<SimNetwork::PairOutcome> SimNetwork::close_round_locked() {
+  EMCGM_CHECK_MSG(pairs_left_ == 0,
+                  pairs_left_ << " endpoint pair(s) not yet simulated: close a"
+                                 " round only after every finish_sender()"
+                                 " returned");
   round_active_ = false;
-  lk.unlock();
+  return std::move(pair_out_);
+}
+
+LinkStreams SimNetwork::collect() {
+  std::vector<PairOutcome> outs;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    EMCGM_CHECK_MSG(round_active_, "collect outside a mailbox round");
+    for (std::uint32_t s = 0; s < p_; ++s) {
+      EMCGM_CHECK_MSG(sender_done_[s],
+                      "collect before sender " << s << " finished");
+    }
+    outs = close_round_locked();
+  }
   return finish_pairs(outs);
 }
 
 void SimNetwork::abort_round() {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (!round_active_) return;
-  for (std::uint32_t s = 0; s < p_; ++s) {
-    if (!sender_done_[s]) note_sender_done_locked(s);
+  std::vector<PairId> ready;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!round_active_) return;
+    for (std::uint32_t s = 0; s < p_; ++s) {
+      if (!sender_done_[s]) finish_locked(s, ready);
+    }
   }
-  done_cv_.wait(lk, [&] { return pairs_left_ == 0; });
-  std::vector<PairOutcome> outs = std::move(pair_out_);
-  pair_out_.assign(static_cast<std::size_t>(p_) * p_, PairOutcome{});
-  ready_.clear();
-  round_active_ = false;
-  lk.unlock();
+  run_ready(ready);
+  std::vector<PairOutcome> outs;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    outs = close_round_locked();
+  }
   // Statistics still merge (the wire traffic happened; threaded and serial
-  // runs count it identically); deliveries and link errors of the abandoned
+  // runs count it identically); streams and link errors of the abandoned
   // round do not survive — the superstep is being replayed.
   for (std::uint32_t lo = 0; lo < p_; ++lo) {
     for (std::uint32_t hi = lo + 1; hi < p_; ++hi) {
@@ -692,8 +596,6 @@ void SimNetwork::reset_links() {
     l.next_seq = 1;
     l.expect = 1;
   }
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& m : mail_) m.clear();
 }
 
 std::vector<std::uint32_t> SimNetwork::probe_dead() {

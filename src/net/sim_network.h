@@ -4,14 +4,15 @@
 //
 // The protocol is a deterministic, discrete-event TCP-in-miniature:
 //
-//   * per-(src, dst) sequence numbers assigned at send(),
+//   * each ordered link's byte stream is cut into frames of at most
+//     NetConfig::mtu_bytes, numbered with per-(src, dst) sequence numbers,
 //   * a sender window of unacked frames, retransmitted on timeout with the
 //     exponential backoff of a pdm::RetryPolicy (backoff_us = virtual
 //     ticks); the retry budget exhausting raises NetError,
 //   * cumulative acks from the receiver on every data arrival,
 //   * receiver-side dedup (seq below the cursor) and a resequencing buffer
-//     (seq above it), so the application sees each payload exactly once, in
-//     send order, whatever the link did.
+//     (seq above it), so the receiver reassembles each link's stream exactly
+//     once, in order, whatever the link did.
 //
 // Pair decomposition. An ordered link (s, d) interacts only with its reverse
 // (d, s): data one way, acks the other, and the injector's fault coins are
@@ -21,29 +22,22 @@
 // clock, and every per-link timeline (hence every NetStats counter, which is
 // a sum over links) is a pure function of (per-link send content, fault
 // plan) — independent of which thread runs the pair, or when. That is the
-// load-bearing property of this file: it is what lets delivery overlap
-// compute without costing bit-for-bit determinism.
+// load-bearing property of this file: any thread may simulate a pair
+// without costing bit-for-bit determinism.
 //
-// Two ways to drive a round:
-//
-//   * send() + run_to_quiescence(): queue whole payloads, then simulate all
-//     pairs inline in canonical order (unit tests, simple callers).
-//   * the mailbox path — begin_round(); concurrent post() of serialized
-//     record-stream chunks onto per-link mailboxes as each store group
-//     finishes; finish_sender() when a host has posted everything; then
-//     collect(). A pair becomes runnable as soon as both of its endpoints
-//     finished, and a background pump thread simulates it right away, so
-//     delivery of early finishers overlaps the compute of slow ones. Each
-//     mailbox stream is fragmented into MTU-sized frames; collect() waits
-//     for the pump, merges statistics in canonical pair order, and returns
-//     per-destination inboxes (per-link FIFO, links merged in src-ascending
-//     order). Whatever thread posts when, the returned bytes and the
-//     statistics equal send() + run_to_quiescence() of the concatenated
-//     streams.
+// One way to run a round. begin_round() opens it; hosts post() chunks of
+// their serialized record streams onto per-link mailboxes, from any thread,
+// and finish_sender(h) says host h will post nothing further. The
+// finish_sender() call that finishes a pair's second endpoint simulates
+// that pair on its own thread before it returns. Once every finish_sender()
+// has returned, collect() merges statistics in canonical pair order and
+// returns each ordered link's reassembled stream. Whichever thread posts or
+// finishes when, the streams and the statistics are the same. Nothing in
+// this file starts a thread.
 //
 // All randomness comes from the LinkFaultInjector's seeded coins and all
 // ties break on (tick, enqueue order) within a pair, so a run is a pure
-// function of (plan, send sequence) — the property every fail-over and
+// function of (plan, per-link streams) — the property every fail-over and
 // threaded-determinism test leans on.
 //
 // Fail-over support: heartbeat_round() implements an eventually-perfect
@@ -53,14 +47,13 @@
 // a retransmission budget exhausts mid-round.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <map>
 #include <mutex>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/net_fault.h"
@@ -89,16 +82,15 @@ class NetError : public Error {
   std::uint32_t dst_;
 };
 
-/// One payload handed to the application, tagged with the sending processor.
-struct Delivery {
-  std::uint32_t src = 0;
-  std::vector<std::byte> payload;
-};
+/// What collect() returns: streams[dst][src] is the byte stream src posted
+/// to dst this round, reassembled in post order (empty when nothing was
+/// posted, and for src == dst).
+using LinkStreams = std::vector<std::vector<std::vector<std::byte>>>;
 
-/// Arbitration probe: called once per closed mailbox round (or inline
-/// quiescence run) with the round's total wire bytes and the owning job's
-/// tag. Fired from the round barrier — the collector thread, after every
-/// pair merged — so the charge stream is single-threaded and deterministic.
+/// Arbitration probe: called once per collected mailbox round with the
+/// round's total wire bytes and the owning job's tag. Fired from the round
+/// barrier — the collector thread, after every pair merged — so the charge
+/// stream is single-threaded and deterministic.
 /// Counted bytes, never wall time: a fair-share scheduler (src/svc/) can
 /// arbitrate on it without perturbing bit-reproducibility.
 using NetChargeFn =
@@ -107,7 +99,6 @@ using NetChargeFn =
 class SimNetwork {
  public:
   SimNetwork(std::uint32_t p, NetConfig cfg);
-  ~SimNetwork();
 
   SimNetwork(const SimNetwork&) = delete;
   SimNetwork& operator=(const SimNetwork&) = delete;
@@ -150,49 +141,38 @@ class SimNetwork {
   /// Must not be called while a mailbox round is open.
   void mark_alive(std::uint32_t proc);
 
-  /// Queue a payload for reliable delivery src -> dst (both alive).
-  void send(std::uint32_t src, std::uint32_t dst,
-            std::vector<std::byte> payload);
-
-  /// Simulate every endpoint pair to quiescence, inline and in canonical
-  /// order. Returns per-destination deliveries (per-link FIFO; links merged
-  /// in src-ascending order). Throws the canonically-first NetError when a
-  /// frame's retransmission budget exhausts — statistics of every pair,
-  /// including the failed one, are merged first.
-  std::vector<std::vector<Delivery>> run_to_quiescence();
-
-  // ---- mailbox round (the engine's concurrent delivery path) ------------
+  // ---- mailbox round: the one way to run a communication round ---------
 
   /// Open a mailbox round. Until collect(), post()/finish_sender() may be
-  /// called from any thread; a background pump (started by the first round
-  /// when p > 1) simulates each endpoint pair as soon as both of its
-  /// senders finished.
+  /// called from any thread. Dead processors post nothing and count as
+  /// finished at once.
   void begin_round();
 
   /// Thread-safe: append a chunk of the serialized record stream to the
   /// ordered link src -> dst. Chunks from one src must be posted in that
-  /// sender's program order (they are concatenated verbatim).
+  /// sender's program order (they are concatenated verbatim). An empty
+  /// chunk passes the same checks and adds nothing.
   void post(std::uint32_t src, std::uint32_t dst, std::vector<std::byte> bytes);
 
   /// Thread-safe: `src` will post nothing further this round. Every pair
-  /// whose other endpoint already finished becomes runnable.
+  /// whose other endpoint already finished is now complete, and this call
+  /// simulates each such pair on the calling thread before it returns.
   void finish_sender(std::uint32_t src);
 
-  /// Close the round: wait for the pump to have simulated every pair (each
-  /// mailbox stream fragmented into frames of at most NetConfig::mtu_bytes),
-  /// merge statistics in canonical pair order, and return per-destination
-  /// inboxes exactly like run_to_quiescence().
-  /// Requires every live sender to have finished. Throws the canonically-
+  /// Close the round: merge statistics in canonical pair order and return
+  /// each ordered link's reassembled stream. Call only after every
+  /// finish_sender() has returned; a sender that never finished, or a pair
+  /// still being simulated, is an Error, not a wait. Throws the canonically-
   /// first NetError of the round after merging all statistics.
-  std::vector<std::vector<Delivery>> collect();
+  LinkStreams collect();
 
-  /// Abort an open mailbox round after a compute-phase failure: mark every
-  /// sender finished, simulate every pair on whatever was posted, merge the
-  /// statistics canonically, and discard deliveries and link errors. Running
-  /// the pairs (rather than dropping the mailboxes) keeps the injector's
-  /// per-link coin cursors identical whether or not the pump already drained
-  /// some pairs before the abort was noticed — so threaded and serial runs
-  /// stay bit-identical across fail-over replays. No-op without an open
+  /// Abort an open mailbox round after a compute-phase failure: finish every
+  /// remaining sender, simulate the pairs that completes on the calling
+  /// thread, merge the statistics canonically, and discard streams and link
+  /// errors. Running the pairs (rather than dropping the mailboxes) makes
+  /// the fault coins a round consumes independent of how far it got before
+  /// the abort — so threaded and serial runs stay bit-identical across
+  /// fail-over replays. Same contract as collect(); no-op without an open
   /// round.
   void abort_round();
 
@@ -235,7 +215,7 @@ class SimNetwork {
   }
 
   /// Abandon the current protocol epoch: drop every in-flight frame, sender
-  /// window, resequencing buffer, and mailbox, and rewind all sequence
+  /// window and resequencing buffer, and rewind all sequence
   /// numbers to 1. Called when a superstep's delivery aborted (NetError ->
   /// fail-over) and will be replayed from a checkpoint — the replay must not
   /// receive leftovers of the aborted round. Not callable mid-round.
@@ -256,7 +236,7 @@ class SimNetwork {
     std::uint64_t seq = 0;
     std::vector<std::byte> frame;  ///< clean frame; corruption hits copies
     std::uint64_t last_sent = 0;   ///< tick of the latest transmission
-    std::uint32_t attempts = 0;    ///< 0 = queued by send(), not yet on wire
+    std::uint32_t attempts = 0;    ///< 0 = loaded, not yet on the wire
   };
 
   /// Both directions of one ordered (src, dst) pair.
@@ -268,18 +248,20 @@ class SimNetwork {
   };
 
   /// Everything one endpoint-pair simulation produced. Written by exactly
-  /// one thread (the pump, or run_to_quiescence's caller) while it owns the
-  /// pair, published to the collector under mu_ — the shard-merge discipline
-  /// that keeps NetStats accumulation race-free without changing any
-  /// reported total.
+  /// one thread (the one whose finish completed the pair) and published to
+  /// the collector under mu_ — the shard-merge discipline that keeps
+  /// NetStats accumulation race-free without changing any reported total.
   struct PairOutcome {
     NetStats stats;
-    std::vector<Delivery> to_lo;  ///< deliveries to the lower endpoint
-    std::vector<Delivery> to_hi;  ///< deliveries to the higher endpoint
-    std::exception_ptr error;     ///< NetError, if the pair exhausted
-    std::uint64_t t0_ns = 0;      ///< tracing: simulation window of the pair
-    std::uint64_t t1_ns = 0;      ///< (recorded by the thread owning it)
+    std::vector<std::byte> to_lo;  ///< stream hi -> lo, as reassembled
+    std::vector<std::byte> to_hi;  ///< stream lo -> hi, as reassembled
+    std::exception_ptr error;      ///< NetError, if the pair exhausted
+    std::uint64_t t0_ns = 0;       ///< tracing: simulation window of the pair
+    std::uint64_t t1_ns = 0;       ///< (recorded by the thread owning it)
   };
+
+  /// An endpoint pair {lo, hi}, lo < hi.
+  using PairId = std::pair<std::uint32_t, std::uint32_t>;
 
   LinkState& link(std::uint32_t src, std::uint32_t dst) {
     return links_[static_cast<std::size_t>(src) * p_ + dst];
@@ -288,11 +270,21 @@ class SimNetwork {
     return static_cast<std::size_t>(lo) * p_ + hi;
   }
 
-  /// Move the two mailbox streams of pair {lo, hi} into MTU-sized frames on
-  /// the corresponding link windows. Caller owns the pair.
-  void load_pair_mail(std::uint32_t lo, std::uint32_t hi,
-                      std::vector<std::byte> lo_to_hi,
-                      std::vector<std::byte> hi_to_lo);
+  /// Mark `src` finished (mu_ held) and append to `ready` the pairs this
+  /// completes: one per peer that had already finished. A pair therefore
+  /// completes exactly once, at its second endpoint.
+  void finish_locked(std::uint32_t src, std::vector<PairId>& ready);
+
+  /// Simulate the `ready` pairs on the calling thread (mu_ not held), then
+  /// count them done. From the finish that completed a pair until this
+  /// returns, its mailboxes, LinkStates, injector coin cursors and
+  /// PairOutcome belong to the calling thread alone.
+  void run_ready(const std::vector<PairId>& ready);
+
+  /// Cut the two mailbox streams of pair {lo, hi} into MTU-sized frames on
+  /// the link windows (emptying the mailboxes), and size `out`'s receive
+  /// streams for them.
+  void load_pair_mail(std::uint32_t lo, std::uint32_t hi, PairOutcome& out);
 
   /// Simulate pair {lo, hi} to quiescence with a pair-local clock and event
   /// queue. Deterministic given the pair's window contents and the fault
@@ -300,18 +292,15 @@ class SimNetwork {
   /// pair (reset_links clears the leftovers).
   void run_pair(std::uint32_t lo, std::uint32_t hi, PairOutcome& out);
 
+  /// End the open round (mu_ held): check that every pair was simulated
+  /// and hand over their outcomes.
+  std::vector<PairOutcome> close_round_locked();
+
   /// Merge pair statistics into stats_ in canonical order, rethrow the
-  /// canonically-first pair error, else assemble per-destination inboxes.
-  std::vector<std::vector<Delivery>> finish_pairs(
-      std::vector<PairOutcome>& outs);
+  /// canonically-first pair error, else hand out the per-link streams.
+  LinkStreams finish_pairs(std::vector<PairOutcome>& outs);
 
   std::uint64_t rto(std::uint32_t attempts) const;
-
-  void pump_main();
-  // Locked helpers for the mailbox round (mu_ held).
-  void note_sender_done_locked(std::uint32_t s);
-  void run_pair_slot(std::uint32_t lo, std::uint32_t hi,
-                     std::unique_lock<std::mutex>& lk);
 
   /// True iff the link a -> b crosses a machine boundary. Read-only during
   /// rounds, so pair threads may consult it without locking.
@@ -331,22 +320,16 @@ class SimNetwork {
   std::uint64_t job_tag_ = 0;      ///< opaque tag echoed to charge_
   NetChargeFn charge_;             ///< per-round arbitration probe
 
-  // Mailbox round state, guarded by mu_. pair slots use slot(lo, hi), lo <
-  // hi; a pair's PairOutcome/LinkStates are owned by whichever thread
-  // dequeued it from ready_ and are published back by setting pair_done_
-  // under mu_.
+  // Mailbox round state, guarded by mu_. Pair slots use slot(lo, hi),
+  // lo < hi. A complete pair's mailboxes and PairOutcome are touched only by
+  // the thread simulating it (run_ready), which counts it off pairs_left_
+  // under mu_ when done; every mailbox is empty again when a round closes.
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;  ///< pump: a pair became runnable
-  std::condition_variable done_cv_;  ///< collector: all pairs simulated
   std::vector<std::vector<std::byte>> mail_;  ///< per ordered link
   std::vector<char> sender_done_;
-  std::vector<PairOutcome> pair_out_;
-  std::vector<char> pair_done_;
-  std::deque<std::uint32_t> ready_;  ///< runnable pair slots, FIFO
-  std::uint32_t pairs_left_ = 0;
+  std::vector<PairOutcome> pair_out_;  ///< per pair slot, this round
+  std::uint32_t pairs_left_ = 0;       ///< pairs not yet simulated
   bool round_active_ = false;
-  bool shutdown_ = false;
-  std::thread pump_;
 
   // Failure detector: last superstep each processor was heard at.
   bool hb_init_ = false;

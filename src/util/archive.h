@@ -91,9 +91,7 @@ class ReadArchive {
   explicit ReadArchive(std::span<const std::byte> data) : data_(data) {}
 
   void read_raw(void* out, std::size_t n) {
-    EMCGM_CHECK_MSG(pos_ + n <= data_.size(),
-                    "archive underrun: need " << n << " at " << pos_
-                                              << " of " << data_.size());
+    need(n, 1);
     if (n == 0) return;  // `out` may be null: an empty vector's data()
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
@@ -111,6 +109,7 @@ class ReadArchive {
     requires std::is_trivially_copyable_v<T>
   std::vector<T> get_vec() {
     const auto n = get<std::uint64_t>();
+    need(n, sizeof(T));  // before a corrupt length can size the buffer
     std::vector<T> v(static_cast<std::size_t>(n));
     read_raw(v.data(), v.size() * sizeof(T));
     return v;
@@ -118,6 +117,7 @@ class ReadArchive {
 
   std::string get_string() {
     const auto n = get<std::uint64_t>();
+    need(n, 1);
     std::string s(static_cast<std::size_t>(n), '\0');
     read_raw(s.data(), s.size());
     return s;
@@ -140,6 +140,15 @@ class ReadArchive {
   void get_field(std::vector<T>& f) { f = get_vec<T>(); }
   template <typename T>
   void get_field(T& f) { f = get<T>(); }
+
+  /// Typed underrun unless `n` items of `size` bytes remain. Written as a
+  /// division so that no length, however corrupt, can wrap the check.
+  void need(std::uint64_t n, std::size_t size) const {
+    EMCGM_CHECK_MSG(n <= remaining() / size,
+                    "archive underrun: need " << n << " x " << size
+                                              << " bytes at " << pos_
+                                              << " of " << data_.size());
+  }
 
   std::span<const std::byte> data_;
   std::size_t pos_ = 0;

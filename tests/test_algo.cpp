@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "algo/permute.h"
 #include "algo/scan.h"
@@ -50,6 +51,28 @@ TEST(Archive, UnderrunThrows) {
   ReadArchive r(w.buffer());
   r.get<std::uint32_t>();
   EXPECT_THROW(r.get<std::uint64_t>(), Error);
+
+  // A corrupt length prefix is a typed underrun before anything is
+  // allocated from it: 12 bytes that claim 2^40 of payload, or a count
+  // whose byte size wraps to 8.
+  WriteArchive huge;
+  huge.put<std::uint64_t>(std::uint64_t{1} << 40);
+  huge.put<std::uint32_t>(0);
+  ReadArchive bytes(huge.buffer());
+  EXPECT_THROW(bytes.get_bytes(), Error);
+  ReadArchive str(huge.buffer());
+  EXPECT_THROW(str.get_string(), Error);
+  WriteArchive wrap;
+  wrap.put<std::uint64_t>((std::uint64_t{1} << 61) + 1);
+  wrap.put<std::uint64_t>(0);
+  ReadArchive vec(wrap.buffer());
+  EXPECT_THROW(vec.get_vec<std::uint64_t>(), Error);
+  // A raw read cannot wrap the bound either.
+  ReadArchive raw(huge.buffer());
+  raw.get<std::uint32_t>();
+  std::byte sink{};
+  EXPECT_THROW(raw.read_raw(&sink, std::numeric_limits<std::size_t>::max()),
+               Error);
 }
 
 TEST(Archive, BytesHelpers) {

@@ -178,27 +178,49 @@ TEST(LinkFaultInjector, HeartbeatsSeeOnlyFailStop) {
 
 // ------------------------------------------------------- reliable protocol --
 
+namespace {
+
+/// Run one mailbox round from the test thread: `post_all` posts, then every
+/// sender finishes (each finish simulates the pairs it completes) and the
+/// round closes.
+template <typename PostAll>
+net::LinkStreams one_round(net::SimNetwork& nw, std::uint32_t p,
+                           PostAll post_all) {
+  nw.begin_round();
+  post_all();
+  for (std::uint32_t s = 0; s < p; ++s) nw.finish_sender(s);
+  return nw.collect();
+}
+
+}  // namespace
+
 TEST(SimNetwork, CleanLinksDeliverInOrder) {
   net::NetConfig cfg;
   cfg.enabled = true;
+  cfg.mtu_bytes = 2;  // each 2-byte chunk is exactly one frame
   net::SimNetwork nw(2, cfg);
-  for (int i = 0; i < 10; ++i) {
-    nw.send(0, 1, bytes_of(("m" + std::to_string(i)).c_str()));
-  }
-  auto inboxes = nw.run_to_quiescence();
-  ASSERT_EQ(inboxes.size(), 2u);
-  ASSERT_EQ(inboxes[1].size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(inboxes[1][i].src, 0u);
-    EXPECT_EQ(inboxes[1][i].payload, bytes_of(("m" + std::to_string(i)).c_str()));
-  }
+  std::vector<std::byte> want;
+  const auto streams = one_round(nw, 2, [&] {
+    for (int i = 0; i < 10; ++i) {
+      const auto chunk = bytes_of(("m" + std::to_string(i)).c_str());
+      want.insert(want.end(), chunk.begin(), chunk.end());
+      nw.post(0, 1, chunk);
+    }
+  });
+  ASSERT_EQ(streams.size(), 2u);
+  ASSERT_EQ(streams[1].size(), 2u);
+  EXPECT_EQ(streams[1][0], want);
+  EXPECT_TRUE(streams[0][1].empty());
+  EXPECT_TRUE(streams[1][1].empty());
   EXPECT_EQ(nw.stats().retransmissions, 0u);
   EXPECT_EQ(nw.stats().delivered_messages, 10u);
+  EXPECT_EQ(nw.stats().delivered_payload_bytes, want.size());
 }
 
 TEST(SimNetwork, ExactlyOnceInOrderUnderHeavyFaults) {
   net::NetConfig cfg;
   cfg.enabled = true;
+  cfg.mtu_bytes = 5;  // frames cut across the 5- and 6-byte chunks
   cfg.fault.seed = 31337;
   cfg.fault.drop_prob = 0.15;
   cfg.fault.dup_prob = 0.15;
@@ -208,47 +230,53 @@ TEST(SimNetwork, ExactlyOnceInOrderUnderHeavyFaults) {
   cfg.retry.max_attempts = 16;
   net::SimNetwork nw(3, cfg);
   const int kMsgs = 40;
-  for (int i = 0; i < kMsgs; ++i) {
-    for (std::uint32_t s = 0; s < 3; ++s) {
-      for (std::uint32_t d = 0; d < 3; ++d) {
-        if (s == d) continue;
-        nw.send(s, d, bytes_of((std::to_string(s) + ">" + std::to_string(d) +
-                                "#" + std::to_string(i))
-                                   .c_str()));
+  std::vector<std::byte> want[3][3];
+  const auto streams = one_round(nw, 3, [&] {
+    for (int i = 0; i < kMsgs; ++i) {
+      for (std::uint32_t s = 0; s < 3; ++s) {
+        for (std::uint32_t d = 0; d < 3; ++d) {
+          if (s == d) continue;
+          const auto chunk = bytes_of((std::to_string(s) + ">" +
+                                       std::to_string(d) + "#" +
+                                       std::to_string(i))
+                                          .c_str());
+          want[d][s].insert(want[d][s].end(), chunk.begin(), chunk.end());
+          nw.post(s, d, chunk);
+        }
       }
     }
-  }
-  auto inboxes = nw.run_to_quiescence();
+  });
+  // Exactly once and in order per link: each stream is byte for byte what
+  // its sender posted, whatever the links dropped, duplicated or reordered.
+  std::uint64_t frames = 0;
   for (std::uint32_t d = 0; d < 3; ++d) {
-    // Exactly once: 2 peers x kMsgs, no loss, no duplication.
-    ASSERT_EQ(inboxes[d].size(), 2u * kMsgs) << "dst " << d;
-    // In order per link.
-    int next[3] = {0, 0, 0};
-    for (const auto& del : inboxes[d]) {
-      const auto want = std::to_string(del.src) + ">" + std::to_string(d) +
-                        "#" + std::to_string(next[del.src]++);
-      EXPECT_EQ(del.payload, bytes_of(want.c_str()));
+    for (std::uint32_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(streams[d][s], want[d][s]) << s << "->" << d;
+      frames += (want[d][s].size() + cfg.mtu_bytes - 1) / cfg.mtu_bytes;
     }
   }
   const auto& st = nw.stats();
   EXPECT_GT(st.retransmissions, 0u);
   EXPECT_GT(st.dropped + st.corrupted, 0u);
   EXPECT_GT(st.duplicates_discarded, 0u);
-  EXPECT_EQ(st.delivered_messages, 6u * kMsgs);
+  EXPECT_EQ(st.delivered_messages, frames);
 }
 
 TEST(SimNetwork, DeterministicAcrossRuns) {
   auto run_once = [] {
     net::NetConfig cfg;
     cfg.enabled = true;
+    cfg.mtu_bytes = 1;  // one frame per posted byte
     cfg.fault.seed = 7;
     cfg.fault.drop_prob = 0.2;
     cfg.fault.reorder_prob = 0.2;
     cfg.retry.max_attempts = 16;
     net::SimNetwork nw(2, cfg);
-    for (int i = 0; i < 25; ++i) nw.send(i % 2, (i + 1) % 2, bytes_of("x"));
-    nw.run_to_quiescence();
-    return nw.stats();
+    auto streams = one_round(nw, 2, [&] {
+      for (int i = 0; i < 25; ++i) nw.post(i % 2, (i + 1) % 2, bytes_of("x"));
+    });
+    EXPECT_EQ(nw.stats().delivered_messages, 25u);
+    return std::make_pair(nw.stats(), std::move(streams));
   };
   EXPECT_EQ(run_once(), run_once());
 }
@@ -256,18 +284,44 @@ TEST(SimNetwork, DeterministicAcrossRuns) {
 TEST(SimNetwork, BudgetExhaustionRaisesNetError) {
   net::NetConfig cfg;
   cfg.enabled = true;
+  cfg.mtu_bytes = 4;  // "doomed" is two frames
   cfg.fault.seed = 3;
   cfg.fault.drop_prob = 1.0;  // nothing ever arrives
   cfg.retry.max_attempts = 4;
   net::SimNetwork nw(2, cfg);
-  nw.send(0, 1, bytes_of("doomed"));
   try {
-    nw.run_to_quiescence();
+    one_round(nw, 2, [&] { nw.post(0, 1, bytes_of("doomed")); });
     FAIL() << "expected NetError";
   } catch (const net::NetError& e) {
     EXPECT_EQ(e.src(), 0u);
     EXPECT_EQ(e.dst(), 1u);
   }
+  // The round closed before the error surfaced, with the wire tax counted:
+  // both frames went out max_attempts times before the first gave up.
+  EXPECT_FALSE(nw.round_active());
+  EXPECT_EQ(nw.stats().retransmissions, 2u * (cfg.retry.max_attempts - 1));
+}
+
+TEST(SimNetwork, EmptyPostChecksTheRoundContract) {
+  // An empty chunk adds nothing, but it is held to the same contract as a
+  // non-empty one: inside an open round, before its sender finished, on a
+  // link between live endpoints.
+  net::NetConfig cfg;
+  cfg.enabled = true;
+  net::SimNetwork nw(3, cfg);
+  EXPECT_THROW(nw.post(0, 1, {}), Error);  // no round open
+  nw.mark_dead(2);
+  nw.begin_round();
+  EXPECT_THROW(nw.post(0, 2, {}), Error);  // dead endpoint
+  nw.post(0, 1, {});
+  nw.post(1, 0, bytes_of("ok"));
+  nw.finish_sender(0);
+  EXPECT_THROW(nw.post(0, 1, {}), Error);  // sender already finished
+  nw.finish_sender(1);
+  const auto streams = nw.collect();
+  EXPECT_TRUE(streams[1][0].empty());
+  EXPECT_EQ(streams[0][1], bytes_of("ok"));
+  EXPECT_EQ(nw.stats().delivered_messages, 1u);
 }
 
 TEST(SimNetwork, HeartbeatDetectorDeclaresFailStoppedDead) {

@@ -1,11 +1,13 @@
 // Threaded-determinism sweeps. Two layers:
 //
-//  * Mailbox: SimNetwork's concurrent round (begin_round/post/finish_sender/
-//    collect, drained by the background pump) must be bit-identical to the
-//    serial send/run_to_quiescence path, invariant to which thread posts
-//    when — the pair-decomposition argument of sim_network.h, tested
-//    directly. Thread on/off equality at the engine level is covered by the
-//    use_threads sweeps here and in test_schedule/test_net.
+//  * Mailbox: SimNetwork's round (begin_round/post/finish_sender/collect/
+//    abort_round) returns the same streams and statistics however a link's
+//    stream is chunked, whichever thread posts when, in whatever order the
+//    senders finish (hence whichever finish simulates a pair), and however
+//    far a round got before it was aborted — the pair-decomposition
+//    argument of sim_network.h, tested directly. Thread on/off equality at
+//    the engine level is covered by the use_threads sweeps here and in
+//    test_schedule/test_net.
 //
 //  * ThreadedStress: seeded schedule perturbation at the engine level. Real
 //    random sleeps are injected through the disk retry backoff hook (fired
@@ -41,22 +43,28 @@ std::vector<std::byte> payload_for(std::uint32_t src, std::uint32_t dst,
   return v;
 }
 
-bool same_inboxes(const std::vector<std::vector<net::Delivery>>& a,
-                  const std::vector<std::vector<net::Delivery>>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t d = 0; d < a.size(); ++d) {
-    if (a[d].size() != b[d].size()) return false;
-    for (std::size_t i = 0; i < a[d].size(); ++i) {
-      if (a[d][i].src != b[d][i].src) return false;
-      if (a[d][i].payload != b[d][i].payload) return false;
-    }
-  }
-  return true;
+/// Chunk c of link s -> d; three chunks make one link's stream of a round.
+std::vector<std::byte> chunk_for(std::uint32_t s, std::uint32_t d,
+                                 std::uint32_t c) {
+  return payload_for(s, d, c, 30 + 11 * c);
 }
 
+/// What link s -> d carries in round `round`: chunks 3 round .. 3 round + 2.
+std::vector<std::byte> stream_for(std::uint32_t s, std::uint32_t d,
+                                  std::uint32_t round) {
+  std::vector<std::byte> stream;
+  for (std::uint32_t c = 3 * round; c < 3 * round + 3; ++c) {
+    const auto chunk = chunk_for(s, d, c);
+    stream.insert(stream.end(), chunk.begin(), chunk.end());
+  }
+  return stream;
+}
+
+/// Lossy links with a small MTU, so every link's stream spans frames.
 net::NetConfig faulty_net(std::uint64_t seed) {
   net::NetConfig cfg;
   cfg.enabled = true;
+  cfg.mtu_bytes = 40;
   cfg.fault.seed = seed;
   cfg.fault.drop_prob = 0.1;
   cfg.fault.dup_prob = 0.05;
@@ -93,60 +101,66 @@ bool same_outputs(const std::vector<cgm::PartitionSet>& a,
 
 }  // namespace
 
-// ----------------------------------------------------- mailbox vs. send ----
+// ---------------------------------------------------------- mailbox round ----
 
-TEST(Mailbox, RoundMatchesSendPath) {
-  // One payload per ordered link, below the MTU, so the send path (one
-  // packet per send) and the mailbox path (stream fragmented at collect)
-  // produce identical frames — then everything downstream (fault coins,
-  // retransmissions, deliveries, statistics) must be identical too.
+TEST(Mailbox, ChunkingAndFinishOrderLeaveRoundUnchanged) {
+  // One round posts each link's stream whole and finishes the senders in
+  // ascending order; the other posts it as three chunks and finishes them in
+  // reverse, so a different finish completes (and simulates) each pair.
+  // Chunks concatenate verbatim and a pair's timeline depends only on its two
+  // streams and the fault plan, so streams and statistics must be equal.
   const std::uint32_t p = 4;
-  net::SimNetwork via_send(p, faulty_net(77));
-  net::SimNetwork via_mail(p, faulty_net(77));
-
-  via_mail.begin_round();
+  net::SimNetwork whole(p, faulty_net(77));
+  net::SimNetwork chunked(p, faulty_net(77));
+  whole.begin_round();
+  chunked.begin_round();
   for (std::uint32_t s = 0; s < p; ++s) {
     for (std::uint32_t d = 0; d < p; ++d) {
       if (s == d) continue;
-      const std::size_t len = 50 + 13 * s + 7 * d;
-      via_send.send(s, d, payload_for(s, d, 0, len));
-      // Two chunks that concatenate to the same stream: post() appends.
-      auto bytes = payload_for(s, d, 0, len);
-      std::vector<std::byte> head(bytes.begin(), bytes.begin() + len / 2);
-      std::vector<std::byte> tail(bytes.begin() + len / 2, bytes.end());
-      via_mail.post(s, d, std::move(head));
-      via_mail.post(s, d, std::move(tail));
+      whole.post(s, d, stream_for(s, d, 0));
+      for (std::uint32_t c = 0; c < 3; ++c) {
+        chunked.post(s, d, chunk_for(s, d, c));
+      }
     }
   }
-  for (std::uint32_t s = 0; s < p; ++s) via_mail.finish_sender(s);
+  for (std::uint32_t s = 0; s < p; ++s) whole.finish_sender(s);
+  for (std::uint32_t s = p; s-- > 0;) chunked.finish_sender(s);
 
-  const auto want = via_send.run_to_quiescence();
-  const auto got = via_mail.collect();
-  EXPECT_TRUE(same_inboxes(want, got));
-  EXPECT_EQ(via_send.stats(), via_mail.stats());
+  const auto want = whole.collect();
+  const auto got = chunked.collect();
+  EXPECT_EQ(want, got);
+  EXPECT_EQ(whole.stats(), chunked.stats());
+  EXPECT_GT(whole.stats().retransmissions, 0u);
+  for (std::uint32_t s = 0; s < p; ++s) {
+    for (std::uint32_t d = 0; d < p; ++d) {
+      if (s != d) {
+        EXPECT_EQ(want[d][s], stream_for(s, d, 0)) << s << "->" << d;
+      }
+    }
+  }
 }
 
 TEST(Mailbox, ConcurrentPostsAreDeterministic) {
   // p poster threads, each interleaving real random sleeps between its
-  // post() calls and visiting destinations in a thread-specific order. Only
-  // the per-link chunk order is fixed — and that is all the mailbox
-  // contract requires: every trial must match the inline reference (one
-  // send() of each link's concatenated chunks, run to quiescence) exactly.
+  // post() calls and visiting destinations in a thread-specific order, then
+  // finishing — and so simulating, on its own thread, every pair its finish
+  // completes. Only the per-link chunk order is fixed, and that is all the
+  // mailbox contract requires: every trial must match a round posted and
+  // finished from one thread in canonical order, exactly.
   const std::uint32_t p = 4;
   for (std::uint64_t trial = 0; trial < 5; ++trial) {
     net::SimNetwork ref(p, faulty_net(900 + trial));
+    ref.begin_round();
     for (std::uint32_t s = 0; s < p; ++s) {
       for (std::uint32_t d = 0; d < p; ++d) {
         if (s == d) continue;
-        std::vector<std::byte> stream;
         for (std::uint32_t c = 0; c < 3; ++c) {
-          const auto chunk = payload_for(s, d, c, 30 + 11 * c);
-          stream.insert(stream.end(), chunk.begin(), chunk.end());
+          ref.post(s, d, chunk_for(s, d, c));
         }
-        ref.send(s, d, std::move(stream));
       }
     }
-    const auto want = ref.run_to_quiescence();
+    for (std::uint32_t s = 0; s < p; ++s) ref.finish_sender(s);
+    const auto want = ref.collect();
 
     net::SimNetwork nw(p, faulty_net(900 + trial));
     nw.begin_round();
@@ -162,7 +176,7 @@ TEST(Mailbox, ConcurrentPostsAreDeterministic) {
           for (std::uint32_t c = 0; c < 3; ++c) {
             std::this_thread::sleep_for(
                 std::chrono::microseconds(jitter.next_below(80)));
-            nw.post(s, d, payload_for(s, d, c, 30 + 11 * c));
+            nw.post(s, d, chunk_for(s, d, c));
           }
         }
         nw.finish_sender(s);
@@ -170,8 +184,62 @@ TEST(Mailbox, ConcurrentPostsAreDeterministic) {
     }
     for (auto& t : posters) t.join();
     const auto got = nw.collect();
-    EXPECT_TRUE(same_inboxes(want, got)) << "trial " << trial;
+    EXPECT_EQ(want, got) << "trial " << trial;
     EXPECT_EQ(ref.stats(), nw.stats()) << "trial " << trial;
+  }
+}
+
+TEST(Mailbox, AbortMatchesWhateverRanBefore) {
+  // abort_round() simulates every pair that no finish has simulated yet, so
+  // the coins a round consumes do not depend on how far it got. Aborting
+  // after senders 0 and 1 finished (pair {0, 1} already simulated) must
+  // leave the same statistics — and, after reset_links(), the same next
+  // round — as aborting before any sender finished.
+  const std::uint32_t p = 4;
+  struct Outcome {
+    net::NetStats aborted;
+    net::NetStats after;
+    net::LinkStreams streams;
+  };
+  auto post_round = [&](net::SimNetwork& nw, std::uint32_t round) {
+    for (std::uint32_t s = 0; s < p; ++s) {
+      for (std::uint32_t d = 0; d < p; ++d) {
+        if (s != d) nw.post(s, d, stream_for(s, d, round));
+      }
+    }
+  };
+  auto run = [&](bool finish_two_first) {
+    net::SimNetwork nw(p, faulty_net(4242));
+    nw.begin_round();
+    post_round(nw, 0);
+    if (finish_two_first) {
+      nw.finish_sender(0);
+      nw.finish_sender(1);
+    }
+    nw.abort_round();
+    EXPECT_FALSE(nw.round_active());
+    Outcome o;
+    o.aborted = nw.stats();
+    nw.reset_links();
+    nw.begin_round();
+    post_round(nw, 1);
+    for (std::uint32_t s = 0; s < p; ++s) nw.finish_sender(s);
+    o.streams = nw.collect();
+    o.after = nw.stats();
+    return o;
+  };
+  const Outcome late = run(true);
+  const Outcome early = run(false);
+  EXPECT_GT(late.aborted.data_sent, 0u);
+  EXPECT_EQ(late.aborted, early.aborted);
+  EXPECT_EQ(late.after, early.after);
+  EXPECT_EQ(late.streams, early.streams);
+  for (std::uint32_t s = 0; s < p; ++s) {
+    for (std::uint32_t d = 0; d < p; ++d) {
+      if (s != d) {
+        EXPECT_EQ(late.streams[d][s], stream_for(s, d, 1)) << s << "->" << d;
+      }
+    }
   }
 }
 
