@@ -1,19 +1,16 @@
 #include "emcgm/em_engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <exception>
-#include <mutex>
 #include <numeric>
-#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "cgm/proc_ctx.h"
 #include "chaos/chaos_config.h"
+#include "emcgm/em_engine_internal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "pdm/checksum.h"
 #include "routing/balanced_routing.h"
 #include "util/error.h"
 #include "util/timer.h"
@@ -23,89 +20,6 @@ namespace emcgm::em {
 namespace {
 
 constexpr std::uint64_t kMaxRounds = 1u << 20;
-constexpr std::uint32_t kNoHost = 0xFFFFFFFF;
-
-// Commit-record framing (superstep checkpointing). A record carries the
-// membership epoch under which the boundary was committed and the ownership
-// map (group_host / alive): who was executing each store group when it was
-// taken. Only the engine that wrote a record reads it (the commit mark lives
-// in memory), so there is exactly one version to accept.
-constexpr std::uint32_t kCkptMagic = 0x454D4B50;  // "EMKP"
-constexpr std::uint32_t kCkptVersion = 3;
-
-// Batch record: the wire unit of superstep delivery. The (src_g, dst_g)
-// header names the record's flow (group_host_[src_g], group_host_[dst_g]),
-// so relays forward records unchanged and the fin host decodes them.
-void put_batch(WriteArchive& ar, std::uint32_t src_g, std::uint32_t dst_g,
-               const std::vector<cgm::Message>& batch) {
-  ar.put<std::uint32_t>(src_g);
-  ar.put<std::uint32_t>(dst_g);
-  ar.put<std::uint64_t>(batch.size());
-  for (const auto& m : batch) {
-    ar.put<std::uint32_t>(m.src);
-    ar.put<std::uint32_t>(m.dst);
-    ar.put_bytes(m.payload);
-  }
-}
-
-// Internal control flow only (never escapes this translation unit): one or
-// more real processors were found dead — by a fail-stop crash of their own
-// disks, an exhausted network link, or the heartbeat detector. The superstep
-// loop catches it and runs the fail-over procedure (or rethrows `cause` when
-// fail-over cannot help).
-struct DeadProcsError {
-  std::vector<std::uint32_t> procs;
-  std::exception_ptr cause;
-};
-
-// The fail-stop crashes (IoError kCrash) of one barrier pass over the store
-// groups: a crash out of group g's own disks means machine g died. Anything
-// else is not a death and propagates as it is.
-struct CrashSet {
-  std::vector<std::uint32_t> groups;
-  std::exception_ptr cause;  ///< the first crash, in group order
-
-  void add(std::uint32_t g, std::exception_ptr e) {
-    try {
-      std::rethrow_exception(e);
-    } catch (const IoError& io) {
-      if (io.kind() != IoErrorKind::kCrash) throw;
-    }
-    groups.push_back(g);
-    if (!cause) cause = e;
-  }
-
-  /// Hand the casualties to the fail-over path (DeadProcsError) or, with
-  /// fail-over off, rethrow the first crash. No-op when nobody crashed.
-  void raise(bool failover) {
-    if (groups.empty()) return;
-    if (failover) throw DeadProcsError{std::move(groups), cause};
-    std::rethrow_exception(cause);
-  }
-};
-
-// Check a commit record's CRC32C trailer and magic/version header; `what`
-// names the record in the typed errors. Returns a reader over the body,
-// positioned after the header.
-ReadArchive open_commit_record(std::span<const std::byte> blob,
-                               const char* what) {
-  EMCGM_CHECK_MSG(blob.size() > 4, what << " truncated");
-  const auto body = blob.first(blob.size() - 4);
-  std::uint32_t stored_crc;
-  std::memcpy(&stored_crc, blob.data() + body.size(), 4);
-  if (stored_crc != pdm::crc32c(body)) {
-    throw IoError(IoErrorKind::kCorruption,
-                  std::string(what) + " checksum mismatch");
-  }
-  ReadArchive ar(body);
-  const auto magic = ar.get<std::uint32_t>();
-  const auto version = ar.get<std::uint32_t>();
-  if (magic != kCkptMagic || version != kCkptVersion) {
-    throw IoError(IoErrorKind::kCorruption,
-                  std::string(what) + " has bad magic/version");
-  }
-  return ar;
-}
 
 // Serialized context layout: inputs (round 0 only), program state, outputs.
 std::vector<std::byte> pack_context(
@@ -149,100 +63,6 @@ UnpackedContext unpack_context(std::span<const std::byte> blob,
 }
 
 }  // namespace
-
-struct EmEngine::RealProc {
-  std::unique_ptr<pdm::DiskArray> disks;
-  pdm::TrackSpace space;
-  std::unique_ptr<ContextStore> contexts;
-  std::unique_ptr<MessageStore> messages;
-
-  // Two alternating on-disk slots for superstep commit records, so a crash
-  // while writing record k+1 leaves record k intact.
-  struct CkptSlot {
-    pdm::TrackRegion tracks;
-    pdm::StripeCursor cursor;
-    pdm::Extent extent{};
-
-    CkptSlot(pdm::TrackSpace& space, std::uint32_t D)
-        : tracks(space, 64), cursor(D) {}
-  };
-  std::optional<CkptSlot> ckpt[2];
-
-  RealProc(const cgm::MachineConfig& cfg, std::uint32_t index,
-           obs::Tracer* tracer) {
-    std::string dir;
-    if (cfg.backend == pdm::BackendKind::kFile) {
-      // Multi-node layout: each real processor's disks under its own root
-      // (separate filesystems); otherwise subdirectories of one file_dir.
-      dir = cfg.file_roots.empty()
-                ? cfg.file_dir + "/proc" + std::to_string(index)
-                : cfg.file_roots[index];
-    }
-    pdm::DiskArrayOptions opts;
-    opts.checksums = cfg.checksums;
-    opts.retry = cfg.retry;
-    opts.io_threads = cfg.io_threads;
-    if (tracer) {
-      opts.on_queue_depth = [tracer, index](std::size_t depth) {
-        tracer->record_queue_depth(index, depth);
-      };
-    }
-    const pdm::FaultPlan& plan = cfg.fault_per_proc.empty()
-                                     ? cfg.fault
-                                     : cfg.fault_per_proc[index];
-    disks = pdm::make_disk_array(cfg.backend, cfg.disk, dir, opts, plan);
-    // Capacity quota (chaos harness): applied at the innermost backend, so
-    // a write that would grow any of this machine's disks past the quota
-    // raises a typed IoError(kNoSpace).
-    const std::uint64_t quota = cfg.chaos.disk_quota_per_proc.empty()
-                                    ? cfg.chaos.disk_quota_bytes
-                                    : cfg.chaos.disk_quota_per_proc[index];
-    if (quota != 0) disks->set_quota_bytes(quota);
-    ckpt[0].emplace(space, cfg.disk.num_disks);
-    ckpt[1].emplace(space, cfg.disk.num_disks);
-  }
-};
-
-// One store group's work during a superstep. A store group is
-// indexed by the real processor that originally owned it; after a fail-over
-// several groups can be driven by the same surviving host, but each group
-// still reads and writes its own stores — which is why the outcome (and the
-// final output) is independent of who executes it.
-struct EmEngine::ProcOutcome {
-  // outgoing physical messages grouped by owning store group
-  std::vector<std::vector<cgm::Message>> by_owner;
-  std::vector<char> done;  // per local vproc
-  std::exception_ptr error;
-};
-
-// The cooperative run between start()/start_resume() and finish().
-// Everything the old monolithic loop kept in locals lives here, so a
-// scheduler can put the run down at any superstep barrier (by not calling
-// step()) and pick it up arbitrarily later — between step() calls the
-// engine is quiescent and this struct plus the committed boundary is the
-// run's entire volatile state.
-struct EmEngine::RunState {
-  const cgm::Program* program = nullptr;
-  Timer timer;  ///< whole-run wall clock (result.wall_s)
-  cgm::RunResult result;
-
-  std::uint64_t round = 0;
-  Phase phase = Phase::kCompute;
-  bool all_done = false;
-
-  pdm::IoStats io_before;       ///< disk stats at start (delta -> result.io)
-  net::NetStats net_before;     ///< wire stats at start (delta -> result.net)
-  pdm::IoStats trace_mark;      ///< per-superstep I/O delta cursor
-  net::NetStats net_step_mark;  ///< per-superstep wire delta cursor
-  Timer step_timer;
-
-  // No-progress watchdog (cfg.chaos.invariants): a high-water mark on the
-  // (round, phase) key; see step().
-  std::uint64_t wd_hw_round = 0;
-  std::uint32_t wd_hw_phase = 0;
-  bool wd_seen = false;
-  std::uint32_t wd_stall = 0;
-};
 
 EmEngine::EmEngine(cgm::MachineConfig cfg) : cfg_(std::move(cfg)) {
   cfg_.validate();
@@ -305,253 +125,6 @@ std::uint64_t EmEngine::checkpoint_round() const {
   return commit_.round;
 }
 
-// -------------------------------------------------------------- commit ----
-
-void EmEngine::commit(std::uint64_t round, Phase phase) {
-  if (cfg_.chaos.invariants && commit_.valid) {
-    // Commit boundaries must advance strictly: every commit follows a full
-    // phase, so even a post-fail-over replay lands past the restored mark.
-    const bool forward =
-        round > commit_.round ||
-        (round == commit_.round &&
-         static_cast<std::uint32_t>(phase) >
-             static_cast<std::uint32_t>(commit_.phase));
-    if (!forward) {
-      std::ostringstream os;
-      os << "commit boundary (round " << round << ", phase "
-         << static_cast<std::uint32_t>(phase)
-         << ") does not advance past the committed (round " << commit_.round
-         << ", phase " << static_cast<std::uint32_t>(commit_.phase) << ")";
-      throw chaos::InvariantViolation(chaos::Invariant::kCommitMonotonic,
-                                      os.str());
-    }
-  }
-  const std::uint64_t seq = commit_.seq + 1;
-  const int slot = static_cast<int>(seq % 2);
-  // Every store group commits — including those of a dead machine, whose
-  // disks survive it (remounted by the adopting survivor). A fail-stop crash
-  // of one machine's disks must not abort the others' records: collect the
-  // casualties and let the fail-over path deal with them. commit_ is only
-  // advanced when every record landed, so a partial commit leaves the
-  // previous boundary (in the other slot) authoritative.
-  CrashSet crashed;
-  obs::Tracer* tr = tracer_.get();
-  for (std::uint32_t g = 0; g < cfg_.p; ++g) {
-    auto& rp = *procs_[g];
-    // Commit runs on the barrier thread; render the span on the group's
-    // host so checkpoint cost shows up where the disks live.
-    obs::SpanScope span(tr, tr ? &tr->engine_shard() : nullptr,
-                        obs::SpanKind::kCommit, group_host_[g], g, g, -1,
-                        phys_step_, round, &rp.disks->stats());
-    try {
-      WriteArchive ar;
-      ar.put<std::uint32_t>(kCkptMagic);
-      ar.put<std::uint32_t>(kCkptVersion);
-      ar.put<std::uint64_t>(seq);
-      ar.put<std::uint64_t>(round);
-      ar.put<std::uint32_t>(static_cast<std::uint32_t>(phase));
-      ar.put<std::uint64_t>(epoch_);
-      for (std::uint32_t g2 = 0; g2 < cfg_.p; ++g2) {
-        ar.put<std::uint32_t>(group_host_[g2]);
-      }
-      for (std::uint32_t q = 0; q < cfg_.p; ++q) {
-        ar.put<std::uint32_t>(alive_[q] ? 1 : 0);
-      }
-      rp.contexts->save(ar);
-      rp.messages->save(ar);
-      ar.put<std::uint32_t>(pdm::crc32c(ar.buffer()));
-      auto blob = ar.take();
-      span.set_aux(blob.size());
-
-      auto& ck = *rp.ckpt[slot];
-      ck.cursor.reset();
-      ck.extent = ck.cursor.alloc(blob.size(), rp.disks->block_bytes());
-      pdm::write_striped(*rp.disks, ck.tracks, ck.extent, blob);
-      rp.disks->sync();  // a boundary is committed only once it is durable
-    } catch (...) {
-      crashed.add(g, std::current_exception());
-    }
-  }
-  crashed.raise(cfg_.net.failover);
-  commit_ = Commit{true, seq, round, phase};
-}
-
-void EmEngine::restore_from_commit() {
-  EMCGM_CHECK_MSG(commit_.valid, "no committed checkpoint to resume from");
-  // Quiesce every async executor before touching the disks: the aborted
-  // superstep may have left write-behind errors pending, and they belong to
-  // the timeline the replay is about to discard — they must not resurface
-  // out of the restore's own reads.
-  for (auto& rp : procs_) {
-    try {
-      rp->disks->drain();
-    } catch (const IoError&) {
-      // casualty of the aborted superstep
-    }
-  }
-  const int slot = static_cast<int>(commit_.seq % 2);
-  obs::Tracer* tr = tracer_.get();
-  for (std::uint32_t g = 0; g < cfg_.p; ++g) {
-    auto& rp = procs_[g];
-    obs::SpanScope span(tr, tr ? &tr->engine_shard() : nullptr,
-                        obs::SpanKind::kRecovery, group_host_[g], g, g, -1,
-                        phys_step_, commit_.round, &rp->disks->stats());
-    EMCGM_CHECK_MSG(rp->contexts && rp->messages,
-                    "resume() before run() set up the stores");
-    auto& ck = *rp->ckpt[slot];
-    const auto blob = pdm::read_striped(*rp->disks, ck.tracks, ck.extent);
-    ReadArchive ar = open_commit_record(blob, "commit record");
-    const auto seq = ar.get<std::uint64_t>();
-    const auto round = ar.get<std::uint64_t>();
-    const auto phase = ar.get<std::uint32_t>();
-    EMCGM_CHECK_MSG(seq == commit_.seq && round == commit_.round &&
-                        phase == static_cast<std::uint32_t>(commit_.phase),
-                    "commit record does not match the in-memory commit mark");
-    // Membership epoch: the epoch under which the boundary was taken. A
-    // fail-over bumps the epoch *before* restoring the record committed
-    // under the old epoch, so the recorded value is a floor, not an
-    // equality.
-    const auto rec_epoch = ar.get<std::uint64_t>();
-    EMCGM_CHECK_MSG(rec_epoch <= epoch_,
-                    "commit record from a future membership epoch");
-    // Ownership map: who hosted each store group at this boundary. The
-    // in-memory map is authoritative — a fail-over re-assigns hosts *before*
-    // restoring, and the restore must not undo that — so the recorded map is
-    // only validated, not applied.
-    for (std::uint32_t g = 0; g < cfg_.p; ++g) {
-      const auto host = ar.get<std::uint32_t>();
-      EMCGM_CHECK_MSG(host < cfg_.p, "commit record names a bad group host");
-    }
-    for (std::uint32_t q = 0; q < cfg_.p; ++q) {
-      const auto a = ar.get<std::uint32_t>();
-      EMCGM_CHECK_MSG(a <= 1, "commit record has a bad liveness flag");
-    }
-    rp->contexts->load(ar);
-    rp->messages->load(ar);
-    EMCGM_CHECK_MSG(ar.exhausted(), "commit record has trailing bytes");
-  }
-}
-
-// ---------------------------------------------------------- membership ----
-
-void EmEngine::bump_epoch() {
-  ++epoch_;
-  if (net_) net_->set_epoch(epoch_);
-  if (tracer_) tracer_->record_membership_epoch(epoch_);
-  rebuild_schedule();
-}
-
-void EmEngine::rebuild_schedule() {
-  sched_.reset();
-  if (!net_) return;
-  const std::uint32_t p = cfg_.p;
-  std::vector<std::uint32_t> hosts;
-  for (std::uint32_t q = 0; q < p; ++q) {
-    if (alive_[q]) hosts.push_back(q);
-  }
-  if (cfg_.net.schedule == routing::ScheduleKind::kCustom) {
-    // User-supplied schedule JSON. At run start (epoch 0, full membership)
-    // it must cover exactly this machine — anything else is a typed
-    // configuration error before a byte moves. A later membership epoch
-    // cannot re-derive a hand-written host set, so the run falls back to
-    // the direct schedule for its remaining epochs (documented policy,
-    // NetConfig::custom_schedule_json): the schedule shape only changes the
-    // wire layout, never the delivered bytes, so the fall-back preserves
-    // bit-identical output. The JSON's own "kind" label is free — a ring
-    // exported by tools/schedule_check replays fine as kCustom.
-    routing::CommSchedule s =
-        routing::parse_schedule_json(cfg_.net.custom_schedule_json);
-    if (s.p == p && s.hosts == hosts) {
-      sched_ = std::move(s);
-    } else if (epoch_ == 0) {
-      std::ostringstream os;
-      os << "custom schedule covers p=" << s.p << " with " << s.hosts.size()
-         << " hosts but the machine has p=" << p << " with " << hosts.size()
-         << " live hosts at run start";
-      throw IoError(IoErrorKind::kConfig, os.str());
-    }
-  }
-  if (!sched_) {
-    const routing::ScheduleKind kind =
-        cfg_.net.schedule == routing::ScheduleKind::kCustom
-            ? routing::ScheduleKind::kDirect
-            : cfg_.net.schedule;
-    sched_ = routing::make_schedule(
-        kind, p, hosts, routing::machines_from_roots(p, cfg_.file_roots));
-  }
-  // Safety net: every schedule must pass the model checker before the
-  // engine routes a byte through it. Throws typed IoError(kConfig).
-  routing::verify_schedule(*sched_);
-  // In step 0 every flow still sits at its orig host, so a step-0 transfer
-  // names each flow's first hop.
-  first_hop_.assign(static_cast<std::size_t>(p) * p, kNoHost);
-  if (!sched_->steps.empty()) {
-    for (const routing::Transfer& t : sched_->steps.front().transfers) {
-      for (const routing::Flow& fl : t.flows) {
-        first_hop_[fl.first * p + fl.second] = t.dst;
-      }
-    }
-  }
-}
-
-std::vector<std::uint32_t> EmEngine::rebalance_groups() const {
-  // Home placement first: a group whose original owner is alive stays (or
-  // returns) home — its disks live there, so the placement is free — and
-  // seeds that host's load. Orphans are then spread greedily, group id
-  // ascending, onto the least-loaded live host (ties to the lowest id).
-  // The result is a pure function of the alive set: every replica of the
-  // run — whatever its threading mode — rebalances identically, the
-  // max-min load difference is at most 1, and only groups that *must*
-  // move (or can go home) ever change host.
-  std::vector<std::uint32_t> host(cfg_.p, kNoHost);
-  std::vector<std::uint32_t> load(cfg_.p, 0);
-  for (std::uint32_t g = 0; g < cfg_.p; ++g) {
-    if (!alive_[g]) continue;
-    host[g] = g;
-    ++load[g];
-  }
-  for (std::uint32_t g = 0; g < cfg_.p; ++g) {
-    if (host[g] != kNoHost) continue;
-    std::uint32_t best = kNoHost;
-    for (std::uint32_t h = 0; h < cfg_.p; ++h) {
-      if (!alive_[h]) continue;
-      if (best == kNoHost || load[h] < load[best]) best = h;
-    }
-    EMCGM_ASSERT(best != kNoHost);
-    host[g] = best;
-    ++load[best];
-  }
-  return host;
-}
-
-void EmEngine::verify_spread() const {
-  if (!cfg_.chaos.invariants) return;
-  std::vector<std::uint32_t> load(cfg_.p, 0);
-  for (std::uint32_t g = 0; g < cfg_.p; ++g) {
-    const std::uint32_t h = group_host_[g];
-    if (h >= cfg_.p || !alive_[h]) {
-      throw chaos::InvariantViolation(
-          chaos::Invariant::kSpread,
-          "store group " + std::to_string(g) + " assigned to dead host " +
-              std::to_string(h));
-    }
-    ++load[h];
-  }
-  std::uint32_t lo = 0xFFFFFFFF, hi = 0;
-  for (std::uint32_t h = 0; h < cfg_.p; ++h) {
-    if (!alive_[h]) continue;
-    lo = std::min(lo, load[h]);
-    hi = std::max(hi, load[h]);
-  }
-  if (hi > lo + 1) {
-    std::ostringstream os;
-    os << "store-group spread over live hosts is " << (hi - lo)
-       << " (min load " << lo << ", max load " << hi << "); rebalance must"
-       << " keep it <= 1";
-    throw chaos::InvariantViolation(chaos::Invariant::kSpread, os.str());
-  }
-}
-
 void EmEngine::verify_drained(const char* where) const {
   if (!cfg_.chaos.invariants) return;
   for (std::uint32_t r = 0; r < cfg_.p; ++r) {
@@ -565,187 +138,6 @@ void EmEngine::verify_drained(const char* where) const {
                                       os.str());
     }
   }
-}
-
-std::vector<std::byte> EmEngine::read_commit_blob(std::uint32_t g) {
-  auto& rp = *procs_[g];
-  auto& ck = *rp.ckpt[static_cast<int>(commit_.seq % 2)];
-  return pdm::read_striped(*rp.disks, ck.tracks, ck.extent);
-}
-
-void EmEngine::validate_commit_record(std::uint32_t g,
-                                      std::span<const std::byte> blob) const {
-  // Checkpoint catch-up on the receiving side of a hand-over: the stores
-  // themselves are not loaded from the migrated copy — the group's own
-  // disks are authoritative and the new host reads them directly — but a
-  // host handing over a stale or torn record must be caught here, not a
-  // superstep later.
-  ReadArchive ar = open_commit_record(blob, "migrated commit record");
-  const auto seq = ar.get<std::uint64_t>();
-  EMCGM_CHECK_MSG(seq == commit_.seq,
-                  "group " << g << " migrated a stale commit record (seq "
-                           << seq << ", committed " << commit_.seq << ")");
-}
-
-std::uint64_t EmEngine::migrate_groups(
-    const std::vector<std::uint32_t>& old_host, std::uint64_t round) {
-  // The group's state lives on its own disks — the new host simply remounts
-  // them — so a hand-over moves no context or message bytes. What crosses
-  // the wire is the catch-up: a live old host streams the group's committed
-  // record to the new host through the staged mailbox path, and the new
-  // host validates it against the in-memory commit mark before taking the
-  // group. A dead old host cannot stream anything; its groups are adopted
-  // straight off their surviving disks (no wire traffic, counted as
-  // migrations all the same). Groups are handed over in ascending order at
-  // the barrier, so the round's wire activity is canonical in every
-  // threading mode.
-  std::vector<std::uint32_t> moved;
-  for (std::uint32_t g = 0; g < cfg_.p; ++g) {
-    if (old_host[g] != group_host_[g]) moved.push_back(g);
-  }
-  if (moved.empty()) return 0;
-  obs::Tracer* tr = tracer_.get();
-  obs::SpanScope span(tr, tr ? &tr->engine_shard() : nullptr,
-                      obs::SpanKind::kRebalance, tr ? tr->engine_pid() : 0, 0,
-                      -1, -1, phys_step_, round);
-  std::uint64_t wire_bytes = 0;
-  net_->begin_round();
-  for (std::uint32_t g : moved) {
-    const std::uint32_t from = old_host[g];
-    std::uint64_t record_bytes = 0;
-    if (alive_[from]) {
-      auto blob = read_commit_blob(g);
-      record_bytes = blob.size();
-      WriteArchive ar;
-      ar.put<std::uint32_t>(g);
-      ar.put_bytes(blob);
-      net_->post(from, group_host_[g], ar.take());
-    }
-    net_->count_migration(record_bytes);
-    wire_bytes += record_bytes;
-  }
-  for (std::uint32_t h = 0; h < cfg_.p; ++h) {
-    if (alive_[h]) net_->finish_sender(h);
-  }
-  // A cascading loss during the hand-over round itself is unrecoverable
-  // from here (this may already be the fail-over path); let it surface.
-  const net::LinkStreams streams = net_->collect();
-  for (std::uint32_t h = 0; h < cfg_.p; ++h) {
-    for (const auto& s : streams[h]) {
-      ReadArchive ar(s);
-      while (!ar.exhausted()) {
-        const auto g = ar.get<std::uint32_t>();
-        EMCGM_CHECK_MSG(g < cfg_.p && group_host_[g] == h,
-                        "migrated commit record misrouted");
-        const auto blob = ar.get_bytes();
-        validate_commit_record(g, blob);
-      }
-    }
-  }
-  span.set_aux(moved.size(), wire_bytes);
-  return wire_bytes;
-}
-
-std::uint64_t EmEngine::try_rejoin(std::uint64_t round,
-                                   cgm::RunResult& result) {
-  if (!cfg_.net.rejoin || !net_ || !commit_.valid) return 0;
-  const auto candidates = net_->rejoin_round(phys_step_, epoch_, commit_.seq);
-  if (candidates.empty()) return 0;
-  obs::Tracer* tr = tracer_.get();
-  obs::SpanScope span(tr, tr ? &tr->engine_shard() : nullptr,
-                      obs::SpanKind::kRejoin, tr ? tr->engine_pid() : 0, 0,
-                      -1, -1, phys_step_, round);
-  // Re-admission runs at the barrier, before the superstep opens. The
-  // returner's disks hold exactly the committed state (the layout never
-  // moved while it was gone), the acks told it the committed superstep id,
-  // and the catch-up — the committed record of every group it takes back,
-  // streamed by the current host and validated on arrival — happens in the
-  // hand-over round. Nothing else needs restoring: at a barrier the live
-  // stores *are* the committed state.
-  for (std::uint32_t q : candidates) {
-    alive_[q] = 1;
-    net_->mark_alive(q);
-  }
-  bump_epoch();
-  const std::vector<std::uint32_t> old_host = group_host_;
-  group_host_ = rebalance_groups();
-  verify_spread();
-  net_->reset_links();
-  const std::uint64_t record_bytes = migrate_groups(old_host, round);
-  result.rejoins += candidates.size();
-  span.set_aux(candidates.size(), record_bytes);
-  return candidates.size();
-}
-
-// ------------------------------------------------------------ fail-over ---
-
-void EmEngine::failover(const std::vector<std::uint32_t>& dead_procs,
-                        std::exception_ptr cause, cgm::RunResult& result) {
-  auto unrecoverable = [&](const char* why) {
-    if (cause) std::rethrow_exception(cause);
-    throw Error(std::string("fail-over impossible: ") + why);
-  };
-  if (!cfg_.net.failover || !net_) unrecoverable("fail-over is disabled");
-  if (!commit_.valid) {
-    unrecoverable("a real processor died before the first committed boundary");
-  }
-
-  bool any_new = false;
-  for (std::uint32_t q : dead_procs) {
-    EMCGM_CHECK(q < cfg_.p);
-    if (!alive_[q]) continue;
-    any_new = true;
-    alive_[q] = 0;
-    net_->mark_dead(q);
-    // The machine is gone but its disks survive; the adopting survivor
-    // remounts them, which ends the dead machine's injected fault schedule.
-    if (auto* f = procs_[q]->disks->fault_injector()) f->disarm();
-  }
-  if (!any_new) unrecoverable("declared-dead processors were already dead");
-
-  std::uint32_t live = 0;
-  for (char a : alive_) live += a ? 1 : 0;
-  if (live == 0) {
-    // Total wipe-out: every real processor died in the same superstep, so
-    // there is no survivor to degrade onto — the run aborts typed. But a
-    // committed boundary exists (checked above) and commit records always
-    // live on each group's *original* disks, so the machine is left in the
-    // same shape a fresh run would find: everybody nominally alive, groups
-    // home, links reset. A caller that repairs the fault (disarm_faults /
-    // quota bump) can then resume() from the intact checkpoint to
-    // bit-identical output; one whose fault plan re-kills the replay gets
-    // the same typed failure again. Identical under every collective
-    // schedule: rebuild_schedule() (via bump_epoch) re-derives over the
-    // full host set.
-    for (std::uint32_t q = 0; q < cfg_.p; ++q) {
-      alive_[q] = 1;
-      net_->mark_alive(q);
-    }
-    std::iota(group_host_.begin(), group_host_.end(), 0u);
-    bump_epoch();
-    net_->reset_links();
-    unrecoverable("no surviving real processor");
-  }
-
-  // Membership changed: new epoch (fresh, independent fault-coin streams on
-  // every link) and a full deterministic re-spread of the store groups over
-  // the survivors — two runs with the same fault schedule degrade
-  // identically, and the groups-per-live-host spread stays within 1.
-  bump_epoch();
-  const std::vector<std::uint32_t> old_host = group_host_;
-  group_host_ = rebalance_groups();
-  verify_spread();
-
-  // Leftovers of the aborted superstep must not reach the replay.
-  net_->reset_links();
-
-  result.failovers += 1;
-  restore_from_commit();
-  // Hand over the groups that changed host. The dead machines' groups are
-  // adopted off their surviving disks; a group moving between two live
-  // survivors (the greedy spread can shift an orphan when the host set
-  // shrinks) gets its committed record streamed and re-validated.
-  migrate_groups(old_host, commit_.round);
 }
 
 // ----------------------------------------------------------------- run ----
@@ -1160,37 +552,6 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
   }
 }
 
-// Post one finished store group's crossing batches as step 0 of the
-// collective schedule (p > 1, net enabled; called from the host's own
-// worker thread): each batch record goes into the mailbox of its flow's
-// first hop. Records are serialized in (src_g, dst_g) order — each host
-// drives its groups ascending and this loop scans dst_g ascending, so
-// every link's mailbox stream is canonical whatever the thread
-// interleaving. Same-host batches and flows that step 0 does not move are
-// left for the barrier. All batches stay in `out.by_owner`: deliver_staged
-// still counts the h-relation from them at the barrier, single-threaded,
-// which is what keeps StepComm accumulation race-free without shadow
-// counters.
-void EmEngine::post_group(RunState& rs, std::uint32_t host, std::uint32_t g,
-                          ProcOutcome& out) {
-  const std::uint32_t p = cfg_.p;
-  obs::Tracer* const tr = tracer_.get();
-  obs::SpanScope span(tr, tr ? &tr->host_shard(host) : nullptr,
-                      obs::SpanKind::kNetPost, host, g, g, -1, phys_step_,
-                      rs.round);
-  std::uint64_t posted_bytes = 0;
-  for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
-    const auto& batch = out.by_owner[dst_g];
-    const std::uint32_t hop = first_hop_[host * p + group_host_[dst_g]];
-    if (batch.empty() || hop == kNoHost) continue;
-    WriteArchive ar;
-    put_batch(ar, g, dst_g, batch);
-    posted_bytes += ar.size();
-    net_->post(host, hop, ar.take());
-  }
-  span.set_aux(posted_bytes);
-}
-
 // Run one phase across all p store groups: one worker per *live* host,
 // each driving the groups currently assigned to it (ascending, so the
 // disk-op order per group is independent of the assignment). A fail-stop
@@ -1239,241 +600,6 @@ std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
   }
   crashed.raise(cfg_.net.failover);
   return outcomes;
-}
-
-// Deliver staged messages (p > 1). Communication cost is attributed to
-// *hosts*: a message crosses the network iff the hosts of its source and
-// destination groups differ (identical to the old src_r != dst_r when the
-// assignment is the identity). With the simulated network enabled the
-// crossing batches travel along the verified collective schedule, one
-// mailbox round per step through the reliable protocol. Step 0 already
-// traveled during the phase — each host posted its groups' batch records
-// to their first hops (post_group) — so the barrier closes that round and
-// then runs steps 1.. itself, store-and-forward. The wire unit is the
-// batch record (put_batch): a relay holds and forwards records unchanged,
-// and a record that reaches its fin host is decoded, checked exactly-once
-// en route. NetStats picks up the wire tax (relay hops, retransmissions,
-// duplicates, corrupt frames) while StepComm keeps counting the delivered
-// payload — the realized h-relation. Either way each store group then
-// writes its arrivals, gathered in canonical (src_g-ascending) order and
-// stable-sorted by (src, dst), so the bytes on disk are bit-identical
-// between in-memory staging, every schedule, any degraded-mode assignment,
-// and both use_threads modes.
-void EmEngine::deliver_staged(RunState& rs,
-                              std::vector<ProcOutcome>& outcomes) {
-  const std::uint32_t p = cfg_.p;
-  obs::Tracer* const tr = tracer_.get();
-  obs::TraceShard* const eshard = tr ? &tr->engine_shard() : nullptr;
-  const std::uint32_t epid = tr ? tr->engine_pid() : 0;
-  cgm::StepComm step;
-  if (p > 1) {
-    std::vector<std::uint64_t> sent(p, 0), recv(p, 0);
-    for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
-      for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
-        if (group_host_[src_g] == group_host_[dst_g]) continue;
-        for (const auto& m : outcomes[src_g].by_owner[dst_g]) {
-          const std::uint64_t n = m.payload.size();
-          step.bytes += n;
-          step.messages += 1;
-          step.min_msg_bytes = std::min(step.min_msg_bytes, n);
-          step.max_msg_bytes = std::max(step.max_msg_bytes, n);
-          sent[group_host_[src_g]] += n;
-          recv[group_host_[dst_g]] += n;
-        }
-      }
-    }
-    for (std::uint32_t r = 0; r < p; ++r) {
-      step.max_sent = std::max(step.max_sent, sent[r]);
-      step.max_recv = std::max(step.max_recv, recv[r]);
-    }
-
-    // batches[dst_g][src_g]: the (src_g -> dst_g) message batch, however
-    // it traveled. Staged directly for same-host pairs (every pair without
-    // a network), decoded from network deliveries otherwise. held[o][f]:
-    // the batch records of flow (o, f) waiting for their next hop — flows
-    // step 0 does not move, then relayed arrivals.
-    std::vector<std::vector<std::vector<cgm::Message>>> batches(
-        p, std::vector<std::vector<cgm::Message>>(p));
-    std::vector<std::vector<WriteArchive>> held;
-    if (net_) held.assign(p, std::vector<WriteArchive>(p));
-    for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
-      for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
-        auto& batch = outcomes[src_g].by_owner[dst_g];
-        if (batch.empty()) continue;
-        const std::uint32_t o = group_host_[src_g], f = group_host_[dst_g];
-        if (!net_ || o == f) {
-          batches[dst_g][src_g] = std::move(batch);
-        } else if (first_hop_[o * p + f] == kNoHost) {
-          put_batch(held[o][f], src_g, dst_g, batch);
-        }
-      }
-    }
-    if (net_) {
-      obs::SpanScope net_span(tr, eshard, obs::SpanKind::kNetCollect, epid,
-                              0, -1, -1, phys_step_, rs.round);
-      const net::NetStats net_mark = net_->stats();
-      // Close the open round, then parse the self-delimiting batch records
-      // back out of each link's stream, one receiving host at a time.
-      auto close_round = [&] {
-        net::LinkStreams streams;
-        try {
-          streams = net_->collect();
-        } catch (const net::NetError&) {
-          // Attribute the exhausted link before giving up: a fail-stopped
-          // peer is a fail-over, an overwhelmed retry budget is an error.
-          auto dead = net_->probe_dead();
-          if (!dead.empty() && cfg_.net.failover) {
-            throw DeadProcsError{std::move(dead), std::current_exception()};
-          }
-          throw;
-        }
-        for (std::uint32_t h = 0; h < p; ++h) {
-          for (const auto& s : streams[h]) {
-            ReadArchive ar(s);
-            while (!ar.exhausted()) {
-              const std::size_t begin = ar.position();
-              const auto src_g = ar.get<std::uint32_t>();
-              const auto dst_g = ar.get<std::uint32_t>();
-              EMCGM_CHECK_MSG(src_g < p && dst_g < p,
-                              "network delivery names a bad store group");
-              const auto count = ar.get<std::uint64_t>();
-              std::vector<cgm::Message> batch;
-              batch.reserve(static_cast<std::size_t>(count));
-              for (std::uint64_t k = 0; k < count; ++k) {
-                cgm::Message m;
-                m.src = ar.get<std::uint32_t>();
-                m.dst = ar.get<std::uint32_t>();
-                m.payload = ar.get_bytes();
-                batch.push_back(std::move(m));
-              }
-              const std::uint32_t fin = group_host_[dst_g];
-              if (fin != h) {  // relay: hold the record for the next hop
-                held[group_host_[src_g]][fin].write_raw(
-                    s.data() + begin, ar.position() - begin);
-                continue;
-              }
-              auto& slot = batches[dst_g][src_g];
-              EMCGM_CHECK_MSG(slot.empty(),
-                              "duplicate network batch delivered");
-              slot = std::move(batch);
-            }
-          }
-        }
-      };
-      close_round();
-      const std::vector<routing::ScheduleStep>& steps = sched_->steps;
-      for (std::size_t si = 1; si < steps.size(); ++si) {
-        obs::SpanScope step_span(tr, eshard, obs::SpanKind::kSchedStep,
-                                 epid, static_cast<std::uint32_t>(si), -1,
-                                 -1, phys_step_, rs.round);
-        net_->begin_round();
-        std::uint64_t posted_bytes = 0, posted_transfers = 0;
-        for (const routing::Transfer& t : steps[si].transfers) {
-          // Every flow the plan moves over this link, in the transfer's
-          // canonical flow order; a flow with no bytes this superstep
-          // travels as nothing at all.
-          const std::uint64_t before = posted_bytes;
-          for (const routing::Flow& fl : t.flows) {
-            std::vector<std::byte> records = held[fl.first][fl.second].take();
-            posted_bytes += records.size();
-            net_->post(t.src, t.dst, std::move(records));
-          }
-          if (posted_bytes > before) posted_transfers += 1;
-        }
-        for (std::uint32_t h = 0; h < p; ++h) {
-          if (alive_[h]) net_->finish_sender(h);
-        }
-        close_round();
-        step_span.set_aux(posted_bytes, posted_transfers);
-      }
-      for (const auto& row : held) {
-        for (const WriteArchive& records : row) {
-          EMCGM_CHECK_MSG(records.size() == 0,
-                          "schedule left a flow short of its fin host");
-        }
-      }
-      const net::NetStats delta = net_->stats() - net_mark;
-      step.wire_bytes = delta.wire_bytes;
-      step.retransmissions = delta.retransmissions;
-      net_span.set_aux(delta.wire_bytes, delta.retransmissions);
-    }
-
-    if (cfg_.chaos.invariants) {
-      // Exactly-once delivery: the crossing messages decoded out of the
-      // network (plus same-host staging) must equal, in count, the
-      // crossing messages the h-relation accounting saw at the source —
-      // a dropped-and-not-retransmitted or duplicated-and-not-deduped
-      // batch shows up here, at the barrier it corrupted.
-      std::uint64_t delivered = 0;
-      for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
-        for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
-          if (group_host_[src_g] == group_host_[dst_g]) continue;
-          delivered += batches[dst_g][src_g].size();
-        }
-      }
-      if (delivered != step.messages) {
-        std::ostringstream os;
-        os << "network delivered " << delivered
-           << " crossing messages but the sources posted " << step.messages;
-        throw chaos::InvariantViolation(chaos::Invariant::kExactlyOnce,
-                                        os.str());
-      }
-    }
-
-    CrashSet crashed;
-    for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
-      std::vector<cgm::Message> arrivals;
-      for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
-        for (auto& m : batches[dst_g][src_g]) {
-          arrivals.push_back(std::move(m));
-        }
-      }
-      if (!arrivals.empty()) {
-        // Deterministic arrival order regardless of threading or routing;
-        // stable so same-(src, dst) messages keep their program order.
-        std::stable_sort(arrivals.begin(), arrivals.end(),
-                         [](const cgm::Message& a, const cgm::Message& b) {
-                           return a.src != b.src ? a.src < b.src
-                                                 : a.dst < b.dst;
-                         });
-        // Arrival writes run at the barrier (main thread) but touch the
-        // destination group's disks — render them there.
-        obs::SpanScope span(tr, eshard, obs::SpanKind::kOutboxWrite,
-                            group_host_[dst_g], dst_g, dst_g, -1,
-                            phys_step_, rs.round,
-                            tr ? &procs_[dst_g]->disks->stats() : nullptr);
-        if (tr) {
-          std::uint64_t bytes = 0;
-          for (const auto& m : arrivals) bytes += m.payload.size();
-          span.set_aux(arrivals.size(), bytes);
-        }
-        try {
-          procs_[dst_g]->messages->write_messages(arrivals);
-        } catch (...) {
-          crashed.add(dst_g, std::current_exception());
-        }
-      }
-    }
-    crashed.raise(cfg_.net.failover);
-  }
-  rs.result.comm.steps.push_back(step);
-  rs.result.comm_steps += 1;
-}
-
-// Async barrier companion to deliver_staged: the arrival writes above are
-// write-behind, so their completion (and any crash they suffered) is
-// collected here, before the stores flip and the superstep's I/O is
-// recorded. Serial arrays make this a no-op.
-void EmEngine::drain_arrival_writes() {
-  CrashSet crashed;
-  for (std::uint32_t g = 0; g < cfg_.p; ++g) {
-    try {
-      procs_[g]->disks->drain();
-    } catch (...) {
-      crashed.add(g, std::current_exception());
-    }
-  }
-  crashed.raise(cfg_.net.failover);
 }
 
 // ---------------------------------------------------------------- step ----
@@ -1668,4 +794,3 @@ std::vector<cgm::PartitionSet> EmEngine::finish() {
 }
 
 }  // namespace emcgm::em
-
