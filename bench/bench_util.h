@@ -160,7 +160,12 @@ inline void write_json_report(const std::string& path,
     tables[i].second.write_json(f, tables[i].first);
   }
   std::fprintf(f, "]}\n");
-  std::fclose(f);
+  // fprintf buffers: a full disk may only show at the flush inside fclose.
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(2);
+  }
   std::printf("wrote %s\n", path.c_str());
 }
 

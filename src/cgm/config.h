@@ -46,13 +46,13 @@ struct MachineConfig {
 
   /// How many virtual processors ahead the engine prefetches contexts and
   /// inboxes while one vproc computes (async arrays only, io_threads > 0;
-  /// the serial path has no pipeline to feed). 1 — the default, and the
-  /// behavior before this knob existed — keeps exactly the next vproc in
-  /// flight; deeper windows keep the per-disk executor queues fed when a
-  /// single vproc's reads cannot saturate D disks. Every depth is safe by
-  /// the same Observation-2 band-disjointness argument as depth 1 (prefetch
-  /// targets are this superstep's read regions, never its write targets) and
-  /// produces bit-identical outputs and IoStats — reads are merely *issued*
+  /// the serial path has no pipeline to feed). 1, the default, keeps
+  /// exactly the next vproc in flight; deeper windows keep the per-disk
+  /// executor queues fed when a single vproc's reads cannot saturate D
+  /// disks. Every depth is safe by the same Observation-2
+  /// band-disjointness argument as depth 1 (prefetch targets are this
+  /// superstep's read regions, never its write targets) and produces
+  /// bit-identical outputs and IoStats — reads are merely *issued*
   /// earlier, reaped by the same barriers. The window is additionally
   /// bounded by M when memory_bytes > 0: at most
   /// max(1, memory_bytes / (2 * avg context bytes)) vprocs ahead, so

@@ -30,6 +30,30 @@ void put_batch(WriteArchive& ar, std::uint32_t src_g, std::uint32_t dst_g,
   }
 }
 
+struct Batch {
+  std::uint32_t src_g = 0;
+  std::uint32_t dst_g = 0;
+  std::vector<cgm::Message> messages;
+};
+
+// Read back one record put_batch wrote, checking its store groups against p.
+Batch get_batch(ReadArchive& ar, std::uint32_t p) {
+  Batch b;
+  b.src_g = ar.get<std::uint32_t>();
+  b.dst_g = ar.get<std::uint32_t>();
+  EMCGM_CHECK_MSG(b.src_g < p && b.dst_g < p,
+                  "network delivery names a bad store group");
+  const auto count = ar.get<std::uint64_t>();
+  for (std::uint64_t k = 0; k < count; ++k) {
+    cgm::Message m;
+    m.src = ar.get<std::uint32_t>();
+    m.dst = ar.get<std::uint32_t>();
+    m.payload = ar.get_bytes();
+    b.messages.push_back(std::move(m));
+  }
+  return b;
+}
+
 }  // namespace
 
 void EmEngine::rebuild_schedule() {
@@ -207,30 +231,17 @@ void EmEngine::deliver_staged(RunState& rs,
             ReadArchive ar(s);
             while (!ar.exhausted()) {
               const std::size_t begin = ar.position();
-              const auto src_g = ar.get<std::uint32_t>();
-              const auto dst_g = ar.get<std::uint32_t>();
-              EMCGM_CHECK_MSG(src_g < p && dst_g < p,
-                              "network delivery names a bad store group");
-              const auto count = ar.get<std::uint64_t>();
-              std::vector<cgm::Message> batch;
-              batch.reserve(static_cast<std::size_t>(count));
-              for (std::uint64_t k = 0; k < count; ++k) {
-                cgm::Message m;
-                m.src = ar.get<std::uint32_t>();
-                m.dst = ar.get<std::uint32_t>();
-                m.payload = ar.get_bytes();
-                batch.push_back(std::move(m));
-              }
-              const std::uint32_t fin = group_host_[dst_g];
+              Batch b = get_batch(ar, p);
+              const std::uint32_t fin = group_host_[b.dst_g];
               if (fin != h) {  // relay: hold the record for the next hop
-                held[group_host_[src_g]][fin].write_raw(
+                held[group_host_[b.src_g]][fin].write_raw(
                     s.data() + begin, ar.position() - begin);
                 continue;
               }
-              auto& slot = batches[dst_g][src_g];
+              auto& slot = batches[b.dst_g][b.src_g];
               EMCGM_CHECK_MSG(slot.empty(),
                               "duplicate network batch delivered");
-              slot = std::move(batch);
+              slot = std::move(b.messages);
             }
           }
         }
@@ -295,60 +306,42 @@ void EmEngine::deliver_staged(RunState& rs,
       }
     }
 
-    CrashSet crashed;
-    for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
+    for_each_group(p, cfg_.net.failover, [&](std::uint32_t dst_g) {
       std::vector<cgm::Message> arrivals;
       for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
         for (auto& m : batches[dst_g][src_g]) {
           arrivals.push_back(std::move(m));
         }
       }
-      if (!arrivals.empty()) {
-        // Deterministic arrival order regardless of threading or routing;
-        // stable so same-(src, dst) messages keep their program order.
-        std::stable_sort(arrivals.begin(), arrivals.end(),
-                         [](const cgm::Message& a, const cgm::Message& b) {
-                           return a.src != b.src ? a.src < b.src
-                                                 : a.dst < b.dst;
-                         });
-        // Arrival writes run at the barrier (main thread) but touch the
-        // destination group's disks — render them there.
-        obs::SpanScope span(tr, eshard, obs::SpanKind::kOutboxWrite,
-                            group_host_[dst_g], dst_g, dst_g, -1,
-                            phys_step_, rs.round,
-                            tr ? &procs_[dst_g]->disks->stats() : nullptr);
-        if (tr) {
-          std::uint64_t bytes = 0;
-          for (const auto& m : arrivals) bytes += m.payload.size();
-          span.set_aux(arrivals.size(), bytes);
-        }
-        try {
-          procs_[dst_g]->messages->write_messages(arrivals);
-        } catch (...) {
-          crashed.add(dst_g, std::current_exception());
-        }
+      if (arrivals.empty()) return;
+      // Deterministic arrival order regardless of threading or routing;
+      // stable so same-(src, dst) messages keep their program order.
+      std::stable_sort(arrivals.begin(), arrivals.end(),
+                       [](const cgm::Message& a, const cgm::Message& b) {
+                         return a.src != b.src ? a.src < b.src
+                                               : a.dst < b.dst;
+                       });
+      // Arrival writes run at the barrier (main thread) but touch the
+      // destination group's disks — render them there.
+      obs::SpanScope span(tr, eshard, obs::SpanKind::kOutboxWrite,
+                          group_host_[dst_g], dst_g, dst_g, -1, phys_step_,
+                          rs.round,
+                          tr ? &procs_[dst_g]->disks->stats() : nullptr);
+      if (tr) {
+        std::uint64_t bytes = 0;
+        for (const auto& m : arrivals) bytes += m.payload.size();
+        span.set_aux(arrivals.size(), bytes);
       }
-    }
-    crashed.raise(cfg_.net.failover);
+      procs_[dst_g]->messages->write_messages(arrivals);
+    });
   }
   rs.result.comm.steps.push_back(step);
   rs.result.comm_steps += 1;
-}
-
-// Async barrier companion to deliver_staged: the arrival writes above are
-// write-behind, so their completion (and any crash they suffered) is
-// collected here, before the stores flip and the superstep's I/O is
-// recorded. Serial arrays make this a no-op.
-void EmEngine::drain_arrival_writes() {
-  CrashSet crashed;
-  for (std::uint32_t g = 0; g < cfg_.p; ++g) {
-    try {
-      procs_[g]->disks->drain();
-    } catch (...) {
-      crashed.add(g, std::current_exception());
-    }
-  }
-  crashed.raise(cfg_.net.failover);
+  // The arrival writes are write-behind: collect their completion (and any
+  // crash they suffered) before the stores flip and the superstep's I/O is
+  // recorded. Serial arrays make this a no-op.
+  for_each_group(p, cfg_.net.failover,
+                 [&](std::uint32_t g) { procs_[g]->disks->drain(); });
 }
 
 }  // namespace emcgm::em

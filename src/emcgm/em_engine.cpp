@@ -33,10 +33,8 @@ std::vector<std::byte> pack_context(
   // Outputs go last so that state.load() consumes exactly its own bytes.
   // (We cannot put them before the state: load() reads a fixed field
   // sequence, so anything preceding it must have a known structure.)
-  WriteArchive tail;
-  tail.put<std::uint64_t>(outputs.size());
-  for (const auto& o : outputs) tail.put_bytes(o);
-  ar.write_raw(tail.buffer().data(), tail.size());
+  ar.put<std::uint64_t>(outputs.size());
+  for (const auto& o : outputs) ar.put_bytes(o);
   return ar.take();
 }
 
@@ -49,12 +47,12 @@ UnpackedContext unpack_context(std::span<const std::byte> blob,
                                cgm::ProcState& state) {
   ReadArchive ar(blob);
   UnpackedContext ctx;
+  // The counts come off disk: no buffer is sized from them, so a corrupt
+  // count runs the archive out (typed Error) instead of allocating.
   const auto n_in = ar.get<std::uint64_t>();
-  ctx.inputs.reserve(static_cast<std::size_t>(n_in));
   for (std::uint64_t k = 0; k < n_in; ++k) ctx.inputs.push_back(ar.get_bytes());
   state.load(ar);
   const auto n_out = ar.get<std::uint64_t>();
-  ctx.outputs.reserve(static_cast<std::size_t>(n_out));
   for (std::uint64_t k = 0; k < n_out; ++k) {
     ctx.outputs.push_back(ar.get_bytes());
   }
@@ -118,11 +116,6 @@ std::uint32_t EmEngine::group_host(std::uint32_t g) const {
 bool EmEngine::alive(std::uint32_t real_proc) const {
   EMCGM_CHECK(real_proc < cfg_.p);
   return alive_[real_proc] != 0;
-}
-
-std::uint64_t EmEngine::checkpoint_round() const {
-  EMCGM_CHECK_MSG(commit_.valid, "no committed checkpoint");
-  return commit_.round;
 }
 
 void EmEngine::verify_drained(const char* where) const {
@@ -218,12 +211,10 @@ void EmEngine::start(const cgm::Program& program,
   for (auto& rp : procs_) io_before += rp->disks->stats();
 
   // ------------------------------------------------------------- set-up --
+  std::uint64_t total_input_bytes = 0;
   for (const auto& slot : inputs) {
     EMCGM_CHECK_MSG(slot.parts.size() == v,
                     "input PartitionSet must have v parts");
-  }
-  std::uint64_t total_input_bytes = 0;
-  for (const auto& slot : inputs) {
     for (const auto& part : slot.parts) total_input_bytes += part.size();
   }
 
@@ -272,11 +263,6 @@ void EmEngine::start(const cgm::Program& program,
 
   // Write initial contexts: the input partitions plus a fresh program state.
   {
-    const auto fresh = program.make_state();
-    WriteArchive probe;
-    fresh->save(probe);  // ensure save() works on a default state up front
-  }
-  {
     obs::Tracer* tr = tracer_.get();
     obs::SpanScope setup_span(tr, tr ? &tr->engine_shard() : nullptr,
                               obs::SpanKind::kContextWrite, tr ? tr->p() : 0,
@@ -313,26 +299,24 @@ void EmEngine::start(const cgm::Program& program,
 }
 
 std::vector<cgm::PartitionSet> EmEngine::resume(const cgm::Program& program) {
-  start_resume(program);
+  {
+    ApiGuard guard(busy_, "resume");
+    rs_.reset();
+    EMCGM_CHECK_MSG(cfg_.checkpointing,
+                    "resume() requires cfg.checkpointing = true");
+    EMCGM_CHECK_MSG(program.name() == running_program_,
+                    "resume() must be called with the program passed to run()"
+                    " (got '" << program.name() << "', ran '"
+                              << running_program_ << "')");
+    restore_from_commit();
+
+    pdm::IoStats io_before;
+    for (auto& rp : procs_) io_before += rp->disks->stats();
+    begin_loop(program, commit_.round, commit_.phase, io_before);
+  }
   while (step()) {
   }
   return finish();
-}
-
-void EmEngine::start_resume(const cgm::Program& program) {
-  ApiGuard guard(busy_, "start_resume");
-  rs_.reset();
-  EMCGM_CHECK_MSG(cfg_.checkpointing,
-                  "resume() requires cfg.checkpointing = true");
-  EMCGM_CHECK_MSG(program.name() == running_program_,
-                  "resume() must be called with the program passed to run()"
-                  " (got '" << program.name() << "', ran '"
-                            << running_program_ << "')");
-  restore_from_commit();
-
-  pdm::IoStats io_before;
-  for (auto& rp : procs_) io_before += rp->disks->stats();
-  begin_loop(program, commit_.round, commit_.phase, io_before);
 }
 
 void EmEngine::begin_loop(const cgm::Program& program,
@@ -346,7 +330,7 @@ void EmEngine::begin_loop(const cgm::Program& program,
   rs_->io_before = io_before;
   // The first superstep's recorded I/O delta deliberately includes any
   // setup I/O between io_before and here (initial context writes, initial
-  // commit) — unchanged from the monolithic loop.
+  // commit).
   rs_->trace_mark = io_before;
   rs_->net_before = net_ ? net_->stats() : net::NetStats{};
   rs_->net_step_mark = rs_->net_before;
@@ -417,8 +401,8 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
     out.by_owner.assign(p, {});
     out.done.assign(nloc, 0);
     // Prefetch window cursor: first local vproc whose context/inbox reads
-    // have not been issued yet. Depth 1 (the default) reproduces the
-    // pre-knob one-ahead pipeline exactly — same issue order, same spans.
+    // have not been issued yet. Depth 1 (the default) keeps exactly the
+    // next vproc in flight.
     const std::uint32_t depth = cfg_.prefetch_depth;
     std::uint32_t pf = 1;
     for (std::uint32_t jl = 0; jl < nloc; ++jl) {
@@ -594,11 +578,9 @@ std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
                                     return o.error != nullptr;
                                   });
   if (failed && net_) net_->abort_round();
-  CrashSet crashed;
-  for (std::uint32_t g = 0; g < p; ++g) {
-    if (outcomes[g].error) crashed.add(g, outcomes[g].error);
-  }
-  crashed.raise(cfg_.net.failover);
+  for_each_group(p, cfg_.net.failover, [&](std::uint32_t g) {
+    if (outcomes[g].error) std::rethrow_exception(outcomes[g].error);
+  });
   return outcomes;
 }
 
@@ -607,7 +589,7 @@ std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
 bool EmEngine::step() {
   ApiGuard guard(busy_, "step");
   EMCGM_CHECK_MSG(rs_ != nullptr,
-                  "step() requires an active run (start()/start_resume())");
+                  "step() requires an active run (start()/resume())");
   RunState& rs = *rs_;
   if (rs.all_done) return false;
   const cgm::Program& program = *rs.program;
@@ -704,7 +686,6 @@ bool EmEngine::step() {
       }
     }
     deliver_staged(rs, outcomes);
-    drain_arrival_writes();
     verify_drained(compute ? "the compute barrier" : "the regroup barrier");
     for (auto& rp : procs_) rp->messages->flip();
     const std::uint64_t ran_round = rs.round;
@@ -733,7 +714,7 @@ bool EmEngine::step() {
 std::vector<cgm::PartitionSet> EmEngine::finish() {
   ApiGuard guard(busy_, "finish");
   EMCGM_CHECK_MSG(rs_ != nullptr,
-                  "finish() requires an active run (start()/start_resume())");
+                  "finish() requires an active run (start()/resume())");
   EMCGM_CHECK_MSG(rs_->all_done,
                   "finish() before the program finished (drive step() until"
                   " it returns false)");

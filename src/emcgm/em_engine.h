@@ -21,7 +21,6 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "cgm/engine.h"
@@ -75,19 +74,15 @@ class EmEngine final : public cgm::Engine {
   void start(const cgm::Program& program,
              std::vector<cgm::PartitionSet> inputs);
 
-  /// Cooperative counterpart of resume(): restore from the last committed
-  /// boundary and position the run there instead of at round 0.
-  void start_resume(const cgm::Program& program);
-
   /// Execute one physical superstep (or one fail-over/rejoin recovery
   /// action) and return at the barrier. False once the program finished —
   /// call finish() to collect the outputs. Throws exactly what run() would
-  /// (typed IoError, InvariantViolation, ...); the cooperative state stays
-  /// valid so start_resume() can pick the run back up after repair.
+  /// (typed IoError, InvariantViolation, ...); with cfg.checkpointing,
+  /// resume() picks the run back up after repair.
   bool step();
 
-  /// True between start()/start_resume() and finish(): the engine holds a
-  /// cooperative run (possibly finished but not yet collected).
+  /// True between start() and finish(): the engine holds a cooperative run
+  /// (possibly finished but not yet collected).
   bool active() const { return rs_ != nullptr; }
 
   /// Collect the outputs of a finished cooperative run and fold the run's
@@ -123,9 +118,6 @@ class EmEngine final : public cgm::Engine {
   /// True once run() has committed at least one superstep boundary that
   /// resume() could restart from.
   bool has_checkpoint() const { return commit_.valid; }
-
-  /// Superstep index of the last committed boundary (has_checkpoint() only).
-  std::uint64_t checkpoint_round() const;
 
   const cgm::RunResult& last_result() const override { return last_; }
   const cgm::RunResult& total() const override { return total_; }
@@ -168,10 +160,6 @@ class EmEngine final : public cgm::Engine {
   /// kill -> rejoin -> kill history bit-identical across threading modes.
   std::uint64_t membership_epoch() const { return epoch_; }
 
-  /// The simulated network of the current run, or nullptr (net disabled or
-  /// p == 1). Exposes wire statistics beyond last_result().net.
-  const net::SimNetwork* network() const { return net_.get(); }
-
   /// The verified collective schedule the current run routes its superstep
   /// communication through — the one-step all-to-all under kDirect — or
   /// nullptr (net disabled or p == 1). Re-derived and re-verified on every
@@ -206,22 +194,39 @@ class EmEngine final : public cgm::Engine {
     return vproc / nlocal();
   }
 
+  // ---- superstep core (em_engine.cpp)
+
   /// Install the cooperative run state at a given boundary (the tail of
-  /// start()/start_resume()).
+  /// start() and of resume()'s restore).
   void begin_loop(const cgm::Program& program, std::uint64_t start_round,
                   Phase start_phase, const pdm::IoStats& io_before);
 
-  // One-superstep helpers, split out of the old monolithic run loop; all
-  // operate on the installed RunState.
   void record_step_io(RunState& rs, const char* phase_label, bool has_comm,
                       std::uint64_t step_round);
   void run_group(RunState& rs, std::uint32_t r, bool compute,
                  ProcOutcome& out);
+  std::vector<ProcOutcome> run_phase(RunState& rs, bool compute);
+
+  /// Invariant layer: assert every real processor's async executor is idle
+  /// (no write-behind in flight) — called at superstep barriers, where a
+  /// leaked deferred write would cross a commit. Throws
+  /// chaos::InvariantViolation(kExecutorDrain). No-op when invariants off.
+  void verify_drained(const char* where) const;
+
+  // ---- message delivery (em_delivery.cpp)
+
   void post_group(RunState& rs, std::uint32_t host, std::uint32_t g,
                   ProcOutcome& out);
-  std::vector<ProcOutcome> run_phase(RunState& rs, bool compute);
   void deliver_staged(RunState& rs, std::vector<ProcOutcome>& outcomes);
-  void drain_arrival_writes();
+
+  /// Re-derive and re-verify the collective schedule over the current live
+  /// host set (no-op without a network). Called at run start and on every
+  /// membership epoch; a schedule the verifier rejects aborts with typed
+  /// IoError(kConfig) before any byte moves.
+  void rebuild_schedule();
+
+  // ---- membership (em_membership.cpp)
+
   void commit(std::uint64_t round, Phase phase);
   void restore_from_commit();
 
@@ -234,15 +239,17 @@ class EmEngine final : public cgm::Engine {
   void failover(const std::vector<std::uint32_t>& dead_procs,
                 std::exception_ptr cause, cgm::RunResult& result);
 
-  /// Advance the membership epoch: fresh fault-coin streams on every link
-  /// and one membership_epoch counter sample in the trace.
-  void bump_epoch();
+  /// Barrier-side rejoin admission (cfg.net.rejoin): run the handshake
+  /// round, re-admit every acknowledged returner, re-spread the groups and
+  /// run the hand-over round. Returns the number of processors re-admitted.
+  std::uint64_t try_rejoin(std::uint64_t round, cgm::RunResult& result);
 
-  /// Re-derive and re-verify the collective schedule over the current live
-  /// host set (no-op without a network). Called at run start and on every
-  /// membership epoch; a schedule the verifier rejects aborts with typed
-  /// IoError(kConfig) before any byte moves.
-  void rebuild_schedule();
+  /// The re-spread step of every membership change (fail-over, rejoin):
+  /// advance the epoch (fresh fault-coin streams on every link, one
+  /// membership_epoch counter sample in the trace, a re-derived schedule),
+  /// spread the store groups over the live hosts (rebalance_groups) and
+  /// reset the links. Returns the group-host map it replaced.
+  std::vector<std::uint32_t> respread();
 
   /// Deterministic greedy spread of the store groups over the live hosts:
   /// groups whose home host is alive go home (their disks are there, the
@@ -256,20 +263,9 @@ class EmEngine final : public cgm::Engine {
   /// off.
   void verify_spread() const;
 
-  /// Invariant layer: assert every real processor's async executor is idle
-  /// (no write-behind in flight) — called at superstep barriers, where a
-  /// leaked deferred write would cross a commit. Throws
-  /// chaos::InvariantViolation(kExecutorDrain). No-op when invariants off.
-  void verify_drained(const char* where) const;
-
   /// Read group g's record of the current committed boundary back off its
   /// own disks (the striped double-slot checkpoint area).
   std::vector<std::byte> read_commit_blob(std::uint32_t g);
-
-  /// CRC + header validation of a commit record that crossed the wire
-  /// during a hand-over (checkpoint catch-up on the receiving host).
-  void validate_commit_record(std::uint32_t g,
-                              std::span<const std::byte> blob) const;
 
   /// Hand over every group whose executing host differs from `old_host`:
   /// live old hosts stream the group's committed record to the new host
@@ -278,11 +274,6 @@ class EmEngine final : public cgm::Engine {
   /// Returns the record bytes that crossed the wire.
   std::uint64_t migrate_groups(const std::vector<std::uint32_t>& old_host,
                                std::uint64_t round);
-
-  /// Barrier-side rejoin admission (cfg.net.rejoin): run the handshake
-  /// round, re-admit every acknowledged returner, re-spread the groups and
-  /// run the hand-over round. Returns the number of processors re-admitted.
-  std::uint64_t try_rejoin(std::uint64_t round, cgm::RunResult& result);
 
   cgm::MachineConfig cfg_;
 
@@ -316,7 +307,7 @@ class EmEngine final : public cgm::Engine {
   /// Cooperative run state between start() and finish(); null otherwise.
   std::unique_ptr<RunState> rs_;
 
-  /// Set while a cooperative-API call (start/start_resume/step/finish) is
+  /// Set while a cooperative-API call (start/resume/step/finish) is
   /// on some thread's stack; concurrent entry is a contract violation and
   /// fails an EMCGM_CHECK instead of racing (see the thread-safety note).
   std::atomic<bool> busy_{false};

@@ -22,41 +22,40 @@ namespace emcgm::em {
 
 constexpr std::uint32_t kNoHost = 0xFFFFFFFF;
 
-// Internal control flow only (never escapes this translation unit): one or
-// more real processors were found dead — by a fail-stop crash of their own
-// disks, an exhausted network link, or the heartbeat detector. The superstep
-// loop catches it and runs the fail-over procedure (or rethrows `cause` when
+// Internal control flow only (never escapes the engine): one or more real
+// processors were found dead — by a fail-stop crash of their own disks, an
+// exhausted network link, or the heartbeat detector. The superstep loop
+// catches it and runs the fail-over procedure (or rethrows `cause` when
 // fail-over cannot help).
 struct DeadProcsError {
   std::vector<std::uint32_t> procs;
   std::exception_ptr cause;
 };
 
-// The fail-stop crashes (IoError kCrash) of one barrier pass over the store
-// groups: a crash out of group g's own disks means machine g died. Anything
-// else is not a death and propagates as it is.
-struct CrashSet {
-  std::vector<std::uint32_t> groups;
-  std::exception_ptr cause;  ///< the first crash, in group order
-
-  void add(std::uint32_t g, std::exception_ptr e) {
+// One barrier pass over the p store groups: fn(g) for every group g in
+// order. A fail-stop crash (IoError kCrash) out of group g's own disks means
+// machine g died; it is collected and the pass goes on, so one machine's
+// death does not abort the other groups' work. Anything else is not a death
+// and propagates as it is. After the pass the casualties go to the
+// fail-over path (DeadProcsError) or, with fail-over off, the first crash
+// (in group order) is rethrown.
+template <typename Fn>
+void for_each_group(std::uint32_t p, bool failover, Fn&& fn) {
+  std::vector<std::uint32_t> dead;
+  std::exception_ptr first;
+  for (std::uint32_t g = 0; g < p; ++g) {
     try {
-      std::rethrow_exception(e);
-    } catch (const IoError& io) {
-      if (io.kind() != IoErrorKind::kCrash) throw;
+      fn(g);
+    } catch (const IoError& e) {
+      if (e.kind() != IoErrorKind::kCrash) throw;
+      dead.push_back(g);
+      if (!first) first = std::current_exception();
     }
-    groups.push_back(g);
-    if (!cause) cause = e;
   }
-
-  /// Hand the casualties to the fail-over path (DeadProcsError) or, with
-  /// fail-over off, rethrow the first crash. No-op when nobody crashed.
-  void raise(bool failover) {
-    if (groups.empty()) return;
-    if (failover) throw DeadProcsError{std::move(groups), cause};
-    std::rethrow_exception(cause);
-  }
-};
+  if (dead.empty()) return;
+  if (failover) throw DeadProcsError{std::move(dead), first};
+  std::rethrow_exception(first);
+}
 
 struct EmEngine::RealProc {
   std::unique_ptr<pdm::DiskArray> disks;
@@ -123,12 +122,11 @@ struct EmEngine::ProcOutcome {
   std::exception_ptr error;
 };
 
-// The cooperative run between start()/start_resume() and finish().
-// Everything the old monolithic loop kept in locals lives here, so a
-// scheduler can put the run down at any superstep barrier (by not calling
-// step()) and pick it up arbitrarily later — between step() calls the
-// engine is quiescent and this struct plus the committed boundary is the
-// run's entire volatile state.
+// The cooperative run between start() (or resume()'s restore) and
+// finish(). A scheduler can put the run down at any superstep barrier (by
+// not calling step()) and pick it up arbitrarily later — between step()
+// calls the engine is quiescent and this struct plus the committed boundary
+// is the run's entire volatile state.
 struct EmEngine::RunState {
   const cgm::Program* program = nullptr;
   Timer timer;  ///< whole-run wall clock (result.wall_s)

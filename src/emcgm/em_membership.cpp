@@ -4,8 +4,10 @@
 #include "emcgm/em_engine.h"
 
 #include <cstring>
-#include <numeric>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "chaos/chaos_config.h"
 #include "emcgm/em_engine_internal.h"
@@ -17,19 +19,50 @@ namespace emcgm::em {
 
 namespace {
 
-// Commit-record framing (superstep checkpointing). A record carries the
-// membership epoch under which the boundary was committed and the ownership
-// map (group_host / alive): who was executing each store group when it was
-// taken. Only the engine that wrote a record reads it (the commit mark lives
-// in memory), so there is exactly one version to accept.
+// Commit record (superstep checkpointing), one per store group and boundary:
+// magic and version, the boundary (seq, round, phase), the membership epoch
+// it was committed under, the ownership map (group_host / alive: who was
+// executing each store group when it was taken), the group's context and
+// message directories, and a CRC32C trailer over all of it. Only the engine
+// that wrote a record reads it (the commit mark lives in memory), so there
+// is exactly one version to accept.
 constexpr std::uint32_t kCkptMagic = 0x454D4B50;  // "EMKP"
 constexpr std::uint32_t kCkptVersion = 3;
 
-// Check a commit record's CRC32C trailer and magic/version header; `what`
-// names the record in the typed errors. Returns a reader over the body,
-// positioned after the header.
+struct RecordHeader {
+  std::uint64_t seq = 0;
+  std::uint64_t round = 0;
+  std::uint32_t phase = 0;
+  std::uint64_t epoch = 0;
+};
+
+void put_commit_record(WriteArchive& ar, const RecordHeader& h,
+                       const std::vector<std::uint32_t>& group_host,
+                       const std::vector<char>& alive,
+                       const ContextStore& contexts,
+                       const MessageStore& messages) {
+  ar.put<std::uint32_t>(kCkptMagic);
+  ar.put<std::uint32_t>(kCkptVersion);
+  ar.put<std::uint64_t>(h.seq);
+  ar.put<std::uint64_t>(h.round);
+  ar.put<std::uint32_t>(h.phase);
+  ar.put<std::uint64_t>(h.epoch);
+  for (std::uint32_t host : group_host) ar.put<std::uint32_t>(host);
+  for (char a : alive) ar.put<std::uint32_t>(a ? 1 : 0);
+  contexts.save(ar);
+  messages.save(ar);
+  ar.put<std::uint32_t>(pdm::crc32c(ar.buffer()));
+}
+
+// Check a commit record's CRC32C trailer, magic/version and ownership map
+// and read its header into `h`; `what` names the record in the typed
+// errors. Returns a reader over `blob` positioned at the group's store
+// directories. The recorded ownership map is only validated, never
+// applied: the in-memory map is authoritative — a fail-over re-assigns
+// hosts *before* restoring, and the restore must not undo that.
 ReadArchive open_commit_record(std::span<const std::byte> blob,
-                               const char* what) {
+                               const char* what, std::uint32_t p,
+                               RecordHeader& h) {
   EMCGM_CHECK_MSG(blob.size() > 4, what << " truncated");
   const auto body = blob.first(blob.size() - 4);
   std::uint32_t stored_crc;
@@ -44,6 +77,18 @@ ReadArchive open_commit_record(std::span<const std::byte> blob,
   if (magic != kCkptMagic || version != kCkptVersion) {
     throw IoError(IoErrorKind::kCorruption,
                   std::string(what) + " has bad magic/version");
+  }
+  h.seq = ar.get<std::uint64_t>();
+  h.round = ar.get<std::uint64_t>();
+  h.phase = ar.get<std::uint32_t>();
+  h.epoch = ar.get<std::uint64_t>();
+  for (std::uint32_t g = 0; g < p; ++g) {
+    const auto host = ar.get<std::uint32_t>();
+    EMCGM_CHECK_MSG(host < p, what << " names a bad group host");
+  }
+  for (std::uint32_t q = 0; q < p; ++q) {
+    const auto a = ar.get<std::uint32_t>();
+    EMCGM_CHECK_MSG(a <= 1, what << " has a bad liveness flag");
   }
   return ar;
 }
@@ -79,45 +124,28 @@ void EmEngine::commit(std::uint64_t round, Phase phase) {
   // casualties and let the fail-over path deal with them. commit_ is only
   // advanced when every record landed, so a partial commit leaves the
   // previous boundary (in the other slot) authoritative.
-  CrashSet crashed;
+  const RecordHeader header{seq, round, static_cast<std::uint32_t>(phase),
+                            epoch_};
   obs::Tracer* tr = tracer_.get();
-  for (std::uint32_t g = 0; g < cfg_.p; ++g) {
+  WriteArchive ar;  // each group's record is taken before the next is put
+  for_each_group(cfg_.p, cfg_.net.failover, [&](std::uint32_t g) {
     auto& rp = *procs_[g];
     // Commit runs on the barrier thread; render the span on the group's
     // host so checkpoint cost shows up where the disks live.
     obs::SpanScope span(tr, tr ? &tr->engine_shard() : nullptr,
                         obs::SpanKind::kCommit, group_host_[g], g, g, -1,
                         phys_step_, round, &rp.disks->stats());
-    try {
-      WriteArchive ar;
-      ar.put<std::uint32_t>(kCkptMagic);
-      ar.put<std::uint32_t>(kCkptVersion);
-      ar.put<std::uint64_t>(seq);
-      ar.put<std::uint64_t>(round);
-      ar.put<std::uint32_t>(static_cast<std::uint32_t>(phase));
-      ar.put<std::uint64_t>(epoch_);
-      for (std::uint32_t g2 = 0; g2 < cfg_.p; ++g2) {
-        ar.put<std::uint32_t>(group_host_[g2]);
-      }
-      for (std::uint32_t q = 0; q < cfg_.p; ++q) {
-        ar.put<std::uint32_t>(alive_[q] ? 1 : 0);
-      }
-      rp.contexts->save(ar);
-      rp.messages->save(ar);
-      ar.put<std::uint32_t>(pdm::crc32c(ar.buffer()));
-      auto blob = ar.take();
-      span.set_aux(blob.size());
+    put_commit_record(ar, header, group_host_, alive_, *rp.contexts,
+                      *rp.messages);
+    const auto blob = ar.take();
+    span.set_aux(blob.size());
 
-      auto& ck = *rp.ckpt[slot];
-      ck.cursor.reset();
-      ck.extent = ck.cursor.alloc(blob.size(), rp.disks->block_bytes());
-      pdm::write_striped(*rp.disks, ck.tracks, ck.extent, blob);
-      rp.disks->sync();  // a boundary is committed only once it is durable
-    } catch (...) {
-      crashed.add(g, std::current_exception());
-    }
-  }
-  crashed.raise(cfg_.net.failover);
+    auto& ck = *rp.ckpt[slot];
+    ck.cursor.reset();
+    ck.extent = ck.cursor.alloc(blob.size(), rp.disks->block_bytes());
+    pdm::write_striped(*rp.disks, ck.tracks, ck.extent, blob);
+    rp.disks->sync();  // a boundary is committed only once it is durable
+  });
   commit_ = Commit{true, seq, round, phase};
 }
 
@@ -134,56 +162,45 @@ void EmEngine::restore_from_commit() {
       // casualty of the aborted superstep
     }
   }
-  const int slot = static_cast<int>(commit_.seq % 2);
   obs::Tracer* tr = tracer_.get();
   for (std::uint32_t g = 0; g < cfg_.p; ++g) {
-    auto& rp = procs_[g];
+    auto& rp = *procs_[g];
     obs::SpanScope span(tr, tr ? &tr->engine_shard() : nullptr,
                         obs::SpanKind::kRecovery, group_host_[g], g, g, -1,
-                        phys_step_, commit_.round, &rp->disks->stats());
-    EMCGM_CHECK_MSG(rp->contexts && rp->messages,
+                        phys_step_, commit_.round, &rp.disks->stats());
+    EMCGM_CHECK_MSG(rp.contexts && rp.messages,
                     "resume() before run() set up the stores");
-    auto& ck = *rp->ckpt[slot];
-    const auto blob = pdm::read_striped(*rp->disks, ck.tracks, ck.extent);
-    ReadArchive ar = open_commit_record(blob, "commit record");
-    const auto seq = ar.get<std::uint64_t>();
-    const auto round = ar.get<std::uint64_t>();
-    const auto phase = ar.get<std::uint32_t>();
-    EMCGM_CHECK_MSG(seq == commit_.seq && round == commit_.round &&
-                        phase == static_cast<std::uint32_t>(commit_.phase),
+    const auto blob = read_commit_blob(g);
+    RecordHeader rec;
+    ReadArchive ar = open_commit_record(blob, "commit record", cfg_.p, rec);
+    EMCGM_CHECK_MSG(rec.seq == commit_.seq && rec.round == commit_.round &&
+                        rec.phase == static_cast<std::uint32_t>(commit_.phase),
                     "commit record does not match the in-memory commit mark");
     // Membership epoch: the epoch under which the boundary was taken. A
     // fail-over bumps the epoch *before* restoring the record committed
     // under the old epoch, so the recorded value is a floor, not an
     // equality.
-    const auto rec_epoch = ar.get<std::uint64_t>();
-    EMCGM_CHECK_MSG(rec_epoch <= epoch_,
+    EMCGM_CHECK_MSG(rec.epoch <= epoch_,
                     "commit record from a future membership epoch");
-    // Ownership map: who hosted each store group at this boundary. The
-    // in-memory map is authoritative — a fail-over re-assigns hosts *before*
-    // restoring, and the restore must not undo that — so the recorded map is
-    // only validated, not applied.
-    for (std::uint32_t g = 0; g < cfg_.p; ++g) {
-      const auto host = ar.get<std::uint32_t>();
-      EMCGM_CHECK_MSG(host < cfg_.p, "commit record names a bad group host");
-    }
-    for (std::uint32_t q = 0; q < cfg_.p; ++q) {
-      const auto a = ar.get<std::uint32_t>();
-      EMCGM_CHECK_MSG(a <= 1, "commit record has a bad liveness flag");
-    }
-    rp->contexts->load(ar);
-    rp->messages->load(ar);
+    rp.contexts->load(ar);
+    rp.messages->load(ar);
     EMCGM_CHECK_MSG(ar.exhausted(), "commit record has trailing bytes");
   }
 }
 
 // ---------------------------------------------------------- membership ----
 
-void EmEngine::bump_epoch() {
+std::vector<std::uint32_t> EmEngine::respread() {
   ++epoch_;
-  if (net_) net_->set_epoch(epoch_);
+  net_->set_epoch(epoch_);
   if (tracer_) tracer_->record_membership_epoch(epoch_);
   rebuild_schedule();
+  std::vector<std::uint32_t> old_host = group_host_;
+  group_host_ = rebalance_groups();
+  verify_spread();
+  // Leftovers of an aborted superstep must not reach the replay.
+  net_->reset_links();
+  return old_host;
 }
 
 std::vector<std::uint32_t> EmEngine::rebalance_groups() const {
@@ -250,20 +267,6 @@ std::vector<std::byte> EmEngine::read_commit_blob(std::uint32_t g) {
   return pdm::read_striped(*rp.disks, ck.tracks, ck.extent);
 }
 
-void EmEngine::validate_commit_record(std::uint32_t g,
-                                      std::span<const std::byte> blob) const {
-  // Checkpoint catch-up on the receiving side of a hand-over: the stores
-  // themselves are not loaded from the migrated copy — the group's own
-  // disks are authoritative and the new host reads them directly — but a
-  // host handing over a stale or torn record must be caught here, not a
-  // superstep later.
-  ReadArchive ar = open_commit_record(blob, "migrated commit record");
-  const auto seq = ar.get<std::uint64_t>();
-  EMCGM_CHECK_MSG(seq == commit_.seq,
-                  "group " << g << " migrated a stale commit record (seq "
-                           << seq << ", committed " << commit_.seq << ")");
-}
-
 std::uint64_t EmEngine::migrate_groups(
     const std::vector<std::uint32_t>& old_host, std::uint64_t round) {
   // The group's state lives on its own disks — the new host simply remounts
@@ -314,8 +317,17 @@ std::uint64_t EmEngine::migrate_groups(
         const auto g = ar.get<std::uint32_t>();
         EMCGM_CHECK_MSG(g < cfg_.p && group_host_[g] == h,
                         "migrated commit record misrouted");
+        // Checkpoint catch-up: the stores are not loaded from the migrated
+        // copy — the group's own disks are authoritative and the new host
+        // reads them directly — but a host handing over a stale or torn
+        // record must be caught here, not a superstep later.
         const auto blob = ar.get_bytes();
-        validate_commit_record(g, blob);
+        RecordHeader rec;
+        open_commit_record(blob, "migrated commit record", cfg_.p, rec);
+        EMCGM_CHECK_MSG(rec.seq == commit_.seq,
+                        "group " << g << " migrated a stale commit record (seq "
+                                 << rec.seq << ", committed " << commit_.seq
+                                 << ")");
       }
     }
   }
@@ -343,11 +355,7 @@ std::uint64_t EmEngine::try_rejoin(std::uint64_t round,
     alive_[q] = 1;
     net_->mark_alive(q);
   }
-  bump_epoch();
-  const std::vector<std::uint32_t> old_host = group_host_;
-  group_host_ = rebalance_groups();
-  verify_spread();
-  net_->reset_links();
+  const std::vector<std::uint32_t> old_host = respread();
   const std::uint64_t record_bytes = migrate_groups(old_host, round);
   result.rejoins += candidates.size();
   span.set_aux(candidates.size(), record_bytes);
@@ -392,15 +400,12 @@ void EmEngine::failover(const std::vector<std::uint32_t>& dead_procs,
     // quota bump) can then resume() from the intact checkpoint to
     // bit-identical output; one whose fault plan re-kills the replay gets
     // the same typed failure again. Identical under every collective
-    // schedule: rebuild_schedule() (via bump_epoch) re-derives over the
-    // full host set.
+    // schedule: respread() re-derives the schedule over the full host set.
     for (std::uint32_t q = 0; q < cfg_.p; ++q) {
       alive_[q] = 1;
       net_->mark_alive(q);
     }
-    std::iota(group_host_.begin(), group_host_.end(), 0u);
-    bump_epoch();
-    net_->reset_links();
+    respread();
     unrecoverable("no surviving real processor");
   }
 
@@ -408,14 +413,7 @@ void EmEngine::failover(const std::vector<std::uint32_t>& dead_procs,
   // every link) and a full deterministic re-spread of the store groups over
   // the survivors — two runs with the same fault schedule degrade
   // identically, and the groups-per-live-host spread stays within 1.
-  bump_epoch();
-  const std::vector<std::uint32_t> old_host = group_host_;
-  group_host_ = rebalance_groups();
-  verify_spread();
-
-  // Leftovers of the aborted superstep must not reach the replay.
-  net_->reset_links();
-
+  const std::vector<std::uint32_t> old_host = respread();
   result.failovers += 1;
   restore_from_commit();
   // Hand over the groups that changed host. The dead machines' groups are

@@ -1,7 +1,9 @@
 #include "obs/export.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,72 +16,35 @@ namespace emcgm::obs {
 
 namespace {
 
-struct FileCloser {
-  std::FILE* f;
-  ~FileCloser() {
-    if (f) std::fclose(f);
+// A file being written. fprintf buffers, so a full disk may only show at
+// the flush: close() reports a failed write, flush or close as a typed
+// Error naming the path. A writer that throws first leaves the destructor
+// to close the file without a second error.
+class OutFile {
+ public:
+  explicit OutFile(const std::string& path)
+      : path_(path), f_(std::fopen(path.c_str(), "w")) {
+    if (!f_) throw Error("cannot open " + path + " for writing");
   }
+  ~OutFile() {
+    if (f_) std::fclose(f_);
+  }
+  OutFile(const OutFile&) = delete;
+  OutFile& operator=(const OutFile&) = delete;
+
+  std::FILE* get() const { return f_; }
+
+  void close() {
+    const bool write_failed = std::ferror(f_) != 0;
+    const bool close_failed = std::fclose(f_) != 0;
+    f_ = nullptr;
+    if (write_failed || close_failed) throw Error("cannot write " + path_);
+  }
+
+ private:
+  std::string path_;
+  std::FILE* f_;
 };
-
-std::FILE* open_or_throw(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) throw Error("cannot open " + path + " for writing");
-  return f;
-}
-
-/// Kind-specific names for the two aux payloads (nullptr = omit).
-void aux_names(SpanKind k, const char** a0, const char** a1) {
-  *a0 = nullptr;
-  *a1 = nullptr;
-  switch (k) {
-    case SpanKind::kSuperstep:
-      *a0 = "phase";
-      break;
-    case SpanKind::kCompute:
-      *a0 = "inbox_msgs";
-      *a1 = "outbox_msgs";
-      break;
-    case SpanKind::kOutboxWrite:
-    case SpanKind::kDeliver:
-      *a0 = "messages";
-      *a1 = "bytes";
-      break;
-    case SpanKind::kNetPost:
-      *a0 = "bytes";
-      break;
-    case SpanKind::kNetCollect:
-      *a0 = "wire_bytes";
-      *a1 = "retransmissions";
-      break;
-    case SpanKind::kNetPair:
-      *a0 = "wire_bytes";
-      *a1 = "delivered_messages";
-      break;
-    case SpanKind::kCommit:
-      *a0 = "record_bytes";
-      break;
-    case SpanKind::kHeartbeat:
-      *a0 = "newly_dead";
-      break;
-    case SpanKind::kOutputCollect:
-      *a0 = "vprocs";
-      break;
-    case SpanKind::kRejoin:
-      *a0 = "procs";
-      *a1 = "record_bytes";
-      break;
-    case SpanKind::kRebalance:
-      *a0 = "migrations";
-      *a1 = "migration_bytes";
-      break;
-    case SpanKind::kSchedStep:
-      *a0 = "posted_bytes";
-      *a1 = "transfers";
-      break;
-    default:
-      break;
-  }
-}
 
 void write_event_args(std::FILE* f, const Span& s) {
   std::fprintf(f, "\"args\":{\"step\":%llu,\"round\":%llu",
@@ -92,14 +57,13 @@ void write_event_args(std::FILE* f, const Span& s) {
   if (s.vproc >= 0) {
     std::fprintf(f, ",\"vproc\":%lld", static_cast<long long>(s.vproc));
   }
-  const char *a0, *a1;
-  aux_names(s.kind, &a0, &a1);
-  if (a0) {
-    std::fprintf(f, ",\"%s\":%llu", a0,
+  const SpanKindInfo& info = span_info(s.kind);
+  if (info.aux0) {
+    std::fprintf(f, ",\"%s\":%llu", info.aux0,
                  static_cast<unsigned long long>(s.aux0));
   }
-  if (a1) {
-    std::fprintf(f, ",\"%s\":%llu", a1,
+  if (info.aux1) {
+    std::fprintf(f, ",\"%s\":%llu", info.aux1,
                  static_cast<unsigned long long>(s.aux1));
   }
   if (s.io.total_ops() != 0 || s.io.fsyncs != 0) {
@@ -117,8 +81,7 @@ void write_event_args(std::FILE* f, const Span& s) {
 }
 
 /// Emit one tenant's metadata, spans and counter tracks with every pid
-/// offset by `pid_base` — the body shared by the single-tenant exporter
-/// (pid_base 0) and the combined multi-tenant exporter (disjoint bases).
+/// offset by `pid_base` (tenants of one document get disjoint bases).
 void emit_tenant(std::FILE* f, const Tracer& tracer,
                  const MetricsRegistry* metrics, std::uint32_t pid_base,
                  bool& first) {
@@ -174,10 +137,11 @@ void emit_tenant(std::FILE* f, const Tracer& tracer,
 
   for (const auto& s : spans) {
     sep();
+    const SpanKindInfo& info = span_info(s.kind);
     std::fprintf(f,
                  "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
                  "\"ts\":%.3f,\"dur\":%.3f,\"pid\":%u,\"tid\":%u,",
-                 span_name(s.kind), span_category(s.kind),
+                 info.name, info.category,
                  static_cast<double>(s.start_ns) / 1000.0,
                  static_cast<double>(s.dur_ns) / 1000.0, pid_base + s.host,
                  s.track);
@@ -242,26 +206,13 @@ std::string metrics_path_for(const std::string& trace_path) {
 
 void write_chrome_trace(const std::string& path, const Tracer& tracer,
                         const MetricsRegistry* metrics) {
-  FileCloser fc{open_or_throw(path)};
-  write_chrome_trace(fc.f, tracer, metrics);
-}
-
-void write_chrome_trace(std::FILE* f, const Tracer& tracer,
-                        const MetricsRegistry* metrics) {
-  std::fprintf(f, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-  bool first = true;
-  emit_tenant(f, tracer, metrics, 0, first);
-  std::fprintf(f, "\n]}\n");
+  write_chrome_trace_multi(path, {TenantTrace{&tracer, metrics}});
 }
 
 void write_chrome_trace_multi(const std::string& path,
                               const std::vector<TenantTrace>& tenants) {
-  FileCloser fc{open_or_throw(path)};
-  write_chrome_trace_multi(fc.f, tenants);
-}
-
-void write_chrome_trace_multi(std::FILE* f,
-                              const std::vector<TenantTrace>& tenants) {
+  OutFile out(path);
+  std::FILE* f = out.get();
   std::fprintf(f, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
   bool first = true;
   std::uint32_t pid_base = 0;
@@ -274,18 +225,14 @@ void write_chrome_trace_multi(std::FILE* f,
     pid_base += t.tracer->p() + 1;
   }
   std::fprintf(f, "\n]}\n");
+  out.close();
 }
 
 void write_metrics_json(const std::string& path, const MetricsRegistry& m,
                         std::uint32_t num_disks, std::size_t block_bytes,
                         const std::string& tenant) {
-  FileCloser fc{open_or_throw(path)};
-  write_metrics_json(fc.f, m, num_disks, block_bytes, tenant);
-}
-
-void write_metrics_json(std::FILE* f, const MetricsRegistry& m,
-                        std::uint32_t num_disks, std::size_t block_bytes,
-                        const std::string& tenant) {
+  OutFile out(path);
+  std::FILE* f = out.get();
   const pdm::DiskCostModel model;
   std::fprintf(f, "{");
   if (!tenant.empty()) std::fprintf(f, "\"tenant\":\"%s\",", tenant.c_str());
@@ -319,6 +266,7 @@ void write_metrics_json(std::FILE* f, const MetricsRegistry& m,
                static_cast<unsigned long long>(total.total_ops()),
                static_cast<unsigned long long>(total.total_blocks()),
                model.io_seconds(total, block_bytes));
+  out.close();
 }
 
 }  // namespace emcgm::obs

@@ -11,7 +11,8 @@
 //    --trace flag and by CI's trace validator.
 #pragma once
 
-#include <cstdio>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,12 +24,12 @@ class MetricsRegistry;
 /// Schema tag embedded in the metrics JSON (bump on breaking changes).
 inline constexpr const char* kMetricsSchema = "emcgm-metrics/1";
 
-/// Write the full trace as Chrome trace-event JSON. `metrics` may be null;
-/// when present its rows are emitted as counter tracks on the engine
-/// process. Throws util Error when the file cannot be written.
+/// Write the full trace as Chrome trace-event JSON: the one-tenant case of
+/// write_chrome_trace_multi. `metrics` may be null; when present its rows
+/// are emitted as counter tracks on the engine process. Every exporter here
+/// throws util Error naming the path when the file cannot be opened or a
+/// write, flush or close fails.
 void write_chrome_trace(const std::string& path, const Tracer& tracer,
-                        const MetricsRegistry* metrics);
-void write_chrome_trace(std::FILE* f, const Tracer& tracer,
                         const MetricsRegistry* metrics);
 
 /// One tenant's trace sources for the combined multi-tenant exporter.
@@ -47,17 +48,12 @@ struct TenantTrace {
 /// the combined document like any single-tenant trace.
 void write_chrome_trace_multi(const std::string& path,
                               const std::vector<TenantTrace>& tenants);
-void write_chrome_trace_multi(std::FILE* f,
-                              const std::vector<TenantTrace>& tenants);
 
 /// Write per-superstep metrics JSON. `num_disks`/`block_bytes` describe the
 /// machine so consumers can reconstruct PDM units without the config. A
 /// non-empty `tenant` (pre-sanitized; see Tracer::set_tenant) is embedded as
 /// a top-level "tenant" field so multi-job metrics files stay attributable.
 void write_metrics_json(const std::string& path, const MetricsRegistry& m,
-                        std::uint32_t num_disks, std::size_t block_bytes,
-                        const std::string& tenant = {});
-void write_metrics_json(std::FILE* f, const MetricsRegistry& m,
                         std::uint32_t num_disks, std::size_t block_bytes,
                         const std::string& tenant = {});
 

@@ -1,85 +1,55 @@
 #include "obs/trace.h"
 
+#include <iterator>
+
 #include "util/error.h"
 
 namespace emcgm::obs {
 
-const char* span_name(SpanKind k) {
-  switch (k) {
-    case SpanKind::kSuperstep:
-      return "superstep";
-    case SpanKind::kGroupStep:
-      return "group_step";
-    case SpanKind::kContextRead:
-      return "context_read";
-    case SpanKind::kInboxRead:
-      return "inbox_read";
-    case SpanKind::kCompute:
-      return "compute";
-    case SpanKind::kOutboxWrite:
-      return "outbox_write";
-    case SpanKind::kContextWrite:
-      return "context_write";
-    case SpanKind::kNetPost:
-      return "net_post";
-    case SpanKind::kNetCollect:
-      return "net_collect";
-    case SpanKind::kNetPair:
-      return "net_pair";
-    case SpanKind::kDeliver:
-      return "deliver";
-    case SpanKind::kCommit:
-      return "commit";
-    case SpanKind::kRecovery:
-      return "recovery";
-    case SpanKind::kHeartbeat:
-      return "heartbeat";
-    case SpanKind::kOutputCollect:
-      return "output_collect";
-    case SpanKind::kIoPrefetch:
-      return "io_prefetch";
-    case SpanKind::kIoDrain:
-      return "io_drain";
-    case SpanKind::kRejoin:
-      return "rejoin";
-    case SpanKind::kRebalance:
-      return "rebalance";
-    case SpanKind::kSchedStep:
-      return "sched_step";
-  }
-  return "unknown";
-}
+namespace {
 
-const char* span_category(SpanKind k) {
-  switch (k) {
-    case SpanKind::kSuperstep:
-    case SpanKind::kGroupStep:
-    case SpanKind::kOutputCollect:
-      return "engine";
-    case SpanKind::kContextRead:
-    case SpanKind::kInboxRead:
-    case SpanKind::kOutboxWrite:
-    case SpanKind::kContextWrite:
-    case SpanKind::kIoPrefetch:
-    case SpanKind::kIoDrain:
-      return "io";
-    case SpanKind::kCompute:
-    case SpanKind::kDeliver:
-      return "compute";
-    case SpanKind::kNetPost:
-    case SpanKind::kNetCollect:
-    case SpanKind::kNetPair:
-    case SpanKind::kHeartbeat:
-    case SpanKind::kRejoin:
-    case SpanKind::kSchedStep:
-      return "net";
-    case SpanKind::kCommit:
-    case SpanKind::kRecovery:
-      return "ckpt";
-    case SpanKind::kRebalance:
-      return "engine";
+constexpr SpanKindInfo kSpanKinds[] = {
+    {SpanKind::kSuperstep, "superstep", "engine", "phase", nullptr},
+    {SpanKind::kGroupStep, "group_step", "engine", nullptr, nullptr},
+    {SpanKind::kContextRead, "context_read", "io", nullptr, nullptr},
+    {SpanKind::kInboxRead, "inbox_read", "io", nullptr, nullptr},
+    {SpanKind::kCompute, "compute", "compute", "inbox_msgs", "outbox_msgs"},
+    {SpanKind::kOutboxWrite, "outbox_write", "io", "messages", "bytes"},
+    {SpanKind::kContextWrite, "context_write", "io", nullptr, nullptr},
+    {SpanKind::kNetPost, "net_post", "net", "bytes", nullptr},
+    {SpanKind::kNetCollect, "net_collect", "net", "wire_bytes",
+     "retransmissions"},
+    {SpanKind::kNetPair, "net_pair", "net", "wire_bytes",
+     "delivered_messages"},
+    {SpanKind::kDeliver, "deliver", "compute", "messages", "bytes"},
+    {SpanKind::kCommit, "commit", "ckpt", "record_bytes", nullptr},
+    {SpanKind::kRecovery, "recovery", "ckpt", nullptr, nullptr},
+    {SpanKind::kHeartbeat, "heartbeat", "net", "newly_dead", nullptr},
+    {SpanKind::kOutputCollect, "output_collect", "engine", "vprocs", nullptr},
+    {SpanKind::kIoPrefetch, "io_prefetch", "io", nullptr, nullptr},
+    {SpanKind::kIoDrain, "io_drain", "io", nullptr, nullptr},
+    {SpanKind::kRejoin, "rejoin", "net", "procs", "record_bytes"},
+    {SpanKind::kRebalance, "rebalance", "engine", "migrations",
+     "migration_bytes"},
+    {SpanKind::kSchedStep, "sched_step", "net", "posted_bytes", "transfers"},
+};
+
+constexpr bool rows_in_enum_order() {
+  for (std::size_t i = 0; i < std::size(kSpanKinds); ++i) {
+    if (static_cast<std::size_t>(kSpanKinds[i].kind) != i) return false;
   }
-  return "engine";
+  return true;
+}
+// kSchedStep is the last kind, so the rows cover all 20.
+static_assert(std::size(kSpanKinds) ==
+                  static_cast<std::size_t>(SpanKind::kSchedStep) + 1,
+              "one kSpanKinds row per SpanKind");
+static_assert(rows_in_enum_order(), "kSpanKinds rows follow the enum order");
+
+}  // namespace
+
+const SpanKindInfo& span_info(SpanKind k) {
+  return kSpanKinds[static_cast<std::size_t>(k)];
 }
 
 std::size_t TraceShard::open(SpanKind kind, std::uint32_t host,

@@ -34,6 +34,8 @@
 
 namespace emcgm::obs {
 
+/// Span kinds. kSchedStep stays last: obs/trace.cpp holds one span_info()
+/// row per kind, in this order.
 enum class SpanKind : std::uint8_t {
   kSuperstep,      ///< one physical superstep (engine shard backbone)
   kGroupStep,      ///< one store group's work within a superstep
@@ -57,13 +59,20 @@ enum class SpanKind : std::uint8_t {
   kSchedStep,      ///< one barrier-side collective-schedule step (1, 2, ...)
 };
 
-/// Stable lowercase span name ("context_read", ...), used by the Chrome
-/// exporter and validated by tools/validate_trace.py.
-const char* span_name(SpanKind k);
+/// What the exporters know about one span kind: its stable lowercase name
+/// ("context_read", ..., validated by tools/validate_trace.py), its coarse
+/// category for trace viewers ("engine", "io", "compute", "net", "ckpt"),
+/// and the argument names of its two aux payloads (nullptr = not exported).
+struct SpanKindInfo {
+  SpanKind kind;
+  const char* name;
+  const char* category;
+  const char* aux0;
+  const char* aux1;
+};
 
-/// Coarse category for trace viewers ("engine", "io", "compute", "net",
-/// "ckpt").
-const char* span_category(SpanKind k);
+/// The row of kind k in the one table of span kinds.
+const SpanKindInfo& span_info(SpanKind k);
 
 /// One sample of an async I/O executor's in-flight block count, recorded
 /// through DiskArrayOptions.on_queue_depth. `host` is the real processor

@@ -54,6 +54,18 @@ std::vector<std::byte> read_one(DiskArray& a, std::uint32_t disk,
   return out;
 }
 
+// Fill every block the array ever wrote with 0xFF (through the array, so a
+// checksummed array seals the garbage and reads it back without complaint).
+void overwrite_every_block(DiskArray& a) {
+  const std::vector<std::byte> ff(a.block_bytes(), std::byte{0xFF});
+  for (std::uint32_t d = 0; d < a.num_disks(); ++d) {
+    for (std::uint64_t t = 0; t < a.backend().tracks_used(d); ++t) {
+      write_one(a, d, t, ff);
+    }
+  }
+  a.drain();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- CRC32C --
@@ -602,6 +614,52 @@ TEST(Checkpoint, RejectsResumeWithoutCheckpointing)
   em::EmEngine e(cfg);
   algo::SampleSortProgram<std::uint64_t> prog;
   EXPECT_THROW(e.resume(prog), Error);
+}
+
+TEST(Checkpoint, ResumeRejectsOverwrittenCommitRecord) {
+  // A crash leaves a committed boundary; if its record is then destroyed,
+  // resume() must refuse it by its CRC32C trailer, typed, before loading a
+  // single store directory from it.
+  const auto cfg = ckpt_cfg();
+  const auto keys = sort_keys_input(500);
+  algo::SampleSortProgram<std::uint64_t> prog;
+  em::EmEngine ref(cfg);
+  (void)ref.run(prog, keyed_inputs(4, keys));
+
+  auto crash_cfg = cfg;
+  crash_cfg.fault.crash_after_ops =
+      ref.last_result().io_per_step.front().total_ops() + 1;
+  em::EmEngine e(crash_cfg);
+  EXPECT_THROW(e.run(prog, keyed_inputs(4, keys)), IoError);
+  ASSERT_TRUE(e.has_checkpoint());
+  e.disarm_faults();
+  overwrite_every_block(e.disk_array(0));
+  try {
+    (void)e.resume(prog);
+    FAIL() << "resume() accepted an overwritten commit record";
+  } catch (const IoError& err) {
+    EXPECT_EQ(err.kind(), IoErrorKind::kCorruption);
+    EXPECT_NE(std::string(err.what()).find("commit record checksum mismatch"),
+              std::string::npos)
+        << err.what();
+  }
+}
+
+TEST(Corruption, OverwrittenContextCountsThrowTyped) {
+  // A context blob's input and output counts come off disk. With checksums
+  // off nothing below the engine notices a trashed block, so a count of
+  // 2^64 - 1 must run the archive out (typed Error) rather than size a
+  // buffer from it (an untyped std::length_error).
+  cgm::MachineConfig cfg;
+  cfg.v = 4;
+  cfg.p = 1;
+  cfg.disk.num_disks = 2;
+  cfg.disk.block_bytes = 512;
+  algo::SampleSortProgram<std::uint64_t> prog;
+  em::EmEngine e(cfg);
+  e.start(prog, keyed_inputs(4, sort_keys_input(4096)));
+  overwrite_every_block(e.disk_array(0));
+  EXPECT_THROW((void)e.step(), Error);
 }
 
 TEST(Checkpoint, SingleCopyMatrixIncompatibleWithCheckpointing) {

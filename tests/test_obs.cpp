@@ -387,6 +387,30 @@ TEST(Obs, TraceJsonWellFormed) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Obs, ExportersReportAFailedWrite) {
+  // fprintf buffers, so a full device may only show when the file is
+  // flushed or closed; the exporters must not return normally past it.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const auto keys = random_keys(919, 1500);
+  const em::EmEngine* engine = nullptr;
+  run_em(em_cfg(8, 2, false, true), keys, &engine);
+  const auto expect_error_naming_path = [](const auto& write) {
+    try {
+      write();
+      ADD_FAILURE() << "writing /dev/full returned normally";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_error_naming_path([&] {
+    obs::write_chrome_trace("/dev/full", *engine->tracer(), engine->metrics());
+  });
+  expect_error_naming_path([&] {
+    obs::write_metrics_json("/dev/full", *engine->metrics(), 2, 512);
+  });
+}
+
 // ------------------------------------------- S6: barrier-owned invariant ---
 
 TEST(ObsThreaded, ShardCountersBarrierInvariant) {
