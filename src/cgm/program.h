@@ -20,6 +20,8 @@ class ProcState {
   virtual ~ProcState() = default;
   virtual void save(WriteArchive& ar) const = 0;
   virtual void load(ReadArchive& ar) = 0;
+  /// The bytes save() writes, without writing them.
+  virtual std::size_t saved_bytes() const = 0;
 };
 
 /// A CGM algorithm (or one stage of a pipeline of them). The object itself
@@ -49,7 +51,8 @@ class Program {
 /// Convenience adaptor: programs with a concrete state type S providing
 /// default construction plus `auto fields()`, a std::tie of its members in
 /// archive order. Both directions of the context encoding derive from that
-/// one list (WriteArchive::put_fields / ReadArchive::get_fields).
+/// one list (WriteArchive::put_fields / ReadArchive::get_fields), and so
+/// does the saved size (WriteArchive::fields_bytes).
 template <typename S>
 class ProgramT : public Program {
  public:
@@ -77,6 +80,9 @@ class ProgramT : public Program {
       ar.put_fields(const_cast<S&>(s).fields());
     }
     void load(ReadArchive& ar) override { ar.get_fields(s.fields()); }
+    std::size_t saved_bytes() const override {
+      return WriteArchive::fields_bytes(const_cast<S&>(s).fields());
+    }
   };
 };
 

@@ -58,7 +58,7 @@ void ContextStore::write(std::uint32_t local,
   w.extents[local] = e;
 }
 
-std::vector<std::byte> ContextStore::read(std::uint32_t local) {
+ContextBlob ContextStore::read(std::uint32_t local) {
   prefetch(local);  // no-op when already in flight
   Prefetched p = std::move(*prefetched_[local]);
   prefetched_[local].reset();

@@ -13,7 +13,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "pdm/disk_array.h"
@@ -21,6 +23,28 @@
 #include "util/archive.h"
 
 namespace emcgm::em {
+
+/// std::allocator whose value-less construct() default-initializes, so
+/// resizing a vector of bytes leaves the new bytes unwritten: for buffers a
+/// read overwrites in full.
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
+/// A context as read back from disk.
+using ContextBlob = std::vector<std::byte, UninitAllocator<std::byte>>;
 
 class ContextStore {
  public:
@@ -40,7 +64,7 @@ class ContextStore {
 
   /// Read local virtual processor `local`'s context from the active region:
   /// prefetch(local) if it is not in flight yet, then wait for it.
-  std::vector<std::byte> read(std::uint32_t local);
+  ContextBlob read(std::uint32_t local);
 
   /// Start an async read of `local`'s context (double-buffered prefetch:
   /// issued while the previous virtual processor computes). Correct while
@@ -85,7 +109,7 @@ class ContextStore {
   /// An in-flight prefetch: whole-block buffer + completion ticket.
   struct Prefetched {
     pdm::IoTicket ticket = 0;
-    std::vector<std::byte> buf;
+    ContextBlob buf;
   };
 
   void drop_prefetches();

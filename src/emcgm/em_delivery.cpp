@@ -17,9 +17,17 @@ namespace {
 
 // Batch record: the wire unit of superstep delivery. The (src_g, dst_g)
 // header names the record's flow (group_host_[src_g], group_host_[dst_g]),
-// so relays forward records unchanged and the fin host decodes them.
+// so relays forward records unchanged and the fin host decodes them. The
+// record is sized once, before it is written.
 void put_batch(WriteArchive& ar, std::uint32_t src_g, std::uint32_t dst_g,
                const std::vector<cgm::Message>& batch) {
+  std::size_t bytes = 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  for (const auto& m : batch) {
+    bytes += 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t) +
+             m.payload.size();
+  }
+  const std::size_t start = ar.size();
+  ar.reserve(bytes);
   ar.put<std::uint32_t>(src_g);
   ar.put<std::uint32_t>(dst_g);
   ar.put<std::uint64_t>(batch.size());
@@ -28,6 +36,7 @@ void put_batch(WriteArchive& ar, std::uint32_t src_g, std::uint32_t dst_g,
     ar.put<std::uint32_t>(m.dst);
     ar.put_bytes(m.payload);
   }
+  EMCGM_CHECK(ar.size() - start == bytes);
 }
 
 struct Batch {

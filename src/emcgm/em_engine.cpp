@@ -22,11 +22,16 @@ namespace {
 constexpr std::uint64_t kMaxRounds = 1u << 20;
 
 // Serialized context layout: inputs (round 0 only), program state, outputs.
+// The archive is sized once, from the same layout.
 std::vector<std::byte> pack_context(
     const std::vector<std::vector<std::byte>>& inputs,
     const cgm::ProcState& state,
     const std::vector<std::vector<std::byte>>& outputs) {
+  std::size_t bytes = 2 * sizeof(std::uint64_t) + state.saved_bytes();
+  for (const auto& in : inputs) bytes += sizeof(std::uint64_t) + in.size();
+  for (const auto& o : outputs) bytes += sizeof(std::uint64_t) + o.size();
   WriteArchive ar;
+  ar.reserve(bytes);
   ar.put<std::uint64_t>(inputs.size());
   for (const auto& in : inputs) ar.put_bytes(in);
   state.save(ar);
@@ -35,6 +40,7 @@ std::vector<std::byte> pack_context(
   // sequence, so anything preceding it must have a known structure.)
   ar.put<std::uint64_t>(outputs.size());
   for (const auto& o : outputs) ar.put_bytes(o);
+  EMCGM_CHECK(ar.size() == bytes);
   return ar.take();
 }
 
@@ -267,6 +273,7 @@ void EmEngine::start(const cgm::Program& program,
     obs::SpanScope setup_span(tr, tr ? &tr->engine_shard() : nullptr,
                               obs::SpanKind::kContextWrite, tr ? tr->p() : 0,
                               0, -1, -1, phys_step_, 0);
+    std::uint64_t bytes = 0;
     for (std::uint32_t g = 0; g < v; ++g) {
       std::vector<std::vector<std::byte>> mine;
       mine.reserve(inputs.size());
@@ -274,7 +281,9 @@ void EmEngine::start(const cgm::Program& program,
       const auto state = program.make_state();
       const auto blob = pack_context(mine, *state, {});
       procs_[owner_of(g)]->contexts->write(g % nloc, blob);
+      bytes += blob.size();
     }
+    setup_span.set_aux(bytes);
     for (auto& rp : procs_) {
       rp->contexts->flip();
       // start() ends quiescent, like every step(): the write-behind is
@@ -416,6 +425,7 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
                             r, g, phys_step_, rs.round, io_src);
         const auto blob = rp.contexts->read(jl);
         unpacked = unpack_context(blob, *state);
+        span.set_aux(blob.size());
       }
       // (b) messages in.
       std::vector<cgm::Message> inbox;
@@ -423,6 +433,11 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
         obs::SpanScope span(tr, shard, obs::SpanKind::kInboxRead, host, r,
                             r, g, phys_step_, rs.round, io_src);
         inbox = rp.messages->read_incoming(g);
+        if (tr) {
+          std::uint64_t bytes = 0;
+          for (const auto& m : inbox) bytes += m.payload.size();
+          span.set_aux(bytes);
+        }
         if (compute && balanced && rs.round > 0) {
           inbox = routing::decode_phase_b(v, g, inbox);
         }
@@ -513,6 +528,7 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
       obs::SpanScope span(tr, shard, obs::SpanKind::kContextWrite, host, r,
                           r, g, phys_step_, rs.round, io_src);
       const auto new_blob = pack_context({}, *state, pctx.outputs());
+      span.set_aux(new_blob.size());
       if (cfg_.memory_bytes > 0) {
         const std::size_t resident = new_blob.size() + pctx.resident_bytes();
         EMCGM_CHECK_MSG(resident <= cfg_.memory_bytes,

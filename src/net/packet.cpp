@@ -33,11 +33,11 @@ std::vector<std::byte> frame_packet(const Packet& p) {
   put_u64(f.data() + 16, p.seq);
   put_u32(f.data() + 24, static_cast<std::uint32_t>(p.payload.size()));
   put_u32(f.data() + 28, 0);  // CRC field participates in the CRC as zero
-  if (!p.payload.empty()) {
-    std::memcpy(f.data() + kPacketHeaderBytes, p.payload.data(),
-                p.payload.size());
-  }
-  put_u32(f.data() + 28, pdm::crc32c(f));
+  const std::uint32_t header_crc =
+      pdm::crc32c(std::span<const std::byte>(f).first(kPacketHeaderBytes));
+  put_u32(f.data() + 28,
+          pdm::crc32c_copy(std::span<std::byte>(f).subspan(kPacketHeaderBytes),
+                           p.payload, header_crc));
   return f;
 }
 
@@ -49,19 +49,20 @@ std::optional<Packet> parse_packet(std::span<const std::byte> frame) {
   const std::uint32_t length = get_u32(frame.data() + 24);
   if (frame.size() != kPacketHeaderBytes + length) return std::nullopt;
 
-  // Chain the CRC around its own field, which frame_packet sealed as zero.
+  // Chain the CRC around its own field, which frame_packet sealed as zero,
+  // and copy the payload out as it is summed.
   constexpr std::array<std::byte, 4> kZeroCrcField{};
   std::uint32_t crc = pdm::crc32c(frame.first(28));
   crc = pdm::crc32c(kZeroCrcField, crc);
-  crc = pdm::crc32c(frame.subspan(kPacketHeaderBytes), crc);
+  Packet p;
+  p.payload.resize(length);
+  crc = pdm::crc32c_copy(p.payload, frame.subspan(kPacketHeaderBytes), crc);
   if (crc != get_u32(frame.data() + 28)) return std::nullopt;
 
-  Packet p;
   p.type = static_cast<PacketType>(type);
   p.src = get_u32(frame.data() + 8);
   p.dst = get_u32(frame.data() + 12);
   p.seq = get_u64(frame.data() + 16);
-  p.payload.assign(frame.begin() + kPacketHeaderBytes, frame.end());
   return p;
 }
 

@@ -11,11 +11,11 @@ namespace {
 constexpr SpanKindInfo kSpanKinds[] = {
     {SpanKind::kSuperstep, "superstep", "engine", "phase", nullptr},
     {SpanKind::kGroupStep, "group_step", "engine", nullptr, nullptr},
-    {SpanKind::kContextRead, "context_read", "io", nullptr, nullptr},
-    {SpanKind::kInboxRead, "inbox_read", "io", nullptr, nullptr},
+    {SpanKind::kContextRead, "context_read", "io", "bytes", nullptr},
+    {SpanKind::kInboxRead, "inbox_read", "io", "bytes", nullptr},
     {SpanKind::kCompute, "compute", "compute", "inbox_msgs", "outbox_msgs"},
     {SpanKind::kOutboxWrite, "outbox_write", "io", "messages", "bytes"},
-    {SpanKind::kContextWrite, "context_write", "io", nullptr, nullptr},
+    {SpanKind::kContextWrite, "context_write", "io", "bytes", nullptr},
     {SpanKind::kNetPost, "net_post", "net", "bytes", nullptr},
     {SpanKind::kNetCollect, "net_collect", "net", "wire_bytes",
      "retransmissions"},

@@ -31,37 +31,87 @@ constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
 constexpr auto kCrcTable = make_crc32c_table();
 
 #ifdef EMCGM_CRC32C_SSE42
+// CRC registers are linear: the register after X || Y is the register after
+// X, carried past |Y| zero bytes, xor the register of Y alone (from zero).
+// kShift carries a register past one stream's kCrc32cStreamBytes zero bytes,
+// one 256-entry table per register byte.
+constexpr std::array<std::array<std::uint32_t, 256>, 4> make_shift_table() {
+  std::array<std::array<std::uint32_t, 256>, 4> table{};
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      std::uint32_t c = b << (8 * k);
+      for (std::size_t n = 0; n < kCrc32cStreamBytes; ++n) {
+        c = kCrcTable[c & 0xFF] ^ (c >> 8);
+      }
+      table[k][b] = c;
+    }
+  }
+  return table;
+}
+
+constexpr auto kShift = make_shift_table();
+static_assert(kCrc32cStreamBytes % 8 == 0, "streams are whole words");
+
+std::uint64_t shift_stream(std::uint64_t c) {
+  return kShift[0][c & 0xFF] ^ kShift[1][(c >> 8) & 0xFF] ^
+         kShift[2][(c >> 16) & 0xFF] ^ kShift[3][(c >> 24) & 0xFF];
+}
+
 // The crc32 instruction implements the same reflected Castagnoli CRC, eight
-// little-endian bytes per step. Compiled for SSE4.2 in this function only;
-// crc32c() calls it only on a CPU that reports the extension.
+// little-endian bytes per step. A step takes three cycles but one can start
+// every cycle, so one dependent chain uses a third of it. Three interleaved
+// streams (A, B, C: consecutive kCrc32cStreamBytes runs) keep it busy; A's
+// register is carried past B, then past C, to join them. The tail runs one
+// stream. kCopy stores each word to `dst` as it is summed.
+// Compiled for SSE4.2 in this function only; crc32c() and crc32c_copy() call
+// it only on a CPU that reports the extension.
+template <bool kCopy>
 __attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
-    std::span<const std::byte> data, std::uint32_t seed) {
-  std::uint64_t c = ~seed;
-  const std::byte* p = data.data();
-  std::size_t n = data.size();
-  for (; n >= 8; p += 8, n -= 8) {
-    std::uint64_t word = 0;
-    std::memcpy(&word, p, 8);
-    c = _mm_crc32_u64(c, word);
+    std::byte* dst, const std::byte* src, std::size_t n, std::uint32_t seed) {
+  constexpr std::size_t L = kCrc32cStreamBytes;
+  std::uint64_t a = ~seed;
+  std::size_t at = 0;
+  for (; n - at >= 3 * L; at += 3 * L) {
+    std::uint64_t b = 0, c = 0;
+    for (std::size_t i = at; i < at + L; i += 8) {
+      std::uint64_t wa, wb, wc;
+      std::memcpy(&wa, src + i, 8);
+      std::memcpy(&wb, src + L + i, 8);
+      std::memcpy(&wc, src + 2 * L + i, 8);
+      a = _mm_crc32_u64(a, wa);
+      b = _mm_crc32_u64(b, wb);
+      c = _mm_crc32_u64(c, wc);
+      if constexpr (kCopy) {
+        std::memcpy(dst + i, &wa, 8);
+        std::memcpy(dst + L + i, &wb, 8);
+        std::memcpy(dst + 2 * L + i, &wc, 8);
+      }
+    }
+    a = shift_stream(shift_stream(a) ^ b) ^ c;
   }
-  auto c32 = static_cast<std::uint32_t>(c);
-  for (; n > 0; ++p, --n) {
-    c32 = _mm_crc32_u8(c32, static_cast<std::uint8_t>(*p));
+  for (; n - at >= 8; at += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, src + at, 8);
+    a = _mm_crc32_u64(a, w);
+    if constexpr (kCopy) std::memcpy(dst + at, &w, 8);
   }
-  return ~c32;
+  auto a32 = static_cast<std::uint32_t>(a);
+  for (; at < n; ++at) {
+    a32 = _mm_crc32_u8(a32, static_cast<std::uint8_t>(src[at]));
+    if constexpr (kCopy) dst[at] = src[at];
+  }
+  return ~a32;
+}
+
+// The CPU check runs once, at the first call.
+bool use_sse42() {
+  static const bool yes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return yes;
 }
 #endif
-
-using Crc32cKernel = std::uint32_t (*)(std::span<const std::byte>,
-                                       std::uint32_t);
-
-Crc32cKernel pick_crc32c_kernel() {
-#ifdef EMCGM_CRC32C_SSE42
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("sse4.2")) return crc32c_sse42;
-#endif
-  return crc32c_portable;
-}
 
 // Header field offsets within the 24-byte envelope.
 constexpr std::size_t kOffMagic = 0;
@@ -81,14 +131,14 @@ T load_le(std::span<const std::byte> buf, std::size_t off) {
   return v;
 }
 
-/// CRC over the address tag then the payload, so a block copied verbatim to
-/// another (disk, track) fails verification even though its bytes are intact.
-std::uint32_t tagged_crc(std::uint32_t disk, std::uint64_t track,
-                         std::span<const std::byte> payload) {
+/// The CRC of the address tag, which seeds the payload's: a block copied
+/// verbatim to another (disk, track) fails verification even though its
+/// bytes are intact.
+std::uint32_t tag_crc(std::uint32_t disk, std::uint64_t track) {
   std::array<std::byte, 12> tag{};
   store_le(tag, 0, disk);
   store_le(tag, 4, track);
-  return crc32c(payload, crc32c(tag));
+  return crc32c(tag);
 }
 
 }  // namespace
@@ -103,8 +153,25 @@ std::uint32_t crc32c_portable(std::span<const std::byte> data,
 }
 
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed) {
-  static const Crc32cKernel kernel = pick_crc32c_kernel();
-  return kernel(data, seed);
+#ifdef EMCGM_CRC32C_SSE42
+  if (use_sse42()) {
+    return crc32c_sse42<false>(nullptr, data.data(), data.size(), seed);
+  }
+#endif
+  return crc32c_portable(data, seed);
+}
+
+std::uint32_t crc32c_copy(std::span<std::byte> dst,
+                          std::span<const std::byte> src,
+                          std::uint32_t seed) {
+  EMCGM_CHECK(dst.size() == src.size());
+#ifdef EMCGM_CRC32C_SSE42
+  if (use_sse42()) {
+    return crc32c_sse42<true>(dst.data(), src.data(), src.size(), seed);
+  }
+#endif
+  if (!src.empty()) std::memcpy(dst.data(), src.data(), src.size());
+  return crc32c_portable(src, seed);
 }
 
 void seal_block(std::uint32_t disk, std::uint64_t track,
@@ -113,10 +180,11 @@ void seal_block(std::uint32_t disk, std::uint64_t track,
   EMCGM_CHECK(phys.size() == payload.size() + kEnvelopeBytes);
   std::memset(phys.data(), 0, kEnvelopeBytes);
   store_le(phys, kOffMagic, kBlockMagic);
-  store_le(phys, kOffCrc, tagged_crc(disk, track, payload));
   store_le(phys, kOffDisk, disk);
   store_le(phys, kOffTrack, track);
-  std::memcpy(phys.data() + kEnvelopeBytes, payload.data(), payload.size());
+  store_le(phys, kOffCrc,
+           crc32c_copy(phys.subspan(kEnvelopeBytes), payload,
+                       tag_crc(disk, track)));
 }
 
 void unseal_block(std::uint32_t disk, std::uint64_t track,
@@ -154,16 +222,15 @@ void unseal_block(std::uint32_t disk, std::uint64_t track,
        << ", envelope says disk " << tag_disk << " track " << tag_track;
     throw IoError(IoErrorKind::kCorruption, os.str());
   }
-  const auto payload = phys.subspan(kEnvelopeBytes);
   const auto want = load_le<std::uint32_t>(phys, kOffCrc);
-  const auto got = tagged_crc(disk, track, payload);
+  const auto got = crc32c_copy(out, phys.subspan(kEnvelopeBytes),
+                               tag_crc(disk, track));
   if (want != got) {
     std::ostringstream os;
     os << "checksum mismatch at disk " << disk << " track " << track
        << ": stored 0x" << std::hex << want << ", computed 0x" << got;
     throw IoError(IoErrorKind::kCorruption, os.str());
   }
-  std::memcpy(out.data(), payload.data(), out.size());
 }
 
 }  // namespace emcgm::pdm

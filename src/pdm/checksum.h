@@ -28,13 +28,24 @@ namespace emcgm::pdm {
 /// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected). `seed` chains
 /// incremental computations: crc32c(b, crc32c(a)) == crc32c(a || b). On
 /// x86-64 with SSE4.2 (detected once, at the first call) this runs the
-/// crc32 instruction over 8-byte words; elsewhere it is crc32c_portable.
-/// Both give the same value for every input.
+/// crc32 instruction over 8-byte words in three interleaved streams of
+/// kCrc32cStreamBytes each; elsewhere it is crc32c_portable. Both give the
+/// same value for every input.
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed = 0);
+
+/// crc32c(src, seed), copying `src` into `dst` (same size) in the same pass.
+/// Without SSE4.2 it is memcpy plus crc32c_portable.
+std::uint32_t crc32c_copy(std::span<std::byte> dst,
+                          std::span<const std::byte> src,
+                          std::uint32_t seed = 0);
 
 /// The portable kernel crc32c() falls back to: a byte-at-a-time table loop.
 std::uint32_t crc32c_portable(std::span<const std::byte> data,
                               std::uint32_t seed = 0);
+
+/// Bytes per stream per step of the 3-way kernel: inputs of at least
+/// 3 * kCrc32cStreamBytes run interleaved, the rest as one stream.
+inline constexpr std::size_t kCrc32cStreamBytes = 256;
 
 /// Envelope header: magic(4) | crc(4) | disk(4) | reserved(4) | track(8).
 inline constexpr std::size_t kEnvelopeBytes = 24;
@@ -58,7 +69,9 @@ void seal_block(std::uint32_t disk, std::uint64_t track,
 /// Verify `phys` (read from (disk, track)) and extract its payload into
 /// `out` (exactly phys.size() - kEnvelopeBytes long). An all-zero physical
 /// block is sparse: `out` is zero-filled. Throws IoError
-/// (IoErrorKind::kCorruption) on a CRC or address-tag mismatch.
+/// (IoErrorKind::kCorruption) on a CRC or address-tag mismatch. The payload
+/// is copied while its CRC is computed, so after a throw the contents of
+/// `out` are unspecified: callers discard it.
 void unseal_block(std::uint32_t disk, std::uint64_t track,
                   std::span<const std::byte> phys, std::span<std::byte> out);
 

@@ -158,9 +158,8 @@ class DiskArray {
     ++stats_.fsyncs;
   }
 
-  /// Counters reaped so far. Exact at quiesce points (after wait/drain/sync
-  /// or in serial mode); while async ops are in flight, counters lag
-  /// submission.
+  /// Counters reaped so far: after wait(ticket), exactly the ops up to the
+  /// ticket; after drain/sync, or in serial mode, every op submitted.
   const IoStats& stats() const { return stats_; }
 
   /// Sum of the disks' high-water marks (space usage; see

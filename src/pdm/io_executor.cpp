@@ -128,7 +128,7 @@ void IoExecutor::run_worker(std::uint32_t w) {
       // reference, and releases it.
       std::lock_guard<std::mutex> lk(done_mu_);
       if (err) job.op->errors.emplace_back(job.slot, std::move(err));
-      block_counts_ += counts;
+      job.op->counts += counts;
       --job.op->pending;
       --pending_blocks_;
       if (opts_.on_queue_depth) opts_.on_queue_depth(pending_blocks_);
@@ -195,12 +195,11 @@ bool IoExecutor::prefix_complete_locked(std::uint64_t ticket) const {
 void IoExecutor::wait(std::uint64_t ticket) {
   if (queues_.empty()) return;  // inline ops are counted as they run
   std::vector<std::unique_ptr<Op>> reaped;  // completed ops, in op order
-  IoStats counts;
   {
     std::unique_lock<std::mutex> lk(done_mu_);
     done_cv_.wait(lk, [&] { return prefix_complete_locked(ticket); });
     bool failed = false;
-    while (!ops_.empty() && ops_.front()->pending == 0) {
+    while (!ops_.empty() && ops_.front()->seq <= ticket) {
       failed = failed || !ops_.front()->errors.empty();
       reaped.push_back(std::move(ops_.front()));
       ops_.pop_front();
@@ -212,11 +211,10 @@ void IoExecutor::wait(std::uint64_t ticket) {
       for (auto& op : ops_) reaped.push_back(std::move(op));
       ops_.clear();
     }
-    counts = std::exchange(block_counts_, IoStats{});
   }
   // Counting and charging belong to the waiting (driving) thread; the
   // charge probe runs outside the completion lock.
-  stats_ += counts;
+  for (const auto& op : reaped) stats_ += op->counts;
   for (const auto& op : reaped) {
     if (!op->errors.empty()) {
       // Canonically-first failure: smallest slot of the smallest op seq.

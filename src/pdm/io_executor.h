@@ -25,9 +25,10 @@
 //     error first on the wall clock; ops submitted after the failed one are
 //     drained but neither counted nor charged, as inline (which would never
 //     have reached them);
-//   * per-block counters (retries, corruptions) are added under the
-//     completion lock as each job finishes and folded into IoStats at
-//     reap — exact whenever the array is quiescent (wait/drain returned).
+//   * per-block counters (retries, corruptions) are added to their op under
+//     the completion lock as each job finishes and folded into IoStats when
+//     the op is reaped, so each wait(ticket) applies exactly the ops up to
+//     its ticket, whatever the workers' timing.
 #pragma once
 
 #include <atomic>
@@ -82,10 +83,11 @@ class IoExecutor {
   template <typename Slot>
   std::uint64_t submit(std::span<const Slot> slots);
 
-  /// Block until every op with sequence <= ticket has completed, then reap:
-  /// fold the per-block counters and count and charge the completed ops in
-  /// ascending op order, on the calling thread. On error, drains everything
-  /// in flight, then re-raises the canonically-first failure (clearing it).
+  /// Block until every op with sequence <= ticket has completed, then reap
+  /// exactly those: fold their per-block counters and count and charge them
+  /// in ascending op order, on the calling thread. On error, drains
+  /// everything in flight, reaps it all, then re-raises the
+  /// canonically-first failure (clearing it).
   /// No-op with zero workers. One thread drives an array: wait/drain are
   /// not called concurrently with each other or with submit.
   void wait(std::uint64_t ticket);
@@ -110,6 +112,7 @@ class IoExecutor {
     bool is_write = false;
     std::uint32_t blocks = 0;      ///< slots in the op
     std::uint32_t pending = 0;     ///< jobs not yet completed (done_mu_)
+    IoStats counts;  ///< finished jobs' retries/corruptions (done_mu_)
     /// (slot index, error) for every failed job; canonical order at reap.
     std::vector<std::pair<std::uint32_t, std::exception_ptr>> errors;
   };
@@ -152,7 +155,6 @@ class IoExecutor {
   std::deque<std::unique_ptr<Op>> ops_;  ///< in-flight + unreaped, seq order
   std::uint64_t next_seq_ = 1;
   std::uint64_t pending_blocks_ = 0;
-  IoStats block_counts_;  ///< finished jobs' retries/corruptions (done_mu_)
   std::atomic<bool> stop_{false};
 
   std::vector<std::thread> workers_;  ///< last member: joins before teardown

@@ -28,6 +28,9 @@ class WriteArchive {
  public:
   WriteArchive() = default;
 
+  /// Make room for `more` bytes past size() in one allocation.
+  void reserve(std::size_t more) { buf_.reserve(buf_.size() + more); }
+
   void write_raw(const void* data, std::size_t n) {
     const auto* p = static_cast<const std::byte*>(data);
     buf_.insert(buf_.end(), p, p + n);
@@ -70,6 +73,14 @@ class WriteArchive {
     std::apply([this](const auto&... f) { (put_field(f), ...); }, fields);
   }
 
+  /// The bytes put_fields(fields) writes, by the same per-field rule.
+  template <typename... Fs>
+  static std::size_t fields_bytes(const std::tuple<Fs&...>& fields) {
+    return std::apply(
+        [](const auto&... f) { return (std::size_t{0} + ... + field_bytes(f)); },
+        fields);
+  }
+
   std::size_t size() const { return buf_.size(); }
   const std::vector<std::byte>& buffer() const { return buf_; }
 
@@ -81,6 +92,14 @@ class WriteArchive {
   void put_field(const std::vector<T>& f) { put_vec(f); }
   template <typename T>
   void put_field(const T& f) { put(f); }
+  template <typename T>
+  static std::size_t field_bytes(const std::vector<T>& f) {
+    return sizeof(std::uint64_t) + f.size() * sizeof(T);
+  }
+  template <typename T>
+  static std::size_t field_bytes(const T&) {
+    return sizeof(T);
+  }
 
   std::vector<std::byte> buf_;
 };

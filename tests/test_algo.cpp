@@ -138,6 +138,49 @@ TEST(Archive, FieldListMatchesHandWrittenEncoding) {
   EXPECT_EQ(out.buffer(), hand.buffer());
 }
 
+TEST(Archive, FieldsBytesMatchesPutFields) {
+  // The context store sizes each archive from the field list before writing
+  // it; the size must be exactly what put_fields then writes.
+  struct Item {
+    std::uint32_t id;
+    double w;
+  };
+  struct SizedState {
+    std::uint64_t round = 0;
+    std::vector<std::uint32_t> empty;
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint64_t> words;
+    std::vector<Item> items;
+    auto fields() { return std::tie(round, empty, bytes, words, items); }
+  };
+  class SizedProgram final : public cgm::ProgramT<SizedState> {
+   public:
+    std::string name() const override { return "fields_bytes_probe"; }
+    void round(cgm::ProcCtx&, SizedState& st) const override {
+      st.round = 3;
+      st.bytes = {1, 2, 3, 4, 5};
+      st.words = {7, 8};
+      st.items.resize(3);
+    }
+    bool done(const cgm::ProcCtx&, const SizedState&) const override {
+      return true;
+    }
+  };
+  SizedProgram prog;
+  auto state = prog.make_state();
+  for (int filled = 0; filled < 2; ++filled) {
+    if (filled) {
+      cgm::ProcCtx ctx(0, 1, 0);
+      static_cast<const cgm::Program&>(prog).round(ctx, *state);
+    }
+    WriteArchive out;
+    state->save(out);
+    EXPECT_EQ(state->saved_bytes(), out.size()) << "filled " << filled;
+  }
+  // 8 + (8 + 0) + (8 + 5) + (8 + 16) + (8 + 3 * sizeof(Item))
+  EXPECT_EQ(state->saved_bytes(), 61 + 3 * sizeof(Item));
+}
+
 // ------------------------------------------------------------------- math --
 
 TEST(Math, ChunkPartitioning) {

@@ -66,7 +66,9 @@ TEST(ContextStore, RoundTripsVaryingSizes) {
           for (std::uint32_t j = 0; j < 3; ++j) store.prefetch(j);
         }
         for (std::uint32_t j = 0; j < 3; ++j) {
-          EXPECT_EQ(store.read(j), ctxs[j]) << "step " << step << " proc " << j;
+          const em::ContextBlob got = store.read(j);
+          EXPECT_EQ(std::vector<std::byte>(got.begin(), got.end()), ctxs[j])
+              << "step " << step << " proc " << j;
         }
       }
     }

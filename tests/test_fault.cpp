@@ -4,6 +4,7 @@
 // a multi-round sort, resume(), and demand bit-identical output).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -80,9 +81,12 @@ TEST(Checksum, Crc32cKnownAnswer) {
 
 TEST(Checksum, Crc32cKernelsMatchBitwiseReference) {
   // Bit-at-a-time CRC32C: shares neither the table nor the crc32 instruction
-  // with the kernels under test. The lengths cover every tail after the
-  // 8-byte word loop, a 4 KiB payload, a 4 KiB block in its envelope, and
-  // two of them; the start offsets cover every word misalignment.
+  // with the kernels under test. The lengths cover every tail of the 3-way
+  // kernel's interleaved loop (3 * kCrc32cStreamBytes per step) and of its
+  // 8-byte word loop, each step boundary +- 1, a 4 KiB payload, a 4 KiB
+  // block in its envelope, and two of them; the start offsets cover every
+  // word misalignment. The copy form must return the same CRC and copy the
+  // bytes, into a destination misaligned differently from the source.
   const auto reference = [](std::span<const std::byte> data,
                             std::uint32_t seed) {
     std::uint32_t c = ~seed;
@@ -94,13 +98,19 @@ TEST(Checksum, Crc32cKernelsMatchBitwiseReference) {
     }
     return ~c;
   };
-  std::vector<std::byte> buf(8216 + 7);
+  constexpr std::size_t kMax = 8216;
+  std::vector<std::byte> buf(kMax + 7);
   Rng rng(14);
   for (auto& b : buf) b = static_cast<std::byte>(rng.next());
-  std::vector<std::size_t> lengths(81);
+  constexpr std::size_t kStep = 3 * kCrc32cStreamBytes;
+  std::vector<std::size_t> lengths(kStep + 65);
   std::iota(lengths.begin(), lengths.end(), std::size_t{0});
-  lengths.insert(lengths.end(), {4096, 4096 + kEnvelopeBytes, 8216});
+  for (std::size_t m = 2 * kStep; m + 1 <= kMax; m += kStep) {
+    lengths.insert(lengths.end(), {m - 1, m, m + 1});
+  }
+  lengths.insert(lengths.end(), {4096, 4096 + kEnvelopeBytes, kMax});
   const std::uint32_t seed = 0x9E3779B9u;
+  std::vector<std::byte> dst(kMax + 7);
   for (const std::size_t len : lengths) {
     for (std::size_t off = 0; off < 8; ++off) {
       const auto data = std::span<const std::byte>(buf).subspan(off, len);
@@ -108,13 +118,20 @@ TEST(Checksum, Crc32cKernelsMatchBitwiseReference) {
       EXPECT_EQ(crc32c(data, seed), want) << "len " << len << " off " << off;
       EXPECT_EQ(crc32c_portable(data, seed), want)
           << "len " << len << " off " << off;
+      const auto to = std::span<std::byte>(dst).subspan(7 - off, len);
+      std::fill(dst.begin(), dst.end(), std::byte{0xA5});
+      EXPECT_EQ(crc32c_copy(to, data, seed), want)
+          << "copy len " << len << " off " << off;
+      EXPECT_TRUE(std::equal(data.begin(), data.end(), to.begin()))
+          << "copy len " << len << " off " << off;
     }
   }
   // Chaining: crc32c(b, crc32c(a)) == crc32c(a || b), cutting inside and
-  // between words.
+  // between words and streams.
   const auto whole =
       std::span<const std::byte>(buf).first(4096 + kEnvelopeBytes);
-  for (const std::size_t cut : {0, 1, 7, 8, 13, 24, 4096, 4119, 4120}) {
+  for (const std::size_t cut : {0, 1, 7, 8, 13, 24, 256, 767, 768, 769, 4096,
+                                4119, 4120}) {
     EXPECT_EQ(crc32c(whole.subspan(cut), crc32c(whole.first(cut))),
               crc32c(whole))
         << "cut " << cut;
@@ -131,16 +148,23 @@ TEST(Checksum, SealUnsealRoundTrip) {
 }
 
 TEST(Checksum, DetectsBitRot) {
-  const auto payload = pattern(100, 4);
-  std::vector<std::byte> phys(100 + kEnvelopeBytes);
-  seal_block(0, 5, payload, phys);
-  phys[kEnvelopeBytes + 40] ^= std::byte{0x01};
-  std::vector<std::byte> out(100);
-  try {
-    unseal_block(0, 5, phys, out);
-    FAIL() << "corruption not detected";
-  } catch (const IoError& e) {
-    EXPECT_EQ(e.kind(), IoErrorKind::kCorruption);
+  // One flipped bit in each of the 3-way kernel's streams (A, B, C of its
+  // second step) and in its one-stream tail.
+  constexpr std::size_t L = kCrc32cStreamBytes;
+  const std::size_t n = 4096;
+  const auto payload = pattern(n, 4);
+  std::vector<std::byte> sealed(n + kEnvelopeBytes);
+  seal_block(0, 5, payload, sealed);
+  for (const std::size_t at : {3 * L + 40, 4 * L + 41, 5 * L + 42, n - 3}) {
+    auto phys = sealed;
+    phys[kEnvelopeBytes + at] ^= std::byte{0x01};
+    std::vector<std::byte> out(n);
+    try {
+      unseal_block(0, 5, phys, out);
+      ADD_FAILURE() << "corruption at byte " << at << " not detected";
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.kind(), IoErrorKind::kCorruption) << "byte " << at;
+    }
   }
 }
 

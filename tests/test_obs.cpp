@@ -16,12 +16,15 @@
 // reconcile with RunResult (the S6 barrier-owned counter invariant).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algo/sort.h"
@@ -307,6 +310,37 @@ TEST(Obs, StructureDeterministicAcrossThreading) {
   ASSERT_NE(threaded->tracer(), nullptr);
   EXPECT_EQ(shapes(serial->tracer()->merged()),
             shapes(threaded->tracer()->merged()));
+}
+
+TEST(Obs, AsyncIoDeltasRepeatAcrossRuns) {
+  // With executor workers, the I/O counters a span takes its delta from are
+  // applied when ops are reaped. Each wait reaps exactly the ops up to its
+  // ticket, so the deltas repeat from run to run even while a jittering
+  // retry hook shifts the workers' timing.
+  const auto keys = random_keys(919, 4000);
+  cgm::MachineConfig cfg = em_cfg(8, 1, false, true);
+  cfg.disk.num_disks = 4;
+  cfg.io_threads = 4;
+  cfg.checksums = true;
+  cfg.retry.max_attempts = 8;
+  cfg.fault.seed = 31;
+  cfg.fault.transient_read_prob = 0.05;
+  cfg.fault.transient_write_prob = 0.05;
+  cfg.retry.sleep = [](std::uint64_t) {
+    thread_local Rng rng(
+        std::hash<std::thread::id>{}(std::this_thread::get_id()));
+    std::this_thread::sleep_for(std::chrono::microseconds(rng.next_below(60)));
+  };
+  const em::EmEngine* first = nullptr;
+  const Counters ref = run_em(cfg, keys, &first);
+  EXPECT_GT(ref.io.retries, 0u) << "the fault plan never fired the hook";
+  for (int rep = 0; rep < 2; ++rep) {
+    const em::EmEngine* again = nullptr;
+    expect_same_counters(ref, run_em(cfg, keys, &again), "rerun");
+    EXPECT_EQ(shapes(first->tracer()->merged()),
+              shapes(again->tracer()->merged()))
+        << "rerun " << rep;
+  }
 }
 
 // ---------------------------------------------------------------- metrics --
