@@ -76,10 +76,7 @@ Probe run(bool checksums, bool checkpointing, double fault_prob,
     cfg.checkpointing = true;
     cfg.net.failover = true;
     cfg.net.fault.fail_stops = {{1, kill_step}};
-    if (rejoin) {
-      cfg.net.rejoin = true;
-      cfg.net.fault.rejoins = {{1, kill_step + 3}};
-    }
+    if (rejoin) cfg.net.fault.rejoins = {{1, kill_step + 3}};
   }
   if (trace) trace->arm(cfg);
   em::EmEngine engine(checked(cfg));

@@ -25,6 +25,7 @@
 #include "obs/trace.h"
 #include "pdm/cost_model.h"
 #include "pdm/disk_array.h"
+#include "util/file.h"
 #include "util/json.h"
 #include "util/timer.h"
 
@@ -98,25 +99,19 @@ class Table {
     line();
   }
 
-  /// Append this table to `f` as one JSON object {"name": ..., "rows":
-  /// [{header: cell, ...}, ...]}. Cells are emitted as strings — they were
-  /// formatted for humans, and a consumer that wants numbers can parse them
-  /// without this header guessing types.
-  void write_json(std::FILE* f, const std::string& name) const {
-    std::fprintf(f, "{\"name\": %s, \"rows\": [", json::quote(name).c_str());
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      std::fprintf(f, r == 0 ? "\n" : ",\n");
-      std::fprintf(f, "  {");
+  /// Write this table as {"name": ..., "rows": [{header: cell, ...}, ...]}.
+  /// Cells are strings — they were formatted for humans, and a consumer that
+  /// wants numbers can parse them without this header guessing types.
+  void write_json(json::Writer& w, const std::string& name) const {
+    w.begin_object().field("name", name).key("rows").begin_array();
+    for (const auto& r : rows_) {
+      w.begin_object();
       for (std::size_t c = 0; c < headers_.size(); ++c) {
-        const std::string& cell =
-            c < rows_[r].size() ? rows_[r][c] : std::string();
-        std::fprintf(f, "%s%s: %s", c == 0 ? "" : ", ",
-                     json::quote(headers_[c]).c_str(),
-                     json::quote(cell).c_str());
+        w.field(headers_[c], c < r.size() ? r[c] : std::string());
       }
-      std::fprintf(f, "}");
+      w.end_object();
     }
-    std::fprintf(f, "\n]}\n");
+    w.end_array().end_object();
   }
 
  private:
@@ -149,21 +144,14 @@ inline void write_json_report(const std::string& path,
                               const std::vector<std::pair<std::string, Table>>&
                                   tables) {
   if (path.empty()) return;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    std::exit(2);
-  }
-  std::fprintf(f, "{\"schema\": \"%s\",\n \"tables\": [\n", kBenchSchema);
-  for (std::size_t i = 0; i < tables.size(); ++i) {
-    if (i) std::fprintf(f, ",\n");
-    tables[i].second.write_json(f, tables[i].first);
-  }
-  std::fprintf(f, "]}\n");
-  // fprintf buffers: a full disk may only show at the flush inside fclose.
-  const bool write_failed = std::ferror(f) != 0;
-  if (std::fclose(f) != 0 || write_failed) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  json::Writer w;
+  w.begin_object().field("schema", kBenchSchema).key("tables").begin_array();
+  for (const auto& [name, table] : tables) table.write_json(w, name);
+  w.end_array().end_object();
+  try {
+    write_file(path, w.take());
+  } catch (const Error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     std::exit(2);
   }
   std::printf("wrote %s\n", path.c_str());

@@ -174,9 +174,9 @@ struct MachineConfig {
     check(net.retry.max_attempts >= 1,
           "network retry policy needs at least one attempt");
     check(!net.enabled || net.mtu_bytes > 0, "network MTU must be positive");
-    check(!net.rejoin || net.failover,
-          "net.rejoin re-admits processors through the fail-over machinery;"
-          " enable net.failover");
+    check(net.fault.rejoins.empty() || net.failover,
+          "net.fault.rejoins re-admits processors through the fail-over"
+          " machinery; enable net.failover");
     check(net.schedule == routing::ScheduleKind::kDirect || p == 1 ||
               net.enabled,
           "a non-direct collective schedule routes through the simulated"

@@ -44,9 +44,9 @@ struct RunResult {
   /// cfg.net.failover): each one re-assigned a dead processor's virtual
   /// processors to survivors and replayed from the last commit.
   std::uint64_t failovers = 0;
-  /// Processors re-admitted by the rejoin handshake (EM engine with
-  /// cfg.net.rejoin): each one caught up from the last committed checkpoint
-  /// and took store groups back at a superstep barrier.
+  /// Processors re-admitted by the rejoin handshake (EM engine, a reboot in
+  /// cfg.net.fault.rejoins): each one caught up from the last committed
+  /// checkpoint and took store groups back at a superstep barrier.
   std::uint64_t rejoins = 0;
   double wall_s = 0.0;
 

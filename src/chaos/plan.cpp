@@ -1,7 +1,6 @@
 #include "chaos/plan.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "pdm/fault.h"
 #include "routing/schedule.h"
@@ -184,7 +183,6 @@ void ChaosPlan::apply(cgm::MachineConfig& cfg) const {
         }
         if (killed_before) {
           nf.rejoins.push_back(net::NodeEvent{e.proc, e.value});
-          cfg.net.rejoin = true;
           cfg.net.failover = true;
           cfg.checkpointing = true;
         }
@@ -209,17 +207,14 @@ void ChaosPlan::apply(cgm::MachineConfig& cfg) const {
 // ------------------------------------------------------------------- JSON --
 
 std::string ChaosPlan::to_json() const {
-  std::ostringstream os;
-  os.precision(17);  // doubles round-trip exactly
-  os << "{\n  \"seed\": " << seed << ",\n  \"events\": [";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const ChaosEvent& e = events[i];
-    os << (i ? ",\n    " : "\n    ");
-    os << "{\"kind\": \"" << to_string(e.kind) << "\", \"proc\": " << e.proc
-       << ", \"value\": " << e.value << ", \"prob\": " << e.prob << "}";
+  json::Writer w;
+  w.begin_object().field("seed", seed).key("events").begin_array();
+  for (const ChaosEvent& e : events) {
+    w.begin_object().field("kind", to_string(e.kind)).field("proc", e.proc);
+    w.field("value", e.value).field("prob", e.prob).end_object();
   }
-  os << (events.empty() ? "]" : "\n  ]") << "\n}\n";
-  return os.str();
+  w.end_array().end_object();
+  return w.take();
 }
 
 ChaosPlan ChaosPlan::parse_json(const std::string& text) {

@@ -75,7 +75,7 @@ struct PlanShape {
   std::uint64_t quota_max_bytes = 0;
   bool allow_disk_crash = true;  ///< kDiskCrash events (need checkpointing)
   bool allow_kill = true;        ///< kKill events (need net.failover, p > 1)
-  bool allow_rejoin = true;      ///< kKill+kRejoin pairs (need net.rejoin)
+  bool allow_rejoin = true;      ///< kKill+kRejoin pairs
   /// kSchedule events: run the plan under a drawn collective schedule
   /// (p > 1). Off by default so pre-existing seeded campaigns replay the
   /// exact event streams they always drew.

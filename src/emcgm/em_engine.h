@@ -239,9 +239,9 @@ class EmEngine final : public cgm::Engine {
   void failover(const std::vector<std::uint32_t>& dead_procs,
                 std::exception_ptr cause, cgm::RunResult& result);
 
-  /// Barrier-side rejoin admission (cfg.net.rejoin): run the handshake
-  /// round, re-admit every acknowledged returner, re-spread the groups and
-  /// run the hand-over round. Returns the number of processors re-admitted.
+  /// Barrier-side rejoin admission after a scheduled reboot: run the
+  /// handshake round, re-admit every acknowledged returner, re-spread the
+  /// groups and run the hand-over round. Returns the number re-admitted.
   std::uint64_t try_rejoin(std::uint64_t round, cgm::RunResult& result);
 
   /// The re-spread step of every membership change (fail-over, rejoin):

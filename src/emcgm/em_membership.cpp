@@ -337,8 +337,8 @@ std::uint64_t EmEngine::migrate_groups(
 
 std::uint64_t EmEngine::try_rejoin(std::uint64_t round,
                                    cgm::RunResult& result) {
-  if (!cfg_.net.rejoin || !net_ || !commit_.valid) return 0;
-  const auto candidates = net_->rejoin_round(phys_step_, epoch_, commit_.seq);
+  if (cfg_.net.fault.rejoins.empty() || !net_ || !commit_.valid) return 0;
+  const auto candidates = net_->rejoin_round();
   if (candidates.empty()) return 0;
   obs::Tracer* tr = tracer_.get();
   obs::SpanScope span(tr, tr ? &tr->engine_shard() : nullptr,

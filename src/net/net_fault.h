@@ -60,9 +60,9 @@ struct NetFaultPlan {
   /// physical superstep and all its traffic is dropped from then on), and
   /// deterministic reboots. A processor with a rejoin event later than its
   /// latest fail-stop has its traffic flow again from that step on — the
-  /// engine's rejoin handshake (cfg.net.rejoin) then re-admits it at a
-  /// superstep barrier. A kill and a reboot at the same step resolve to
-  /// dead (kill wins).
+  /// engine's rejoin handshake then re-admits it at a superstep barrier
+  /// through the fail-over machinery (so a reboot requires net.failover).
+  /// A kill and a reboot at the same step resolve to dead (kill wins).
   std::vector<NodeEvent> fail_stops{};
   std::vector<NodeEvent> rejoins{};
 
@@ -91,12 +91,6 @@ struct NetConfig {
   std::size_t mtu_bytes = 64 * 1024;
   /// Heartbeat rounds a processor may miss before it is declared dead.
   std::uint32_t heartbeat_miss_threshold = 3;
-  /// Let a fail-stopped processor with a scheduled reboot (fault.rejoins)
-  /// back into the membership: the engine runs the rejoin handshake after
-  /// each heartbeat round, replays the returning host's state from the last
-  /// committed checkpoint, and re-balances the store groups (requires
-  /// failover, hence checkpointing).
-  bool rejoin = false;
   /// Collective schedule of the superstep communication round, one mailbox
   /// round per schedule step: step 0 is posted during compute (overlapped
   /// with it), later steps run store-and-forward at the barrier. kDirect is

@@ -49,21 +49,17 @@ std::optional<Packet> parse_packet(std::span<const std::byte> frame) {
   const std::uint32_t length = get_u32(frame.data() + 24);
   if (frame.size() != kPacketHeaderBytes + length) return std::nullopt;
 
-  // Chain the CRC around its own field, which frame_packet sealed as zero,
-  // and copy the payload out as it is summed.
+  // Chain the CRC around its own field, which frame_packet sealed as zero.
   constexpr std::array<std::byte, 4> kZeroCrcField{};
   std::uint32_t crc = pdm::crc32c(frame.first(28));
   crc = pdm::crc32c(kZeroCrcField, crc);
-  Packet p;
-  p.payload.resize(length);
-  crc = pdm::crc32c_copy(p.payload, frame.subspan(kPacketHeaderBytes), crc);
-  if (crc != get_u32(frame.data() + 28)) return std::nullopt;
-
-  p.type = static_cast<PacketType>(type);
-  p.src = get_u32(frame.data() + 8);
-  p.dst = get_u32(frame.data() + 12);
-  p.seq = get_u64(frame.data() + 16);
-  return p;
+  const auto payload = frame.subspan(kPacketHeaderBytes);
+  if (pdm::crc32c(payload, crc) != get_u32(frame.data() + 28)) {
+    return std::nullopt;
+  }
+  return Packet{static_cast<PacketType>(type), get_u32(frame.data() + 8),
+                get_u32(frame.data() + 12), get_u64(frame.data() + 16),
+                payload};
 }
 
 }  // namespace emcgm::net

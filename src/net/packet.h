@@ -32,20 +32,24 @@ inline constexpr std::uint32_t kPacketMagic = 0x454D504B;  // "EMPK"
 /// magic(4) | type(4) | src(4) | dst(4) | seq(8) | length(4) | crc(4)
 inline constexpr std::size_t kPacketHeaderBytes = 32;
 
+/// A frame's header fields and a view of its payload, which the packet does
+/// not own.
 struct Packet {
   PacketType type = PacketType::kData;
   std::uint32_t src = 0;  ///< sending real processor
   std::uint32_t dst = 0;  ///< receiving real processor
   std::uint64_t seq = 0;
-  std::vector<std::byte> payload;
+  std::span<const std::byte> payload;
 };
 
-/// Serialize a packet into its wire frame (header + payload, CRC sealed).
+/// Serialize a packet into its wire frame (header + payload, CRC sealed);
+/// the payload is copied and summed in one pass.
 std::vector<std::byte> frame_packet(const Packet& p);
 
-/// Parse and verify a wire frame. Returns nullopt on a truncated frame, bad
+/// Verify a wire frame in place. Returns nullopt on a truncated frame, bad
 /// magic, unknown type, length mismatch, or CRC failure — i.e. whenever the
-/// bytes cannot be trusted, whatever the cause.
+/// bytes cannot be trusted, whatever the cause. The returned payload views
+/// `frame`, which must outlive it.
 std::optional<Packet> parse_packet(std::span<const std::byte> frame);
 
 }  // namespace emcgm::net

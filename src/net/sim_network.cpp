@@ -8,13 +8,16 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "util/archive.h"
 
 namespace emcgm::net {
 
 namespace {
 
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
+/// A rejoin ack: the header, the epoch and the committed superstep seq.
+constexpr std::size_t kRejoinAckBytes =
+    kPacketHeaderBytes + 2 * sizeof(std::uint64_t);
 
 std::string net_error_what(std::uint32_t src, std::uint32_t dst,
                            std::uint32_t attempts) {
@@ -29,7 +32,9 @@ std::string net_error_what(std::uint32_t src, std::uint32_t dst,
 struct Event {
   std::uint64_t tick = 0;
   std::uint64_t order = 0;  ///< enqueue order, breaks same-tick ties
-  std::vector<std::byte> frame;
+  /// Mutable so an arrival can move it out of the queue's const top();
+  /// the order of the queue reads only tick and order.
+  mutable Frame frame;
 };
 
 struct EventLater {
@@ -39,6 +44,10 @@ struct EventLater {
 };
 
 using EventQueue = std::priority_queue<Event, std::vector<Event>, EventLater>;
+
+Frame seal(const Packet& p) {
+  return std::make_shared<const std::vector<std::byte>>(frame_packet(p));
+}
 
 }  // namespace
 
@@ -109,8 +118,7 @@ void SimNetwork::mark_alive(std::uint32_t proc) {
   if (hb_init_) last_seen_[proc] = static_cast<std::int64_t>(cur_step_);
 }
 
-std::vector<std::uint32_t> SimNetwork::rejoin_round(
-    std::uint64_t step, std::uint64_t epoch, std::uint64_t committed_seq) {
+std::vector<std::uint32_t> SimNetwork::rejoin_round() {
   EMCGM_CHECK_MSG(!round_active(),
                   "rejoin_round during an open mailbox round");
   std::vector<std::uint32_t> candidates;
@@ -124,11 +132,6 @@ std::vector<std::uint32_t> SimNetwork::rejoin_round(
     std::uint32_t acks = 0;
     for (std::uint32_t h = 0; h < p_; ++h) {
       if (h == q) continue;
-      Packet req;
-      req.type = PacketType::kRejoinReq;
-      req.src = q;
-      req.dst = h;
-      req.seq = step;
       ++stats_.rejoin_requests;
       stats_.wire_bytes += kPacketHeaderBytes;
       if (crossing(q, h)) stats_.crossing_wire_bytes += kPacketHeaderBytes;
@@ -138,21 +141,11 @@ std::vector<std::uint32_t> SimNetwork::rejoin_round(
         if (v.drop) ++stats_.dropped;
         continue;
       }
-      Packet ack;
-      ack.type = PacketType::kRejoinAck;
-      ack.src = h;
-      ack.dst = q;
-      ack.seq = step;
-      WriteArchive ar;
-      ar.put<std::uint64_t>(epoch);
-      ar.put<std::uint64_t>(committed_seq);
-      ack.payload = ar.take();
-      const std::size_t ack_bytes = kPacketHeaderBytes + ack.payload.size();
       ++stats_.rejoin_acks;
-      stats_.wire_bytes += ack_bytes;
-      if (crossing(h, q)) stats_.crossing_wire_bytes += ack_bytes;
-      const LinkVerdict va =
-          injector_.on_transmit(h, q, PacketType::kRejoinAck, ack_bytes);
+      stats_.wire_bytes += kRejoinAckBytes;
+      if (crossing(h, q)) stats_.crossing_wire_bytes += kRejoinAckBytes;
+      const LinkVerdict va = injector_.on_transmit(
+          h, q, PacketType::kRejoinAck, kRejoinAckBytes);
       if (va.drop) {
         ++stats_.dropped;
         continue;
@@ -188,12 +181,13 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
   // A pair carries only data and acks, and the sender knows the type and
   // both ends of every frame it puts on the wire.
   auto transmit = [&](PacketType type, std::uint32_t src, std::uint32_t dst,
-                      const std::vector<std::byte>& frame) {
+                      const Frame& frame) {
+    const std::size_t bytes = frame->size();
     ++(type == PacketType::kData ? out.stats.data_sent : out.stats.acks_sent);
-    out.stats.wire_bytes += frame.size();
-    if (crossing(src, dst)) out.stats.crossing_wire_bytes += frame.size();
+    out.stats.wire_bytes += bytes;
+    if (crossing(src, dst)) out.stats.crossing_wire_bytes += bytes;
 
-    const LinkVerdict v = injector_.on_transmit(src, dst, type, frame.size());
+    const LinkVerdict v = injector_.on_transmit(src, dst, type, bytes);
     if (v.drop) {
       ++out.stats.dropped;
       return;
@@ -202,13 +196,15 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
     if (v.delayed) ++out.stats.delayed;
 
     const std::uint64_t base = cfg_.fault.base_latency_ticks;
-    std::vector<std::byte> copy = frame;
+    Frame sent = frame;
     if (v.corrupt) {
       ++out.stats.corrupted;
-      copy[v.corrupt_pos % copy.size()] ^= std::byte{0x40};
+      auto copy = std::make_shared<std::vector<std::byte>>(*frame);
+      (*copy)[v.corrupt_pos % bytes] ^= std::byte{0x40};
+      sent = std::move(copy);
     }
     events.push(Event{tick + base + v.extra_delay, order_counter++,
-                      std::move(copy)});
+                      std::move(sent)});
     if (v.duplicate) {
       ++out.stats.duplicated;
       events.push(
@@ -216,15 +212,15 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
     }
   };
 
-  auto handle_arrival = [&](const std::vector<std::byte>& frame) {
-    std::optional<Packet> parsed = parse_packet(frame);
+  auto handle_arrival = [&](const Frame& frame) {
+    const std::optional<Packet> parsed = parse_packet(*frame);
     if (!parsed) {
       // In-flight corruption: the CRC (or frame structure) check rejected
       // it. The sender's retransmission timer recovers.
       ++out.stats.corrupt_discarded;
       return;
     }
-    Packet& pkt = *parsed;
+    const Packet& pkt = *parsed;
     if (pkt.type == PacketType::kAck) {
       // Cumulative ack for the data direction dst -> src of the ack frame.
       LinkState& l = link(pkt.dst, pkt.src);
@@ -237,7 +233,7 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
 
     LinkState& l = link(pkt.src, pkt.dst);
     std::vector<std::byte>& stream = pkt.dst == lo ? out.to_lo : out.to_hi;
-    auto deliver = [&](const std::vector<std::byte>& payload) {
+    auto deliver = [&](std::span<const std::byte> payload) {
       ++out.stats.delivered_messages;
       out.stats.delivered_payload_bytes += payload.size();
       stream.insert(stream.end(), payload.begin(), payload.end());
@@ -250,11 +246,11 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
       // Drain the resequencing buffer while it continues the in-order run.
       for (auto it = l.ooo.find(l.expect); it != l.ooo.end();
            it = l.ooo.find(l.expect)) {
-        deliver(it->second);
+        deliver(std::span(*it->second).subspan(kPacketHeaderBytes));
         l.ooo.erase(it);
       }
     } else {
-      if (l.ooo.emplace(pkt.seq, std::move(pkt.payload)).second) {
+      if (l.ooo.emplace(pkt.seq, frame).second) {
         ++out.stats.out_of_order_buffered;
       } else {
         ++out.stats.duplicates_discarded;
@@ -263,12 +259,8 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
 
     // Cumulative ack (also on dup/out-of-order arrivals: a lost ack must not
     // leave the sender retransmitting forever).
-    Packet ack;
-    ack.type = PacketType::kAck;
-    ack.src = pkt.dst;
-    ack.dst = pkt.src;
-    ack.seq = l.expect - 1;
-    transmit(PacketType::kAck, ack.src, ack.dst, frame_packet(ack));
+    const Packet ack{PacketType::kAck, pkt.dst, pkt.src, l.expect - 1, {}};
+    transmit(PacketType::kAck, ack.src, ack.dst, seal(ack));
   };
 
   // The pair's two directed links, in canonical order — the same relative
@@ -309,7 +301,7 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
     // Arrivals first: an ack landing at this tick cancels a same-tick
     // retransmission.
     while (!events.empty() && events.top().tick <= tick) {
-      const std::vector<std::byte> frame = std::move(events.top().frame);
+      const Frame frame = std::move(events.top().frame);
       events.pop();
       handle_arrival(frame);
     }
@@ -431,15 +423,10 @@ void SimNetwork::load_pair_mail(std::uint32_t lo, std::uint32_t hi,
     received[d]->reserve(bytes.size());
     LinkState& l = link(src, dst);
     for (std::size_t off = 0; off < bytes.size(); off += mtu) {
-      const std::size_t len = std::min(mtu, bytes.size() - off);
-      Packet pkt;
-      pkt.type = PacketType::kData;
-      pkt.src = src;
-      pkt.dst = dst;
-      pkt.seq = l.next_seq++;
-      pkt.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(off),
-                         bytes.begin() + static_cast<std::ptrdiff_t>(off + len));
-      l.window.push_back(Unacked{pkt.seq, frame_packet(pkt), 0, 0});
+      const Packet pkt{PacketType::kData, src, dst, l.next_seq++,
+                       std::span(bytes).subspan(
+                           off, std::min(mtu, bytes.size() - off))};
+      l.window.push_back(Unacked{pkt.seq, seal(pkt), 0, 0});
     }
   }
 }
@@ -472,7 +459,11 @@ void SimNetwork::post(std::uint32_t src, std::uint32_t dst,
                   "post on a link with a dead endpoint: " << src << "->"
                                                           << dst);
   auto& box = mail_[slot(src, dst)];
-  box.insert(box.end(), bytes.begin(), bytes.end());
+  if (box.empty()) {
+    box = std::move(bytes);
+  } else {
+    box.insert(box.end(), bytes.begin(), bytes.end());
+  }
 }
 
 void SimNetwork::finish_sender(std::uint32_t src) {

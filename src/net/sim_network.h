@@ -52,6 +52,7 @@
 #include <exception>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -81,6 +82,11 @@ class NetError : public Error {
   std::uint32_t src_;
   std::uint32_t dst_;
 };
+
+/// A sealed wire frame. It is built once, when the mailbox is cut, and
+/// shared by its window entry, every in-flight transmission of it and the
+/// resequencing buffer; only a corrupted transmission gets its own copy.
+using Frame = std::shared_ptr<const std::vector<std::byte>>;
 
 /// What collect() returns: streams[dst][src] is the byte stream src posted
 /// to dst this round, reassembled in post order (empty when nothing was
@@ -190,20 +196,19 @@ class SimNetwork {
   std::vector<std::uint32_t> probe_dead();
 
   /// One membership-epoch handshake, piggy-backed on the heartbeat exchange
-  /// at physical superstep `step`: every administratively-dead processor
-  /// whose scheduled reboot has fired (injector rebooted()) broadcasts a
-  /// rejoin request to the live processors; each live receiver answers with
-  /// an ack carrying the current epoch and the last committed superstep
-  /// sequence. A candidate that collects at least one ack is returned —
+  /// of the current step: every administratively-dead processor whose
+  /// scheduled reboot has fired (injector rebooted()) broadcasts a rejoin
+  /// request to the live processors; each live receiver answers with an ack
+  /// carrying the current epoch and the last committed superstep sequence
+  /// (counted on the wire, not framed). A candidate that collects at least
+  /// one ack is returned —
   /// NOT yet re-admitted; the engine restores its state first, then calls
   /// mark_alive(). Rejoin frames are heartbeat-class (subject only to
   /// fail-stop, never to random loss), so the returned set is deterministic
   /// under any loss seed — the same argument that makes the failure detector
   /// eventually perfect. Idempotent: calling again before mark_alive()
   /// re-runs the same handshake (duplicate requests are absorbed).
-  std::vector<std::uint32_t> rejoin_round(std::uint64_t step,
-                                          std::uint64_t epoch,
-                                          std::uint64_t committed_seq);
+  std::vector<std::uint32_t> rejoin_round();
 
   /// Account one store-group migration decided by the engine's re-balance
   /// (the wire frames themselves were already counted by the staged round
@@ -234,8 +239,8 @@ class SimNetwork {
  private:
   struct Unacked {
     std::uint64_t seq = 0;
-    std::vector<std::byte> frame;  ///< clean frame; corruption hits copies
-    std::uint64_t last_sent = 0;   ///< tick of the latest transmission
+    Frame frame;                  ///< clean frame; corruption hits copies
+    std::uint64_t last_sent = 0;  ///< tick of the latest transmission
     std::uint32_t attempts = 0;    ///< 0 = loaded, not yet on the wire
   };
 
@@ -244,7 +249,7 @@ class SimNetwork {
     std::uint64_t next_seq = 1;   ///< sender: next sequence to assign
     std::deque<Unacked> window;   ///< sender: sent or queued, unacked
     std::uint64_t expect = 1;     ///< receiver: next in-order seq
-    std::map<std::uint64_t, std::vector<std::byte>> ooo;  ///< resequencing
+    std::map<std::uint64_t, Frame> ooo;  ///< resequencing, verified frames
   };
 
   /// Everything one endpoint-pair simulation produced. Written by exactly

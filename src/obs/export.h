@@ -27,8 +27,8 @@ inline constexpr const char* kMetricsSchema = "emcgm-metrics/1";
 /// Write the full trace as Chrome trace-event JSON: the one-tenant case of
 /// write_chrome_trace_multi. `metrics` may be null; when present its rows
 /// are emitted as counter tracks on the engine process. Every exporter here
-/// throws util Error naming the path when the file cannot be opened or a
-/// write, flush or close fails.
+/// writes through write_file (util/file.h): a failed open, write, flush or
+/// close throws IoError naming the path.
 void write_chrome_trace(const std::string& path, const Tracer& tracer,
                         const MetricsRegistry* metrics);
 
@@ -50,12 +50,9 @@ void write_chrome_trace_multi(const std::string& path,
                               const std::vector<TenantTrace>& tenants);
 
 /// Write per-superstep metrics JSON. `num_disks`/`block_bytes` describe the
-/// machine so consumers can reconstruct PDM units without the config. A
-/// non-empty `tenant` (pre-sanitized; see Tracer::set_tenant) is embedded as
-/// a top-level "tenant" field so multi-job metrics files stay attributable.
+/// machine so consumers can reconstruct PDM units without the config.
 void write_metrics_json(const std::string& path, const MetricsRegistry& m,
-                        std::uint32_t num_disks, std::size_t block_bytes,
-                        const std::string& tenant = {});
+                        std::uint32_t num_disks, std::size_t block_bytes);
 
 /// The metrics sibling of a Chrome trace path: "<stem>.metrics.json" (a
 /// trailing ".json" on `trace_path` is treated as the stem's extension).

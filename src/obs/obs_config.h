@@ -18,12 +18,11 @@ struct ObsConfig {
   bool trace = false;
 
   /// Tenant label for multi-job runs (src/svc): when non-empty, the Chrome
-  /// exporter prefixes every process name with it ("jobA: host 0") and the
-  /// metrics JSON carries a "tenant" field, so traces of co-resident jobs
-  /// can be told apart — and diffed against the job's solo run — after
-  /// export. Sanitized to [A-Za-z0-9_.-] on the way into the Tracer so the
-  /// emitted JSON never needs escaping. Empty (the default) emits exactly
-  /// the pre-tenant names.
+  /// exporter prefixes every process name with it ("jobA: host 0"), so
+  /// traces of co-resident jobs can be told apart — and diffed against the
+  /// job's solo run — after export. Sanitized to [A-Za-z0-9_.-] on the way
+  /// into the Tracer, the process-name pattern tools/validate_trace.py
+  /// checks. Empty (the default) emits exactly the pre-tenant names.
   std::string tenant;
 };
 

@@ -157,9 +157,8 @@ class Tracer {
   std::uint32_t engine_pid() const { return p_; }
 
   /// Tenant label (ObsConfig::tenant) prefixed onto exported process names.
-  /// Sanitized here — anything outside [A-Za-z0-9_.-] becomes '_' — so the
-  /// exporter can print it into JSON verbatim. Set once at run start by the
-  /// engine, before any worker thread exists.
+  /// Sanitized here — anything outside [A-Za-z0-9_.-] becomes '_'. Set once
+  /// at run start by the engine, before any worker thread exists.
   void set_tenant(const std::string& t);
   const std::string& tenant() const { return tenant_; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <sstream>
 
 #include "util/error.h"
 #include "util/json.h"
@@ -325,31 +324,26 @@ CommSchedule make_schedule(ScheduleKind kind, std::uint32_t p,
 // ------------------------------------------------------------------- JSON --
 
 std::string CommSchedule::to_json() const {
-  std::ostringstream os;
-  os.precision(17);
-  os << "{\n  \"kind\": \"" << routing::to_string(kind) << "\",\n  \"p\": "
-     << p << ",\n  \"hosts\": [";
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    os << (i ? ", " : "") << hosts[i];
-  }
-  os << "],\n  \"max_degree\": " << max_degree << ",\n  \"slack\": " << slack
-     << ",\n  \"steps\": [";
-  for (std::size_t si = 0; si < steps.size(); ++si) {
-    os << (si ? ",\n    [" : "\n    [");
-    for (std::size_t ti = 0; ti < steps[si].transfers.size(); ++ti) {
-      const Transfer& t = steps[si].transfers[ti];
-      os << (ti ? ",\n     " : "") << "{\"src\": " << t.src
-         << ", \"dst\": " << t.dst << ", \"flows\": [";
-      for (std::size_t fi = 0; fi < t.flows.size(); ++fi) {
-        os << (fi ? ", " : "") << "[" << t.flows[fi].first << ", "
-           << t.flows[fi].second << "]";
+  json::Writer w;
+  w.begin_object().field("kind", routing::to_string(kind)).field("p", p);
+  w.key("hosts").begin_array();
+  for (std::uint32_t h : hosts) w.value(h);
+  w.end_array().field("max_degree", max_degree).field("slack", slack);
+  w.key("steps").begin_array();
+  for (const ScheduleStep& step : steps) {
+    w.begin_array();
+    for (const Transfer& t : step.transfers) {
+      w.begin_object().field("src", t.src).field("dst", t.dst);
+      w.key("flows").begin_array();
+      for (const auto& [origin, final_dst] : t.flows) {
+        w.begin_array().value(origin).value(final_dst).end_array();
       }
-      os << "]}";
+      w.end_array().end_object();
     }
-    os << "]";
+    w.end_array();
   }
-  os << (steps.empty() ? "]" : "\n  ]") << "\n}\n";
-  return os.str();
+  w.end_array().end_object();
+  return w.take();
 }
 
 namespace {

@@ -1,6 +1,7 @@
 #include "svc/svc_json.h"
 
-#include <sstream>
+#include <charconv>
+#include <string_view>
 
 #include "util/error.h"
 #include "util/json.h"
@@ -133,10 +134,9 @@ void arm_service_chaos(ServiceSpec& spec) {
   if (spec.chaos_seed == 0) return;
   const std::int32_t t = spec.chaos_shape.target_tenant;
   if (t < 0 || static_cast<std::size_t>(t) >= spec.jobs.size()) {
-    std::ostringstream os;
-    os << "chaos target_tenant " << t << " outside 0.."
-       << spec.jobs.size() - 1;
-    throw IoError(IoErrorKind::kConfig, os.str());
+    throw IoError(IoErrorKind::kConfig,
+                  "chaos target_tenant " + std::to_string(t) + " outside 0.." +
+                      std::to_string(spec.jobs.size() - 1));
   }
   JobSpec& target = spec.jobs[static_cast<std::size_t>(t)];
   if (!target.chaos_json.empty()) {
@@ -154,33 +154,30 @@ void arm_service_chaos(ServiceSpec& spec) {
 
 std::string results_json(const std::vector<JobResult>& results,
                          std::uint64_t ticks) {
-  std::ostringstream os;
-  os << "{\"ticks\":" << ticks << ",\"jobs\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const JobResult& r = results[i];
-    os << (i == 0 ? "" : ",") << "\n {\"name\":" << json::quote(r.name)
-       << ",\"ok\":" << (r.ok ? "true" : "false")
-       << ",\"error\":" << json::quote(r.error) << ","
-       << "\"output_hash\":\"0x" << std::hex << r.output_hash << std::dec
-       << "\",\"supersteps\":" << r.supersteps
-       << ",\"preemptions\":" << r.preemptions
-       << ",\"admit_tick\":" << r.admit_tick
-       << ",\"end_tick\":" << r.end_tick
-       << ",\"charged_bytes\":" << r.charged_bytes
-       << ",\"app_rounds\":" << r.app_rounds
-       << ",\"failovers\":" << r.failovers << ",\"rejoins\":" << r.rejoins
-       << ",\"io\":{\"read_ops\":" << r.io.read_ops
-       << ",\"write_ops\":" << r.io.write_ops
-       << ",\"blocks_read\":" << r.io.blocks_read
-       << ",\"blocks_written\":" << r.io.blocks_written
-       << ",\"retries\":" << r.io.retries << "}"
-       << ",\"net\":{\"wire_bytes\":" << r.net.wire_bytes
-       << ",\"data_sent\":" << r.net.data_sent
-       << ",\"retransmissions\":" << r.net.retransmissions
-       << ",\"delivered_messages\":" << r.net.delivered_messages << "}}";
+  json::Writer w;
+  w.begin_object().field("ticks", ticks).key("jobs").begin_array();
+  for (const JobResult& r : results) {
+    char hash[18] = "0x";
+    const char* end = std::to_chars(hash + 2, hash + 18, r.output_hash, 16).ptr;
+    w.begin_object().field("name", r.name).field("ok", r.ok);
+    w.field("error", r.error).field("output_hash", std::string_view(hash, end));
+    w.field("supersteps", r.supersteps).field("preemptions", r.preemptions);
+    w.field("admit_tick", r.admit_tick).field("end_tick", r.end_tick);
+    w.field("charged_bytes", r.charged_bytes);
+    w.field("app_rounds", r.app_rounds).field("failovers", r.failovers);
+    w.field("rejoins", r.rejoins).key("io").begin_object();
+    w.field("read_ops", r.io.read_ops).field("write_ops", r.io.write_ops);
+    w.field("blocks_read", r.io.blocks_read);
+    w.field("blocks_written", r.io.blocks_written);
+    w.field("retries", r.io.retries).end_object();
+    w.key("net").begin_object().field("wire_bytes", r.net.wire_bytes);
+    w.field("data_sent", r.net.data_sent);
+    w.field("retransmissions", r.net.retransmissions);
+    w.field("delivered_messages", r.net.delivered_messages);
+    w.end_object().end_object();
   }
-  os << "\n]}\n";
-  return os.str();
+  w.end_array().end_object();
+  return w.take();
 }
 
 }  // namespace emcgm::svc

@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -140,6 +141,63 @@ std::string Reader::raw_object() {
 void Reader::finish() {
   skip_ws();
   if (pos_ != text_.size()) fail("trailing bytes after the document");
+}
+
+void Writer::separate(bool is_object) {
+  const char last = out_.empty() ? ':' : out_.back();
+  if (last != ':' && last != '{' && last != '[') out_ += ',';
+  if (is_object && !open_.empty() && open_.back() == '[') {
+    out_ += '\n';
+    out_.append(2 * static_cast<std::size_t>(std::ranges::count(open_, '[')),
+                ' ');
+  }
+}
+
+Writer& Writer::open(char brace) {
+  separate(brace == '{');
+  out_ += brace;
+  open_ += brace;
+  return *this;
+}
+
+Writer& Writer::close(char brace) {
+  EMCGM_CHECK_MSG(!open_.empty() && open_.back() == brace,
+                  "a JSON container closed out of order");
+  out_ += brace == '{' ? '}' : ']';
+  open_.pop_back();
+  return *this;
+}
+
+Writer& Writer::token(std::string_view text) {
+  separate(false);
+  out_ += text;
+  return *this;
+}
+
+Writer& Writer::key(std::string_view k) { return token(quote(k) + ':'); }
+
+Writer& Writer::value(std::string_view s) { return token(quote(s)); }
+
+Writer& Writer::value(bool b) { return token(b ? "true" : "false"); }
+
+template <typename T>
+Writer& Writer::integer(T v) {
+  char buf[24];
+  return token(std::string_view(buf, std::to_chars(buf, buf + 24, v).ptr));
+}
+template Writer& Writer::integer(std::int64_t);
+template Writer& Writer::integer(std::uint64_t);
+
+Writer& Writer::value(double d) {
+  if (!std::isfinite(d)) throw Error("JSON cannot hold a non-finite number");
+  char buf[32];
+  return token(std::string_view(buf, std::to_chars(buf, buf + 32, d).ptr));
+}
+
+std::string Writer::take() {
+  EMCGM_CHECK_MSG(open_.empty(), "an unfinished JSON document");
+  out_ += '\n';
+  return std::move(out_);
 }
 
 }  // namespace emcgm::json

@@ -1,8 +1,10 @@
-// The one JSON reader of the tree: job files (svc/svc_json), chaos plans
-// (chaos/plan) and collective schedules (routing/schedule) all go through
-// it. It is a cursor, not a DOM — callers walk members and elements with
-// callbacks and pull each value out as the type they store it in — and it
-// has no dependency.
+// The one JSON reader and the one JSON writer of the tree. Job files
+// (svc/svc_json), chaos plans (chaos/plan) and collective schedules
+// (routing/schedule) are read with Reader; every document the tree emits —
+// bench reports, Chrome traces and metrics, job results, chaos plans and
+// schedules — is built with Writer. Neither is a DOM: the reader walks
+// members with callbacks, the writer appends them in order, and both take
+// each value as the type it is stored in. Neither has a dependency.
 //
 // Every number is read exactly or rejected: integer<T>() accepts only a
 // plain decimal integer inside T's range (no fraction, no exponent, no sign
@@ -11,10 +13,16 @@
 // escapes and no raw control characters, an object may not repeat a key,
 // and finish() rejects bytes after the document. Every failure is an
 // IoError(kConfig) naming the document and the byte offset.
+//
+// Writer has one layout and no style option: members are written
+// "key":value with no spaces, and an object that is an array element starts
+// a new line, indented two spaces per open array; nothing else breaks a
+// line. Doubles take the shortest form that reads back to the same bits.
 #pragma once
 
 #include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
@@ -40,6 +48,50 @@ std::optional<T> parse_integer(std::string_view s) {
 /// `s` as a JSON string literal, quotes included: `"` and `\` escaped, '\n'
 /// as \n, any other control character as \u00XX.
 std::string quote(std::string_view s);
+
+class Writer {
+ public:
+  Writer& begin_object() { return open('{'); }
+  Writer& end_object() { return close('{'); }
+  Writer& begin_array() { return open('['); }
+  Writer& end_array() { return close('['); }
+
+  /// The key of the next member of the innermost object.
+  Writer& key(std::string_view k);
+
+  Writer& value(std::string_view s);
+  Writer& value(const char* s) { return value(std::string_view(s)); }
+  Writer& value(bool b);
+  /// The shortest decimal that reads back to `d` bit for bit. A non-finite
+  /// `d` has no JSON spelling and throws Error.
+  Writer& value(double d);
+  template <typename T>
+    requires std::is_integral_v<T> && (!std::is_same_v<T, bool>)
+  Writer& value(T v) {
+    return integer(std::conditional_t<std::is_signed_v<T>, std::int64_t,
+                                      std::uint64_t>{v});
+  }
+
+  template <typename T>
+  Writer& field(std::string_view k, const T& v) {
+    return key(k).value(v);
+  }
+
+  /// The finished document, ending in one newline.
+  std::string take();
+
+ private:
+  /// Place the comma and line break a value (or key) needs at the cursor.
+  void separate(bool is_object);
+  Writer& open(char brace);
+  Writer& close(char brace);
+  Writer& token(std::string_view text);
+  template <typename T>  // std::int64_t or std::uint64_t, in json.cpp
+  Writer& integer(T v);
+
+  std::string out_;
+  std::string open_;  ///< the brace of every open container, outermost first
+};
 
 class Reader {
  public:

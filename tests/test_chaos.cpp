@@ -348,7 +348,6 @@ TEST(Chaos, ApplyLowersEveryFaultSurface) {
   EXPECT_EQ(cfg.net.fault.rejoins[0].step, 4u);
   EXPECT_TRUE(cfg.net.enabled);
   EXPECT_TRUE(cfg.net.failover);
-  EXPECT_TRUE(cfg.net.rejoin);
   EXPECT_TRUE(cfg.checkpointing);
   ASSERT_EQ(cfg.chaos.disk_quota_per_proc.size(), 2u);
   EXPECT_EQ(cfg.chaos.disk_quota_per_proc[0], 5000u);

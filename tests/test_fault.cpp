@@ -768,7 +768,6 @@ TEST(MembershipSweep, KillRejoinKillBitIdenticalAcrossModes) {
   auto run_mode = [&](bool threads, std::uint32_t io_threads) {
     auto cfg = base_cfg(threads, io_threads);
     cfg.net.failover = true;
-    cfg.net.rejoin = true;
     cfg.net.fault.fail_stops = {{1, 2}, {2, 7}};
     cfg.net.fault.rejoins = {{1, 5}};
     em::EmEngine e(cfg);

@@ -1,9 +1,12 @@
-// The shared JSON reader (util/json): the edges of exact number reading,
-// duplicate keys, verbatim object capture and string quoting that the three
-// document parsers' own tests (SvcJson, Chaos, ScheduleJson) do not reach.
+// The shared JSON reader and writer (util/json): the edges of exact number
+// reading, duplicate keys, verbatim object capture and string quoting that
+// the three document parsers' own tests (SvcJson, Chaos, ScheduleJson) do
+// not reach, and the writer's exact bytes and bit-exact doubles.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -136,5 +139,72 @@ TEST(Json, ParseIntegerReadsWholeFlagValues) {
   EXPECT_EQ(json::parse_integer<std::uint32_t>("4"), 4u);
   for (const char* text : {"", "abc", "4x", "-1", "4294967296", " 4"}) {
     EXPECT_FALSE(json::parse_integer<std::uint32_t>(text)) << text;
+  }
+}
+
+// ----------------------------------------------------------------- Writer --
+
+TEST(JsonWriter, ExactBytesOfNestedAndEmptyContainers) {
+  json::Writer w;
+  w.begin_object().field("a", 1);
+  w.key("empty_object").begin_object().end_object();
+  w.key("empty_array").begin_array().end_array();
+  w.key("rows").begin_array();
+  w.begin_object().field("x", true).field("y", false).end_object();
+  w.begin_array().value(1).value(2).end_array();
+  w.begin_object().key("inner").begin_array();
+  w.begin_object().end_object();
+  w.end_array().end_object();
+  w.end_array().end_object();
+  EXPECT_EQ(w.take(),
+            "{\"a\":1,\"empty_object\":{},\"empty_array\":[],\"rows\":[\n"
+            "  {\"x\":true,\"y\":false},[1,2],\n"
+            "  {\"inner\":[\n"
+            "    {}]}]}\n");
+}
+
+TEST(JsonWriter, StringsAreEscaped) {
+  json::Writer w;
+  w.begin_array().value("say \"hi\"").value("a\\b").value("line\nnext");
+  w.value(std::string("ctl\x01")).end_array();
+  EXPECT_EQ(w.take(),
+            "[\"say \\\"hi\\\"\",\"a\\\\b\",\"line\\nnext\",\"ctl\\u0001\"]\n");
+}
+
+TEST(JsonWriter, ContainersCloseInOrder) {
+  json::Writer w;
+  w.begin_object();
+  EXPECT_THROW(w.end_array(), Error);
+  EXPECT_THROW(w.take(), Error);
+}
+
+TEST(JsonWriter, IntegersAtTheEdgesOfTheirType) {
+  json::Writer w;
+  w.begin_array().value(std::numeric_limits<std::uint64_t>::max());
+  w.value(std::numeric_limits<std::int64_t>::min()).end_array();
+  EXPECT_EQ(w.take(), "[18446744073709551615,-9223372036854775808]\n");
+}
+
+TEST(JsonWriter, DoublesReadBackBitExact) {
+  for (const double d : {0.05, 0.1 + 0.2, 1e-300, 5e-324, 123456.789,
+                         9007199254740994.0 /* 2^53 + 2 */}) {
+    json::Writer w;
+    w.value(d);
+    const double back = read_all(w.take(), read_number);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+              std::bit_cast<std::uint64_t>(d))
+        << d;
+  }
+  json::Writer shortest;
+  shortest.begin_array().value(0.05).value(123456.789).value(0.0).end_array();
+  EXPECT_EQ(shortest.take(), "[0.05,123456.789,0]\n");
+}
+
+TEST(JsonWriter, NonFiniteDoubleIsAnError) {
+  for (const double d : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    json::Writer w;
+    EXPECT_THROW(w.value(d), Error) << d;
   }
 }

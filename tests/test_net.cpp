@@ -71,12 +71,13 @@ cgm::MachineConfig net_cfg(std::uint32_t v, std::uint32_t p,
 TEST(Packet, RoundTripsAllTypes) {
   for (auto type : {net::PacketType::kData, net::PacketType::kAck,
                     net::PacketType::kHeartbeat}) {
+    const auto payload = bytes_of("the quick brown fox");
     net::Packet p;
     p.type = type;
     p.src = 3;
     p.dst = 1;
     p.seq = 0xDEADBEEFCAFEull;
-    p.payload = bytes_of("the quick brown fox");
+    p.payload = payload;
     const auto frame = net::frame_packet(p);
     ASSERT_EQ(frame.size(), net::kPacketHeaderBytes + p.payload.size());
     const auto back = net::parse_packet(frame);
@@ -85,7 +86,9 @@ TEST(Packet, RoundTripsAllTypes) {
     EXPECT_EQ(back->src, p.src);
     EXPECT_EQ(back->dst, p.dst);
     EXPECT_EQ(back->seq, p.seq);
-    EXPECT_EQ(back->payload, p.payload);
+    // The parsed payload is a view of the frame's own bytes.
+    EXPECT_EQ(back->payload.data(), frame.data() + net::kPacketHeaderBytes);
+    EXPECT_TRUE(std::ranges::equal(back->payload, payload));
   }
 }
 
@@ -100,11 +103,12 @@ TEST(Packet, EmptyPayloadRoundTrips) {
 }
 
 TEST(Packet, CrcRejectsEveryFlippedByte) {
+  const auto payload = bytes_of("payload under test");
   net::Packet p;
   p.src = 1;
   p.dst = 0;
   p.seq = 42;
-  p.payload = bytes_of("payload under test");
+  p.payload = payload;
   const auto frame = net::frame_packet(p);
   for (std::size_t i = 0; i < frame.size(); ++i) {
     auto bad = frame;
@@ -114,8 +118,9 @@ TEST(Packet, CrcRejectsEveryFlippedByte) {
 }
 
 TEST(Packet, TruncationRejected) {
+  const auto payload = bytes_of("0123456789");
   net::Packet p;
-  p.payload = bytes_of("0123456789");
+  p.payload = payload;
   const auto frame = net::frame_packet(p);
   for (std::size_t len : {std::size_t{0}, std::size_t{4},
                           net::kPacketHeaderBytes - 1,
@@ -726,13 +731,13 @@ TEST(Rejoin, HandshakeDeterministicUnderLinkLoss) {
     for (std::uint64_t step = 1; step <= 5 && dead.empty(); ++step) {
       nw.set_step(step);
       dead = nw.heartbeat_round(step);
-      EXPECT_TRUE(nw.rejoin_round(step, 0, 1).empty()) << "step " << step;
+      EXPECT_TRUE(nw.rejoin_round().empty()) << "step " << step;
     }
     ASSERT_EQ(dead, (std::vector<std::uint32_t>{2})) << "loss " << loss;
     // The reboot fires at step 6: the handshake produces the candidate.
     nw.set_step(6);
     EXPECT_TRUE(nw.heartbeat_round(6).empty());
-    const auto cand = nw.rejoin_round(6, 1, 3);
+    const auto cand = nw.rejoin_round();
     ASSERT_EQ(cand, (std::vector<std::uint32_t>{2})) << "loss " << loss;
     EXPECT_GT(nw.stats().rejoin_requests, 0u);
     EXPECT_GT(nw.stats().rejoin_acks, 0u);
@@ -761,8 +766,8 @@ TEST(Rejoin, DuplicateRequestsAbsorbed) {
   nw.set_step(5);
   // The handshake is idempotent: until the engine re-admits the node, a
   // duplicate request round returns the same candidate again.
-  const auto first = nw.rejoin_round(5, 2, 3);
-  const auto second = nw.rejoin_round(5, 2, 3);
+  const auto first = nw.rejoin_round();
+  const auto second = nw.rejoin_round();
   ASSERT_EQ(first, (std::vector<std::uint32_t>{1}));
   EXPECT_EQ(second, first);
   // Each round broadcast to both peers and both (live) peers acked.
@@ -771,7 +776,7 @@ TEST(Rejoin, DuplicateRequestsAbsorbed) {
   // Re-admission consumes the candidacy...
   nw.mark_alive(1);
   EXPECT_FALSE(nw.dead(1));
-  EXPECT_TRUE(nw.rejoin_round(5, 3, 3).empty());
+  EXPECT_TRUE(nw.rejoin_round().empty());
   // ...and renews the detector lease: the next heartbeat round must not
   // instantly re-declare the returner dead.
   nw.set_step(6);
@@ -793,7 +798,6 @@ TEST(Rejoin, RacingSecondDeathYieldsToFailover) {
   for (bool threads : {false, true}) {
     auto cfg = net_cfg(8, 4, threads);
     cfg.net.failover = true;
-    cfg.net.rejoin = true;
     cfg.net.fault.fail_stops = {{1, 1}, {2, 4}};
     cfg.net.fault.rejoins = {{1, 4}};
     em::EmEngine e(cfg);
@@ -860,7 +864,6 @@ TEST(Membership, KillThenRejoinTakesGroupsHome) {
   for (bool threads : {false, true}) {
     auto cfg = net_cfg(8, 4, threads);
     cfg.net.failover = true;
-    cfg.net.rejoin = true;
     cfg.net.fault.fail_stops = {{1, 2}};
     cfg.net.fault.rejoins = {{1, 5}};
     em::EmEngine e(cfg);
@@ -892,10 +895,12 @@ TEST(Membership, ConfigValidationTypedErrors) {
       EXPECT_EQ(e.kind(), IoErrorKind::kConfig);
     }
   };
-  // rejoin rides on the fail-over machinery.
+  // rejoin rides on the fail-over machinery: a valid kill/reboot pair is
+  // rejected until fail-over is on.
   {
     auto cfg = net_cfg(8, 2);
-    cfg.net.rejoin = true;
+    cfg.net.fault.fail_stops = {{1, 2}};
+    cfg.net.fault.rejoins = {{1, 5}};
     expect_config_error(cfg);
     cfg.net.failover = true;
     EXPECT_NO_THROW(cfg.validate());
@@ -912,7 +917,6 @@ TEST(Membership, ConfigValidationTypedErrors) {
   {
     auto cfg = net_cfg(8, 2);
     cfg.net.failover = true;
-    cfg.net.rejoin = true;
     cfg.net.fault.rejoins = {{1, 5}};
     expect_config_error(cfg);  // never killed
     cfg.net.fault.fail_stops = {{1, 5}};

@@ -19,10 +19,8 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +32,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pdm/cost_model.h"
+#include "util/file.h"
 #include "util/rng.h"
 
 using namespace emcgm;
@@ -152,13 +151,6 @@ std::uint64_t count_kind(const std::vector<obs::Span>& spans,
   std::uint64_t n = 0;
   for (const auto& s : spans) n += s.kind == k;
   return n;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 /// Minimal well-formedness check: braces/brackets balance outside strings,
@@ -443,6 +435,29 @@ TEST(Obs, ExportersReportAFailedWrite) {
   expect_error_naming_path([&] {
     obs::write_metrics_json("/dev/full", *engine->metrics(), 2, 512);
   });
+}
+
+TEST(Obs, FileHelpersNameThePathOnFailure) {
+  // The one write and the one read every exporter, bench and tool uses:
+  // a full device and a missing file are typed errors naming the path.
+  const auto expect_system_error = [](const std::string& path,
+                                      const auto& access) {
+    try {
+      access();
+      ADD_FAILURE() << path << ": returned normally";
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.kind(), IoErrorKind::kSystem);
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  };
+  if (std::filesystem::exists("/dev/full")) {
+    expect_system_error("/dev/full", [] { write_file("/dev/full", "{}\n"); });
+  }
+  const std::string missing = "/tmp/emcgm_obs_no_such_dir/missing.json";
+  std::filesystem::remove_all("/tmp/emcgm_obs_no_such_dir");
+  expect_system_error(missing, [&] { read_file(missing); });
+  expect_system_error(missing, [&] { write_file(missing, "{}\n"); });
 }
 
 // ------------------------------------------- S6: barrier-owned invariant ---

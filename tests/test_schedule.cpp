@@ -699,7 +699,6 @@ TEST(ScheduleEngine, RejoinSweepUnderEverySchedule) {
   for (ScheduleKind kind : kAllScheduleKinds) {
     auto cfg = sched_cfg(8, 4, kind);
     cfg.net.failover = true;
-    cfg.net.rejoin = true;
     cfg.net.fault.fail_stops = {{2, 2}};
     cfg.net.fault.rejoins = {{2, 4}};
     em::EmEngine e(cfg);
@@ -904,7 +903,6 @@ TEST(ScheduleCustom, RejoinRestoresTheCustomSchedule) {
   auto cfg = sched_cfg(8, 4, ScheduleKind::kCustom);
   cfg.net.custom_schedule_json = ring.to_json();
   cfg.net.failover = true;
-  cfg.net.rejoin = true;
   cfg.net.fault.fail_stops = {{2, 2}};
   cfg.net.fault.rejoins = {{2, 4}};
   em::EmEngine e(cfg);

@@ -14,9 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -28,6 +26,7 @@
 #include "svc/svc_json.h"
 #include "svc/worker_pool.h"
 #include "util/error.h"
+#include "util/file.h"
 
 using namespace emcgm;
 using namespace emcgm::svc;
@@ -425,11 +424,7 @@ TEST(SvcParallel, CombinedTraceExportsEveryTenantInCanonicalOrder) {
 
   const std::string path = "svc_parallel_trace_test.json";
   svc.write_trace(path);
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string doc = ss.str();
+  const std::string doc = read_file(path);
   std::remove(path.c_str());
 
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);

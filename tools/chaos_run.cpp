@@ -22,15 +22,13 @@
 // The machine shape flags must match between the failing fuzz run and the
 // replay/shrink — a plan is only a repro on the shape that produced it.
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "chaos/fuzzer.h"
 #include "chaos/plan.h"
 #include "chaos/shrink.h"
+#include "util/file.h"
 #include "util/json.h"
 
 using namespace emcgm;
@@ -100,23 +98,6 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
-ChaosPlan load_plan(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) usage("cannot open plan file '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ChaosPlan::parse_json(buf.str());
-}
-
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  out << text;
-  if (!out) {
-    std::cerr << "chaos_run: failed to write " << path << "\n";
-    std::exit(2);
-  }
-}
-
 void print_outcome(const FuzzOutcome& o) {
   std::cout << "outcome: " << to_string(o.status);
   if (!o.detail.empty()) std::cout << " — " << o.detail;
@@ -157,7 +138,7 @@ int cmd_fuzz(const Args& a) {
 
 int cmd_run(const Args& a) {
   if (a.plan_file.empty()) usage("run needs --plan FILE");
-  const ChaosPlan plan = load_plan(a.plan_file);
+  const ChaosPlan plan = ChaosPlan::parse_json(read_file(a.plan_file));
   const auto reference = run_reference(a.machine);
   const FuzzOutcome out = run_plan(plan, a.machine, reference);
   print_outcome(out);
@@ -166,7 +147,7 @@ int cmd_run(const Args& a) {
 
 int cmd_shrink(const Args& a) {
   if (a.plan_file.empty()) usage("shrink needs --plan FILE");
-  const ChaosPlan plan = load_plan(a.plan_file);
+  const ChaosPlan plan = ChaosPlan::parse_json(read_file(a.plan_file));
   const auto reference = run_reference(a.machine);
   const FuzzOutcome first = run_plan(plan, a.machine, reference);
   if (fuzz_ok(first.status)) {

@@ -25,18 +25,17 @@
 //
 //       Exit 0 when every job completed ok (and, with --verify-solo, solo
 //       runs matched); exit 1 when a job failed; exit 2 on a usage or config
-//       error (a malformed flag value included) or an isolation violation.
+//       error (a malformed flag value included), a file that cannot be read
+//       or written, or an isolation violation.
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "svc/service.h"
 #include "svc/svc_json.h"
 #include "util/error.h"
+#include "util/file.h"
 #include "util/json.h"
 
 using namespace emcgm;
@@ -49,14 +48,6 @@ namespace {
             << "usage: jobsvc --jobs FILE [--out FILE] [--workers N]"
             << " [--verify-solo] [--trace] [--trace-out FILE]\n";
   std::exit(2);
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) usage("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 /// Field-by-field isolation check of one tenant against its solo run.
@@ -141,9 +132,7 @@ int main(int argc, char** argv) {
     if (out_file.empty()) {
       std::cout << doc;
     } else {
-      std::ofstream out(out_file, std::ios::binary);
-      if (!out) usage("cannot write " + out_file);
-      out << doc;
+      write_file(out_file, doc);
     }
 
     int rc = 0;

@@ -22,17 +22,16 @@
 //       invocation. Exit 1 on the first rejection.
 //
 // Exit status: 0 = every schedule verified; 1 = verifier rejection;
-// 2 = usage / unreadable input.
+// 2 = usage / unreadable input / a failed write.
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "routing/schedule.h"
 #include "util/error.h"
+#include "util/file.h"
 #include "util/json.h"
 
 using namespace emcgm;
@@ -130,12 +129,7 @@ bool check(const CommSchedule& s, const std::string& json_out) {
     return false;
   }
   if (!json_out.empty()) {
-    std::ofstream out(json_out);
-    out << s.to_json();
-    if (!out) {
-      std::cerr << "schedule_check: failed to write " << json_out << "\n";
-      std::exit(2);
-    }
+    write_file(json_out, s.to_json());
     std::cout << "schedule written to " << json_out << "\n";
   }
   return true;
@@ -147,11 +141,8 @@ int main(int argc, char** argv) {
   const Args a = parse(argc, argv);
   try {
     if (!a.file.empty()) {
-      std::ifstream in(a.file);
-      if (!in) usage("cannot open schedule file '" + a.file + "'");
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      return check(parse_schedule_json(buf.str()), a.json_out) ? 0 : 1;
+      const CommSchedule s = parse_schedule_json(read_file(a.file));
+      return check(s, a.json_out) ? 0 : 1;
     }
 
     const auto machines = machines_from_roots(a.p, a.roots);
@@ -173,7 +164,7 @@ int main(int argc, char** argv) {
     }
     return ok ? 0 : 1;
   } catch (const std::exception& e) {
-    // Malformed JSON / bad host sets arrive as typed IoError(kConfig).
+    // Malformed JSON, bad host sets and file failures arrive as IoError.
     std::cerr << "schedule_check: " << e.what() << "\n";
     return 2;
   }

@@ -43,7 +43,6 @@ METRICS_SCHEMA = "emcgm-metrics/1"
 # lane per store group.
 PROCESS_NAME_RE = re.compile(r"^([A-Za-z0-9_.-]+: )?(engine|host \d+)$")
 THREAD_NAME_RE = re.compile(r"^(barrier|net pair \d+|group \d+)$")
-TENANT_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 # Events on one lane are sorted and stack-checked with this slack (us):
 # timestamps are ns-derived doubles, so exact equality is too strict.
 EPS = 1e-6
@@ -133,9 +132,6 @@ def validate_metrics(path):
         doc = json.load(f)
     if doc.get("schema") != METRICS_SCHEMA:
         fail(f"{path}: schema {doc.get('schema')!r}, want {METRICS_SCHEMA!r}")
-    if "tenant" in doc and not (isinstance(doc["tenant"], str)
-                                and TENANT_RE.match(doc["tenant"])):
-        fail(f"{path}: malformed tenant label {doc.get('tenant')!r}")
     for key in ("num_disks", "block_bytes", "model", "supersteps", "totals"):
         if key not in doc:
             fail(f"{path}: missing {key}")
