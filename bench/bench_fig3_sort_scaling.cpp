@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
 
   // Thread-parallel host execution at fixed N: the same EM simulation run
   // with p real hosts over the simulated network with superstep
-  // checkpointing, serial vs one thread per host. The counted parallel I/Os
+  // checkpointing, serial vs one worker per host. The counted parallel I/Os
   // are per-host maxima of the same deterministic schedule, so the ops and
   // wire columns must not move; the speedup column is
   // wall(serial)/wall(threads) and exceeds 1 only with >= p cores to run

@@ -172,17 +172,23 @@ struct TraceOption {
   }
 
   /// Export the engine's trace. No-op when --trace was absent or the engine
-  /// was not armed.
+  /// was not armed. A failed write prints the error and exits 2, as
+  /// write_json_report does.
   void write(const cgm::Engine& engine) const {
     if (!on() || !engine.tracer()) return;
-    obs::write_chrome_trace(path, *engine.tracer(), engine.metrics());
-    std::printf("wrote %s\n", path.c_str());
-    if (engine.metrics()) {
-      const std::string mpath = obs::metrics_path_for(path);
-      obs::write_metrics_json(mpath, *engine.metrics(),
-                              engine.config().disk.num_disks,
-                              engine.config().disk.block_bytes);
-      std::printf("wrote %s\n", mpath.c_str());
+    try {
+      obs::write_chrome_trace(path, *engine.tracer(), engine.metrics());
+      std::printf("wrote %s\n", path.c_str());
+      if (engine.metrics()) {
+        const std::string mpath = obs::metrics_path_for(path);
+        obs::write_metrics_json(mpath, *engine.metrics(),
+                                engine.config().disk.num_disks,
+                                engine.config().disk.block_bytes);
+        std::printf("wrote %s\n", mpath.c_str());
+      }
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(2);
     }
   }
 };

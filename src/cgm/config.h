@@ -92,13 +92,15 @@ struct MachineConfig {
   /// filesystem boundary. BackendKind::kFile only.
   std::vector<std::string> file_roots{};
 
-  /// Run real processors on std::thread, one per host, with each store
-  /// group's step-0 batches posted into SimNetwork's per-link mailboxes as
-  /// the group finishes; the host whose finish completes an endpoint pair
-  /// simulates it on its own thread. With threads off, nothing in the
-  /// network runs off the caller's thread. Guaranteed bit-identical to the
-  /// serial schedule — outputs, IoStats, StepComm, and NetStats alike
-  /// (DESIGN.md §10).
+  /// Run real processors side by side on the engine's p workers (the
+  /// caller and p - 1 threads, started at the first superstep and kept for
+  /// the engine's lifetime), with each
+  /// store group's step-0 batches posted into SimNetwork's per-link
+  /// mailboxes as the group finishes; the host whose finish completes an
+  /// endpoint pair simulates it on its own worker. With threads off, the
+  /// caller is the one worker and runs the hosts in ascending order.
+  /// Guaranteed bit-identical to the serial schedule — outputs, IoStats,
+  /// StepComm, and NetStats alike (DESIGN.md §10).
   bool use_threads = false;
 
   std::uint64_t seed = 1;  ///< seed for randomized algorithm steps
@@ -168,9 +170,6 @@ struct MachineConfig {
     check(!net.failover || checkpointing,
           "net.failover re-assigns work from the last committed checkpoint;"
           " enable checkpointing");
-    check(!net.failover || net.heartbeat_miss_threshold >= 1,
-          "heartbeat_miss_threshold == 0 would declare every processor dead"
-          " at the first heartbeat round; need >= 1");
     check(net.retry.max_attempts >= 1,
           "network retry policy needs at least one attempt");
     check(!net.enabled || net.mtu_bytes > 0, "network MTU must be positive");

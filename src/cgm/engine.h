@@ -85,8 +85,6 @@ class Engine {
   /// are the accumulated values.
   virtual const RunResult& total() const = 0;
 
-  virtual void reset_totals() = 0;
-
   /// Phase-scoped span trace of this engine, or nullptr when observability
   /// is off (config().obs.trace). Spans accumulate across run() calls.
   virtual const obs::Tracer* tracer() const { return nullptr; }

@@ -49,7 +49,6 @@ class Machine {
 
   const RunResult& last_result() const { return engine_->last_result(); }
   const RunResult& total() const { return engine_->total(); }
-  void reset_totals() { engine_->reset_totals(); }
 
   /// Split data into v even contiguous chunks.
   template <typename T>

@@ -22,7 +22,6 @@ class NativeEngine final : public Engine {
 
   const RunResult& last_result() const override { return last_; }
   const RunResult& total() const override { return total_; }
-  void reset_totals() override { total_ = RunResult{}; }
 
   const obs::Tracer* tracer() const override { return tracer_.get(); }
   const obs::MetricsRegistry* metrics() const override {

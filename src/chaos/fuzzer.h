@@ -35,7 +35,7 @@ struct FuzzMachine {
   std::uint32_t num_disks = 4;  ///< D per real processor
   std::size_t block_bytes = 128;
   std::uint32_t io_threads = 0;  ///< async executor workers (0 = serial)
-  bool use_threads = false;      ///< one driver thread per host
+  bool use_threads = false;      ///< hosts run side by side (p workers)
   std::size_t keys = 400;        ///< input size of the sort workload
   pdm::BackendKind backend = pdm::BackendKind::kMemory;
   std::string file_dir;  ///< scratch root for BackendKind::kFile

@@ -1,5 +1,5 @@
 // EmEngine's message delivery (Algorithm 3): the batch record, step 0 of the
-// collective schedule posted from the host threads, and the barrier that
+// collective schedule posted from the host workers, and the barrier that
 // runs the later steps and writes every arrival to its destination's disks.
 #include "emcgm/em_engine.h"
 
@@ -119,11 +119,11 @@ void EmEngine::rebuild_schedule() {
 }
 
 // Post one finished store group's crossing batches as step 0 of the
-// collective schedule (p > 1, net enabled; called from the host's own
-// worker thread): each batch record goes into the mailbox of its flow's
+// collective schedule (p > 1, net enabled; called from the worker running
+// the host's task): each batch record goes into the mailbox of its flow's
 // first hop. Records are serialized in (src_g, dst_g) order — each host
 // drives its groups ascending and this loop scans dst_g ascending, so
-// every link's mailbox stream is canonical whatever the thread
+// every link's mailbox stream is canonical whatever the worker
 // interleaving. Same-host batches and flows that step 0 does not move are
 // left for the barrier. All batches stay in `out.by_owner`: deliver_staged
 // still counts the h-relation from them at the barrier, single-threaded,
@@ -330,7 +330,7 @@ void EmEngine::deliver_staged(RunState& rs,
                          return a.src != b.src ? a.src < b.src
                                                : a.dst < b.dst;
                        });
-      // Arrival writes run at the barrier (main thread) but touch the
+      // Arrival writes run at the barrier (the caller) but touch the
       // destination group's disks — render them there.
       obs::SpanScope span(tr, eshard, obs::SpanKind::kOutboxWrite,
                           group_host_[dst_g], dst_g, dst_g, -1, phys_step_,

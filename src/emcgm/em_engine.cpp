@@ -4,7 +4,6 @@
 #include <exception>
 #include <numeric>
 #include <sstream>
-#include <thread>
 
 #include "cgm/proc_ctx.h"
 #include "chaos/chaos_config.h"
@@ -14,6 +13,7 @@
 #include "routing/balanced_routing.h"
 #include "util/error.h"
 #include "util/timer.h"
+#include "util/worker_pool.h"
 
 namespace emcgm::em {
 
@@ -400,8 +400,9 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
   try {
     auto& rp = *procs_[r];
     // Span shard discipline: group r's spans go into the shard of the
-    // *host driving it* — exactly one thread per host — while the span's
-    // rendering coordinates stay with the group's disks.
+    // *host driving it* — written by the one worker running that host's
+    // task — while the span's rendering coordinates stay with the group's
+    // disks.
     const std::uint32_t host = group_host_[r];
     obs::TraceShard* shard = tr ? &tr->host_shard(host) : nullptr;
     const pdm::IoStats* io_src = tr ? &rp.disks->stats() : nullptr;
@@ -552,42 +553,46 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
   }
 }
 
-// Run one phase across all p store groups: one worker per *live* host,
-// each driving the groups currently assigned to it (ascending, so the
-// disk-op order per group is independent of the assignment). A fail-stop
-// crash (IoError kCrash) out of group g's own disks means machine g died —
-// adopted groups run disarmed and cannot crash — so crashes are collected
-// into a DeadProcsError for the fail-over path; any other error rethrows
-// (the open mailbox round is aborted either way so the fault-coin cursors
-// stay mode-independent — see SimNetwork::abort_round). With the network
-// enabled each host posts a group's step-0 batches as soon as the group
-// finishes, and its finish_sender() simulates every endpoint pair it
-// completes on the host's own thread, while slower hosts still compute.
+// Run one phase across all p store groups: one task per *live* host on the
+// engine's worker pool, each driving the groups currently assigned to it
+// (ascending, so the disk-op order per group is independent of the
+// assignment). With one worker the caller runs the hosts in ascending
+// order. A fail-stop crash (IoError kCrash) out of group g's own disks
+// means machine g died — adopted groups run disarmed and cannot crash — so
+// crashes are collected into a DeadProcsError for the fail-over path; any
+// other error rethrows, as does anything a host task throws outside its
+// groups (the open mailbox round is aborted either way so the fault-coin
+// cursors stay mode-independent — see SimNetwork::abort_round). With the
+// network enabled each host posts a group's step-0 batches as soon as the
+// group finishes, and its finish_sender() simulates every endpoint pair it
+// completes on the host's own worker, while slower hosts still compute.
 std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
                                                        bool compute) {
   const std::uint32_t p = cfg_.p;
   std::vector<ProcOutcome> outcomes(p);
-  auto drive_host = [&](std::uint32_t host) {
-    for (std::uint32_t g = 0; g < p; ++g) {
-      if (group_host_[g] != host) continue;
-      run_group(rs, g, compute, outcomes[g]);
-      if (net_ && !outcomes[g].error) post_group(rs, host, g, outcomes[g]);
-    }
-    if (net_) net_->finish_sender(host);
-  };
   std::vector<std::uint32_t> hosts;
   for (std::uint32_t h = 0; h < p; ++h) {
     if (alive_[h]) hosts.push_back(h);
   }
-  if (cfg_.use_threads && hosts.size() > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(hosts.size());
-    for (std::uint32_t h : hosts) {
-      threads.emplace_back([&, h] { drive_host(h); });
+  try {
+    // Started by the first phase, not the constructor: building and
+    // starting an engine stay free of thread creation, and one that never
+    // steps starts no thread.
+    if (!host_workers_) {
+      host_workers_ = std::make_unique<WorkerPool>(cfg_.use_threads ? p : 1);
     }
-    for (auto& t : threads) t.join();
-  } else {
-    for (std::uint32_t h : hosts) drive_host(h);
+    host_workers_->run(hosts.size(), [&](std::size_t k) {
+      const std::uint32_t host = hosts[k];
+      for (std::uint32_t g = 0; g < p; ++g) {
+        if (group_host_[g] != host) continue;
+        run_group(rs, g, compute, outcomes[g]);
+        if (net_ && !outcomes[g].error) post_group(rs, host, g, outcomes[g]);
+      }
+      if (net_) net_->finish_sender(host);
+    });
+  } catch (...) {
+    if (net_) net_->abort_round();
+    throw;
   }
   const bool failed = std::any_of(outcomes.begin(), outcomes.end(),
                                   [](const ProcOutcome& o) {

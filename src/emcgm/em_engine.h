@@ -31,6 +31,10 @@
 #include "pdm/disk_array.h"
 #include "routing/schedule.h"
 
+namespace emcgm {
+class WorkerPool;
+}
+
 namespace emcgm::em {
 
 class EmEngine final : public cgm::Engine {
@@ -121,7 +125,6 @@ class EmEngine final : public cgm::Engine {
 
   const cgm::RunResult& last_result() const override { return last_; }
   const cgm::RunResult& total() const override { return total_; }
-  void reset_totals() override { total_ = cgm::RunResult{}; }
 
   /// I/O statistics of one real processor's disk subsystem, accumulated
   /// since engine construction.
@@ -285,6 +288,10 @@ class EmEngine final : public cgm::Engine {
   std::unique_ptr<obs::MetricsRegistry> metrics_;
 
   std::vector<std::unique_ptr<RealProc>> procs_;
+  /// Runs each phase's live hosts (run_phase) from the first phase on, for
+  /// the engine's lifetime: p workers with cfg.use_threads, else the caller
+  /// alone.
+  std::unique_ptr<WorkerPool> host_workers_;
   Commit commit_;
   std::string running_program_;  ///< name sanity check for resume()
 

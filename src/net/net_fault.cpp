@@ -112,7 +112,7 @@ LinkVerdict LinkFaultInjector::on_transmit(std::uint32_t src,
   }
   if (plan_.delay_prob > 0 && coin(kDelay) < plan_.delay_prob) {
     v.delayed = true;
-    v.extra_delay += plan_.delay_ticks;
+    v.extra_delay += kDelayTicks;
   }
   return v;
 }

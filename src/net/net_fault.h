@@ -9,7 +9,7 @@
 //   * duplicate — the link delivers the frame twice,
 //   * corrupt   — one byte flips in flight; the receiver's CRC rejects it,
 //   * reorder   — the frame is delayed past later frames on the link,
-//   * delay     — congestion adds plan.delay_ticks of latency,
+//   * delay     — congestion adds kDelayTicks of latency,
 //
 // plus fail-stop of a whole real processor: from a `fail_stops` event's step
 // on, every frame to or from that processor is dropped — the machine is gone
@@ -35,6 +35,11 @@ namespace emcgm::net {
 
 inline constexpr std::uint32_t kNoProc = 0xFFFFFFFF;
 
+/// Fault-free one-way latency of a wire transmission, in virtual ticks.
+inline constexpr std::uint32_t kBaseLatencyTicks = 1;
+/// Extra latency of a congestion-delay fault, in virtual ticks.
+inline constexpr std::uint32_t kDelayTicks = 3;
+
 /// One entry of the membership schedule: processor `proc` fail-stops (or
 /// reboots) at physical superstep `step`.
 struct NodeEvent {
@@ -51,10 +56,7 @@ struct NetFaultPlan {
   double dup_prob = 0.0;      ///< frame delivered twice
   double corrupt_prob = 0.0;  ///< one byte flipped in flight
   double reorder_prob = 0.0;  ///< frame delayed past its successors
-  double delay_prob = 0.0;    ///< congestion delay of delay_ticks
-
-  std::uint32_t delay_ticks = 3;         ///< extra latency of a delay fault
-  std::uint32_t base_latency_ticks = 1;  ///< fault-free one-way latency
+  double delay_prob = 0.0;    ///< congestion delay of kDelayTicks
 
   /// Membership schedule: fail-stop events (the processor dies at that
   /// physical superstep and all its traffic is dropped from then on), and
@@ -89,8 +91,6 @@ struct NetConfig {
   /// fragmented into frames of at most this size, so a fault costs one
   /// fragment's retransmission, not a whole batch's.
   std::size_t mtu_bytes = 64 * 1024;
-  /// Heartbeat rounds a processor may miss before it is declared dead.
-  std::uint32_t heartbeat_miss_threshold = 3;
   /// Collective schedule of the superstep communication round, one mailbox
   /// round per schedule step: step 0 is posted during compute (overlapped
   /// with it), later steps run store-and-forward at the barrier. kDirect is

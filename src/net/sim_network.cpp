@@ -160,8 +160,7 @@ std::vector<std::uint32_t> SimNetwork::rejoin_round() {
 std::uint64_t SimNetwork::rto(std::uint32_t attempts) const {
   // Never time out before a same-tick ack could possibly arrive: one base
   // latency each way plus slack, whatever the retry policy's base says.
-  const std::uint64_t floor =
-      2 * static_cast<std::uint64_t>(cfg_.fault.base_latency_ticks) + 2;
+  const std::uint64_t floor = 2 * std::uint64_t{kBaseLatencyTicks} + 2;
   return std::max(floor, cfg_.retry.backoff_us(attempts));
 }
 
@@ -195,7 +194,7 @@ void SimNetwork::run_pair(std::uint32_t lo, std::uint32_t hi,
     if (v.reordered) ++out.stats.reordered;
     if (v.delayed) ++out.stats.delayed;
 
-    const std::uint64_t base = cfg_.fault.base_latency_ticks;
+    const std::uint64_t base = kBaseLatencyTicks;
     Frame sent = frame;
     if (v.corrupt) {
       ++out.stats.corrupted;
@@ -570,7 +569,7 @@ std::vector<std::uint32_t> SimNetwork::heartbeat_round(std::uint64_t step) {
       if (dead_[i]) continue;
       const std::int64_t missed =
           static_cast<std::int64_t>(step) - last_seen_[i];
-      if (missed >= static_cast<std::int64_t>(cfg_.heartbeat_miss_threshold)) {
+      if (missed >= std::int64_t{kHeartbeatMissThreshold}) {
         newly_dead.push_back(i);
       }
     }

@@ -42,7 +42,7 @@
 //
 // Fail-over support: heartbeat_round() implements an eventually-perfect
 // failure detector (heartbeats are subject only to fail-stop; see
-// net_fault.h) — a processor unheard-of for heartbeat_miss_threshold rounds
+// net_fault.h) — a processor unheard-of for kHeartbeatMissThreshold rounds
 // is declared dead. probe_dead() answers "who is unreachable right now" when
 // a retransmission budget exhausts mid-round.
 #pragma once
@@ -67,6 +67,9 @@ class Tracer;
 }  // namespace emcgm::obs
 
 namespace emcgm::net {
+
+/// Heartbeat rounds a processor may miss before it is declared dead.
+inline constexpr std::uint32_t kHeartbeatMissThreshold = 3;
 
 /// The reliable protocol gave up on a link: the retransmission budget
 /// exhausted without an ack. Either the peer is dead (probe_dead() will say

@@ -11,8 +11,8 @@
 // validates the op (non-empty, at most D blocks, one per disk, whole
 // blocks), notes it with the backend (the fail-stop crash trigger), and
 // hands it to the executor (io_executor.h), which counts and charges it.
-// With options().io_threads == 0 the executor runs the op inline on the
-// caller's thread — the serial case; otherwise on per-disk workers:
+// With DiskArrayOptions::io_threads == 0 the executor runs the op inline
+// on the caller's thread — the serial case; otherwise on per-disk workers:
 // parallel_write becomes write-behind (payloads are copied; completion
 // deferred to the next wait/drain/sync), parallel_read waits for its own
 // op, and parallel_read_async exposes tickets for prefetch pipelines.
@@ -168,7 +168,6 @@ class DiskArray {
   std::uint64_t tracks_used() const;
 
   StorageBackend& backend() { return *backend_; }
-  const DiskArrayOptions& options() const { return opts_; }
 
   /// (Re-)attach the per-op charge probe after construction (the job
   /// service installs per-tenant accounts on engines it did not build).

@@ -137,8 +137,6 @@ class FaultInjectingBackend final : public StorageBackend {
   void disarm() { armed_.store(false, std::memory_order_relaxed); }
   bool armed() const { return armed_.load(std::memory_order_relaxed); }
 
-  StorageBackend& inner() { return *inner_; }
-
  private:
   /// Per-disk fault state, written only by the disk's owning thread.
   struct DiskState {

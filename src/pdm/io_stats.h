@@ -2,15 +2,15 @@
 // of parallel I/O operations, each moving up to D blocks (one per disk).
 //
 // Thread-safety discipline (DESIGN.md §10/§11): every IoStats instance is
-// *shard-merged*. A DiskArray's live counters are written only by the one
-// thread driving that disk subsystem's host (host shard h belongs to the
-// thread running host h; with use_threads off, everything belongs to the
-// main thread). Cross-host aggregates — RunResult::io, io_per_step, the
-// metrics registry's per-superstep rows, trace-span I/O deltas — are
-// *barrier-owned*: computed only by the main thread at superstep barriers
-// by summing/differencing the host shards in canonical host order. The
-// consequence, asserted by ObsThreaded.ShardCountersBarrierInvariant, is
-// that every counter here is bit-identical with threads on or off.
+// *shard-merged*. Within a phase, a DiskArray's live counters are written
+// only by whichever worker runs its host's task (host shard h belongs to
+// that worker; with use_threads off the caller is the one worker). Cross-
+// host aggregates — RunResult::io, io_per_step, the metrics registry's
+// per-superstep rows, trace-span I/O deltas — are *barrier-owned*:
+// computed only by the caller at superstep barriers by summing/differencing
+// the host shards in canonical host order. The consequence, asserted by
+// ObsThreaded.ShardCountersBarrierInvariant, is that every counter here is
+// bit-identical with threads on or off.
 #pragma once
 
 #include <cstdint>

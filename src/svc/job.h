@@ -123,7 +123,8 @@ class Job {
   bool done_ = false;
   std::string error_;
   /// Charge sink for both hooks. Atomic: the I/O hook fires from async
-  /// executor submitters, which under use_threads are per-host threads.
+  /// executor submitters, which under use_threads are the engine's host
+  /// workers.
   std::atomic<std::uint64_t> charge_{0};
 };
 

@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "obs/export.h"
-#include "svc/worker_pool.h"
 #include "util/error.h"
+#include "util/worker_pool.h"
 
 namespace emcgm::svc {
 
@@ -159,21 +159,16 @@ std::vector<JobResult> JobService::run_all() {
     // ---- parallel execution phase ---------------------------------------
     // One task per work item; inside an item, co-resident tenants step
     // sequentially in slot order (structural serialization). `more` slots
-    // are distinct memory locations per tenant, and run_batch() is a
-    // barrier, so the join below reads them race-free.
+    // are distinct memory locations per tenant, and run() is a barrier, so
+    // the join below reads them race-free.
     const std::vector<std::vector<std::size_t>> items = group_chosen(chosen);
     std::vector<char> more(slots_.size(), 0);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(items.size());
-    for (const std::vector<std::size_t>& item : items) {
-      tasks.push_back([this, item, &more] {
-        for (std::size_t i : item) {
-          if (cfg_.step_delay) cfg_.step_delay(i, tick_);
-          more[i] = slots_[i].job->step() ? 1 : 0;
-        }
-      });
-    }
-    wpool.run_batch(std::move(tasks));
+    wpool.run(items.size(), [&](std::size_t k) {
+      for (std::size_t i : items[k]) {
+        if (cfg_.step_delay) cfg_.step_delay(i, tick_);
+        more[i] = slots_[i].job->step() ? 1 : 0;
+      }
+    });
 
     // ---- join (single thread, canonical slot order) ---------------------
     for (std::size_t i : chosen) {

@@ -25,11 +25,11 @@
 // threaded **arbitration phase** runs admission, priorities and DRR exactly
 // as above and emits the set of chosen tenants — a pure function of the
 // specs, independent of `workers`. A **parallel execution phase** then steps
-// every chosen tenant to its next superstep barrier on a work-stealing
-// worker pool: tenants whose carve-outs share a pool host are grouped into
-// one work item and stepped sequentially inside it (structural
-// serialization — no lock ever guards an engine), while non-co-resident
-// tenants run concurrently. The join drains charges, retires finished jobs
+// every chosen tenant to its next superstep barrier on a fork-join worker
+// pool whose caller is one of its `workers`: tenants whose carve-outs share
+// a pool host are grouped into one work item and stepped sequentially
+// inside it (structural serialization — no lock ever guards an engine),
+// while non-co-resident tenants run concurrently. The join drains charges, retires finished jobs
 // and accounts preemptions in canonical (submission) slot order.
 //
 // Per-tenant isolation is structural: each job owns its engine, disks,
@@ -62,8 +62,9 @@ struct ServiceConfig {
   std::uint64_t quantum_bytes = 1u << 20;
   /// Per-job tracer with the job name as tenant label (ObsConfig::tenant).
   bool trace = false;
-  /// Execution-phase worker threads. kWorkersAuto = hardware concurrency;
-  /// 0 is rejected with IoError(kConfig). The schedule, and with it every
+  /// Execution-phase workers, the calling thread included (N - 1 threads
+  /// are started). kWorkersAuto = hardware concurrency; 0 is rejected with
+  /// IoError(kConfig). The schedule, and with it every
   /// per-tenant observable, is identical for all N >= 1 (N changes wall
   /// time only).
   std::uint32_t workers = kWorkersAuto;

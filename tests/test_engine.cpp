@@ -3,16 +3,21 @@
 // Lemma 2 preconditions, the memory-residency check, and the headline
 // O(N/(pDB)) I/O linearity of the simulated sort.
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <thread>
 
 #include "algo/sort.h"
 #include "cgm/machine.h"
 #include "cgm/native_engine.h"
+#include "cgm/proc_ctx.h"
 #include "emcgm/context_store.h"
 #include "emcgm/em_engine.h"
 #include "emcgm/message_store.h"
@@ -41,6 +46,54 @@ std::vector<std::byte> blob(std::size_t n, std::uint8_t seed) {
   }
   return v;
 }
+
+struct RoundCount {
+  std::uint64_t rounds = 0;
+  auto fields() { return std::tie(rounds); }
+};
+
+/// Records the kernel thread id of every round() call. Each round but the
+/// last sends one message to the next virtual processor, so every
+/// superstep has a delivery barrier.
+class ThreadIdProbe final : public cgm::ProgramT<RoundCount> {
+ public:
+  explicit ThreadIdProbe(std::uint64_t rounds) : rounds_(rounds) {}
+
+  std::string name() const override { return "thread_id_probe"; }
+
+  void round(cgm::ProcCtx& ctx, RoundCount& st) const override {
+    {
+      // Kernel ids: a pthread id may be reused once its thread is joined.
+      std::lock_guard<std::mutex> lk(mu_);
+      tids_.insert(static_cast<long>(::syscall(SYS_gettid)));
+      ++calls_;
+    }
+    ++st.rounds;
+    if (!done(ctx, st)) {
+      ctx.send_vec((ctx.pid() + 1) % ctx.nprocs(),
+                   std::vector<std::uint64_t>{st.rounds});
+    }
+  }
+
+  bool done(const cgm::ProcCtx&, const RoundCount& st) const override {
+    return st.rounds >= rounds_;
+  }
+
+  std::set<long> tids() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return tids_;
+  }
+  std::uint64_t calls() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return calls_;
+  }
+
+ private:
+  std::uint64_t rounds_;
+  mutable std::mutex mu_;
+  mutable std::set<long> tids_;
+  mutable std::uint64_t calls_ = 0;
+};
 
 }  // namespace
 
@@ -404,6 +457,23 @@ TEST(EmEngine, ThreadedMatchesSequential) {
           << "p=" << p << " net=" << net;
     }
   }
+}
+
+TEST(EmEngine, HostWorkersLiveAsLongAsTheEngine) {
+  // With use_threads the engine keeps p workers (the caller and p - 1
+  // threads) for its lifetime, so every superstep's hosts run on the same
+  // p kernel threads, not on fresh ones per phase.
+  constexpr std::uint64_t kRounds = 6;
+  cgm::MachineConfig cfg;
+  cfg.v = 8;
+  cfg.p = 4;
+  cfg.use_threads = true;
+  em::EmEngine engine(cfg);
+  ThreadIdProbe prog(kRounds);
+  engine.run(prog, {});
+  EXPECT_EQ(prog.calls(), kRounds * cfg.v);
+  EXPECT_EQ(engine.last_result().app_rounds, kRounds);
+  EXPECT_LE(prog.tids().size(), 4u);
 }
 
 TEST(EmEngine, MultiProcessorSplitsIoAcrossRealProcs) {

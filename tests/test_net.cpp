@@ -333,7 +333,6 @@ TEST(SimNetwork, HeartbeatDetectorDeclaresFailStoppedDead) {
   net::NetConfig cfg;
   cfg.enabled = true;
   cfg.fault.fail_stops = {{2, 1}};
-  cfg.heartbeat_miss_threshold = 3;
   net::SimNetwork nw(3, cfg);
   std::vector<std::uint32_t> dead;
   std::uint64_t step = 1;
@@ -342,7 +341,7 @@ TEST(SimNetwork, HeartbeatDetectorDeclaresFailStoppedDead) {
     dead = nw.heartbeat_round(step);
   }
   ASSERT_EQ(dead, (std::vector<std::uint32_t>{2}));
-  EXPECT_LE(step, 1u + cfg.heartbeat_miss_threshold + 1u);
+  EXPECT_LE(step, 1u + net::kHeartbeatMissThreshold + 1u);
   EXPECT_TRUE(nw.dead(2));
   EXPECT_FALSE(nw.dead(0));
   // Survivors keep being heard: no further declarations.
@@ -904,14 +903,6 @@ TEST(Membership, ConfigValidationTypedErrors) {
     expect_config_error(cfg);
     cfg.net.failover = true;
     EXPECT_NO_THROW(cfg.validate());
-  }
-  // A zero miss threshold would declare every processor dead at the first
-  // heartbeat round.
-  {
-    auto cfg = net_cfg(8, 2);
-    cfg.net.failover = true;
-    cfg.net.heartbeat_miss_threshold = 0;
-    expect_config_error(cfg);
   }
   // A scheduled reboot needs a preceding fail-stop, and in-range procs.
   {

@@ -1,5 +1,6 @@
-// Parallel job-service executor (src/svc): the work-stealing WorkerPool,
-// the two-phase tick loop's worker-count invariance (every per-tenant
+// Parallel job-service executor (src/svc): the fork-join WorkerPool
+// (util/worker_pool.h, shared with the engine's host workers), the
+// two-phase tick loop's worker-count invariance (every per-tenant
 // observable bit-identical to the tenant's solo run for workers 1/2/4/8),
 // seeded schedule perturbation converging to the solo reference, chaos
 // targeting under a parallel run, the spread placement policy, and the new
@@ -24,9 +25,9 @@
 #include "svc/pool.h"
 #include "svc/service.h"
 #include "svc/svc_json.h"
-#include "svc/worker_pool.h"
 #include "util/error.h"
 #include "util/file.h"
+#include "util/worker_pool.h"
 
 using namespace emcgm;
 using namespace emcgm::svc;
@@ -123,21 +124,35 @@ TEST(WorkerPool, RunsEveryTaskExactlyOnce) {
   WorkerPool pool(4);
   EXPECT_EQ(pool.workers(), 4u);
   std::vector<std::atomic<int>> hits(64);
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    tasks.push_back([&hits, i] { hits[i].fetch_add(1); });
-  }
-  pool.run_batch(std::move(tasks));
+  pool.run(hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "task " << i;
   }
 }
 
-TEST(WorkerPool, StealsWhenSomeTasksRunLong) {
-  // Two workers, one long task dealt to shard 0: the short tasks behind it
-  // on shard 0 must complete anyway (stolen by the idle worker) — run_batch
-  // returning with every counter set proves redistribution, and the wall
-  // time stays bounded by the long task, not the sum.
+TEST(WorkerPool, OneWorkerRunsTasksInlineInIndexOrder) {
+  // No thread exists: every task runs on the caller, in index order — the
+  // serial case of the engine's host loop and of the job service's tick.
+  WorkerPool pool(1);
+  EXPECT_EQ(pool.workers(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool on_caller = true;
+  pool.run(16, [&](std::size_t i) {
+    order.push_back(i);
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+  });
+  EXPECT_TRUE(on_caller);
+  std::vector<std::size_t> want(16);
+  for (std::size_t i = 0; i < want.size(); ++i) want[i] = i;
+  EXPECT_EQ(order, want);
+}
+
+TEST(WorkerPool, LongTaskDoesNotHoldUpTheRest) {
+  // Two workers, one long task first: the short tasks after it must
+  // complete anyway on the other worker — run() returning with every
+  // counter set proves it, and the wall time stays bounded by the long
+  // task, not the sum.
   WorkerPool pool(2);
   std::atomic<int> done{0};
   std::vector<std::function<void()>> tasks;
@@ -149,7 +164,7 @@ TEST(WorkerPool, StealsWhenSomeTasksRunLong) {
     tasks.push_back([&] { done.fetch_add(1); });
   }
   const auto t0 = std::chrono::steady_clock::now();
-  pool.run_batch(std::move(tasks));
+  pool.run(tasks.size(), [&tasks](std::size_t i) { tasks[i](); });
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_EQ(done.load(), 17);
   // Generous bound: the 16 short tasks must not have serialized behind the
@@ -161,18 +176,12 @@ TEST(WorkerPool, StealsWhenSomeTasksRunLong) {
 
 TEST(WorkerPool, RethrowsLowestIndexTaskException) {
   WorkerPool pool(3);
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 10; ++i) {
-    if (i == 3 || i == 7) {
-      tasks.push_back([i] {
-        throw std::runtime_error("task " + std::to_string(i) + " failed");
-      });
-    } else {
-      tasks.push_back([] {});
-    }
-  }
   try {
-    pool.run_batch(std::move(tasks));
+    pool.run(10, [](std::size_t i) {
+      if (i == 3 || i == 7) {
+        throw std::runtime_error("task " + std::to_string(i) + " failed");
+      }
+    });
     FAIL() << "batch exception not propagated";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "task 3 failed");
@@ -184,12 +193,10 @@ TEST(WorkerPool, ReusableAcrossBatchesAndZeroWorkersRejected) {
   WorkerPool pool(2);
   std::atomic<int> sum{0};
   for (int batch = 0; batch < 5; ++batch) {
-    std::vector<std::function<void()>> tasks;
-    for (int i = 0; i < 8; ++i) tasks.push_back([&] { sum.fetch_add(1); });
-    pool.run_batch(std::move(tasks));
+    pool.run(8, [&](std::size_t) { sum.fetch_add(1); });
     EXPECT_EQ(sum.load(), (batch + 1) * 8);
   }
-  pool.run_batch({});  // empty batch is a no-op
+  pool.run(0, [&](std::size_t) { sum.fetch_add(1); });  // empty: a no-op
   EXPECT_EQ(sum.load(), 40);
 }
 
