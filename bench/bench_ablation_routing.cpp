@@ -106,15 +106,6 @@ struct SchedProbe {
   std::uint64_t payload, wire, crossing, rtx, sched_steps;
 };
 
-bool same_outputs(const std::vector<cgm::PartitionSet>& a,
-                  const std::vector<cgm::PartitionSet>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].parts != b[i].parts) return false;
-  }
-  return true;
-}
-
 SchedProbe run_schedule(routing::ScheduleKind kind,
                         const std::vector<std::string>& roots,
                         const std::vector<std::uint64_t>& keys) {
@@ -231,7 +222,7 @@ int main(int argc, char** argv) {
     st.row({routing::to_string(kind), fmt_u(p.payload), fmt_u(p.wire),
             fmt_u(p.crossing), fmt_u(p.rtx), fmt_u(p.sched_steps)});
     if (kind == routing::ScheduleKind::kDirect) continue;
-    if (!same_outputs(p.out, direct.out) || p.payload != direct.payload) {
+    if (p.out != direct.out || p.payload != direct.payload) {
       std::fprintf(stderr, "FAIL: %s output diverged from direct\n",
                    routing::to_string(kind));
       gate_ok = false;

@@ -6,6 +6,7 @@
 // wall time, disk footprint, and the observed retry/corruption counters —
 // i.e. the price of each guarantee in the currency the paper counts.
 #include <cstdio>
+#include <string>
 
 #include "algo/sort.h"
 #include "bench/bench_util.h"
@@ -18,17 +19,13 @@ using namespace emcgm::bench;
 namespace {
 
 struct Probe {
+  cgm::RunResult run;
   std::uint64_t ops;
   double wall_s;
   std::uint64_t tracks;
   std::uint64_t retries;
   std::uint64_t rtx;
   std::uint64_t wire;
-  std::uint64_t app_rounds;
-  std::uint64_t failovers;
-  std::uint64_t rejoins;
-  std::uint64_t migrations;
-  std::uint64_t migration_bytes;
 };
 
 std::vector<cgm::PartitionSet> sort_inputs(std::uint32_t v, std::size_t n) {
@@ -85,17 +82,13 @@ Probe run(bool checksums, bool checkpointing, double fault_prob,
   if (trace) trace->write(engine);
 
   Probe p{};
+  p.run = engine.last_result();
   p.ops = engine.last_result().io.total_ops();
   p.wall_s = engine.last_result().wall_s;
   p.tracks = engine.tracks_used(0);
   p.retries = engine.io_stats(0).retries;
   p.rtx = engine.last_result().net.retransmissions;
   p.wire = engine.last_result().net.wire_bytes;
-  p.app_rounds = engine.last_result().app_rounds;
-  p.failovers = engine.last_result().failovers;
-  p.rejoins = engine.last_result().rejoins;
-  p.migrations = engine.last_result().net.rebalance_migrations;
-  p.migration_bytes = engine.last_result().net.migration_bytes;
   return p;
 }
 
@@ -148,8 +141,7 @@ int main(int argc, char** argv) {
   // absorbed by fail-over (degraded finish), and the same death with the
   // victim rejoining three supersteps later (checkpoint catch-up plus
   // store-group re-balancing). Output is bit-identical in all three.
-  std::uint64_t membership_failovers = 0, membership_rejoins = 0;
-  std::uint64_t membership_migrations = 0, membership_bytes = 0;
+  cgm::RunResult membership;
   {
     const auto clean = run(false, true, 0.0, n, 4, 0.0, true);
     t.row({"+ checkpointed network (p=4)", fmt_u(clean.ops),
@@ -165,30 +157,29 @@ int main(int argc, char** argv) {
     t.row({"+ kill, rejoin 3 steps later", fmt_u(rej.ops),
            fmt(rej.wall_s, 3), fmt_u(rej.tracks), "0", fmt_u(rej.rtx),
            fmt_u(rej.wire), "-"});
-    if (kill.failovers == 0 || rej.rejoins == 0) {
+    if (kill.run.failovers == 0 || rej.run.rejoins == 0) {
       std::fprintf(stderr,
                    "membership rows did not exercise the machinery "
                    "(failovers=%llu rejoins=%llu)\n",
-                   static_cast<unsigned long long>(kill.failovers),
-                   static_cast<unsigned long long>(rej.rejoins));
+                   static_cast<unsigned long long>(kill.run.failovers),
+                   static_cast<unsigned long long>(rej.run.rejoins));
       return 1;
     }
-    membership_failovers = rej.failovers;
-    membership_rejoins = rej.rejoins;
-    membership_migrations = rej.migrations;
-    membership_bytes = rej.migration_bytes;
+    membership = rej.run;
   }
   // Chaos invariant layer (watchdog, spread, exactly-once, commit
   // monotonicity, executor drain): the checks live on superstep barriers and
-  // must not move a single counted op; the row shows what arming them costs
-  // in wall time on the checkpointed p=2 network machine.
+  // must not move a single count the run check compares; the row shows what
+  // arming them costs in wall time on the checkpointed p=2 network machine.
   {
     const auto off = run(false, true, 0.0, n, 2, 0.0, true);
     const auto inv = run(false, true, 0.0, n, 2, 0.0, true, false, nullptr,
                          0, false, true);
-    if (inv.ops != off.ops) {
+    const std::string diffs = cgm::run_mismatches(off.run, inv.run);
+    if (!diffs.empty()) {
       std::fprintf(stderr,
-                   "parallel I/O count moved under the invariant layer\n");
+                   "the invariant layer moved a count (off != on): %s\n",
+                   diffs.c_str());
       return 1;
     }
     t.row({"+ chaos invariant layer (p=2)", fmt_u(inv.ops),
@@ -196,16 +187,18 @@ int main(int argc, char** argv) {
            fmt_u(inv.wire), "-"});
   }
   // Thread-parallel host execution: serial vs threaded pairs at p=2 and
-  // p=4 over the clean simulated network. The parallel I/O count must not
-  // move by one op (threading changes who drives the round, not what the
-  // round does); speedup is wall(serial)/wall(threads) and needs at least
-  // p cores to exceed 1.
+  // p=4 over the clean simulated network. The run check must name nothing
+  // (threading changes who drives the round, not what the round does);
+  // speedup is wall(serial)/wall(threads) and needs at least p cores to
+  // exceed 1.
   for (std::uint32_t p_real : {2u, 4u}) {
     const auto serial = run(false, false, 0.0, n, p_real, 0.0, true);
     const auto thr = run(false, false, 0.0, n, p_real, 0.0, true, true);
-    if (thr.ops != serial.ops) {
-      std::fprintf(stderr, "parallel I/O count moved under threads at p=%u\n",
-                   p_real);
+    const std::string diffs = cgm::run_mismatches(serial.run, thr.run);
+    if (!diffs.empty()) {
+      std::fprintf(stderr,
+                   "threads moved a count at p=%u (serial != threaded): %s\n",
+                   p_real, diffs.c_str());
       return 1;
     }
     char label[64];
@@ -230,15 +223,15 @@ int main(int argc, char** argv) {
       " back costs on top (the rejoin handshake plus the re-balance"
       " hand-over) — output stays bit-identical to the clean run either"
       " way.\n",
-      static_cast<unsigned long long>(base.app_rounds));
+      static_cast<unsigned long long>(base.run.app_rounds));
   std::printf(
       "Membership history of the kill+rejoin row: %llu fail-over(s), %llu"
       " rejoin(s), %llu store-group migration(s), %llu bytes of commit-record"
       " catch-up over the wire.\n",
-      static_cast<unsigned long long>(membership_failovers),
-      static_cast<unsigned long long>(membership_rejoins),
-      static_cast<unsigned long long>(membership_migrations),
-      static_cast<unsigned long long>(membership_bytes));
+      static_cast<unsigned long long>(membership.failovers),
+      static_cast<unsigned long long>(membership.rejoins),
+      static_cast<unsigned long long>(membership.net.rebalance_migrations),
+      static_cast<unsigned long long>(membership.net.migration_bytes));
   write_json_report(json_path, {{"fault_overhead", t}});
   return 0;
 }

@@ -61,8 +61,9 @@ int main(int argc, char** argv) {
   // Thread-parallel host execution at fixed N: the same EM simulation run
   // with p real hosts over the simulated network with superstep
   // checkpointing, serial vs one worker per host. The counted parallel I/Os
-  // are per-host maxima of the same deterministic schedule, so the ops and
-  // wire columns must not move; the speedup column is
+  // are per-host maxima of the same deterministic schedule, so the run
+  // check must name nothing between the two (the bench exits 1 otherwise)
+  // and the ops and wire columns do not move; the speedup column is
   // wall(serial)/wall(threads) and exceeds 1 only with >= p cores to run
   // the hosts on. With --trace, the p=2 threaded run is traced (spans for
   // context/inbox/outbox I/O, compute, net rounds, commits — plus the
@@ -75,8 +76,7 @@ int main(int argc, char** argv) {
     auto keys = random_keys(42 + n, n);
     for (std::uint32_t p : {2u, 4u}) {
       double wall_serial = 0.0;
-      std::uint64_t ops_serial = 0;
-      std::uint64_t wire_serial = 0;
+      cgm::RunResult run_serial;
       std::vector<std::uint64_t> sorted_serial;
       for (bool threads : {false, true}) {
         auto cfg = standard_config(v, p, D, B);
@@ -94,15 +94,19 @@ int main(int argc, char** argv) {
         const auto rtx = em.total().net.retransmissions;
         if (!threads) {
           wall_serial = wall;
-          ops_serial = ops;
-          wire_serial = wire;
+          run_serial = em.total();
           sorted_serial = std::move(sorted);
           tt.row({fmt_u(p), "off", fmt(wall, 4), fmt_u(ops), fmt_u(wire),
                   fmt_u(rtx), "-"});
         } else {
-          if (sorted != sorted_serial || ops != ops_serial ||
-              wire != wire_serial) {
-            std::fprintf(stderr, "threaded run diverged at p=%u\n", p);
+          const std::string diffs =
+              cgm::run_mismatches(run_serial, em.total());
+          if (sorted != sorted_serial || !diffs.empty()) {
+            std::fprintf(stderr,
+                         "threaded run diverged at p=%u (outputs %s;"
+                         " serial != threaded: %s)\n",
+                         p, sorted == sorted_serial ? "equal" : "DIFFER",
+                         diffs.c_str());
             return 1;
           }
           tt.row({fmt_u(p), "on", fmt(wall, 4), fmt_u(ops), fmt_u(wire),

@@ -4,8 +4,8 @@
 //   1. Isolation: a four-tenant service run — mixed workloads, a multi-host
 //      sort, a late-arriving high-priority job that preempts the others at
 //      superstep barriers, and a seeded chaos campaign armed on one tenant —
-//      leaves every tenant's output hash, IoStats, NetStats and charged
-//      bytes bit-identical to the same job run alone on an empty pool.
+//      leaves every tenant passing the tenant check (svc::tenant_mismatches)
+//      against the same job run alone on an empty pool.
 //   2. Fair share: two equal-priority tenants with identical work may not
 //      slow each other down asymmetrically — the ratio of their service
 //      spans (admit..end ticks) stays under kFairnessBound; deficit
@@ -14,11 +14,11 @@
 //      time only — outputs and counted I/O stay bit-identical per depth.
 //   4. Parallel executor: four non-co-resident tenants (threads, async I/O
 //      and a targeted chaos campaign among them) swept over workers
-//      1/2/4/8 — every tenant's output hash, IoStats, NetStats and charged
-//      bytes bit-identical at every count to the same job run alone (hard
-//      gate), with the wall-time speedup reported and, when the machine has
-//      >= 4 cores, gated > 1.0x at workers=4 on the medians of five
-//      alternating runs of workers=1 and workers=4.
+//      1/2/4/8 — every tenant passes the tenant check at every count
+//      against the same job run alone (hard gate), with the wall-time
+//      speedup reported and, when the machine has >= 4 cores, gated > 1.0x
+//      at workers=4 on the medians of five alternating runs of workers=1
+//      and workers=4.
 //
 // Exit 2 on any gate failure, so CI can hold the line.
 #include <algorithm>
@@ -62,12 +62,6 @@ PoolConfig bench_pool() {
   p.disks_per_host = 8;
   p.block_bytes = 4096;
   return p;
-}
-
-bool identical_to_solo(const JobResult& svc, const JobResult& solo) {
-  return svc.ok == solo.ok && svc.output_hash == solo.output_hash &&
-         svc.supersteps == solo.supersteps && svc.io == solo.io &&
-         svc.net == solo.net && svc.charged_bytes == solo.charged_bytes;
 }
 
 }  // namespace
@@ -116,8 +110,9 @@ int main(int argc, char** argv) {
                    "wire bytes", "identical to solo"});
   for (std::size_t i = 0; i < results.size(); ++i) {
     const JobResult& r = results[i];
-    const JobResult solo = run_job_solo(sspec.jobs[i], sspec.service.pool);
-    const bool same = identical_to_solo(r, solo);
+    const std::string diffs =
+        tenant_mismatches(r, run_job_solo(sspec.jobs[i], sspec.service.pool));
+    const bool same = diffs.empty();
     svc_table.row({r.name, sspec.jobs[i].workload, r.ok ? "yes" : "no",
                    fmt_u(r.supersteps), fmt_u(r.preemptions),
                    fmt_u(r.admit_tick) + ".." + fmt_u(r.end_tick),
@@ -131,8 +126,8 @@ int main(int argc, char** argv) {
     if (!same) {
       std::fprintf(stderr,
                    "FAIL: tenant %s diverged from its solo run — the"
-                   " isolation contract is broken\n",
-                   r.name.c_str());
+                   " isolation contract is broken (service != solo): %s\n",
+                   r.name.c_str(), diffs.c_str());
       gate_ok = false;
     }
   }
@@ -211,8 +206,7 @@ int main(int argc, char** argv) {
 
   Table pf_table({"prefetch_depth", "wall s", "parallel I/Os", "blocks",
                   "output hash"});
-  std::uint64_t ref_hash = 0;
-  std::uint64_t ref_ops = 0;
+  JobResult ref;
   for (std::uint32_t depth : {1u, 2u, 4u, 8u}) {
     auto s = spec_of("pf", "sort", 65536, 33);
     s.io_threads = 2;
@@ -230,12 +224,13 @@ int main(int argc, char** argv) {
     pf_table.row({fmt_u(depth), wall_s, fmt_u(r.io.total_ops()),
                   fmt_u(r.io.total_blocks()), hash_s});
     if (depth == 1) {
-      ref_hash = r.output_hash;
-      ref_ops = r.io.total_ops();
-    } else if (r.output_hash != ref_hash || r.io.total_ops() != ref_ops) {
-      std::fprintf(stderr,
-                   "FAIL: prefetch_depth=%u changed outputs or counted"
-                   " I/O\n", depth);
+      ref = r;
+      continue;
+    }
+    const std::string diffs = tenant_mismatches(r, ref);
+    if (!diffs.empty()) {
+      std::fprintf(stderr, "FAIL: prefetch_depth=%u changed the job: %s\n",
+                   depth, diffs.c_str());
       gate_ok = false;
     }
   }
@@ -296,7 +291,7 @@ int main(int argc, char** argv) {
             .count());
     same.emplace(workers, true);
     for (std::size_t i = 0; i < rs.size(); ++i) {
-      if (!rs[i].ok || !identical_to_solo(rs[i], solo_ref[i])) {
+      if (!rs[i].ok || !tenant_mismatches(rs[i], solo_ref[i]).empty()) {
         same[workers] = false;
       }
     }

@@ -50,17 +50,9 @@ struct StepComm {
 struct CommStats {
   std::vector<StepComm> steps;  ///< one entry per physical comm superstep
 
-  std::uint64_t rounds() const { return steps.size(); }
-
   std::uint64_t total_bytes() const {
     std::uint64_t t = 0;
     for (const auto& s : steps) t += s.bytes;
-    return t;
-  }
-
-  std::uint64_t total_messages() const {
-    std::uint64_t t = 0;
-    for (const auto& s : steps) t += s.messages;
     return t;
   }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cgm/comm_stats.h"
@@ -24,9 +25,11 @@ class MetricsRegistry;
 namespace emcgm::cgm {
 
 /// One logical value distributed over the v virtual processors: parts[j] is
-/// virtual processor j's partition, as raw bytes.
+/// virtual processor j's partition, as raw bytes. Equal means bit-identical.
 struct PartitionSet {
   std::vector<std::vector<std::byte>> parts;
+
+  friend bool operator==(const PartitionSet&, const PartitionSet&) = default;
 };
 
 struct RunResult {
@@ -64,6 +67,20 @@ struct RunResult {
     return *this;
   }
 };
+
+/// The run check: names every deterministic field on which runs `a` and
+/// `b` disagree, joined by "; " — app_rounds, comm_steps, each comm.steps
+/// row, io, each io_per_step row, net, failovers and rejoins; never wall_s.
+/// A struct field is named ("io", "comm.steps[2]"), a count with both values
+/// ("app_rounds 3 != 4", "io_per_step rows 6 != 7"). Empty means the runs
+/// repeat, which is what every identity gate asserts (DESIGN.md §7).
+std::string run_mismatches(const RunResult& a, const RunResult& b);
+
+/// Appends one entry to a mismatch text in run_mismatches' format: `entry`
+/// itself unless it is empty, or "name a != b" when a != b.
+void note_mismatch(std::string& text, const std::string& entry);
+void note_mismatch(std::string& text, const std::string& name,
+                   std::uint64_t a, std::uint64_t b);
 
 class Engine {
  public:

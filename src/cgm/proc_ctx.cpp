@@ -7,7 +7,6 @@ namespace emcgm::cgm {
 void ProcCtx::send(std::uint32_t dst, std::vector<std::byte> payload) {
   EMCGM_CHECK_MSG(dst < nprocs_, "send to out-of-range processor " << dst);
   if (payload.empty()) return;
-  outbox_bytes_ += payload.size();
   // Multiple sends to the same destination within a superstep concatenate:
   // a CGM round delivers at most one logical message per (src, dst) pair,
   // which is what the fixed-slot disk layout of the EM engine relies on.
@@ -27,13 +26,11 @@ void ProcCtx::begin_superstep(std::uint64_t step,
   std::sort(inbox_.begin(), inbox_.end(),
             [](const Message& a, const Message& b) { return a.src < b.src; });
   outbox_.clear();
-  outbox_bytes_ = 0;
 }
 
 std::vector<Message> ProcCtx::take_outbox() {
   std::vector<Message> out = std::move(outbox_);
   outbox_.clear();
-  outbox_bytes_ = 0;
   return out;
 }
 

@@ -92,8 +92,6 @@ class ProcCtx {
     return bytes_to_vec<T>(input(k));
   }
 
-  std::size_t num_inputs() const { return inputs_.size(); }
-
   /// Output slot k (created on demand); collected by the engine when the
   /// program finishes.
   std::vector<std::byte>& output(std::size_t k = 0) {
@@ -124,8 +122,6 @@ class ProcCtx {
   const std::vector<std::vector<std::byte>>& outputs() const {
     return outputs_;
   }
-  /// Engine: bytes queued for sending so far this superstep.
-  std::size_t outbox_bytes() const { return outbox_bytes_; }
   /// Engine: resident footprint of inbox + outputs (for the M check).
   std::size_t resident_bytes() const;
 
@@ -138,7 +134,6 @@ class ProcCtx {
   std::vector<std::vector<std::byte>> outputs_;
   std::vector<Message> inbox_;
   std::vector<Message> outbox_;
-  std::size_t outbox_bytes_ = 0;
 };
 
 }  // namespace emcgm::cgm

@@ -80,19 +80,15 @@ struct ChaosConfig {
   /// bounded time. Only consulted when `invariants` is on.
   std::uint32_t watchdog_steps = 64;
 
-  /// Per-disk byte quota applied to every real processor's disks (0 =
-  /// unlimited). A materializing write past the quota raises a typed
-  /// IoError(kNoSpace); with checkpointing on, the run aborts gracefully to
-  /// the last committed boundary and EmEngine::resume() replays to
-  /// bit-identical output once the quota is raised or cleared
+  /// Per-disk byte quota of each real processor's disks: empty = no quota
+  /// anywhere, otherwise exactly p entries (0 = unlimited for that
+  /// processor), so a chaos plan can fill up *one* machine's disks without
+  /// touching the others. A materializing write past the quota raises a
+  /// typed IoError(kNoSpace); with checkpointing on, the run aborts
+  /// gracefully to the last committed boundary and EmEngine::resume()
+  /// replays to bit-identical output once the quota is raised or cleared
   /// (EmEngine::set_disk_quota_bytes). Counts physical bytes on the media,
   /// checksum envelope included.
-  std::uint64_t disk_quota_bytes = 0;
-
-  /// Per-real-processor quota overrides. Empty = every processor uses
-  /// `disk_quota_bytes`; otherwise exactly p entries (0 entries mean
-  /// unlimited for that processor). This is how a chaos plan fills up *one*
-  /// machine's disks without touching the others.
   std::vector<std::uint64_t> disk_quota_per_proc{};
 };
 

@@ -53,21 +53,12 @@ cgm::MachineConfig base_config(const FuzzMachine& m) {
   return cfg;
 }
 
-bool same_outputs(const std::vector<cgm::PartitionSet>& a,
-                  const std::vector<cgm::PartitionSet>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    if (a[k].parts != b[k].parts) return false;
-  }
-  return true;
-}
-
 FuzzOutcome classify_outputs(const std::vector<cgm::PartitionSet>& got,
                              const std::vector<cgm::PartitionSet>& ref,
                              FuzzStatus ok_status, const ChaosPlan& plan) {
   FuzzOutcome out;
   out.plan = plan;
-  if (same_outputs(got, ref)) {
+  if (got == ref) {
     out.status = ok_status;
   } else {
     out.status = FuzzStatus::kDivergence;

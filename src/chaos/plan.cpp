@@ -128,7 +128,7 @@ void ChaosPlan::apply(cgm::MachineConfig& cfg) const {
   for (const ChaosEvent& e : events) {
     if (e.kind != ChaosEvent::Kind::kDiskQuota) continue;
     if (cfg.chaos.disk_quota_per_proc.empty()) {
-      cfg.chaos.disk_quota_per_proc.assign(p, cfg.chaos.disk_quota_bytes);
+      cfg.chaos.disk_quota_per_proc.assign(p, 0);
     }
     cfg.chaos.disk_quota_per_proc[e.proc] = e.value;
   }

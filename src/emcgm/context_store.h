@@ -81,10 +81,6 @@ class ContextStore {
   /// since the previous flip.
   void flip();
 
-  /// Number of flips since construction; part of the commit record so that
-  /// recovery can verify it restored the epoch it committed.
-  std::uint64_t epoch() const { return epoch_; }
-
   /// Serialize the directory state (active side, cursors, extents) for a
   /// superstep commit record. The block data itself stays on disk.
   void save(WriteArchive& ar) const;
@@ -118,7 +114,7 @@ class ContextStore {
   std::uint32_t nlocal_;
   Region regions_[2];
   int active_ = 0;  ///< readable region; 1 - active_ is being written
-  std::uint64_t epoch_ = 0;
+  std::uint64_t epoch_ = 0;  ///< flips since construction; in save()'s record
   std::vector<std::optional<Prefetched>> prefetched_;  ///< per local vproc
 };
 

@@ -102,7 +102,7 @@ struct EmEngine::RealProc {
     // a write that would grow any of this machine's disks past the quota
     // raises a typed IoError(kNoSpace).
     const std::uint64_t quota = cfg.chaos.disk_quota_per_proc.empty()
-                                    ? cfg.chaos.disk_quota_bytes
+                                    ? 0
                                     : cfg.chaos.disk_quota_per_proc[index];
     if (quota != 0) disks->set_quota_bytes(quota);
     ckpt[0].emplace(space, cfg.disk.num_disks);

@@ -44,7 +44,6 @@ class MetricsRegistry {
  public:
   void record(SuperstepMetrics m) { steps_.push_back(std::move(m)); }
   const std::vector<SuperstepMetrics>& steps() const { return steps_; }
-  void clear() { steps_.clear(); }
 
   /// Flatten one row's counters into ("io.read_ops", value) pairs — the
   /// unified label space shared by the JSON exporter and bench_util.

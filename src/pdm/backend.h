@@ -61,7 +61,6 @@ class StorageBackend {
   /// the media, i.e. the *physical* block size (checksum envelope included).
   /// Decorators (FaultInjectingBackend) forward to the innermost store.
   virtual void set_disk_quota_bytes(std::uint64_t quota) { quota_ = quota; }
-  virtual std::uint64_t disk_quota_bytes() const { return quota_; }
 
   const DiskGeometry& geometry() const { return geom_; }
 

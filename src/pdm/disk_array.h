@@ -146,7 +146,6 @@ class DiskArray {
     drain();
     backend_->set_disk_quota_bytes(quota);
   }
-  std::uint64_t quota_bytes() const { return backend_->disk_quota_bytes(); }
 
   /// Flush every completed write to durable storage (backend fsync; no-op
   /// for MemoryBackend). Counted in stats().fsyncs either way, so tests can

@@ -121,9 +121,6 @@ class FaultInjectingBackend final : public StorageBackend {
   void set_disk_quota_bytes(std::uint64_t quota) override {
     inner_->set_disk_quota_bytes(quota);
   }
-  std::uint64_t disk_quota_bytes() const override {
-    return inner_->disk_quota_bytes();
-  }
 
   const FaultPlan& plan() const { return plan_; }
 

@@ -232,4 +232,26 @@ JobResult run_job_solo(JobSpec spec, const PoolConfig& pool, bool trace) {
   return svc.run_all().at(0);
 }
 
+std::string tenant_mismatches(const JobResult& tenant, const JobResult& solo) {
+  std::string out;
+  cgm::note_mismatch(out, "ok", tenant.ok, solo.ok);
+  if (tenant.error != solo.error) cgm::note_mismatch(out, "error");
+  cgm::note_mismatch(out, "output_hash", tenant.output_hash, solo.output_hash);
+  cgm::note_mismatch(out, "supersteps", tenant.supersteps, solo.supersteps);
+  cgm::note_mismatch(out, "charged_bytes", tenant.charged_bytes,
+                     solo.charged_bytes);
+  // The engine totals are a RunResult's; the run check names those.
+  auto run_of = [](const JobResult& r) {
+    cgm::RunResult run;
+    run.app_rounds = r.app_rounds;
+    run.io = r.io;
+    run.net = r.net;
+    run.failovers = r.failovers;
+    run.rejoins = r.rejoins;
+    return run;
+  };
+  cgm::note_mismatch(out, cgm::run_mismatches(run_of(tenant), run_of(solo)));
+  return out;
+}
+
 }  // namespace emcgm::svc

@@ -131,4 +131,11 @@ class JobService {
 JobResult run_job_solo(JobSpec spec, const PoolConfig& pool,
                        bool trace = false);
 
+/// The tenant check: names every field on which a tenant's service result
+/// and its solo run disagree, in the format of cgm::run_mismatches — ok,
+/// error, output_hash, supersteps, charged_bytes, app_rounds, failovers,
+/// rejoins, io and net; never the name, ticks or preemptions, which the
+/// service's schedule sets. Empty means the tenant was isolated.
+std::string tenant_mismatches(const JobResult& tenant, const JobResult& solo);
+
 }  // namespace emcgm::svc

@@ -56,15 +56,6 @@ std::vector<cgm::PartitionSet> keyed_inputs(std::uint32_t v, std::size_t n) {
   return inputs;
 }
 
-bool same_outputs(const std::vector<cgm::PartitionSet>& a,
-                  const std::vector<cgm::PartitionSet>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    if (a[k].parts != b[k].parts) return false;
-  }
-  return true;
-}
-
 /// The fuzzer's machine config, reproduced for tests that need direct
 /// engine access (run_plan does not expose every chaos knob).
 cgm::MachineConfig fuzz_style_config(std::uint32_t p) {
@@ -161,7 +152,8 @@ TEST(NoSpace, EngineAbortsTypedAndResumesBitIdentical) {
   ASSERT_GT(per_disk, 2u);
 
   auto qcfg = cfg;
-  qcfg.chaos.disk_quota_bytes = (per_disk - 1) * cfg.disk.block_bytes;
+  qcfg.chaos.disk_quota_per_proc.assign(cfg.p,
+                                        (per_disk - 1) * cfg.disk.block_bytes);
   em::EmEngine e(qcfg);
   bool aborted = false;
   try {
@@ -175,7 +167,7 @@ TEST(NoSpace, EngineAbortsTypedAndResumesBitIdentical) {
       << "a one-track squeeze must abort after the first commit";
   e.set_disk_quota_bytes(0, 0);  // space freed
   const auto got = e.resume(prog);
-  EXPECT_TRUE(same_outputs(expected, got));
+  EXPECT_TRUE(expected == got);
 }
 
 TEST(NoSpace, QuotaWindowClassifiesAcrossTheFootprint) {
@@ -215,14 +207,14 @@ TEST(Watchdog, NeverFiresOnCleanRuns) {
   auto armed = cfg;
   armed.chaos.invariants = true;
   em::EmEngine a(armed);
-  EXPECT_TRUE(same_outputs(expected, a.run(prog, inputs)));
+  EXPECT_TRUE(expected == a.run(prog, inputs));
 
   auto storm = armed;
   storm.fault.seed = 99;
   storm.fault.transient_read_prob = 0.02;
   storm.fault.transient_write_prob = 0.02;
   em::EmEngine s(storm);
-  EXPECT_TRUE(same_outputs(expected, s.run(prog, inputs)));
+  EXPECT_TRUE(expected == s.run(prog, inputs));
 }
 
 TEST(Watchdog, SurvivesFailoverReplayAtDefaultThreshold) {
@@ -240,7 +232,7 @@ TEST(Watchdog, SurvivesFailoverReplayAtDefaultThreshold) {
   kill.net.failover = true;
   kill.net.fault.fail_stops = {{1, 3}};
   em::EmEngine e(kill);
-  EXPECT_TRUE(same_outputs(expected, e.run(prog, inputs)));
+  EXPECT_TRUE(expected == e.run(prog, inputs));
 }
 
 TEST(Watchdog, FiresTypedWhenThresholdBelowReplayDepth) {

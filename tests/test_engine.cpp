@@ -13,6 +13,7 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "algo/sort.h"
 #include "cgm/machine.h"
@@ -427,13 +428,13 @@ TEST(EmEngine, FileBackendMatchesMemoryBackend) {
   cfg.file_dir = "/tmp/emcgm_engine_test";
   cgm::Machine file(cgm::EngineKind::kEm, cfg);
   EXPECT_EQ(algo::sort_keys(mem, keys), algo::sort_keys(file, keys));
-  EXPECT_EQ(mem.total().io.total_ops(), file.total().io.total_ops());
+  EXPECT_EQ(cgm::run_mismatches(mem.total(), file.total()), "");
 }
 
 TEST(EmEngine, ThreadedMatchesSequential) {
   // use_threads must be invisible in every counted number, not just the
-  // output: identical IoStats and identical per-step StepComm between modes,
-  // with and without the simulated network.
+  // output: the run check names nothing between modes, with and without
+  // the simulated network.
   auto keys = random_keys(6, 4000);
   for (std::uint32_t p : {2u, 4u}) {
     for (bool net : {false, true}) {
@@ -446,14 +447,7 @@ TEST(EmEngine, ThreadedMatchesSequential) {
       cgm::Machine thr(cgm::EngineKind::kEm, cfg);
       EXPECT_EQ(algo::sort_keys(seq, keys), algo::sort_keys(thr, keys))
           << "p=" << p << " net=" << net;
-      EXPECT_EQ(seq.total().io, thr.total().io) << "p=" << p << " net=" << net;
-      const auto& sc = seq.last_result().comm.steps;
-      const auto& tc = thr.last_result().comm.steps;
-      ASSERT_EQ(sc.size(), tc.size()) << "p=" << p << " net=" << net;
-      for (std::size_t i = 0; i < sc.size(); ++i) {
-        EXPECT_EQ(sc[i], tc[i]) << "p=" << p << " net=" << net << " step " << i;
-      }
-      EXPECT_EQ(seq.last_result().net, thr.last_result().net)
+      EXPECT_EQ(cgm::run_mismatches(seq.total(), thr.total()), "")
           << "p=" << p << " net=" << net;
     }
   }
@@ -591,10 +585,9 @@ TEST(Equivalence, SortAllConfigsAgree) {
             cfg.staggered_slot_bytes = 1 << 16;
           }
           // p > 1 configs also sweep the threaded driver; both modes must
-          // agree with the native engine and with each other on every
-          // counted I/O and communication total.
-          std::optional<pdm::IoStats> serial_io;
-          std::optional<std::uint64_t> serial_comm;
+          // agree with the native engine, and the run check must name
+          // nothing between them.
+          std::optional<cgm::RunResult> serial;
           for (bool threads : {false, true}) {
             if (threads && p == 1) continue;
             cfg.use_threads = threads;
@@ -603,12 +596,9 @@ TEST(Equivalence, SortAllConfigsAgree) {
                 << "v=" << c.v << " balanced=" << balanced << " p=" << p
                 << " threads=" << threads;
             if (!threads) {
-              serial_io = m.total().io;
-              serial_comm = m.total().comm.total_bytes();
+              serial = m.total();
             } else {
-              EXPECT_EQ(m.total().io, *serial_io)
-                  << "v=" << c.v << " balanced=" << balanced << " p=" << p;
-              EXPECT_EQ(m.total().comm.total_bytes(), *serial_comm)
+              EXPECT_EQ(cgm::run_mismatches(*serial, m.total()), "")
                   << "v=" << c.v << " balanced=" << balanced << " p=" << p;
             }
           }
@@ -648,4 +638,35 @@ TEST(Equivalence, SingleCopyMatrixAgrees) {
   cfg.single_copy_matrix = true;
   cgm::Machine single(cgm::EngineKind::kEm, cfg);
   EXPECT_EQ(algo::sort_keys(dbl, keys), algo::sort_keys(single, keys));
+}
+
+TEST(RunCheck, NamesEachPlantedDifferenceAndNeverWallTime) {
+  cgm::RunResult base;
+  base.comm.steps.resize(2);
+  base.io_per_step.resize(3);
+  const std::pair<void (*)(cgm::RunResult&), const char*> cases[] = {
+      {[](cgm::RunResult& r) { r.io.fsyncs = 7; }, "io"},
+      {[](cgm::RunResult& r) { r.io_per_step[1].blocks_read = 4; },
+       "io_per_step[1]"},
+      {[](cgm::RunResult& r) { r.io_per_step.pop_back(); },
+       "io_per_step rows 3 != 2"},
+      {[](cgm::RunResult& r) { r.comm.steps[1].wire_bytes = 9; },
+       "comm.steps[1]"},
+      {[](cgm::RunResult& r) { r.comm_steps = 2; }, "comm_steps 0 != 2"},
+      {[](cgm::RunResult& r) { r.net.heartbeats_sent = 3; }, "net"},
+      {[](cgm::RunResult& r) { r.app_rounds = 5; }, "app_rounds 0 != 5"},
+      {[](cgm::RunResult& r) { r.failovers = 1; }, "failovers 0 != 1"},
+      {[](cgm::RunResult& r) { r.rejoins = 1; }, "rejoins 0 != 1"},
+      {[](cgm::RunResult& r) {
+         r.app_rounds = 1;
+         r.net.migration_bytes = 64;
+       },
+       "app_rounds 0 != 1; net"},
+      {[](cgm::RunResult& r) { r.wall_s = 1.5; }, ""},
+  };
+  for (const auto& [plant, want] : cases) {
+    cgm::RunResult r = base;
+    plant(r);
+    EXPECT_EQ(cgm::run_mismatches(base, r), want);
+  }
 }

@@ -370,15 +370,6 @@ std::vector<cgm::PartitionSet> keyed_inputs(std::uint32_t v,
   return inputs;
 }
 
-bool same_outputs(const std::vector<cgm::PartitionSet>& a,
-                  const std::vector<cgm::PartitionSet>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    if (a[k].parts != b[k].parts) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 TEST(Checkpoint, CheckpointingDoesNotChangeResults) {
@@ -393,7 +384,7 @@ TEST(Checkpoint, CheckpointingDoesNotChangeResults) {
 
   em::EmEngine ckpt(ckpt_cfg());
   const auto got = ckpt.run(prog, keyed_inputs(4, keys));
-  EXPECT_TRUE(same_outputs(expected, got));
+  EXPECT_TRUE(expected == got);
   EXPECT_TRUE(ckpt.has_checkpoint());
 }
 
@@ -435,24 +426,18 @@ TEST_P(CheckpointSweep, ResumeAfterEverySuperstepBoundary) {
   // Every commit was made durable before being declared committed.
   EXPECT_EQ(ref.io_stats(0).fsyncs, ref.last_result().io_per_step.size());
 
-  // Cross-mode identity: the async executor must be invisible — outputs,
-  // totals, and the per-superstep I/O trace all bit-identical to the serial
-  // path on the same backend.
+  // Cross-mode identity: the async executor must be invisible — outputs
+  // and the disk array's totals bit-identical to the serial path on the
+  // same backend, and the run check naming nothing.
   if (std::get<1>(GetParam()) != 0) {
     auto serial_cfg = sweep_cfg();
     serial_cfg.io_threads = 0;
     em::EmEngine serial(serial_cfg);
     const auto serial_out = serial.run(prog, keyed_inputs(4, keys));
-    EXPECT_TRUE(same_outputs(serial_out, expected));
+    EXPECT_TRUE(serial_out == expected);
     EXPECT_EQ(serial.io_stats(0), ref.io_stats(0));
-    ASSERT_EQ(serial.last_result().io_per_step.size(),
-              ref.last_result().io_per_step.size());
-    for (std::size_t i = 0; i < serial.last_result().io_per_step.size();
-         ++i) {
-      EXPECT_EQ(serial.last_result().io_per_step[i],
-                ref.last_result().io_per_step[i])
-          << "superstep " << i;
-    }
+    EXPECT_EQ(cgm::run_mismatches(serial.last_result(), ref.last_result()),
+              "");
   }
 
   std::vector<std::uint64_t> crash_points;
@@ -481,15 +466,15 @@ TEST_P(CheckpointSweep, ResumeAfterEverySuperstepBoundary) {
       crashed = true;
     }
     if (!crashed) {
-      EXPECT_TRUE(same_outputs(expected, got)) << "K=" << K;
+      EXPECT_TRUE(expected == got) << "K=" << K;
       continue;
     }
     if (!e.has_checkpoint()) continue;  // died before the first commit
     e.disarm_faults();
     got = e.resume(prog);
     ++resumed;
-    // Bit-identical: same_outputs compares every partition byte for byte.
-    EXPECT_TRUE(same_outputs(expected, got)) << "resumed from K=" << K;
+    // Bit-identical: == compares every partition byte for byte.
+    EXPECT_TRUE(expected == got) << "resumed from K=" << K;
   }
   // The sweep must actually have exercised recovery, at several boundaries.
   EXPECT_GE(resumed, 8);
@@ -531,7 +516,7 @@ TEST(Checkpoint, ResumeWithBalancedRoutingAndStaggeredMatrix) {
   ASSERT_TRUE(e.has_checkpoint());
   e.disarm_faults();
   const auto got = e.resume(prog);
-  EXPECT_TRUE(same_outputs(expected, got));
+  EXPECT_TRUE(expected == got);
 }
 
 TEST(Checkpoint, ResumeWithMultipleRealProcessors) {
@@ -542,7 +527,7 @@ TEST(Checkpoint, ResumeWithMultipleRealProcessors) {
   algo::SampleSortProgram<std::uint64_t> prog;
 
   std::vector<cgm::PartitionSet> serial_expected;
-  std::uint64_t serial_ops = 0;
+  cgm::RunResult serial_run;
   for (bool threads : {false, true}) {
     auto cfg = ckpt_cfg();
     cfg.p = 2;
@@ -552,10 +537,10 @@ TEST(Checkpoint, ResumeWithMultipleRealProcessors) {
     const auto expected = ref.run(prog, keyed_inputs(4, keys));
     if (!threads) {
       serial_expected = expected;
-      serial_ops = ref.last_result().io.total_ops();
+      serial_run = ref.last_result();
     } else {
-      EXPECT_TRUE(same_outputs(serial_expected, expected));
-      EXPECT_EQ(ref.last_result().io.total_ops(), serial_ops);
+      EXPECT_TRUE(serial_expected == expected);
+      EXPECT_EQ(cgm::run_mismatches(serial_run, ref.last_result()), "");
     }
 
     std::uint64_t cum = 0;
@@ -576,7 +561,7 @@ TEST(Checkpoint, ResumeWithMultipleRealProcessors) {
       if (!crashed || !e.has_checkpoint()) continue;
       e.disarm_faults();
       const auto got = e.resume(prog);
-      EXPECT_TRUE(same_outputs(expected, got))
+      EXPECT_TRUE(expected == got)
           << "boundary " << i << " threads=" << threads;
     }
   }
@@ -609,7 +594,7 @@ TEST(Checkpoint, ResumeOnFileBackend) {
   ASSERT_TRUE(e.has_checkpoint());
   e.disarm_faults();
   const auto got = e.resume(prog);
-  EXPECT_TRUE(same_outputs(expected, got));
+  EXPECT_TRUE(expected == got);
 }
 
 TEST(Checkpoint, TransientFaultsDuringSortAreAbsorbedByRetries) {
@@ -627,7 +612,7 @@ TEST(Checkpoint, TransientFaultsDuringSortAreAbsorbedByRetries) {
 
   em::EmEngine faulty(cfg);
   const auto got = faulty.run(prog, keyed_inputs(4, keys));
-  EXPECT_TRUE(same_outputs(expected, got));
+  EXPECT_TRUE(expected == got);
   EXPECT_GT(faulty.io_stats(0).retries, 0u);
 }
 
@@ -736,9 +721,10 @@ TEST(MembershipSweep, KillRejoinKillBitIdenticalAcrossModes) {
   // mid-run, rejoins three supersteps later, and proc 2 dies after that.
   // Every (use_threads, io_threads) mode must complete with output
   // bit-identical to the clean run, and the whole membership history —
-  // fail-over and rejoin counts, epoch, per-step wire and I/O accounting —
-  // must be bit-identical across the modes themselves: the epoch-keyed
-  // fault-coin streams make kill -> rejoin -> kill execution-order free.
+  // the epoch, and every field of the run check (fail-over and rejoin
+  // counts, per-step wire and I/O accounting) — must repeat across the
+  // modes themselves: the epoch-keyed fault-coin streams make kill ->
+  // rejoin -> kill execution-order free.
   const auto keys = sort_keys_input(2000);
   algo::SampleSortProgram<std::uint64_t> prog;
 
@@ -759,11 +745,9 @@ TEST(MembershipSweep, KillRejoinKillBitIdenticalAcrossModes) {
 
   struct Probe {
     std::vector<cgm::PartitionSet> out;
-    std::uint64_t failovers = 0, rejoins = 0, epoch = 0;
+    cgm::RunResult run;
+    std::uint64_t epoch = 0;
     bool returner_alive = false;
-    net::NetStats net;
-    std::vector<pdm::IoStats> io_per_step;
-    std::vector<cgm::StepComm> comm;
   };
   auto run_mode = [&](bool threads, std::uint32_t io_threads) {
     auto cfg = base_cfg(threads, io_threads);
@@ -773,14 +757,9 @@ TEST(MembershipSweep, KillRejoinKillBitIdenticalAcrossModes) {
     em::EmEngine e(cfg);
     Probe pr;
     pr.out = e.run(prog, keyed_inputs(8, keys));
-    const auto& r = e.last_result();
-    pr.failovers = r.failovers;
-    pr.rejoins = r.rejoins;
+    pr.run = e.last_result();
     pr.epoch = e.membership_epoch();
     pr.returner_alive = e.alive(1);
-    pr.net = r.net;
-    pr.io_per_step = r.io_per_step;
-    pr.comm = r.comm.steps;
     return pr;
   };
 
@@ -791,9 +770,9 @@ TEST(MembershipSweep, KillRejoinKillBitIdenticalAcrossModes) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " io_threads=" + std::to_string(io_threads));
       auto pr = run_mode(threads, io_threads);
-      EXPECT_TRUE(same_outputs(expected, pr.out));
-      EXPECT_GE(pr.failovers, 1u);
-      EXPECT_EQ(pr.rejoins, 1u);
+      EXPECT_TRUE(expected == pr.out);
+      EXPECT_GE(pr.run.failovers, 1u);
+      EXPECT_EQ(pr.run.rejoins, 1u);
       EXPECT_TRUE(pr.returner_alive);
       EXPECT_GE(pr.epoch, 2u);  // at least the death and the rejoin
       if (!have_base) {
@@ -801,12 +780,8 @@ TEST(MembershipSweep, KillRejoinKillBitIdenticalAcrossModes) {
         have_base = true;
         continue;
       }
-      EXPECT_EQ(pr.failovers, base.failovers);
-      EXPECT_EQ(pr.rejoins, base.rejoins);
+      EXPECT_EQ(cgm::run_mismatches(base.run, pr.run), "");
       EXPECT_EQ(pr.epoch, base.epoch);
-      EXPECT_EQ(pr.net, base.net);
-      EXPECT_EQ(pr.io_per_step, base.io_per_step);
-      EXPECT_EQ(pr.comm, base.comm);
     }
   }
 }
@@ -870,7 +845,7 @@ TEST(ScheduleWipeOut, DiskCrashWipeOutResumesBitIdenticalUnderEverySchedule) {
       EXPECT_EQ(e.group_host(1), 1u);
       e.disarm_faults();
       const auto got = e.resume(prog);
-      EXPECT_TRUE(same_outputs(expected, got)) << "boundary " << i;
+      EXPECT_TRUE(expected == got) << "boundary " << i;
       ++wiped;
     }
     EXPECT_GE(wiped, 1u) << "sweep never produced a total wipe-out";

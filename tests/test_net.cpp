@@ -42,15 +42,6 @@ std::vector<cgm::PartitionSet> sort_inputs(std::uint32_t v,
   return inputs;
 }
 
-bool same_outputs(const std::vector<cgm::PartitionSet>& a,
-                  const std::vector<cgm::PartitionSet>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].parts != b[i].parts) return false;
-  }
-  return true;
-}
-
 cgm::MachineConfig net_cfg(std::uint32_t v, std::uint32_t p,
                            bool threads = false) {
   cgm::MachineConfig cfg;
@@ -366,19 +357,19 @@ TEST(NetEngine, LossySweepDeliversIdenticalPayload) {
   ASSERT_GT(direct_bytes, 0u);
   EXPECT_EQ(direct.last_result().net.wire_bytes, 0u);
 
-  // The whole sweep runs serial and threaded; every NetStats must be
-  // bit-identical between the two modes (the wire protocol cannot tell who
-  // drove it — see sim_network.h on pair decomposition).
-  std::vector<net::NetStats> serial_stats;
+  // The whole sweep runs serial and threaded; the run check must name
+  // nothing between the two modes (the wire protocol cannot tell who drove
+  // it — see sim_network.h on pair decomposition).
+  std::vector<cgm::RunResult> serial_runs;
   for (bool threads : {false, true}) {
     // Baseline 2: clean simulated network.
     em::EmEngine clean(net_cfg(8, 2, threads));
-    EXPECT_TRUE(same_outputs(expected, clean.run(prog, sort_inputs(8, keys))));
+    EXPECT_TRUE(expected == clean.run(prog, sort_inputs(8, keys)));
     EXPECT_EQ(clean.last_result().comm.total_bytes(), direct_bytes);
     EXPECT_EQ(clean.last_result().net.retransmissions, 0u);
     EXPECT_GT(clean.last_result().net.wire_bytes, 0u);
-    std::vector<net::NetStats> stats;
-    stats.push_back(clean.last_result().net);
+    std::vector<cgm::RunResult> runs;
+    runs.push_back(clean.last_result());
 
     // Lossy sweep up to 10%: the application-visible numbers must not move.
     std::uint64_t faults_fired = 0, retransmitted = 0;
@@ -391,17 +382,17 @@ TEST(NetEngine, LossySweepDeliversIdenticalPayload) {
       cfg.net.fault.reorder_prob = loss;
       cfg.net.retry.max_attempts = 16;
       em::EmEngine e(cfg);
-      EXPECT_TRUE(same_outputs(expected, e.run(prog, sort_inputs(8, keys))))
+      EXPECT_TRUE(expected == e.run(prog, sort_inputs(8, keys)))
           << "loss " << loss << " threads " << threads;
       const auto& res = e.last_result();
       // Delivered payload accounting is transport-independent...
       EXPECT_EQ(res.comm.total_bytes(), direct_bytes) << "loss " << loss;
       // ...and a faulty wire only ever does more work, never less.
-      EXPECT_GE(res.net.wire_bytes, stats[0].wire_bytes) << "loss " << loss;
+      EXPECT_GE(res.net.wire_bytes, runs[0].net.wire_bytes) << "loss " << loss;
       faults_fired += res.net.dropped + res.net.corrupted +
                       res.net.duplicated + res.net.reordered;
       retransmitted += res.net.retransmissions;
-      stats.push_back(res.net);
+      runs.push_back(res);
     }
     // Individual loss rates may get lucky on a short run; the sweep as a
     // whole must have exercised both the faults and the recovery.
@@ -409,18 +400,19 @@ TEST(NetEngine, LossySweepDeliversIdenticalPayload) {
     EXPECT_GT(retransmitted, 0u);
 
     if (!threads) {
-      serial_stats = std::move(stats);
+      serial_runs = std::move(runs);
     } else {
-      ASSERT_EQ(stats.size(), serial_stats.size());
-      for (std::size_t i = 0; i < stats.size(); ++i) {
-        EXPECT_EQ(stats[i], serial_stats[i]) << "config " << i;
+      ASSERT_EQ(runs.size(), serial_runs.size());
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(cgm::run_mismatches(serial_runs[i], runs[i]), "")
+            << "config " << i;
       }
     }
   }
 }
 
 TEST(NetEngine, PerStepWireAccountingSumsToNetStats) {
-  net::NetStats serial_net;
+  cgm::RunResult serial;
   for (bool threads : {false, true}) {
     auto cfg = net_cfg(8, 2, threads);
     cfg.net.fault.seed = 11;
@@ -439,10 +431,10 @@ TEST(NetEngine, PerStepWireAccountingSumsToNetStats) {
     EXPECT_EQ(rtx, res.net.retransmissions);
     EXPECT_GT(res.net.wire_bytes, res.net.delivered_payload_bytes);
     if (!threads) {
-      serial_net = res.net;
+      serial = res;
     } else {
       // Per-step attribution survives concurrent delivery unchanged.
-      EXPECT_EQ(res.net, serial_net);
+      EXPECT_EQ(cgm::run_mismatches(serial, res), "");
     }
   }
 }
@@ -452,10 +444,10 @@ TEST(NetEngine, PerStepWireAccountingSumsToNetStats) {
 namespace {
 
 /// Run the sort with real processor `victim` fail-stopping at physical
-/// superstep `step`; returns outputs + whether a fail-over actually fired.
+/// superstep `step`; returns outputs + the run's statistics.
 struct KillRun {
   std::vector<cgm::PartitionSet> out;
-  std::uint64_t failovers = 0;
+  cgm::RunResult run;
 };
 
 KillRun run_with_kill(std::uint32_t v, std::uint32_t p,
@@ -469,8 +461,8 @@ KillRun run_with_kill(std::uint32_t v, std::uint32_t p,
   algo::SampleSortProgram<std::uint64_t> prog;
   KillRun r;
   r.out = e.run(prog, sort_inputs(v, keys));
-  r.failovers = e.last_result().failovers;
-  if (r.failovers > 0) {
+  r.run = e.last_result();
+  if (r.run.failovers > 0) {
     EXPECT_FALSE(e.alive(victim));
     // The victim's store group moved to a live survivor; disks stayed put.
     EXPECT_NE(e.group_host(victim), victim);
@@ -505,8 +497,8 @@ TEST(NetFailover, SmokeKillOneProcessor) {
 
   for (bool threads : {false, true}) {
     const auto got = run_with_kill(8, 2, keys, 1, 2, threads);
-    EXPECT_GE(got.failovers, 1u);
-    EXPECT_TRUE(same_outputs(expected, got.out)) << "threads " << threads;
+    EXPECT_GE(got.run.failovers, 1u);
+    EXPECT_TRUE(expected == got.out) << "threads " << threads;
   }
 }
 
@@ -530,16 +522,17 @@ TEST(NetFailover, KillSweepEveryProcEveryStep) {
       // never speaks), `steps + 1` never triggers: the late-kill control.
       for (std::uint64_t step = 0; step <= steps + 1; ++step) {
         const auto got = run_with_kill(8, p, keys, victim, step);
-        EXPECT_TRUE(same_outputs(expected, got.out))
+        EXPECT_TRUE(expected == got.out)
             << "p=" << p << " victim=" << victim << " step=" << step;
-        fired += got.failovers;
-        // Threaded replay of the same kill: identical outputs AND the
-        // fail-over fires at exactly the same point (same count) — the
-        // death/retry/replay schedule is execution-order independent.
+        fired += got.run.failovers;
+        // Threaded replay of the same kill: identical outputs, and the run
+        // check names nothing (the fail-over fires at exactly the same
+        // point) — the death/retry/replay schedule is execution-order
+        // independent.
         const auto thr = run_with_kill(8, p, keys, victim, step, true);
-        EXPECT_TRUE(same_outputs(expected, thr.out))
+        EXPECT_TRUE(expected == thr.out)
             << "threaded p=" << p << " victim=" << victim << " step=" << step;
-        EXPECT_EQ(thr.failovers, got.failovers)
+        EXPECT_EQ(cgm::run_mismatches(got.run, thr.run), "")
             << "p=" << p << " victim=" << victim << " step=" << step;
       }
     }
@@ -572,10 +565,12 @@ TEST(NetFailover, DiskCrashBetweenBoundariesIsAdopted) {
       em::EmEngine e(cfg);
       try {
         const auto got = e.run(prog, sort_inputs(8, keys));
-        EXPECT_TRUE(same_outputs(expected, got))
+        EXPECT_TRUE(expected == got)
             << "K=" << K << " threads=" << threads;
         fired += e.last_result().failovers;
-        if (e.last_result().failovers > 0) EXPECT_FALSE(e.alive(1));
+        if (e.last_result().failovers > 0) {
+          EXPECT_FALSE(e.alive(1));
+        }
       } catch (const IoError& err) {
         // Only a death before the first commit may escape: no consistent
         // state exists yet, so fail-over has nothing to restart from.
@@ -614,7 +609,7 @@ TEST(NetFailover, PerHostFileRootsKillSweep) {
   // subtree actually materialized on disk.
   {
     em::EmEngine e(fresh_cfg(false));
-    EXPECT_TRUE(same_outputs(expected, e.run(prog, sort_inputs(8, keys))));
+    EXPECT_TRUE(expected == e.run(prog, sort_inputs(8, keys)));
     for (const auto& r : roots) {
       EXPECT_TRUE(std::filesystem::exists(r)) << r;
     }
@@ -631,7 +626,7 @@ TEST(NetFailover, PerHostFileRootsKillSweep) {
       cfg.net.fault.fail_stops = {{1, step}};
       em::EmEngine e(cfg);
       const auto got = e.run(prog, sort_inputs(8, keys));
-      EXPECT_TRUE(same_outputs(expected, got))
+      EXPECT_TRUE(expected == got)
           << "step=" << step << " threads=" << threads;
       fired += e.last_result().failovers;
     }
@@ -793,7 +788,7 @@ TEST(Rejoin, RacingSecondDeathYieldsToFailover) {
   em::EmEngine ref(net_cfg(8, 4));
   const auto expected = ref.run(prog, sort_inputs(8, keys));
 
-  std::uint64_t serial_failovers = 0, serial_rejoins = 0;
+  cgm::RunResult serial;
   for (bool threads : {false, true}) {
     auto cfg = net_cfg(8, 4, threads);
     cfg.net.failover = true;
@@ -801,17 +796,15 @@ TEST(Rejoin, RacingSecondDeathYieldsToFailover) {
     cfg.net.fault.rejoins = {{1, 4}};
     em::EmEngine e(cfg);
     const auto got = e.run(prog, sort_inputs(8, keys));
-    EXPECT_TRUE(same_outputs(expected, got)) << "threads " << threads;
+    EXPECT_TRUE(expected == got) << "threads " << threads;
     EXPECT_GE(e.last_result().failovers, 2u);
     EXPECT_EQ(e.last_result().rejoins, 1u);
     EXPECT_TRUE(e.alive(1));
     EXPECT_FALSE(e.alive(2));
     if (!threads) {
-      serial_failovers = e.last_result().failovers;
-      serial_rejoins = e.last_result().rejoins;
+      serial = e.last_result();
     } else {
-      EXPECT_EQ(e.last_result().failovers, serial_failovers);
-      EXPECT_EQ(e.last_result().rejoins, serial_rejoins);
+      EXPECT_EQ(cgm::run_mismatches(serial, e.last_result()), "");
     }
   }
 }
@@ -833,7 +826,7 @@ TEST(Rebalance, GreedySpreadAfterSequentialKills) {
   cfg.net.fault.fail_stops = {{3, 2}, {1, 4}};
   em::EmEngine e(cfg);
   const auto got = e.run(prog, sort_inputs(8, keys));
-  EXPECT_TRUE(same_outputs(expected, got));
+  EXPECT_TRUE(expected == got);
   ASSERT_EQ(e.last_result().failovers, 2u);
   // Live homes kept their groups; the orphans spread over both survivors:
   // g1 to the least-loaded lowest host (0), then g3 to host 2.
@@ -867,7 +860,7 @@ TEST(Membership, KillThenRejoinTakesGroupsHome) {
     cfg.net.fault.rejoins = {{1, 5}};
     em::EmEngine e(cfg);
     const auto got = e.run(prog, sort_inputs(8, keys));
-    EXPECT_TRUE(same_outputs(expected, got)) << "threads " << threads;
+    EXPECT_TRUE(expected == got) << "threads " << threads;
     ASSERT_EQ(e.last_result().failovers, 1u);
     ASSERT_EQ(e.last_result().rejoins, 1u);
     // The returner is back with its own group home again.

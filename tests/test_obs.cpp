@@ -1,10 +1,10 @@
 // Observability subsystem: the two hard guarantees and the exporters.
 //
 //  * Zero-interference: with obs.trace off (the default) the engines hold
-//    no tracer at all; with it on, outputs and every statistic counter —
-//    IoStats, per-step IoStats, StepComm, NetStats, failovers — are
-//    bit-identical to the untraced run, across p and threading modes. The
-//    trace observes the schedule; it must never perturb it.
+//    no tracer at all; with it on, the outputs are bit-identical to the
+//    untraced run and the run check (cgm::run_mismatches) names nothing,
+//    across p and threading modes. The trace observes the schedule; it must
+//    never perturb it.
 //  * Structural determinism: the merged span structure (kinds, coordinates,
 //    nesting, aux payloads, I/O deltas — everything except wall-clock
 //    timestamps) is identical between use_threads on and off, because each
@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algo/sort.h"
@@ -54,15 +55,6 @@ std::vector<cgm::PartitionSet> sort_inputs(
   return inputs;
 }
 
-bool same_outputs(const std::vector<cgm::PartitionSet>& a,
-                  const std::vector<cgm::PartitionSet>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].parts != b[i].parts) return false;
-  }
-  return true;
-}
-
 cgm::MachineConfig em_cfg(std::uint32_t v, std::uint32_t p, bool threads,
                           bool trace) {
   cgm::MachineConfig cfg;
@@ -79,49 +71,23 @@ cgm::MachineConfig em_cfg(std::uint32_t v, std::uint32_t p, bool threads,
   return cfg;
 }
 
-/// Everything RunResult counts, for bitwise comparison between runs.
-struct Counters {
-  std::vector<cgm::PartitionSet> out;
-  pdm::IoStats io;
-  std::vector<pdm::IoStats> io_per_step;
-  std::vector<cgm::StepComm> comm_steps;
-  net::NetStats net;
-  std::uint64_t failovers = 0;
-  std::uint64_t app_rounds = 0;
-};
-
-Counters run_em(const cgm::MachineConfig& cfg,
-                const std::vector<std::uint64_t>& keys,
-                const em::EmEngine** engine_out = nullptr) {
+/// A sort's outputs and run statistics.
+std::pair<std::vector<cgm::PartitionSet>, cgm::RunResult> run_em(
+    const cgm::MachineConfig& cfg, const std::vector<std::uint64_t>& keys,
+    const em::EmEngine** engine_out = nullptr) {
   // Engines whose tracer/metrics a caller wants to inspect must outlive the
   // call; park them here for the lifetime of the test binary.
   static std::vector<std::unique_ptr<em::EmEngine>> keep_alive;
   algo::SampleSortProgram<std::uint64_t> prog;
   auto e = std::make_unique<em::EmEngine>(cfg);
-  Counters c;
-  c.out = e->run(prog, sort_inputs(cfg.v, keys));
-  const auto& r = e->last_result();
-  c.io = r.io;
-  c.io_per_step = r.io_per_step;
-  c.comm_steps = r.comm.steps;
-  c.net = r.net;
-  c.failovers = r.failovers;
-  c.app_rounds = r.app_rounds;
+  auto out = e->run(prog, sort_inputs(cfg.v, keys));
+  std::pair<std::vector<cgm::PartitionSet>, cgm::RunResult> run{
+      std::move(out), e->last_result()};
   if (engine_out) {
     *engine_out = e.get();
     keep_alive.push_back(std::move(e));
   }
-  return c;
-}
-
-void expect_same_counters(const Counters& a, const Counters& b,
-                          const std::string& what) {
-  EXPECT_TRUE(same_outputs(a.out, b.out)) << what << ": outputs";
-  EXPECT_EQ(a.io, b.io) << what << ": IoStats";
-  EXPECT_EQ(a.io_per_step, b.io_per_step) << what << ": per-step IoStats";
-  EXPECT_EQ(a.comm_steps, b.comm_steps) << what << ": StepComm";
-  EXPECT_EQ(a.net, b.net) << what << ": NetStats";
-  EXPECT_EQ(a.failovers, b.failovers) << what << ": failovers";
+  return run;
 }
 
 /// The structural fingerprint of a span: everything except timestamps.
@@ -216,11 +182,14 @@ TEST(Obs, TracingOffIsBitIdentical) {
   for (std::uint32_t p : {1u, 2u, 4u}) {
     for (bool threads : {false, true}) {
       if (threads && p == 1) continue;
-      const auto plain = run_em(em_cfg(8, p, threads, false), keys);
-      const auto traced = run_em(em_cfg(8, p, threads, true), keys);
-      expect_same_counters(plain, traced,
-                           "p=" + std::to_string(p) +
-                               " threads=" + std::to_string(threads));
+      const auto [plain_out, plain] =
+          run_em(em_cfg(8, p, threads, false), keys);
+      const auto [traced_out, traced] =
+          run_em(em_cfg(8, p, threads, true), keys);
+      EXPECT_TRUE(plain_out == traced_out)
+          << "p=" << p << " threads=" << threads;
+      EXPECT_EQ(cgm::run_mismatches(plain, traced), "")
+          << "p=" << p << " threads=" << threads;
     }
   }
 }
@@ -231,7 +200,7 @@ TEST(Obs, SpanNestingMatchesSuperstepStructure) {
   const auto keys = random_keys(616, 1500);
   const std::uint32_t v = 8, p = 2;
   const em::EmEngine* engine = nullptr;
-  const auto c = run_em(em_cfg(v, p, false, true), keys, &engine);
+  const auto c = run_em(em_cfg(v, p, false, true), keys, &engine).second;
   ASSERT_NE(engine->tracer(), nullptr);
   const auto& tracer = *engine->tracer();
 
@@ -278,7 +247,9 @@ TEST(Obs, SpanNestingMatchesSuperstepStructure) {
       case obs::SpanKind::kContextWrite:
         // Per-vproc phases nest inside their group_step span (except the
         // initial context scatter, which runs before any group span).
-        if (s.vproc >= 0) EXPECT_GE(s.depth, 1u) << "kind " << int(s.kind);
+        if (s.vproc >= 0) {
+          EXPECT_GE(s.depth, 1u) << "kind " << int(s.kind);
+        }
         break;
       default:
         break;
@@ -324,11 +295,13 @@ TEST(Obs, AsyncIoDeltasRepeatAcrossRuns) {
     std::this_thread::sleep_for(std::chrono::microseconds(rng.next_below(60)));
   };
   const em::EmEngine* first = nullptr;
-  const Counters ref = run_em(cfg, keys, &first);
-  EXPECT_GT(ref.io.retries, 0u) << "the fault plan never fired the hook";
+  const auto [out, run] = run_em(cfg, keys, &first);
+  EXPECT_GT(run.io.retries, 0u) << "the fault plan never fired the hook";
   for (int rep = 0; rep < 2; ++rep) {
     const em::EmEngine* again = nullptr;
-    expect_same_counters(ref, run_em(cfg, keys, &again), "rerun");
+    const auto [out_again, run_again] = run_em(cfg, keys, &again);
+    EXPECT_TRUE(out == out_again) << "rerun " << rep;
+    EXPECT_EQ(cgm::run_mismatches(run, run_again), "") << "rerun " << rep;
     EXPECT_EQ(shapes(first->tracer()->merged()),
               shapes(again->tracer()->merged()))
         << "rerun " << rep;
@@ -340,7 +313,7 @@ TEST(Obs, AsyncIoDeltasRepeatAcrossRuns) {
 TEST(Obs, MetricsReconcileWithRunResult) {
   const auto keys = random_keys(818, 1500);
   const em::EmEngine* engine = nullptr;
-  const auto c = run_em(em_cfg(8, 2, false, true), keys, &engine);
+  const auto c = run_em(em_cfg(8, 2, false, true), keys, &engine).second;
   ASSERT_NE(engine->metrics(), nullptr);
   const auto& m = *engine->metrics();
 
@@ -359,7 +332,9 @@ TEST(Obs, MetricsReconcileWithRunResult) {
     const double want =
         pdm::DiskCostModel{}.io_seconds(row.io, 512);
     EXPECT_DOUBLE_EQ(row.model_io_s, want) << "step " << i;
-    if (row.io.total_ops() > 0) EXPECT_GT(row.model_io_s, 0.0);
+    if (row.io.total_ops() > 0) {
+      EXPECT_GT(row.model_io_s, 0.0);
+    }
   }
   // Wire activity attributed per step sums to the run total.
   net::NetStats net_sum;
@@ -479,10 +454,11 @@ TEST(ObsThreaded, ShardCountersBarrierInvariant) {
     cfg.net.retry.max_attempts = 16;
     return cfg;
   };
-  const auto serial = run_em(lossy(false), keys);
-  const auto threaded = run_em(lossy(true), keys);
+  const auto [serial_out, serial] = run_em(lossy(false), keys);
+  const auto [threaded_out, threaded] = run_em(lossy(true), keys);
   EXPECT_GT(serial.net.retransmissions, 0u);
-  expect_same_counters(serial, threaded, "lossy p=4");
+  EXPECT_TRUE(serial_out == threaded_out);
+  EXPECT_EQ(cgm::run_mismatches(serial, threaded), "");
 }
 
 // ---------------------------------------------------------- native engine --
@@ -496,7 +472,7 @@ TEST(Obs, NativeEngineTraces) {
 
   cgm::NativeEngine traced(em_cfg(8, 1, false, true));
   const auto got = traced.run(prog, sort_inputs(8, keys));
-  EXPECT_TRUE(same_outputs(expected, got));
+  EXPECT_TRUE(expected == got);
 
   ASSERT_NE(traced.tracer(), nullptr);
   const auto spans = traced.tracer()->merged();

@@ -13,6 +13,8 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "algo/sort.h"
 #include "emcgm/em_engine.h"
@@ -272,34 +274,14 @@ std::vector<cgm::PartitionSet> keyed_inputs(std::uint32_t v, std::size_t n) {
   return inputs;
 }
 
-struct EngineDigest {
-  std::vector<cgm::PartitionSet> outputs;
-  IoStats io;
-  std::vector<IoStats> io_per_step;
-};
-
-EngineDigest run_engine(cgm::MachineConfig cfg, std::uint32_t io_threads) {
+/// The sort's outputs and run statistics with `io_threads` I/O workers.
+std::pair<std::vector<cgm::PartitionSet>, cgm::RunResult> run_engine(
+    cgm::MachineConfig cfg, std::uint32_t io_threads) {
   cfg.io_threads = io_threads;
   em::EmEngine e(cfg);
   algo::SampleSortProgram<std::uint64_t> prog;
-  EngineDigest d;
-  d.outputs = e.run(prog, keyed_inputs(cfg.v, 2000));
-  d.io = e.last_result().io;
-  d.io_per_step = e.last_result().io_per_step;
-  return d;
-}
-
-void expect_same(const EngineDigest& a, const EngineDigest& b,
-                 const char* what) {
-  ASSERT_EQ(a.outputs.size(), b.outputs.size()) << what;
-  for (std::size_t k = 0; k < a.outputs.size(); ++k) {
-    EXPECT_EQ(a.outputs[k].parts, b.outputs[k].parts) << what;
-  }
-  EXPECT_EQ(a.io, b.io) << what;
-  ASSERT_EQ(a.io_per_step.size(), b.io_per_step.size()) << what;
-  for (std::size_t i = 0; i < a.io_per_step.size(); ++i) {
-    EXPECT_EQ(a.io_per_step[i], b.io_per_step[i]) << what << " step " << i;
-  }
+  auto out = e.run(prog, keyed_inputs(cfg.v, 2000));
+  return {std::move(out), e.last_result()};
 }
 
 }  // namespace
@@ -320,11 +302,12 @@ TEST(PdmAsync, EngineBitIdenticalAcrossIoThreadsChained) {
   cfg.fault.transient_read_prob = 0.01;
   cfg.fault.transient_write_prob = 0.01;
   cfg.seed = 7;
-  const auto serial = run_engine(cfg, 0);
-  EXPECT_GT(serial.io.retries, 0u);
+  const auto [out, run] = run_engine(cfg, 0);
+  EXPECT_GT(run.io.retries, 0u);
   for (std::uint32_t T : {2u, 4u}) {
-    expect_same(serial, run_engine(cfg, T),
-                ("io_threads=" + std::to_string(T)).c_str());
+    const auto [out_t, run_t] = run_engine(cfg, T);
+    EXPECT_TRUE(out == out_t) << "io_threads=" << T;
+    EXPECT_EQ(cgm::run_mismatches(run, run_t), "") << "io_threads=" << T;
   }
 }
 
@@ -341,10 +324,11 @@ TEST(PdmAsync, EngineBitIdenticalAcrossIoThreadsSingleCopyMatrix) {
   cfg.balanced_routing = true;
   cfg.single_copy_matrix = true;
   cfg.seed = 7;
-  const auto serial = run_engine(cfg, 0);
+  const auto [out, run] = run_engine(cfg, 0);
   for (std::uint32_t T : {2u, 4u}) {
-    expect_same(serial, run_engine(cfg, T),
-                ("io_threads=" + std::to_string(T)).c_str());
+    const auto [out_t, run_t] = run_engine(cfg, T);
+    EXPECT_TRUE(out == out_t) << "io_threads=" << T;
+    EXPECT_EQ(cgm::run_mismatches(run, run_t), "") << "io_threads=" << T;
   }
 }
 
@@ -367,10 +351,11 @@ TEST(PdmAsync, EngineBitIdenticalAcrossIoThreadsFileBackend) {
     c.file_dir = dirs.back().path();
     return c;
   };
-  const auto serial = run_engine(with_dir(cfg), 0);
+  const auto [out, run] = run_engine(with_dir(cfg), 0);
   for (std::uint32_t T : {2u, 4u}) {
-    expect_same(serial, run_engine(with_dir(cfg), T),
-                ("io_threads=" + std::to_string(T)).c_str());
+    const auto [out_t, run_t] = run_engine(with_dir(cfg), T);
+    EXPECT_TRUE(out == out_t) << "io_threads=" << T;
+    EXPECT_EQ(cgm::run_mismatches(run, run_t), "") << "io_threads=" << T;
   }
 }
 
@@ -385,10 +370,11 @@ TEST(PdmAsync, EngineBitIdenticalAcrossIoThreadsMultiProcThreads) {
   cfg.layout = cgm::MsgLayout::kChained;
   cfg.use_threads = true;
   cfg.seed = 7;
-  const auto serial = run_engine(cfg, 0);
+  const auto [out, run] = run_engine(cfg, 0);
   for (std::uint32_t T : {2u, 4u}) {
-    expect_same(serial, run_engine(cfg, T),
-                ("io_threads=" + std::to_string(T)).c_str());
+    const auto [out_t, run_t] = run_engine(cfg, T);
+    EXPECT_TRUE(out == out_t) << "io_threads=" << T;
+    EXPECT_EQ(cgm::run_mismatches(run, run_t), "") << "io_threads=" << T;
   }
 }
 
@@ -406,11 +392,13 @@ TEST(PdmAsync, PrefetchDepthInvisibleOnOutputsAndStats) {
   cfg.checksums = true;
   cfg.seed = 7;
   cfg.prefetch_depth = 1;
-  const auto ref = run_engine(cfg, 2);
+  const auto [out, run] = run_engine(cfg, 2);
   for (std::uint32_t depth : {2u, 4u, 8u, 64u}) {
     cfg.prefetch_depth = depth;
-    expect_same(ref, run_engine(cfg, 2),
-                ("prefetch_depth=" + std::to_string(depth)).c_str());
+    const auto [out_d, run_d] = run_engine(cfg, 2);
+    EXPECT_TRUE(out == out_d) << "prefetch_depth=" << depth;
+    EXPECT_EQ(cgm::run_mismatches(run, run_d), "")
+        << "prefetch_depth=" << depth;
   }
 }
 
@@ -425,14 +413,16 @@ TEST(PdmAsync, PrefetchDepthBoundedByMemoryBudget) {
   cfg.layout = cgm::MsgLayout::kChained;
   cfg.seed = 7;
   cfg.prefetch_depth = 1;
-  const auto ref = run_engine(cfg, 2);
+  const auto [out, run] = run_engine(cfg, 2);
   cfg.prefetch_depth = 8;
   // The floor must clear the engine's legitimate per-vproc residency check
   // (one vproc's context + inbox must always fit in M).
   for (std::uint64_t mem : {std::uint64_t{1} << 14, std::uint64_t{1} << 16,
                             std::uint64_t{1} << 30}) {
     cfg.memory_bytes = mem;
-    expect_same(ref, run_engine(cfg, 2), ("M=" + std::to_string(mem)).c_str());
+    const auto [out_m, run_m] = run_engine(cfg, 2);
+    EXPECT_TRUE(out == out_m) << "M=" << mem;
+    EXPECT_EQ(cgm::run_mismatches(run, run_m), "") << "M=" << mem;
   }
 }
 
@@ -454,9 +444,11 @@ TEST(PdmAsync, PrefetchDepthInvisibleUnderThreadsAndFaults) {
   cfg.fault.transient_write_prob = 0.01;
   cfg.seed = 7;
   cfg.prefetch_depth = 1;
-  const auto ref = run_engine(cfg, 2);
+  const auto [out, run] = run_engine(cfg, 2);
   cfg.prefetch_depth = 4;
-  expect_same(ref, run_engine(cfg, 2), "prefetch_depth=4 threaded+faults");
+  const auto [out_d, run_d] = run_engine(cfg, 2);
+  EXPECT_TRUE(out == out_d);
+  EXPECT_EQ(cgm::run_mismatches(run, run_d), "");
 }
 
 TEST(PdmAsync, CooperativeCallsChargeWhatTheyCounted) {

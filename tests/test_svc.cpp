@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/plan.h"
@@ -46,19 +47,6 @@ PoolConfig small_pool() {
   p.disks_per_host = 8;
   p.block_bytes = 4096;
   return p;
-}
-
-/// The whole isolation contract in one comparison.
-void expect_same_as_solo(const JobResult& svc, const JobResult& solo) {
-  EXPECT_EQ(svc.ok, solo.ok) << svc.name;
-  EXPECT_EQ(svc.output_hash, solo.output_hash) << svc.name;
-  EXPECT_EQ(svc.supersteps, solo.supersteps) << svc.name;
-  EXPECT_EQ(svc.app_rounds, solo.app_rounds) << svc.name;
-  EXPECT_EQ(svc.failovers, solo.failovers) << svc.name;
-  EXPECT_EQ(svc.rejoins, solo.rejoins) << svc.name;
-  EXPECT_EQ(svc.io, solo.io) << svc.name;
-  EXPECT_EQ(svc.net, solo.net) << svc.name;
-  EXPECT_EQ(svc.charged_bytes, solo.charged_bytes) << svc.name;
 }
 
 }  // namespace
@@ -223,7 +211,8 @@ TEST(TenantIsolation, ConcurrentJobsBitIdenticalToSoloRuns) {
   bool contended = false;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_TRUE(rs[i].ok) << rs[i].name << ": " << rs[i].error;
-    expect_same_as_solo(rs[i], run_job_solo(specs[i], sc.pool));
+    EXPECT_EQ(tenant_mismatches(rs[i], run_job_solo(specs[i], sc.pool)), "")
+        << rs[i].name;
     contended = contended || rs[i].preemptions > 0;
   }
   EXPECT_TRUE(contended) << "the service run never actually interleaved";
@@ -251,7 +240,8 @@ TEST(TenantIsolation, ThreadedTenantsStayIsolated) {
   const auto rs = svc.run_all();
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_TRUE(rs[i].ok) << rs[i].error;
-    expect_same_as_solo(rs[i], run_job_solo(specs[i], sc.pool));
+    EXPECT_EQ(tenant_mismatches(rs[i], run_job_solo(specs[i], sc.pool)), "")
+        << rs[i].name;
   }
 }
 
@@ -279,11 +269,11 @@ TEST(TenantChaos, TargetedFaultLeavesCoResidentTenantUntouched) {
   const auto rs = svc.run_all();
 
   // The bystander matches a clean solo run exactly...
-  JobSpec clean = spec.jobs[1];
-  expect_same_as_solo(rs[1], run_job_solo(clean, spec.service.pool));
+  const PoolConfig& pool = spec.service.pool;
+  EXPECT_EQ(tenant_mismatches(rs[1], run_job_solo(spec.jobs[1], pool)), "");
   // ...and the victim matches a solo run *with the same plan armed* —
   // faults included, the tenant is deterministic.
-  expect_same_as_solo(rs[0], run_job_solo(spec.jobs[0], spec.service.pool));
+  EXPECT_EQ(tenant_mismatches(rs[0], run_job_solo(spec.jobs[0], pool)), "");
   // The plan actually fired (transient faults => retries).
   EXPECT_GT(rs[0].io.retries, 0u);
   EXPECT_EQ(rs[1].io.retries, 0u);
@@ -313,7 +303,8 @@ TEST(PreemptPriority, HighPriorityArrivalPreemptsAtNextBarrier) {
   EXPECT_GT(rs[0].preemptions, 0u);
   EXPECT_EQ(rs[1].preemptions, 0u);
   // Preemption is invisible to the preempted tenant's results.
-  expect_same_as_solo(rs[0], run_job_solo(lo, sc.pool));
+  EXPECT_EQ(tenant_mismatches(rs[0], run_job_solo(lo, sc.pool)), "")
+      << rs[0].name;
 }
 
 TEST(PreemptFairShare, EqualPriorityTenantsInterleaveUnderDrr) {
@@ -423,5 +414,42 @@ TEST(SvcJson, ResultsDocumentCarriesPerTenantStats) {
         "\"supersteps\"", "\"preemptions\"", "\"charged_bytes\"",
         "\"blocks_read\"", "\"wire_bytes\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << key << " in " << doc;
+  }
+}
+
+// ---------------------------------------------------------- tenant check --
+
+TEST(TenantCheck, NamesEachPlantedDifferenceAndNeverTheSchedule) {
+  JobResult base;
+  base.name = "t";
+  base.ok = true;
+  const std::pair<void (*)(JobResult&), const char*> cases[] = {
+      {[](JobResult& r) { r.charged_bytes = 4096; },
+       "charged_bytes 0 != 4096"},
+      {[](JobResult& r) { r.output_hash = 17; }, "output_hash 0 != 17"},
+      {[](JobResult& r) {
+         r.ok = false;
+         r.error = "boom";
+       },
+       "ok 1 != 0; error"},
+      {[](JobResult& r) { r.supersteps = 3; }, "supersteps 0 != 3"},
+      {[](JobResult& r) { r.io.retries = 2; }, "io"},
+      // Every NetStats counter counts, not only the wire and delivery ones.
+      {[](JobResult& r) { r.net.heartbeats_sent = 3; }, "net"},
+      {[](JobResult& r) { r.app_rounds = 5; }, "app_rounds 0 != 5"},
+      {[](JobResult& r) { r.failovers = 1; }, "failovers 0 != 1"},
+      {[](JobResult& r) { r.rejoins = 1; }, "rejoins 0 != 1"},
+      {[](JobResult& r) {
+         r.name = "other";
+         r.preemptions = 4;
+         r.admit_tick = 2;
+         r.end_tick = 9;
+       },
+       ""},
+  };
+  for (const auto& [plant, want] : cases) {
+    JobResult r = base;
+    plant(r);
+    EXPECT_EQ(tenant_mismatches(base, r), want);
   }
 }

@@ -90,21 +90,6 @@ std::vector<JobResult> solo_runs(const std::vector<JobSpec>& specs) {
   return rs;
 }
 
-/// Everything that must not depend on the worker count (vs the solo
-/// reference): outputs, engine stats, and the DRR-charged bytes.
-void expect_observables_equal(const JobResult& a, const JobResult& b) {
-  EXPECT_EQ(a.ok, b.ok) << a.name;
-  EXPECT_EQ(a.error, b.error) << a.name;
-  EXPECT_EQ(a.output_hash, b.output_hash) << a.name;
-  EXPECT_EQ(a.supersteps, b.supersteps) << a.name;
-  EXPECT_EQ(a.app_rounds, b.app_rounds) << a.name;
-  EXPECT_EQ(a.failovers, b.failovers) << a.name;
-  EXPECT_EQ(a.rejoins, b.rejoins) << a.name;
-  EXPECT_EQ(a.io, b.io) << a.name;
-  EXPECT_EQ(a.net, b.net) << a.name;
-  EXPECT_EQ(a.charged_bytes, b.charged_bytes) << a.name;
-}
-
 /// Deterministic per-(slot, tick) jitter for the perturbation stress: a
 /// pure function, so the hook needs no shared state across workers.
 std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
@@ -213,7 +198,7 @@ TEST(SvcParallel, ObservablesBitIdenticalAcrossWorkerCounts) {
     ASSERT_EQ(rs.size(), reference.size()) << "workers=" << workers;
     for (std::size_t i = 0; i < rs.size(); ++i) {
       SCOPED_TRACE("workers=" + std::to_string(workers));
-      expect_observables_equal(rs[i], reference[i]);
+      EXPECT_EQ(tenant_mismatches(rs[i], reference[i]), "") << rs[i].name;
     }
   }
 }
@@ -271,7 +256,7 @@ TEST(SvcParallel, ThreadedTenantsUnderFourWorkers) {
   const auto rs = run_with_workers(specs, 4);
   for (std::size_t i = 0; i < rs.size(); ++i) {
     EXPECT_TRUE(rs[i].ok) << rs[i].error;
-    expect_observables_equal(rs[i], reference[i]);
+    EXPECT_EQ(tenant_mismatches(rs[i], reference[i]), "") << rs[i].name;
   }
 }
 
@@ -294,7 +279,7 @@ TEST(ParallelStress, PerturbedWorkerTimingConvergesToSerialReference) {
     const auto rs = run_with_workers(specs, 4, delay);
     for (std::size_t i = 0; i < rs.size(); ++i) {
       SCOPED_TRACE("perturbation seed " + std::to_string(seed));
-      expect_observables_equal(rs[i], reference[i]);
+      EXPECT_EQ(tenant_mismatches(rs[i], reference[i]), "") << rs[i].name;
     }
   }
 }
@@ -327,8 +312,8 @@ TEST(ParallelChaos, TargetedVictimUnderFourWorkersMatchesSolo) {
       run_job_solo(spec.jobs[0], spec.service.pool);
   const JobResult bystander_solo =
       run_job_solo(spec.jobs[1], spec.service.pool);
-  expect_observables_equal(rs[0], victim_solo);
-  expect_observables_equal(rs[1], bystander_solo);
+  EXPECT_EQ(tenant_mismatches(rs[0], victim_solo), "") << rs[0].name;
+  EXPECT_EQ(tenant_mismatches(rs[1], bystander_solo), "") << rs[1].name;
   EXPECT_GT(rs[0].io.retries, 0u);   // the plan actually fired
   EXPECT_EQ(rs[1].io.retries, 0u);  // and never crossed the tenant wall
 }
@@ -378,7 +363,8 @@ TEST(SvcPlacement, SpreadServiceRunStaysBitIdentical) {
   const auto rs = svc.run_all();
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_TRUE(rs[i].ok) << rs[i].error;
-    expect_observables_equal(rs[i], run_job_solo(specs[i], sc.pool));
+    EXPECT_EQ(tenant_mismatches(rs[i], run_job_solo(specs[i], sc.pool)), "")
+        << rs[i].name;
   }
 }
 

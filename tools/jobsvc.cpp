@@ -19,9 +19,12 @@
 //       tools/validate_trace.py).
 //
 //       --verify-solo additionally re-runs every job alone on an empty pool
-//       of the same geometry and compares output hash, IoStats and NetStats
-//       field by field — the per-tenant isolation contract. Exit 2 on any
-//       mismatch.
+//       of the same geometry and applies the tenant check
+//       (svc::tenant_mismatches) — the per-tenant isolation contract: ok,
+//       error, output hash, supersteps, charged bytes, app rounds,
+//       failovers, rejoins and every IoStats and NetStats counter must
+//       equal the solo run's; names, ticks and preemptions may differ. Exit
+//       2 on any mismatch, naming the tenant and each differing field.
 //
 //       Exit 0 when every job completed ok (and, with --verify-solo, solo
 //       runs matched); exit 1 when a job failed; exit 2 on a usage or config
@@ -48,38 +51,6 @@ namespace {
             << "usage: jobsvc --jobs FILE [--out FILE] [--workers N]"
             << " [--verify-solo] [--trace] [--trace-out FILE]\n";
   std::exit(2);
-}
-
-/// Field-by-field isolation check of one tenant against its solo run.
-bool matches_solo(const JobResult& svc, const JobResult& solo,
-                  std::ostream& log) {
-  bool ok = true;
-  auto want = [&](const char* what, std::uint64_t a, std::uint64_t b) {
-    if (a == b) return;
-    log << "  " << svc.name << ": " << what << " service=" << a
-        << " solo=" << b << "\n";
-    ok = false;
-  };
-  want("ok", svc.ok ? 1 : 0, solo.ok ? 1 : 0);
-  want("output_hash", svc.output_hash, solo.output_hash);
-  want("supersteps", svc.supersteps, solo.supersteps);
-  want("app_rounds", svc.app_rounds, solo.app_rounds);
-  want("failovers", svc.failovers, solo.failovers);
-  want("rejoins", svc.rejoins, solo.rejoins);
-  want("io.read_ops", svc.io.read_ops, solo.io.read_ops);
-  want("io.write_ops", svc.io.write_ops, solo.io.write_ops);
-  want("io.blocks_read", svc.io.blocks_read, solo.io.blocks_read);
-  want("io.blocks_written", svc.io.blocks_written, solo.io.blocks_written);
-  want("io.retries", svc.io.retries, solo.io.retries);
-  want("net.wire_bytes", svc.net.wire_bytes, solo.net.wire_bytes);
-  want("net.data_sent", svc.net.data_sent, solo.net.data_sent);
-  want("net.retransmissions", svc.net.retransmissions,
-       solo.net.retransmissions);
-  want("net.delivered_messages", svc.net.delivered_messages,
-       solo.net.delivered_messages);
-  want("net.delivered_payload_bytes", svc.net.delivered_payload_bytes,
-       solo.net.delivered_payload_bytes);
-  return ok;
 }
 
 }  // namespace
@@ -146,13 +117,13 @@ int main(int argc, char** argv) {
 
     if (verify_solo) {
       for (std::size_t i = 0; i < results.size(); ++i) {
-        const JobResult solo =
-            run_job_solo(spec.jobs[i], spec.service.pool, false);
-        if (!matches_solo(results[i], solo, std::cerr)) {
-          std::cerr << "jobsvc: tenant '" << results[i].name
-                    << "' diverged from its solo run\n";
-          rc = 2;
-        }
+        const std::string diffs = tenant_mismatches(
+            results[i], run_job_solo(spec.jobs[i], spec.service.pool));
+        if (diffs.empty()) continue;
+        std::cerr << "jobsvc: tenant '" << results[i].name
+                  << "' diverged from its solo run (service != solo): "
+                  << diffs << "\n";
+        rc = 2;
       }
       if (rc != 2) {
         std::cerr << "jobsvc: all " << results.size()
