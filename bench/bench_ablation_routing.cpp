@@ -48,19 +48,9 @@ Probe run(bool balanced, cgm::MsgLayout layout, std::size_t slot_bytes,
   for (std::size_t i = 0; i < n; ++i) shift[i] = (i + n / v) % n;
 
   algo::PermuteProgram<std::uint64_t> prog(n);
-  cgm::PartitionSet pv, pt;
-  pv.parts.resize(v);
-  pt.parts.resize(v);
-  for (std::uint32_t j = 0; j < v; ++j) {
-    const auto b = chunk_begin(n, v, j), c = chunk_size(n, v, j);
-    pv.parts[j] = vec_to_bytes(std::vector<std::uint64_t>(
-        values.begin() + b, values.begin() + b + c));
-    pt.parts[j] = vec_to_bytes(std::vector<std::uint64_t>(
-        shift.begin() + b, shift.begin() + b + c));
-  }
   std::vector<cgm::PartitionSet> inputs;
-  inputs.push_back(std::move(pv));
-  inputs.push_back(std::move(pt));
+  inputs.push_back(cgm::even_chunks<std::uint64_t>(values, v));
+  inputs.push_back(cgm::even_chunks<std::uint64_t>(shift, v));
   engine.run(prog, std::move(inputs));
   if (trace) trace->write(engine);
 
@@ -71,19 +61,9 @@ Probe run(bool balanced, cgm::MsgLayout layout, std::size_t slot_bytes,
   ncfg.balanced_routing = balanced;
   cgm::NativeEngine native(ncfg);
   algo::PermuteProgram<std::uint64_t> nprog(n);
-  cgm::PartitionSet qv, qt;
-  qv.parts.resize(v);
-  qt.parts.resize(v);
-  for (std::uint32_t j = 0; j < v; ++j) {
-    const auto b = chunk_begin(n, v, j), c = chunk_size(n, v, j);
-    qv.parts[j] = vec_to_bytes(std::vector<std::uint64_t>(
-        values.begin() + b, values.begin() + b + c));
-    qt.parts[j] = vec_to_bytes(std::vector<std::uint64_t>(
-        shift.begin() + b, shift.begin() + b + c));
-  }
   std::vector<cgm::PartitionSet> ninputs;
-  ninputs.push_back(std::move(qv));
-  ninputs.push_back(std::move(qt));
+  ninputs.push_back(cgm::even_chunks<std::uint64_t>(values, v));
+  ninputs.push_back(cgm::even_chunks<std::uint64_t>(shift, v));
   native.run(nprog, std::move(ninputs));
 
   Probe p{};

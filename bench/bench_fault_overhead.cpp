@@ -29,16 +29,8 @@ struct Probe {
 };
 
 std::vector<cgm::PartitionSet> sort_inputs(std::uint32_t v, std::size_t n) {
-  auto keys = random_keys(9, n);
-  cgm::PartitionSet input;
-  input.parts.resize(v);
-  for (std::uint32_t j = 0; j < v; ++j) {
-    const auto b = chunk_begin(n, v, j), c = chunk_size(n, v, j);
-    input.parts[j] = vec_to_bytes(
-        std::vector<std::uint64_t>(keys.begin() + b, keys.begin() + b + c));
-  }
   std::vector<cgm::PartitionSet> inputs;
-  inputs.push_back(std::move(input));
+  inputs.push_back(cgm::even_chunks<std::uint64_t>(random_keys(9, n), v));
   return inputs;
 }
 

@@ -43,6 +43,38 @@ std::vector<std::vector<T>> recv_by_src(const cgm::ProcCtx& ctx) {
   return out;
 }
 
+/// Merge the inbox into one vector sorted by `less`. The inbox must hold
+/// recv_concat<T>()'s layout with each source's run already sorted by
+/// `less`. Adjacent runs merge pairwise, bottom-up, between two buffers:
+/// ceil(log2 runs) linear passes instead of an O(n log n) sort. std::merge
+/// puts equal items of the earlier run first, so the result equals
+/// std::stable_sort of recv_concat<T>().
+template <typename T, typename Less>
+std::vector<T> merge_runs(const cgm::ProcCtx& ctx, Less less) {
+  std::vector<std::size_t> ends{0};  // run r is [ends[r], ends[r + 1])
+  for (const auto& m : ctx.inbox()) {
+    ends.push_back(ends.back() + m.payload.size() / sizeof(T));
+  }
+  std::vector<T> runs = ctx.recv_concat<T>();
+  if (ends.size() <= 2) return runs;
+  std::vector<T> merged(runs.size());
+  while (ends.size() > 2) {
+    std::vector<std::size_t> next{0};
+    for (std::size_t r = 0; r + 1 < ends.size(); r += 2) {
+      // A trailing odd run merges with an empty one: it is copied.
+      const std::size_t mid = ends[r + 1];
+      const std::size_t end = ends[std::min(r + 2, ends.size() - 1)];
+      std::merge(runs.begin() + ends[r], runs.begin() + mid,
+                 runs.begin() + mid, runs.begin() + end,
+                 merged.begin() + ends[r], less);
+      next.push_back(end);
+    }
+    runs.swap(merged);
+    ends.swap(next);
+  }
+  return runs;
+}
+
 /// Regular sampling: v samples at positions k*n/v of a sorted local run
 /// (none when the run is empty).
 template <typename T>

@@ -5,7 +5,8 @@
 //   0  local sort, send v regular samples to processor 0
 //   1  processor 0 sorts the <= v^2 samples, broadcasts v-1 splitters
 //   2  partition local runs by splitter, send bucket k to processor k
-//   3  sort received bucket, all-gather bucket counts
+//   3  merge the v sorted runs of the received bucket, all-gather bucket
+//      counts
 //   4  compute global ranks, rebalance to exact even chunks
 //   5  emit output
 // Regular sampling bounds every bucket by 2N/v + v items; processor 0 holds
@@ -17,6 +18,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -94,9 +96,8 @@ class SampleSortProgram final : public cgm::ProgramT<SampleSortState<T>> {
         st.data.shrink_to_fit();
         break;
       }
-      case 3: {  // sort the bucket, all-gather counts
-        st.data = ctx.recv_concat<WithId<T>>();
-        std::sort(st.data.begin(), st.data.end(), cmp());
+      case 3: {  // merge the bucket's v sorted runs, all-gather counts
+        st.data = prim::merge_runs<WithId<T>>(ctx, cmp());
         const std::uint64_t count = st.data.size();
         prim::send_all(ctx, std::vector<std::uint64_t>{count});
         break;
@@ -116,11 +117,23 @@ class SampleSortProgram final : public cgm::ProgramT<SampleSortState<T>> {
         break;
       }
       case 5: {  // sources hold increasing rank ranges: concat is sorted
-        auto final_items = ctx.recv_concat<WithId<T>>();
-        std::vector<T> out;
-        out.reserve(final_items.size());
-        for (const auto& w : final_items) out.push_back(w.val);
-        ctx.set_output(out, 0);
+        constexpr std::size_t kItem = sizeof(WithId<T>);
+        std::size_t n = 0;
+        for (const auto& m : ctx.inbox()) {
+          EMCGM_CHECK(m.payload.size() % kItem == 0);
+          n += m.payload.size() / kItem;
+        }
+        auto& out = ctx.output(0);
+        out.resize(n * sizeof(T));
+        std::byte* dst = out.data();
+        for (const auto& m : ctx.inbox()) {
+          for (std::size_t at = 0; at < m.payload.size(); at += kItem) {
+            WithId<T> w{};
+            std::memcpy(&w, m.payload.data() + at, kItem);
+            std::memcpy(dst, &w.val, sizeof(T));
+            dst += sizeof(T);
+          }
+        }
         break;
       }
       default:

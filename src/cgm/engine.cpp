@@ -1,7 +1,11 @@
-// The run check (engine.h): which parts of a run must repeat.
+// The input splitter and the run check (engine.h): how a vector becomes v
+// parts, and which parts of a run must repeat.
 #include "cgm/engine.h"
 
 #include <algorithm>
+
+#include "util/error.h"
+#include "util/math.h"
 
 namespace emcgm::cgm {
 
@@ -24,6 +28,20 @@ void note_rows(std::string& out, const std::string& name,
 }
 
 }  // namespace
+
+PartitionSet even_chunks(std::span<const std::byte> bytes,
+                         std::size_t item_bytes, std::uint32_t v) {
+  EMCGM_CHECK(item_bytes > 0 && bytes.size() % item_bytes == 0);
+  const std::uint64_t n = bytes.size() / item_bytes;
+  PartitionSet set;
+  set.parts.resize(v);
+  for (std::uint32_t j = 0; j < v; ++j) {
+    const auto part = bytes.subspan(chunk_begin(n, v, j) * item_bytes,
+                                    chunk_size(n, v, j) * item_bytes);
+    set.parts[j].assign(part.begin(), part.end());
+  }
+  return set;
+}
 
 void note_mismatch(std::string& text, const std::string& entry) {
   if (!entry.empty()) text += (text.empty() ? "" : "; ") + entry;

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cgm/comm_stats.h"
@@ -31,6 +33,18 @@ struct PartitionSet {
 
   friend bool operator==(const PartitionSet&, const PartitionSet&) = default;
 };
+
+/// Split whole items of `item_bytes` bytes into v even contiguous parts:
+/// part j holds items [chunk_begin(n, v, j), chunk_begin(n, v, j + 1)), the
+/// layout of every engine input and sorted output.
+PartitionSet even_chunks(std::span<const std::byte> bytes,
+                         std::size_t item_bytes, std::uint32_t v);
+
+template <typename T>
+  requires std::is_trivially_copyable_v<T>
+PartitionSet even_chunks(std::span<const T> items, std::uint32_t v) {
+  return even_chunks(std::as_bytes(items), sizeof(T), v);
+}
 
 struct RunResult {
   std::uint64_t app_rounds = 0;   ///< compound supersteps of the CGM program

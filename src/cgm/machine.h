@@ -53,17 +53,7 @@ class Machine {
   /// Split data into v even contiguous chunks.
   template <typename T>
   DistVec<T> scatter(std::span<const T> data) const {
-    const std::uint32_t vv = v();
-    DistVec<T> dv;
-    dv.total = data.size();
-    dv.set.parts.resize(vv);
-    for (std::uint32_t j = 0; j < vv; ++j) {
-      const auto begin = chunk_begin(data.size(), vv, j);
-      const auto count = chunk_size(data.size(), vv, j);
-      auto bytes = std::as_bytes(data.subspan(begin, count));
-      dv.set.parts[j].assign(bytes.begin(), bytes.end());
-    }
-    return dv;
+    return DistVec<T>{even_chunks(data, v()), data.size()};
   }
 
   template <typename T>

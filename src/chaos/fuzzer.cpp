@@ -6,7 +6,6 @@
 #include "chaos/chaos_config.h"
 #include "emcgm/em_engine.h"
 #include "pdm/fault.h"
-#include "util/math.h"
 #include "util/rng.h"
 
 namespace emcgm::chaos {
@@ -17,17 +16,8 @@ std::vector<cgm::PartitionSet> sort_inputs(const FuzzMachine& m) {
   Rng rng(12345);
   std::vector<std::uint64_t> keys(m.keys);
   for (auto& k : keys) k = rng.next_below(1000);  // duplicate-heavy
-  cgm::PartitionSet set;
-  set.parts.resize(m.v);
-  for (std::uint32_t j = 0; j < m.v; ++j) {
-    const auto begin = chunk_begin(keys.size(), m.v, j);
-    const auto count = chunk_size(keys.size(), m.v, j);
-    std::vector<std::uint64_t> part(keys.begin() + begin,
-                                    keys.begin() + begin + count);
-    set.parts[j] = vec_to_bytes(part);
-  }
   std::vector<cgm::PartitionSet> inputs;
-  inputs.push_back(std::move(set));
+  inputs.push_back(cgm::even_chunks<std::uint64_t>(keys, m.v));
   return inputs;
 }
 

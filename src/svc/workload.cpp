@@ -10,7 +10,6 @@
 #include "graph/list_ranking.h"
 #include "util/archive.h"
 #include "util/error.h"
-#include "util/math.h"
 #include "util/rng.h"
 
 namespace emcgm::svc {
@@ -20,11 +19,8 @@ namespace {
 template <typename T>
 std::vector<cgm::PartitionSet> scatter_one(const std::vector<T>& items,
                                            std::uint32_t v) {
-  cgm::PartitionSet set;
-  set.parts = chunk_parts(reinterpret_cast<const std::byte*>(items.data()),
-                          items.size() * sizeof(T), sizeof(T), v);
   std::vector<cgm::PartitionSet> inputs;
-  inputs.push_back(std::move(set));
+  inputs.push_back(cgm::even_chunks<T>(items, v));
   return inputs;
 }
 
@@ -179,15 +175,7 @@ std::vector<std::vector<std::byte>> chunk_parts(const std::byte* data,
                                                 std::size_t bytes,
                                                 std::size_t item_size,
                                                 std::uint32_t v) {
-  EMCGM_CHECK(item_size > 0 && bytes % item_size == 0);
-  const std::uint64_t n = bytes / item_size;
-  std::vector<std::vector<std::byte>> parts(v);
-  for (std::uint32_t j = 0; j < v; ++j) {
-    const std::uint64_t begin = chunk_begin(n, v, j) * item_size;
-    const std::uint64_t len = chunk_size(n, v, j) * item_size;
-    parts[j].assign(data + begin, data + begin + len);
-  }
-  return parts;
+  return cgm::even_chunks(std::span(data, bytes), item_size, v).parts;
 }
 
 }  // namespace emcgm::svc

@@ -59,8 +59,7 @@ std::unique_ptr<Workload> make_workload(const std::string& kind,
 /// the per-job result digest the bit-identity contract compares.
 std::uint64_t output_hash(const std::vector<cgm::PartitionSet>& outs);
 
-/// Split typed items into the even-chunk PartitionSet layout (the engine's
-/// input format; mirrors cgm::Machine::scatter without needing a Machine).
+/// cgm::even_chunks's parts, for items whose size is known only at run time.
 std::vector<std::vector<std::byte>> chunk_parts(const std::byte* data,
                                                 std::size_t bytes,
                                                 std::size_t item_size,

@@ -110,7 +110,9 @@ class ReadArchive {
   explicit ReadArchive(std::span<const std::byte> data) : data_(data) {}
 
   void read_raw(void* out, std::size_t n) {
-    need(n, 1);
+    // Compared here, not through need(), so that the compiler sees the
+    // memcpy's bound.
+    if (n > remaining()) underrun(n, 1);
     if (n == 0) return;  // `out` may be null: an empty vector's data()
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
@@ -163,10 +165,14 @@ class ReadArchive {
   /// Typed underrun unless `n` items of `size` bytes remain. Written as a
   /// division so that no length, however corrupt, can wrap the check.
   void need(std::uint64_t n, std::size_t size) const {
-    EMCGM_CHECK_MSG(n <= remaining() / size,
-                    "archive underrun: need " << n << " x " << size
-                                              << " bytes at " << pos_
-                                              << " of " << data_.size());
+    if (n > remaining() / size) underrun(n, size);
+  }
+
+  [[noreturn]] void underrun(std::uint64_t n, std::size_t size) const {
+    std::ostringstream os;
+    os << "archive underrun: need " << n << " x " << size << " bytes at "
+       << pos_ << " of " << data_.size();
+    detail::raise("n <= remaining() / size", __FILE__, __LINE__, os.str());
   }
 
   std::span<const std::byte> data_;

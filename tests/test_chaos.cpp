@@ -22,7 +22,6 @@
 #include "pdm/disk_array.h"
 #include "pdm/fault.h"
 #include "routing/schedule.h"
-#include "util/math.h"
 #include "util/rng.h"
 
 using namespace emcgm;
@@ -42,18 +41,7 @@ std::vector<cgm::PartitionSet> keyed_inputs(std::uint32_t v, std::size_t n) {
   Rng rng(12345);
   std::vector<std::uint64_t> keys(n);
   for (auto& k : keys) k = rng.next_below(1000);
-  cgm::PartitionSet set;
-  set.parts.resize(v);
-  for (std::uint32_t j = 0; j < v; ++j) {
-    const auto begin = chunk_begin(keys.size(), v, j);
-    const auto count = chunk_size(keys.size(), v, j);
-    std::vector<std::uint64_t> part(keys.begin() + begin,
-                                    keys.begin() + begin + count);
-    set.parts[j] = vec_to_bytes(part);
-  }
-  std::vector<cgm::PartitionSet> inputs;
-  inputs.push_back(std::move(set));
-  return inputs;
+  return {cgm::even_chunks<std::uint64_t>(keys, v)};
 }
 
 /// The fuzzer's machine config, reproduced for tests that need direct

@@ -478,16 +478,8 @@ TEST(EmEngine, MultiProcessorSplitsIoAcrossRealProcs) {
   cfg.disk.block_bytes = 256;
   em::EmEngine engine(cfg);
   algo::SampleSortProgram<std::uint64_t> prog;
-  auto keys = random_keys(7, 8192);
-  cgm::PartitionSet input;
-  input.parts.resize(8);
-  for (std::uint32_t j = 0; j < 8; ++j) {
-    std::vector<std::uint64_t> part(keys.begin() + j * 1024,
-                                    keys.begin() + (j + 1) * 1024);
-    input.parts[j] = vec_to_bytes(part);
-  }
   std::vector<cgm::PartitionSet> inputs;
-  inputs.push_back(std::move(input));
+  inputs.push_back(cgm::even_chunks<std::uint64_t>(random_keys(7, 8192), 8));
   engine.run(prog, std::move(inputs));
   // Every real processor's disks saw comparable traffic.
   std::uint64_t lo = ~0ull, hi = 0;

@@ -29,17 +29,7 @@ std::vector<std::byte> bytes_of(const char* s) {
 
 std::vector<cgm::PartitionSet> sort_inputs(std::uint32_t v,
                                            const std::vector<std::uint64_t>& keys) {
-  cgm::PartitionSet input;
-  input.parts.resize(v);
-  const std::size_t n = keys.size();
-  for (std::uint32_t j = 0; j < v; ++j) {
-    const std::size_t b = n * j / v, e = n * (j + 1) / v;
-    input.parts[j] = vec_to_bytes(
-        std::vector<std::uint64_t>(keys.begin() + b, keys.begin() + e));
-  }
-  std::vector<cgm::PartitionSet> inputs;
-  inputs.push_back(std::move(input));
-  return inputs;
+  return {cgm::even_chunks<std::uint64_t>(keys, v)};
 }
 
 cgm::MachineConfig net_cfg(std::uint32_t v, std::uint32_t p,
@@ -197,8 +187,9 @@ TEST(SimNetwork, CleanLinksDeliverInOrder) {
   net::SimNetwork nw(2, cfg);
   std::vector<std::byte> want;
   const auto streams = one_round(nw, 2, [&] {
-    for (int i = 0; i < 10; ++i) {
-      const auto chunk = bytes_of(("m" + std::to_string(i)).c_str());
+    for (char i = 0; i < 10; ++i) {
+      const char name[] = {'m', static_cast<char>('0' + i), '\0'};
+      const auto chunk = bytes_of(name);
       want.insert(want.end(), chunk.begin(), chunk.end());
       nw.post(0, 1, chunk);
     }

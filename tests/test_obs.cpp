@@ -42,17 +42,7 @@ namespace {
 
 std::vector<cgm::PartitionSet> sort_inputs(
     std::uint32_t v, const std::vector<std::uint64_t>& keys) {
-  cgm::PartitionSet input;
-  input.parts.resize(v);
-  const std::size_t n = keys.size();
-  for (std::uint32_t j = 0; j < v; ++j) {
-    const std::size_t b = n * j / v, e = n * (j + 1) / v;
-    input.parts[j] = vec_to_bytes(
-        std::vector<std::uint64_t>(keys.begin() + b, keys.begin() + e));
-  }
-  std::vector<cgm::PartitionSet> inputs;
-  inputs.push_back(std::move(input));
-  return inputs;
+  return {cgm::even_chunks<std::uint64_t>(keys, v)};
 }
 
 cgm::MachineConfig em_cfg(std::uint32_t v, std::uint32_t p, bool threads,

@@ -196,3 +196,33 @@ TEST(Primitives, SelfSendDelivered) {
     EXPECT_EQ(outs.at(0).parts.size(), 3u);
   }
 }
+
+TEST(Primitives, MergeRunsMatchesStableSortOfConcat) {
+  // Items compare by key alone, and the keys take few values, so equal keys
+  // arrive from several sources: the merge must keep them in source order.
+  struct Item {
+    std::uint32_t key, src, pos;
+  };
+  const auto by_key = [](const Item& a, const Item& b) { return a.key < b.key; };
+  Rng rng(11);
+  for (std::uint32_t runs : {0u, 1u, 3u, 5u, 7u}) {
+    std::vector<cgm::Message> inbox;
+    for (std::uint32_t s = 0; s < runs; ++s) {
+      // Odd sources only, so some sources send nothing, and the inbox is
+      // filled in reverse: begin_superstep puts it in source order.
+      const std::uint32_t src = 2 * s + 1;
+      std::vector<Item> run(1 + rng.next_below(40));
+      for (std::uint32_t i = 0; i < run.size(); ++i) {
+        run[i] = Item{static_cast<std::uint32_t>(rng.next_below(6)), src, i};
+      }
+      std::stable_sort(run.begin(), run.end(), by_key);
+      inbox.insert(inbox.begin(), cgm::Message{src, 0, vec_to_bytes(run)});
+    }
+    cgm::ProcCtx ctx(0, 16, 1);
+    ctx.begin_superstep(1, std::move(inbox));
+    auto want = ctx.recv_concat<Item>();
+    std::stable_sort(want.begin(), want.end(), by_key);
+    const auto got = prim::merge_runs<Item>(ctx, by_key);
+    EXPECT_EQ(vec_to_bytes(got), vec_to_bytes(want)) << runs << " runs";
+  }
+}
