@@ -103,16 +103,8 @@ SchedProbe run_schedule(routing::ScheduleKind kind,
   em::EmEngine engine(checked(cfg));
 
   algo::SampleSortProgram<std::uint64_t> prog;
-  cgm::PartitionSet input;
-  input.parts.resize(v);
-  const std::size_t n = keys.size();
-  for (std::uint32_t j = 0; j < v; ++j) {
-    const std::size_t b = n * j / v, e = n * (j + 1) / v;
-    input.parts[j] = vec_to_bytes(
-        std::vector<std::uint64_t>(keys.begin() + b, keys.begin() + e));
-  }
   std::vector<cgm::PartitionSet> inputs;
-  inputs.push_back(std::move(input));
+  inputs.push_back(cgm::even_chunks<std::uint64_t>(keys, v));
 
   SchedProbe p;
   p.out = engine.run(prog, std::move(inputs));

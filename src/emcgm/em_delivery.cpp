@@ -1,15 +1,20 @@
 // EmEngine's message delivery (Algorithm 3): the batch record, step 0 of the
-// collective schedule posted from the host workers, and the barrier that
-// runs the later steps and writes every arrival to its destination's disks.
+// collective schedule posted from the host workers, the barrier that closes
+// each round and runs the later steps, and the arrival pass in which every
+// host decodes its own arrivals and writes them to its groups' disks.
 #include "emcgm/em_engine.h"
 
 #include <algorithm>
+#include <exception>
+#include <numeric>
+#include <span>
 #include <sstream>
 
 #include "chaos/chaos_config.h"
 #include "emcgm/em_engine_internal.h"
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/worker_pool.h"
 
 namespace emcgm::em {
 
@@ -39,26 +44,28 @@ void put_batch(WriteArchive& ar, std::uint32_t src_g, std::uint32_t dst_g,
   EMCGM_CHECK(ar.size() - start == bytes);
 }
 
-struct Batch {
+struct BatchHeader {
   std::uint32_t src_g = 0;
   std::uint32_t dst_g = 0;
-  std::vector<cgm::Message> messages;
 };
 
-// Read back one record put_batch wrote, checking its store groups against p.
-Batch get_batch(ReadArchive& ar, std::uint32_t p) {
-  Batch b;
+// Walk one record put_batch wrote, checking its store groups against p,
+// and hand each message to on_message(src, dst, payload view). The views
+// borrow the archive's bytes; the barrier's header walk ignores them and the
+// fin host's decode copies them out.
+template <typename OnMessage>
+BatchHeader walk_batch(ReadArchive& ar, std::uint32_t p,
+                       OnMessage&& on_message) {
+  BatchHeader b;
   b.src_g = ar.get<std::uint32_t>();
   b.dst_g = ar.get<std::uint32_t>();
   EMCGM_CHECK_MSG(b.src_g < p && b.dst_g < p,
                   "network delivery names a bad store group");
   const auto count = ar.get<std::uint64_t>();
   for (std::uint64_t k = 0; k < count; ++k) {
-    cgm::Message m;
-    m.src = ar.get<std::uint32_t>();
-    m.dst = ar.get<std::uint32_t>();
-    m.payload = ar.get_bytes();
-    b.messages.push_back(std::move(m));
+    const auto src = ar.get<std::uint32_t>();
+    const auto dst = ar.get<std::uint32_t>();
+    on_message(src, dst, ar.get_bytes_view());
   }
   return b;
 }
@@ -69,10 +76,7 @@ void EmEngine::rebuild_schedule() {
   sched_.reset();
   if (!net_) return;
   const std::uint32_t p = cfg_.p;
-  std::vector<std::uint32_t> hosts;
-  for (std::uint32_t q = 0; q < p; ++q) {
-    if (alive_[q]) hosts.push_back(q);
-  }
+  const std::vector<std::uint32_t> hosts = live_hosts();
   if (cfg_.net.schedule == routing::ScheduleKind::kCustom) {
     // User-supplied schedule JSON. At run start (epoch 0, full membership)
     // it must cover exactly this machine — anything else is a typed
@@ -158,15 +162,24 @@ void EmEngine::post_group(RunState& rs, std::uint32_t host, std::uint32_t g,
 // traveled during the phase — each host posted its groups' batch records
 // to their first hops (post_group) — so the barrier closes that round and
 // then runs steps 1.. itself, store-and-forward. The wire unit is the
-// batch record (put_batch): a relay holds and forwards records unchanged,
-// and a record that reaches its fin host is decoded, checked exactly-once
-// en route. NetStats picks up the wire tax (relay hops, retransmissions,
-// duplicates, corrupt frames) while StepComm keeps counting the delivered
-// payload — the realized h-relation. Either way each store group then
-// writes its arrivals, gathered in canonical (src_g-ascending) order and
-// stable-sorted by (src, dst), so the bytes on disk are bit-identical
+// batch record (put_batch). After each round the barrier walks the
+// records' headers only: a relay holds a record and forwards it unchanged,
+// and a record that reached its fin host stays in the round's stream, where
+// that host decodes it. NetStats picks up the wire tax (relay hops,
+// retransmissions, duplicates, corrupt frames) while StepComm keeps
+// counting the delivered payload — the realized h-relation.
+//
+// Then, as in Algorithm 3, every live host takes in its own arrivals on its
+// own worker, in one run() of the host pool: it decodes the records whose
+// fin host it is (a batch delivered twice is an error), counts its
+// crossing messages, and writes each of its groups' arrivals, groups
+// ascending, gathered in canonical (src_g-ascending) order and
+// stable-sorted by (src, dst). So the bytes on disk are bit-identical
 // between in-memory staging, every schedule, any degraded-mode assignment,
-// and both use_threads modes.
+// and both use_threads modes. Once every host is done, the barrier raises
+// the pass's errors in a fixed order: the lowest host's decode error, the
+// exactly-once invariant, then the groups' write errors by
+// for_each_group's rule.
 void EmEngine::deliver_staged(RunState& rs,
                               std::vector<ProcOutcome>& outcomes) {
   const std::uint32_t p = cfg_.p;
@@ -197,12 +210,16 @@ void EmEngine::deliver_staged(RunState& rs,
 
     // batches[dst_g][src_g]: the (src_g -> dst_g) message batch, however
     // it traveled. Staged directly for same-host pairs (every pair without
-    // a network), decoded from network deliveries otherwise. held[o][f]:
-    // the batch records of flow (o, f) waiting for their next hop — flows
-    // step 0 does not move, then relayed arrivals.
+    // a network), decoded by the fin host otherwise. held[o][f]: the batch
+    // records of flow (o, f) waiting for their next hop — flows step 0
+    // does not move, then relayed arrivals. arrived[h]: the records whose
+    // fin host is h, as views into the closed rounds' streams, which
+    // `rounds` keeps alive.
     std::vector<std::vector<std::vector<cgm::Message>>> batches(
         p, std::vector<std::vector<cgm::Message>>(p));
     std::vector<std::vector<WriteArchive>> held;
+    std::vector<std::vector<std::span<const std::byte>>> arrived(p);
+    std::vector<net::LinkStreams> rounds;
     if (net_) held.assign(p, std::vector<WriteArchive>(p));
     for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
       for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
@@ -216,12 +233,15 @@ void EmEngine::deliver_staged(RunState& rs,
         }
       }
     }
+    // The span also covers the hosts' arrival pass, so the time they
+    // spend decoding counts as collection.
+    obs::SpanScope net_span(tr, net_ ? eshard : nullptr,
+                            obs::SpanKind::kNetCollect, epid, 0, -1, -1,
+                            phys_step_, rs.round);
     if (net_) {
-      obs::SpanScope net_span(tr, eshard, obs::SpanKind::kNetCollect, epid,
-                              0, -1, -1, phys_step_, rs.round);
       const net::NetStats net_mark = net_->stats();
-      // Close the open round, then parse the self-delimiting batch records
-      // back out of each link's stream, one receiving host at a time.
+      // Close the open round, then walk the headers of the self-delimiting
+      // batch records in each link's stream, one receiving host at a time.
       auto close_round = [&] {
         net::LinkStreams streams;
         try {
@@ -240,20 +260,21 @@ void EmEngine::deliver_staged(RunState& rs,
             ReadArchive ar(s);
             while (!ar.exhausted()) {
               const std::size_t begin = ar.position();
-              Batch b = get_batch(ar, p);
+              const BatchHeader b =
+                  walk_batch(ar, p, [](auto, auto, auto) {});
+              const std::span<const std::byte> record(
+                  s.data() + begin, ar.position() - begin);
               const std::uint32_t fin = group_host_[b.dst_g];
-              if (fin != h) {  // relay: hold the record for the next hop
-                held[group_host_[b.src_g]][fin].write_raw(
-                    s.data() + begin, ar.position() - begin);
-                continue;
+              if (fin == h) {
+                arrived[h].push_back(record);
+              } else {  // relay: hold the record for the next hop
+                held[group_host_[b.src_g]][fin].write_raw(record.data(),
+                                                          record.size());
               }
-              auto& slot = batches[b.dst_g][b.src_g];
-              EMCGM_CHECK_MSG(slot.empty(),
-                              "duplicate network batch delivered");
-              slot = std::move(b.messages);
             }
           }
         }
+        rounds.push_back(std::move(streams));
       };
       close_round();
       const std::vector<routing::ScheduleStep>& steps = sched_->steps;
@@ -293,19 +314,76 @@ void EmEngine::deliver_staged(RunState& rs,
       net_span.set_aux(delta.wire_bytes, delta.retransmissions);
     }
 
+    // The arrival pass. Host h touches only its own groups' batches rows,
+    // stores and disks, its own trace shard, and its own slots below.
+    const std::vector<std::uint32_t> hosts = live_hosts();
+    std::vector<std::uint64_t> crossing(hosts.size(), 0);
+    std::vector<std::exception_ptr> write_error(p);
+    host_workers_->run(hosts.size(), [&](std::size_t k) {
+      const std::uint32_t h = hosts[k];
+      for (const std::span<const std::byte> record : arrived[h]) {
+        ReadArchive ar(record);
+        std::vector<cgm::Message> messages;
+        const BatchHeader b = walk_batch(
+            ar, p,
+            [&](std::uint32_t src, std::uint32_t dst,
+                std::span<const std::byte> payload) {
+              messages.push_back(cgm::Message{
+                  src, dst,
+                  std::vector<std::byte>(payload.begin(), payload.end())});
+            });
+        auto& slot = batches[b.dst_g][b.src_g];
+        EMCGM_CHECK_MSG(slot.empty(), "duplicate network batch delivered");
+        slot = std::move(messages);
+      }
+      for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
+        if (group_host_[dst_g] != h) continue;
+        std::size_t count = 0;
+        for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
+          count += batches[dst_g][src_g].size();
+          if (group_host_[src_g] != h) {
+            crossing[k] += batches[dst_g][src_g].size();
+          }
+        }
+        if (count == 0) continue;
+        try {
+          std::vector<cgm::Message> arrivals;
+          arrivals.reserve(count);
+          for (auto& batch : batches[dst_g]) {
+            for (auto& m : batch) arrivals.push_back(std::move(m));
+          }
+          // Deterministic arrival order regardless of threading or
+          // routing; stable so same-(src, dst) messages keep their program
+          // order.
+          std::stable_sort(arrivals.begin(), arrivals.end(),
+                           [](const cgm::Message& a, const cgm::Message& b) {
+                             return a.src != b.src ? a.src < b.src
+                                                   : a.dst < b.dst;
+                           });
+          obs::SpanScope span(tr, tr ? &tr->host_shard(h) : nullptr,
+                              obs::SpanKind::kOutboxWrite, h, dst_g, dst_g,
+                              -1, phys_step_, rs.round,
+                              tr ? &procs_[dst_g]->disks->stats() : nullptr);
+          if (tr) {
+            std::uint64_t bytes = 0;
+            for (const auto& m : arrivals) bytes += m.payload.size();
+            span.set_aux(arrivals.size(), bytes);
+          }
+          procs_[dst_g]->messages->write_messages(arrivals);
+        } catch (...) {
+          write_error[dst_g] = std::current_exception();
+        }
+      }
+    });
+
     if (cfg_.chaos.invariants) {
       // Exactly-once delivery: the crossing messages decoded out of the
       // network (plus same-host staging) must equal, in count, the
       // crossing messages the h-relation accounting saw at the source —
       // a dropped-and-not-retransmitted or duplicated-and-not-deduped
       // batch shows up here, at the barrier it corrupted.
-      std::uint64_t delivered = 0;
-      for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
-        for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
-          if (group_host_[src_g] == group_host_[dst_g]) continue;
-          delivered += batches[dst_g][src_g].size();
-        }
-      }
+      const std::uint64_t delivered =
+          std::accumulate(crossing.begin(), crossing.end(), std::uint64_t{0});
       if (delivered != step.messages) {
         std::ostringstream os;
         os << "network delivered " << delivered
@@ -314,34 +392,8 @@ void EmEngine::deliver_staged(RunState& rs,
                                         os.str());
       }
     }
-
-    for_each_group(p, cfg_.net.failover, [&](std::uint32_t dst_g) {
-      std::vector<cgm::Message> arrivals;
-      for (std::uint32_t src_g = 0; src_g < p; ++src_g) {
-        for (auto& m : batches[dst_g][src_g]) {
-          arrivals.push_back(std::move(m));
-        }
-      }
-      if (arrivals.empty()) return;
-      // Deterministic arrival order regardless of threading or routing;
-      // stable so same-(src, dst) messages keep their program order.
-      std::stable_sort(arrivals.begin(), arrivals.end(),
-                       [](const cgm::Message& a, const cgm::Message& b) {
-                         return a.src != b.src ? a.src < b.src
-                                               : a.dst < b.dst;
-                       });
-      // Arrival writes run at the barrier (the caller) but touch the
-      // destination group's disks — render them there.
-      obs::SpanScope span(tr, eshard, obs::SpanKind::kOutboxWrite,
-                          group_host_[dst_g], dst_g, dst_g, -1, phys_step_,
-                          rs.round,
-                          tr ? &procs_[dst_g]->disks->stats() : nullptr);
-      if (tr) {
-        std::uint64_t bytes = 0;
-        for (const auto& m : arrivals) bytes += m.payload.size();
-        span.set_aux(arrivals.size(), bytes);
-      }
-      procs_[dst_g]->messages->write_messages(arrivals);
+    for_each_group(p, cfg_.net.failover, [&](std::uint32_t g) {
+      if (write_error[g]) std::rethrow_exception(write_error[g]);
     });
   }
   rs.result.comm.steps.push_back(step);

@@ -124,6 +124,14 @@ bool EmEngine::alive(std::uint32_t real_proc) const {
   return alive_[real_proc] != 0;
 }
 
+std::vector<std::uint32_t> EmEngine::live_hosts() const {
+  std::vector<std::uint32_t> hosts;
+  for (std::uint32_t h = 0; h < cfg_.p; ++h) {
+    if (alive_[h]) hosts.push_back(h);
+  }
+  return hosts;
+}
+
 void EmEngine::verify_drained(const char* where) const {
   if (!cfg_.chaos.invariants) return;
   for (std::uint32_t r = 0; r < cfg_.p; ++r) {
@@ -566,14 +574,13 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
 // network enabled each host posts a group's step-0 batches as soon as the
 // group finishes, and its finish_sender() simulates every endpoint pair it
 // completes on the host's own worker, while slower hosts still compute.
+// The same pool runs the hosts' arrival pass at the barrier
+// (deliver_staged).
 std::vector<EmEngine::ProcOutcome> EmEngine::run_phase(RunState& rs,
                                                        bool compute) {
   const std::uint32_t p = cfg_.p;
   std::vector<ProcOutcome> outcomes(p);
-  std::vector<std::uint32_t> hosts;
-  for (std::uint32_t h = 0; h < p; ++h) {
-    if (alive_[h]) hosts.push_back(h);
-  }
+  const std::vector<std::uint32_t> hosts = live_hosts();
   try {
     // Started by the first phase, not the constructor: building and
     // starting an engine stay free of thread creation, and one that never

@@ -12,7 +12,8 @@
 // With p > 1 (Algorithm 3), messages whose destination lives on another
 // real processor travel over a simulated network (byte-counted into
 // CommStats) along a verified collective schedule — direct is its one-step
-// case — and are written to the destination's disks at superstep end.
+// case — and at superstep end each host writes its own arrivals to its
+// groups' disks.
 // With balanced routing (Lemma 2) every application round expands into two
 // physical supersteps; the intermediate regrouping runs engine-side and
 // touches only the message store — contexts are not re-read.
@@ -193,6 +194,8 @@ class EmEngine final : public cgm::Engine {
   };
 
   std::uint32_t nlocal() const { return cfg_.v / cfg_.p; }
+  /// The real processors alive in the current membership epoch, ascending.
+  std::vector<std::uint32_t> live_hosts() const;
   std::uint32_t owner_of(std::uint32_t vproc) const {
     return vproc / nlocal();
   }
@@ -288,9 +291,9 @@ class EmEngine final : public cgm::Engine {
   std::unique_ptr<obs::MetricsRegistry> metrics_;
 
   std::vector<std::unique_ptr<RealProc>> procs_;
-  /// Runs each phase's live hosts (run_phase) from the first phase on, for
-  /// the engine's lifetime: p workers with cfg.use_threads, else the caller
-  /// alone.
+  /// Runs each phase's live hosts (run_phase) and their arrival passes
+  /// (deliver_staged) from the first phase on, for the engine's lifetime:
+  /// p workers with cfg.use_threads, else the caller alone.
   std::unique_ptr<WorkerPool> host_workers_;
   Commit commit_;
   std::string running_program_;  ///< name sanity check for resume()

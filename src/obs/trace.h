@@ -10,9 +10,9 @@
 //
 // Thread-safety follows the engine's shard discipline (DESIGN.md §10/§11):
 // the tracer owns p host shards plus one engine shard. Host shard h is
-// written inside run_phase only by whichever worker runs host h's task
-// (the caller itself when the pool has one worker); the engine shard is
-// written only by the caller at barriers. Shards are merged in
+// written, inside run_phase and inside the barrier's arrival pass, only by
+// whichever worker runs host h's task (the caller itself when the pool has
+// one worker); the engine shard is written only by the caller at barriers. Shards are merged in
 // canonical order — shard index ascending, record order within a shard — so
 // the merged *structure* (kinds, coordinates, nesting) is bit-identical
 // between use_threads on and off; only the wall-clock timestamps differ.

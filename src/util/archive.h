@@ -146,6 +146,16 @@ class ReadArchive {
 
   std::vector<std::byte> get_bytes() { return get_vec<std::byte>(); }
 
+  /// What get_bytes() reads, as a view into the archive's data instead of
+  /// a copy.
+  std::span<const std::byte> get_bytes_view() {
+    const auto n = get<std::uint64_t>();
+    need(n, 1);
+    const auto view = data_.subspan(pos_, static_cast<std::size_t>(n));
+    pos_ += view.size();
+    return view;
+  }
+
   /// Read a field list written by put_fields, in the same order.
   template <typename... Fs>
   void get_fields(std::tuple<Fs&...> fields) {

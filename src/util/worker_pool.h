@@ -8,12 +8,12 @@
 // caller, in index order.
 //
 // Two users keep one pool each: the EM engine (one worker per host with
-// use_threads, else one) runs each superstep phase's live hosts through
-// it from its first superstep to its destruction, and the job service
-// steps each tick's work items through it. The pool decides only which
-// thread runs an index and when, never what runs: the indices are fixed
-// before run() starts, and the caller reads their results only after
-// run() returned.
+// use_threads, else one) runs each superstep phase's live hosts, and then
+// their arrival writes, through it from its first superstep to its
+// destruction, and the job service steps each tick's work items through
+// it. The pool decides only which thread runs an index and when, never
+// what runs: the indices are fixed before run() starts, and the caller
+// reads their results only after run() returned.
 //
 // A task that throws has its exception kept; once every index has run,
 // run() rethrows the exception of the lowest index that threw, so a batch

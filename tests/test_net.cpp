@@ -15,6 +15,7 @@
 #include "net/net_fault.h"
 #include "net/packet.h"
 #include "net/sim_network.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 using namespace emcgm;
@@ -624,6 +625,177 @@ TEST(NetFailover, PerHostFileRootsKillSweep) {
   }
   EXPECT_GE(fired, 4u);
   for (const auto& r : roots) std::filesystem::remove_all(r);
+}
+
+namespace {
+
+// Group g's parallel I/Os up to its arrival writes of physical superstep
+// `step`, and the ops those writes take, read off a traced clean run.
+struct ArrivalOps {
+  std::uint64_t before = 0;
+  std::uint64_t ops = 0;
+};
+
+ArrivalOps arrival_ops(cgm::MachineConfig cfg,
+                       const std::vector<std::uint64_t>& keys,
+                       std::uint32_t g, std::uint64_t step) {
+  cfg.obs.trace = true;
+  em::EmEngine e(cfg);
+  algo::SampleSortProgram<std::uint64_t> prog;
+  e.start(prog, sort_inputs(cfg.v, keys));
+  for (std::uint64_t s = 0; s < step; ++s) e.step();
+  ArrivalOps a;
+  a.before = e.io_stats(g).total_ops();
+  e.step();
+  for (const obs::Span& span : e.tracer()->merged()) {
+    if (span.group != g || span.step != step) continue;
+    if (span.kind == obs::SpanKind::kGroupStep) {
+      a.before += span.io.total_ops();
+    } else if (span.kind == obs::SpanKind::kOutboxWrite && span.vproc < 0) {
+      a.ops = span.io.total_ops();
+    }
+  }
+  return a;
+}
+
+// The parallel I/Os group g completes up to the end of superstep `step`
+// with a disk quota on its disks (kNoSpace stops it earlier).
+std::uint64_t ops_under_quota(const cgm::MachineConfig& cfg,
+                              const std::vector<std::uint64_t>& keys,
+                              std::uint32_t g, std::uint64_t step,
+                              std::uint64_t quota) {
+  auto qcfg = cfg;
+  qcfg.chaos.disk_quota_per_proc.assign(cfg.p, 0);
+  qcfg.chaos.disk_quota_per_proc[g] = quota;
+  em::EmEngine e(qcfg);
+  algo::SampleSortProgram<std::uint64_t> prog;
+  try {
+    e.start(prog, sort_inputs(cfg.v, keys));
+    for (std::uint64_t s = 0; s <= step; ++s) e.step();
+  } catch (const IoError& err) {
+    EXPECT_EQ(err.kind(), IoErrorKind::kNoSpace) << err.what();
+  }
+  return e.io_stats(g).total_ops();
+}
+
+// The smallest disk quota on group g that lets the run reach g's arrival
+// writes of superstep `step`.
+std::uint64_t arrival_quota(const cgm::MachineConfig& cfg,
+                            const std::vector<std::uint64_t>& keys,
+                            std::uint32_t g, std::uint64_t step,
+                            const ArrivalOps& a) {
+  std::uint64_t lo = 1, hi = std::uint64_t{1} << 26;
+  EXPECT_LT(ops_under_quota(cfg, keys, g, step, lo), a.before);
+  EXPECT_GE(ops_under_quota(cfg, keys, g, step, hi), a.before);
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (ops_under_quota(cfg, keys, g, step, mid) >= a.before ? hi : lo) = mid;
+  }
+  return hi;
+}
+
+}  // namespace
+
+TEST(NetFailover, ArrivalWritesFailTheSameInEveryThreadingMode) {
+  // Faults planted in the arrival writes of groups 1 and 2 in the same
+  // superstep: with threads on, hosts 1 and 2 write their arrivals at
+  // once. Both threading modes must end alike — the same outputs and run
+  // check after fail-over or resume, and with fail-over off the same
+  // IoError, the one a run with only the lowest group's fault raises.
+  const std::uint32_t v = 8, p = 4;
+  const std::uint32_t groups[2] = {1, 2};
+  const std::uint64_t step = 2;  // the bucket exchange reaches every group
+  const auto keys = random_keys(2525, 2000);
+  algo::SampleSortProgram<std::uint64_t> prog;
+  em::EmEngine ref(net_cfg(v, p));
+  const auto expected = ref.run(prog, sort_inputs(v, keys));
+  ArrivalOps arrivals[2];
+  for (int k = 0; k < 2; ++k) {
+    arrivals[k] = arrival_ops(net_cfg(v, p), keys, groups[k], step);
+    ASSERT_GE(arrivals[k].ops, 2u) << "group " << groups[k];
+  }
+
+  using Failure = std::pair<IoErrorKind, std::string>;
+  auto failure_of = [&](em::EmEngine& e) {
+    try {
+      (void)e.run(prog, sort_inputs(v, keys));
+    } catch (const IoError& err) {
+      return Failure{err.kind(), err.what()};
+    }
+    ADD_FAILURE() << "the planted fault did not fire";
+    return Failure{};
+  };
+
+  // Crashes: group 1's disks die on their first arrival write, group 2's
+  // on their last.
+  const std::uint64_t crash_after[2] = {
+      arrivals[0].before, arrivals[1].before + arrivals[1].ops - 1};
+  auto crash_cfg = [&](bool threads, bool failover, int planted) {
+    auto cfg = net_cfg(v, p, threads);
+    cfg.net.failover = failover;
+    cfg.fault_per_proc.assign(p, pdm::FaultPlan{});
+    for (int k = 0; k < planted; ++k) {
+      cfg.fault_per_proc[groups[k]].crash_after_ops = crash_after[k];
+    }
+    return cfg;
+  };
+  cgm::RunResult runs[2];
+  for (bool threads : {false, true}) {
+    em::EmEngine e(crash_cfg(threads, true, 2));
+    EXPECT_TRUE(expected == e.run(prog, sort_inputs(v, keys)))
+        << "threads=" << threads;
+    EXPECT_EQ(e.last_result().failovers, 1u) << "threads=" << threads;
+    EXPECT_FALSE(e.alive(groups[0]));
+    EXPECT_FALSE(e.alive(groups[1]));
+    runs[threads] = e.last_result();
+  }
+  EXPECT_EQ(cgm::run_mismatches(runs[0], runs[1]), "");
+  {
+    em::EmEngine lowest_only(crash_cfg(false, false, 1));
+    const Failure lowest = failure_of(lowest_only);
+    EXPECT_EQ(lowest.first, IoErrorKind::kCrash);
+    for (bool threads : {false, true}) {
+      em::EmEngine e(crash_cfg(threads, false, 2));
+      EXPECT_EQ(failure_of(e), lowest) << "threads=" << threads;
+    }
+  }
+
+  // Quotas: kNoSpace is not a death, so it never fails over; the run
+  // aborts with the lowest group's error, the quotas are lifted, and
+  // resume() finishes the run. The arrival writes are the first to touch
+  // their side of the message store, whose tracks lie above every track
+  // written before, so the smallest quota that lets a group reach them
+  // stops it inside them; group 2's is one block larger, so that the two
+  // errors differ.
+  std::uint64_t quota[2];
+  for (int k = 0; k < 2; ++k) {
+    quota[k] =
+        arrival_quota(net_cfg(v, p), keys, groups[k], step, arrivals[k]) +
+        k * net_cfg(v, p).disk.block_bytes;
+    EXPECT_LT(ops_under_quota(net_cfg(v, p), keys, groups[k], step, quota[k]),
+              arrivals[k].before + arrivals[k].ops)
+        << "group " << groups[k];
+  }
+  auto quota_cfg = [&](bool threads, int planted) {
+    auto cfg = net_cfg(v, p, threads);
+    cfg.net.failover = true;
+    cfg.chaos.disk_quota_per_proc.assign(p, 0);
+    for (int k = 0; k < planted; ++k) {
+      cfg.chaos.disk_quota_per_proc[groups[k]] = quota[k];
+    }
+    return cfg;
+  };
+  em::EmEngine lowest_only(quota_cfg(false, 1));
+  const Failure lowest = failure_of(lowest_only);
+  EXPECT_EQ(lowest.first, IoErrorKind::kNoSpace);
+  for (bool threads : {false, true}) {
+    em::EmEngine e(quota_cfg(threads, 2));
+    EXPECT_EQ(failure_of(e), lowest) << "threads=" << threads;
+    for (std::uint32_t g : groups) e.set_disk_quota_bytes(g, 0);
+    EXPECT_TRUE(expected == e.resume(prog)) << "threads=" << threads;
+    runs[threads] = e.last_result();
+  }
+  EXPECT_EQ(cgm::run_mismatches(runs[0], runs[1]), "");
 }
 
 TEST(NetFailover, FileRootsConfigValidation) {

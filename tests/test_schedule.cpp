@@ -648,22 +648,31 @@ TEST(ScheduleEngine, FailoverSweepUnderEverySchedule) {
   const auto expected = ref.run(prog, sort_inputs(8, keys));
   const auto steps = ref.last_result().io_per_step.size();
 
+  // Relays, the hosts' arrival pass and the replay meet here: each kill
+  // runs with threads off and on, and the run check must name nothing.
   std::uint64_t fired = 0;
   for (ScheduleKind kind : kAllScheduleKinds) {
     for (std::uint64_t step : {std::uint64_t{2}, steps / 2 + 1}) {
-      auto cfg = sched_cfg(8, 4, kind);
-      cfg.net.failover = true;
-      cfg.net.fault.fail_stops = {{3, step}};
-      em::EmEngine e(cfg);
-      const auto got = e.run(prog, sort_inputs(8, keys));
-      EXPECT_TRUE(expected == got)
-          << to_string(kind) << " kill@" << step;
-      fired += e.last_result().failovers;
-      if (e.last_result().failovers > 0) {
-        // The degraded epoch re-derived its schedule over the survivors.
-        ASSERT_NE(e.schedule(), nullptr);
-        EXPECT_EQ(e.schedule()->hosts, (std::vector<std::uint32_t>{0, 1, 2}));
+      cgm::RunResult runs[2];
+      for (bool threads : {false, true}) {
+        auto cfg = sched_cfg(8, 4, kind, threads);
+        cfg.net.failover = true;
+        cfg.net.fault.fail_stops = {{3, step}};
+        em::EmEngine e(cfg);
+        const auto got = e.run(prog, sort_inputs(8, keys));
+        EXPECT_TRUE(expected == got) << to_string(kind) << " kill@" << step
+                                     << " threads=" << threads;
+        runs[threads] = e.last_result();
+        if (e.last_result().failovers > 0) {
+          // The degraded epoch re-derived its schedule over the survivors.
+          ASSERT_NE(e.schedule(), nullptr);
+          EXPECT_EQ(e.schedule()->hosts,
+                    (std::vector<std::uint32_t>{0, 1, 2}));
+        }
       }
+      EXPECT_EQ(cgm::run_mismatches(runs[0], runs[1]), "")
+          << to_string(kind) << " kill@" << step;
+      fired += runs[0].failovers;
     }
   }
   EXPECT_GE(fired, 4u);
@@ -677,19 +686,25 @@ TEST(ScheduleEngine, RejoinSweepUnderEverySchedule) {
 
   std::uint64_t rejoined = 0;
   for (ScheduleKind kind : kAllScheduleKinds) {
-    auto cfg = sched_cfg(8, 4, kind);
-    cfg.net.failover = true;
-    cfg.net.fault.fail_stops = {{2, 2}};
-    cfg.net.fault.rejoins = {{2, 4}};
-    em::EmEngine e(cfg);
-    EXPECT_TRUE(expected == e.run(prog, sort_inputs(8, keys)))
-        << to_string(kind);
-    rejoined += e.last_result().rejoins;
-    if (e.last_result().rejoins > 0) {
-      ASSERT_NE(e.schedule(), nullptr);
-      // Back to full membership after the re-admission.
-      EXPECT_EQ(e.schedule()->hosts, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+    cgm::RunResult runs[2];
+    for (bool threads : {false, true}) {
+      auto cfg = sched_cfg(8, 4, kind, threads);
+      cfg.net.failover = true;
+      cfg.net.fault.fail_stops = {{2, 2}};
+      cfg.net.fault.rejoins = {{2, 4}};
+      em::EmEngine e(cfg);
+      EXPECT_TRUE(expected == e.run(prog, sort_inputs(8, keys)))
+          << to_string(kind) << " threads=" << threads;
+      runs[threads] = e.last_result();
+      if (e.last_result().rejoins > 0) {
+        ASSERT_NE(e.schedule(), nullptr);
+        // Back to full membership after the re-admission.
+        EXPECT_EQ(e.schedule()->hosts,
+                  (std::vector<std::uint32_t>{0, 1, 2, 3}));
+      }
     }
+    EXPECT_EQ(cgm::run_mismatches(runs[0], runs[1]), "") << to_string(kind);
+    rejoined += runs[0].rejoins;
   }
   EXPECT_GE(rejoined, 2u);
 }
