@@ -9,6 +9,8 @@
 #include <cstring>
 #include <filesystem>
 
+#include "pdm/checksum.h"
+
 namespace emcgm::pdm {
 
 void StorageBackend::ensure_space(std::uint32_t disk,
@@ -23,27 +25,28 @@ void StorageBackend::ensure_space(std::uint32_t disk,
   throw IoError(IoErrorKind::kNoSpace, os.str());
 }
 
+void StorageBackend::write_sealed(std::uint32_t disk, std::uint64_t track,
+                                  std::span<const std::byte> payload,
+                                  std::span<std::byte> scratch) {
+  seal_block(disk, track, payload, scratch);
+  write_block(disk, track, scratch);
+}
+
+void StorageBackend::read_unsealed(std::uint32_t disk, std::uint64_t track,
+                                   std::span<std::byte> out,
+                                   std::span<std::byte> scratch) {
+  read_block(disk, track, scratch);
+  unseal_block(disk, track, scratch, out);
+}
+
 // ---------------------------------------------------------------- Memory --
 
 MemoryBackend::MemoryBackend(const DiskGeometry& geom)
     : StorageBackend(geom), disks_(geom.num_disks) {}
 
-void MemoryBackend::read_block(std::uint32_t disk, std::uint64_t track,
-                               std::span<std::byte> out) {
+std::span<std::byte> MemoryBackend::track_for_write(std::uint32_t disk,
+                                                    std::uint64_t track) {
   EMCGM_CHECK(disk < geom_.num_disks);
-  EMCGM_CHECK(out.size() == geom_.block_bytes);
-  const auto& d = disks_[disk];
-  if (track < d.size() && d[track]) {
-    std::memcpy(out.data(), d[track].get(), out.size());
-  } else {
-    std::memset(out.data(), 0, out.size());  // never written: sparse zeros
-  }
-}
-
-void MemoryBackend::write_block(std::uint32_t disk, std::uint64_t track,
-                                std::span<const std::byte> data) {
-  EMCGM_CHECK(disk < geom_.num_disks);
-  EMCGM_CHECK(data.size() == geom_.block_bytes);
   ensure_space(disk, track);
   auto& d = disks_[disk];
   if (track >= d.size()) d.resize(track + 1);
@@ -51,7 +54,51 @@ void MemoryBackend::write_block(std::uint32_t disk, std::uint64_t track,
   if (!block) {
     block = std::make_unique_for_overwrite<std::byte[]>(geom_.block_bytes);
   }
-  std::memcpy(block.get(), data.data(), data.size());
+  return {block.get(), geom_.block_bytes};
+}
+
+std::span<const std::byte> MemoryBackend::track_for_read(
+    std::uint32_t disk, std::uint64_t track) const {
+  EMCGM_CHECK(disk < geom_.num_disks);
+  const auto& d = disks_[disk];
+  if (track >= d.size() || !d[track]) return {};
+  return {d[track].get(), geom_.block_bytes};
+}
+
+void MemoryBackend::read_block(std::uint32_t disk, std::uint64_t track,
+                               std::span<std::byte> out) {
+  EMCGM_CHECK(out.size() == geom_.block_bytes);
+  const auto block = track_for_read(disk, track);
+  if (block.empty()) {
+    std::memset(out.data(), 0, out.size());  // never written: sparse zeros
+  } else {
+    std::memcpy(out.data(), block.data(), out.size());
+  }
+}
+
+void MemoryBackend::write_block(std::uint32_t disk, std::uint64_t track,
+                                std::span<const std::byte> data) {
+  EMCGM_CHECK(data.size() == geom_.block_bytes);
+  std::memcpy(track_for_write(disk, track).data(), data.data(), data.size());
+}
+
+void MemoryBackend::write_sealed(std::uint32_t disk, std::uint64_t track,
+                                 std::span<const std::byte> payload,
+                                 std::span<std::byte> /*scratch*/) {
+  EMCGM_CHECK(payload.size() + kEnvelopeBytes == geom_.block_bytes);
+  seal_block(disk, track, payload, track_for_write(disk, track));
+}
+
+void MemoryBackend::read_unsealed(std::uint32_t disk, std::uint64_t track,
+                                  std::span<std::byte> out,
+                                  std::span<std::byte> /*scratch*/) {
+  EMCGM_CHECK(out.size() + kEnvelopeBytes == geom_.block_bytes);
+  const auto block = track_for_read(disk, track);
+  if (block.empty()) {
+    std::memset(out.data(), 0, out.size());  // never written: sparse zeros
+  } else {
+    unseal_block(disk, track, block, out);
+  }
 }
 
 std::uint64_t MemoryBackend::tracks_used(std::uint32_t disk) const {

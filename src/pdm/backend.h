@@ -22,7 +22,10 @@ namespace emcgm::pdm {
 /// any track may be written first, and a track never written reads as zero
 /// bytes. Space is counted by high-water mark: writing track t counts every
 /// track below t as used, whether the implementation stores those tracks or
-/// not.
+/// not. With checksums on, blocks move through write_sealed/read_unsealed,
+/// which store and verify exactly the envelopes (checksum.h) that
+/// write_block and read_block would; a backend that keeps its tracks in
+/// memory overrides the pair to seal and verify there.
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -35,6 +38,21 @@ class StorageBackend {
   /// Copy one block (exactly block_bytes long) to (disk, track).
   virtual void write_block(std::uint32_t disk, std::uint64_t track,
                            std::span<const std::byte> data) = 0;
+
+  /// Seal `payload` (block_bytes - kEnvelopeBytes long) for (disk, track)
+  /// and store the envelope there. Default: seal_block into `scratch`
+  /// (block_bytes long), then write_block.
+  virtual void write_sealed(std::uint32_t disk, std::uint64_t track,
+                            std::span<const std::byte> payload,
+                            std::span<std::byte> scratch);
+
+  /// Verify the envelope at (disk, track) and copy its payload into `out`
+  /// (block_bytes - kEnvelopeBytes long), throwing like unseal_block; a
+  /// never-written track reads as zeros. Default: read_block into
+  /// `scratch` (block_bytes long), then unseal_block.
+  virtual void read_unsealed(std::uint32_t disk, std::uint64_t track,
+                             std::span<std::byte> out,
+                             std::span<std::byte> scratch);
 
   /// High-water mark of `disk`: one past the highest track ever written
   /// (capacity usage reporting; unwritten tracks below it count).
@@ -81,8 +99,11 @@ class StorageBackend {
 
 /// In-RAM backing store. Each track is allocated on its first write and
 /// overwritten in place after that, so the gaps that region layouts leave
-/// between written tracks cost one null pointer each. Disks share no state:
-/// executor workers that own disjoint disks need no lock.
+/// between written tracks cost one null pointer each. write_sealed seals
+/// straight into the track and read_unsealed verifies straight out of it,
+/// so a checksummed block crosses memory once each way; `scratch` goes
+/// unused. Disks share no state: executor workers that own disjoint disks
+/// need no lock.
 class MemoryBackend final : public StorageBackend {
  public:
   explicit MemoryBackend(const DiskGeometry& geom);
@@ -91,9 +112,23 @@ class MemoryBackend final : public StorageBackend {
                   std::span<std::byte> out) override;
   void write_block(std::uint32_t disk, std::uint64_t track,
                    std::span<const std::byte> data) override;
+  void write_sealed(std::uint32_t disk, std::uint64_t track,
+                    std::span<const std::byte> payload,
+                    std::span<std::byte> scratch) override;
+  void read_unsealed(std::uint32_t disk, std::uint64_t track,
+                     std::span<std::byte> out,
+                     std::span<std::byte> scratch) override;
   std::uint64_t tracks_used(std::uint32_t disk) const override;
 
  private:
+  /// Track memory to overwrite: checks the quota and allocates the track on
+  /// its first write.
+  std::span<std::byte> track_for_write(std::uint32_t disk,
+                                       std::uint64_t track);
+  /// The track's memory, or an empty span if it was never written.
+  std::span<const std::byte> track_for_read(std::uint32_t disk,
+                                            std::uint64_t track) const;
+
   // disks_[d][t] is track t of disk d (block_bytes long), or null if never
   // written; disks_[d].size() is the high-water mark.
   std::vector<std::vector<std::unique_ptr<std::byte[]>>> disks_;

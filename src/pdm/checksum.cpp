@@ -5,8 +5,8 @@
 #include <cstring>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define EMCGM_CRC32C_SSE42 1
-#include <nmmintrin.h>
+#define EMCGM_CRC32C_X86 1
+#include <immintrin.h>
 #endif
 
 #include "util/error.h"
@@ -30,7 +30,7 @@ constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
 
 constexpr auto kCrcTable = make_crc32c_table();
 
-#ifdef EMCGM_CRC32C_SSE42
+#ifdef EMCGM_CRC32C_X86
 // CRC registers are linear: the register after X || Y is the register after
 // X, carried past |Y| zero bytes, xor the register of Y alone (from zero).
 // kShift carries a register past one stream's kCrc32cStreamBytes zero bytes,
@@ -63,8 +63,8 @@ std::uint64_t shift_stream(std::uint64_t c) {
 // streams (A, B, C: consecutive kCrc32cStreamBytes runs) keep it busy; A's
 // register is carried past B, then past C, to join them. The tail runs one
 // stream. kCopy stores each word to `dst` as it is summed.
-// Compiled for SSE4.2 in this function only; crc32c() and crc32c_copy() call
-// it only on a CPU that reports the extension.
+// Compiled for SSE4.2 in this function only; the dispatch calls it only on a
+// CPU that reports the extension.
 template <bool kCopy>
 __attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
     std::byte* dst, const std::byte* src, std::size_t n, std::uint32_t seed) {
@@ -103,15 +103,145 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
   return ~a32;
 }
 
-// The CPU check runs once, at the first call.
-bool use_sse42() {
-  static const bool yes = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("sse4.2") != 0;
-  }();
-  return yes;
+// kFold's constants. In the reflected bit order of a little-endian load,
+// the low 64-bit half of a 128-bit lane holds the lane's higher-degree
+// terms: lane = lo * x^64 + hi. Carrying the lane kCrc32cFoldBytes (2048
+// bits) ahead multiplies it by x^2048, so lo must be multiplied by
+// x^(2048+64) mod P and hi by x^2048 mod P. Read back as a 128-bit lane,
+// the carry-less product of two reflected 64-bit operands is their product
+// times x, and the 33-bit operand reflect32(c) << 1 stands for c * x^31;
+// with that x^32, K_lo = x^(2048+32) mod P and K_hi = x^(2048-32) mod P.
+// A product has at most 96 bits, so each lane stays 128 bits wide and
+// congruent, mod P, to everything folded into it.
+constexpr std::uint32_t reflect32(std::uint32_t v) {
+  std::uint32_t r = 0;
+  for (int i = 0; i < 32; ++i) r |= ((v >> i) & 1u) << (31 - i);
+  return r;
+}
+
+// x^n mod P, P = x^32 + 0x1EDC6F41, in the normal (unreflected) bit order.
+constexpr std::uint32_t xpow_mod(std::size_t n) {
+  std::uint32_t r = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    r = (r << 1) ^ ((r >> 31) != 0 ? 0x1EDC6F41u : 0u);
+  }
+  return r;
+}
+
+constexpr std::uint64_t fold_constant(std::size_t exponent) {
+  return std::uint64_t{reflect32(xpow_mod(exponent))} << 1;
+}
+
+constexpr std::uint64_t kFoldLo = fold_constant(8 * kCrc32cFoldBytes + 32);
+constexpr std::uint64_t kFoldHi = fold_constant(8 * kCrc32cFoldBytes - 32);
+static_assert(kCrc32cFoldBytes == 4 * sizeof(__m512i), "four accumulators");
+
+// The CRC register starts at ~seed; XORing it into the first 4 bytes and
+// starting from register 0 is the same. Four accumulators load the first
+// 256 bytes, then fold each following 256 bytes in: per 128-bit lane,
+// clmul(lo, K_lo) ^ clmul(hi, K_hi) ^ data. What the accumulators hold,
+// read as 256 bytes, has the CRC of everything folded (from register 0),
+// and kCrc32x3 chains on over the tail. kCopy stores each 64 bytes to
+// `dst` as they load, before the seed goes in.
+// Compiled for AVX-512 in this function only; the dispatch calls it only
+// on a CPU that reports the extensions.
+template <bool kCopy>
+__attribute__((target("avx512f,vpclmulqdq,sse4.2"))) std::uint32_t
+crc32c_fold(std::byte* dst, const std::byte* src, std::size_t n,
+            std::uint32_t seed) {
+  constexpr std::size_t L = kCrc32cFoldBytes;
+  if (n < L) return crc32c_sse42<kCopy>(dst, src, n, seed);
+  constexpr auto lo = static_cast<long long>(kFoldLo);
+  constexpr auto hi = static_cast<long long>(kFoldHi);
+  const __m512i k = _mm512_set_epi64(hi, lo, hi, lo, hi, lo, hi, lo);
+  __m512i acc[4];
+  for (std::size_t j = 0; j < 4; ++j) {
+    acc[j] = _mm512_loadu_si512(src + 64 * j);
+    if constexpr (kCopy) _mm512_storeu_si512(dst + 64 * j, acc[j]);
+  }
+  acc[0] = _mm512_xor_si512(
+      acc[0], _mm512_maskz_set1_epi32(1, static_cast<int>(~seed)));
+  std::size_t at = L;
+  for (; n - at >= L; at += L) {
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < 4; ++j) {
+      const __m512i data = _mm512_loadu_si512(src + at + 64 * j);
+      if constexpr (kCopy) _mm512_storeu_si512(dst + at + 64 * j, data);
+      acc[j] = _mm512_ternarylogic_epi64(
+          _mm512_clmulepi64_epi128(acc[j], k, 0x00),
+          _mm512_clmulepi64_epi128(acc[j], k, 0x11), data, 0x96);  // a^b^c
+    }
+  }
+  alignas(64) std::byte folded[L];
+  for (std::size_t j = 0; j < 4; ++j) {
+    _mm512_store_si512(folded + 64 * j, acc[j]);
+  }
+  // Clear the upper vector state, which GCC leaves dirty in a function
+  // compiled for AVX-512 by attribute alone: dirty, it slows every later
+  // SSE instruction in the process (DESIGN.md §8).
+  _mm256_zeroupper();
+  const std::uint32_t head =
+      crc32c_sse42<false>(nullptr, folded, L, 0xFFFFFFFFu);
+  std::byte* const tail_dst = kCopy ? dst + at : nullptr;
+  return crc32c_sse42<kCopy>(tail_dst, src + at, n - at, head);
 }
 #endif
+
+template <bool kCopy>
+std::uint32_t crc32c_table(std::byte* dst, const std::byte* src,
+                           std::size_t n, std::uint32_t seed) {
+  if constexpr (kCopy) {
+    if (n != 0) std::memcpy(dst, src, n);
+  }
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c = kCrcTable[(c ^ static_cast<std::uint8_t>(src[i])) & 0xFF] ^ (c >> 8);
+  }
+  return ~c;
+}
+
+template <bool kCopy>
+std::uint32_t run_kernel(Crc32cKernel k, std::byte* dst, const std::byte* src,
+                         std::size_t n, std::uint32_t seed) {
+  switch (k) {
+#ifdef EMCGM_CRC32C_X86
+    case Crc32cKernel::kFold:
+      return crc32c_fold<kCopy>(dst, src, n, seed);
+    case Crc32cKernel::kCrc32x3:
+      return crc32c_sse42<kCopy>(dst, src, n, seed);
+#endif
+    default:
+      return crc32c_table<kCopy>(dst, src, n, seed);
+  }
+}
+
+// The fastest kernel this CPU runs, checked once, at the first call.
+Crc32cKernel best_kernel() {
+  static const Crc32cKernel best = [] {
+#ifdef EMCGM_CRC32C_X86
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sse4.2") == 0) return Crc32cKernel::kPortable;
+    if (__builtin_cpu_supports("avx512f") != 0 &&
+        __builtin_cpu_supports("vpclmulqdq") != 0) {
+      return Crc32cKernel::kFold;
+    }
+    return Crc32cKernel::kCrc32x3;
+#else
+    return Crc32cKernel::kPortable;
+#endif
+  }();
+  return best;
+}
+
+template <bool kCopy>
+std::uint32_t dispatch(std::byte* dst, const std::byte* src, std::size_t n,
+                       std::uint32_t seed) {
+  Crc32cKernel k = best_kernel();
+  if (k == Crc32cKernel::kFold && n < kCrc32cFoldMinBytes) {
+    k = Crc32cKernel::kCrc32x3;
+  }
+  return run_kernel<kCopy>(k, dst, src, n, seed);
+}
 
 // Header field offsets within the 24-byte envelope.
 constexpr std::size_t kOffMagic = 0;
@@ -143,35 +273,33 @@ std::uint32_t tag_crc(std::uint32_t disk, std::uint64_t track) {
 
 }  // namespace
 
-std::uint32_t crc32c_portable(std::span<const std::byte> data,
-                              std::uint32_t seed) {
-  std::uint32_t c = ~seed;
-  for (std::byte b : data) {
-    c = kCrcTable[(c ^ static_cast<std::uint8_t>(b)) & 0xFF] ^ (c >> 8);
-  }
-  return ~c;
-}
-
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed) {
-#ifdef EMCGM_CRC32C_SSE42
-  if (use_sse42()) {
-    return crc32c_sse42<false>(nullptr, data.data(), data.size(), seed);
-  }
-#endif
-  return crc32c_portable(data, seed);
+  return dispatch<false>(nullptr, data.data(), data.size(), seed);
 }
 
 std::uint32_t crc32c_copy(std::span<std::byte> dst,
                           std::span<const std::byte> src,
                           std::uint32_t seed) {
   EMCGM_CHECK(dst.size() == src.size());
-#ifdef EMCGM_CRC32C_SSE42
-  if (use_sse42()) {
-    return crc32c_sse42<true>(dst.data(), src.data(), src.size(), seed);
+  return dispatch<true>(dst.data(), src.data(), src.size(), seed);
+}
+
+bool crc32c_supported(Crc32cKernel k) {
+  // The kernels are declared slowest first, and a CPU that runs one runs
+  // every slower one.
+  return static_cast<int>(k) <= static_cast<int>(best_kernel());
+}
+
+std::uint32_t crc32c_by(Crc32cKernel k, std::span<std::byte> dst,
+                        std::span<const std::byte> src, std::uint32_t seed) {
+  EMCGM_CHECK_MSG(crc32c_supported(k), "CRC32C kernel "
+                                           << static_cast<int>(k)
+                                           << " is not supported here");
+  if (dst.empty()) {
+    return run_kernel<false>(k, nullptr, src.data(), src.size(), seed);
   }
-#endif
-  if (!src.empty()) std::memcpy(dst.data(), src.data(), src.size());
-  return crc32c_portable(src, seed);
+  EMCGM_CHECK(dst.size() == src.size());
+  return run_kernel<true>(k, dst.data(), src.data(), src.size(), seed);
 }
 
 void seal_block(std::uint32_t disk, std::uint64_t track,

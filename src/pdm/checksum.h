@@ -15,6 +15,11 @@
 //
 // An all-zero physical block is a sparse, never-written track and unseals to
 // an all-zero payload — preserving the backends' sparse-read contract.
+//
+// The same CRC32C serves the network frames and the commit records. It has
+// three kernels (Crc32cKernel), all computing the same value; one CPU check,
+// at the first call, picks the fastest this CPU runs, and the input length
+// picks between the two fast ones.
 #pragma once
 
 #include <cstddef>
@@ -26,26 +31,46 @@
 namespace emcgm::pdm {
 
 /// CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected). `seed` chains
-/// incremental computations: crc32c(b, crc32c(a)) == crc32c(a || b). On
-/// x86-64 with SSE4.2 (detected once, at the first call) this runs the
-/// crc32 instruction over 8-byte words in three interleaved streams of
-/// kCrc32cStreamBytes each; elsewhere it is crc32c_portable. Both give the
+/// incremental computations: crc32c(b, crc32c(a)) == crc32c(a || b). Runs
+/// kFold on inputs of at least kCrc32cFoldMinBytes when this CPU has it,
+/// else kCrc32x3 when it has that, else kPortable. Every kernel gives the
 /// same value for every input.
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed = 0);
 
-/// crc32c(src, seed), copying `src` into `dst` (same size) in the same pass.
-/// Without SSE4.2 it is memcpy plus crc32c_portable.
+/// crc32c(src, seed), copying `src` into `dst` (same size) in the same pass,
+/// by the kernel crc32c() would pick. kPortable copies first, with memcpy.
 std::uint32_t crc32c_copy(std::span<std::byte> dst,
                           std::span<const std::byte> src,
                           std::uint32_t seed = 0);
 
-/// The portable kernel crc32c() falls back to: a byte-at-a-time table loop.
-std::uint32_t crc32c_portable(std::span<const std::byte> data,
-                              std::uint32_t seed = 0);
+/// The CRC32C kernels:
+///  * kPortable — a byte-at-a-time table loop; runs everywhere.
+///  * kCrc32x3 — the SSE4.2 crc32 instruction over 8-byte words in three
+///    interleaved streams of kCrc32cStreamBytes each.
+///  * kFold — carry-less multiplies (AVX-512F + VPCLMULQDQ) fold 256 bytes
+///    per step into four 512-bit accumulators; kCrc32x3 sums what is left.
+enum class Crc32cKernel { kPortable, kCrc32x3, kFold };
 
-/// Bytes per stream per step of the 3-way kernel: inputs of at least
+/// Whether this CPU runs kernel `k`: the check crc32c() picks by.
+bool crc32c_supported(Crc32cKernel k);
+
+/// crc32c_copy(dst, src, seed) by kernel `k`, whatever the length; with an
+/// empty `dst`, crc32c(src, seed) by `k`. `k` must be supported. This lets
+/// tests check each kernel against a reference.
+std::uint32_t crc32c_by(Crc32cKernel k, std::span<std::byte> dst,
+                        std::span<const std::byte> src, std::uint32_t seed);
+
+/// Bytes per stream per step of kCrc32x3: inputs of at least
 /// 3 * kCrc32cStreamBytes run interleaved, the rest as one stream.
 inline constexpr std::size_t kCrc32cStreamBytes = 256;
+
+/// Bytes kFold folds per step (its four 64-byte accumulators).
+inline constexpr std::size_t kCrc32cFoldBytes = 256;
+
+/// Shortest input crc32c() gives kFold. kFold ends with a kCrc32x3 pass over
+/// its kCrc32cFoldBytes of accumulators, so on shorter inputs it saves
+/// little or nothing.
+inline constexpr std::size_t kCrc32cFoldMinBytes = 2 * kCrc32cFoldBytes;
 
 /// Envelope header: magic(4) | crc(4) | disk(4) | reserved(4) | track(8).
 inline constexpr std::size_t kEnvelopeBytes = 24;

@@ -31,6 +31,11 @@
 //   * counters() — a quiesce-point merge over the per-disk shards; call it
 //     only when no I/O is in flight (DiskArray::drain() first).
 //
+// The injector keeps StorageBackend's write_sealed/read_unsealed: it neither
+// overrides nor forwards them, so every checksummed block still passes
+// through its read_block/write_block and each fault coin lands on the same
+// physical block read or write as without the pair.
+//
 // RetryPolicy is how DiskArray reacts to transient faults: bounded attempts
 // with exponential backoff through an injectable sleep hook, so tests can
 // observe the backoff schedule without waiting it out.

@@ -5,7 +5,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "pdm/checksum.h"
 #include "pdm/disk_array.h"
 #include "pdm/fault.h"
 
@@ -141,20 +140,16 @@ void IoExecutor::transfer(BlockAddr a, std::span<std::byte> out,
                           std::span<const std::byte> in,
                           std::span<std::byte> scratch, IoStats& counts) {
   const bool write = !in.empty();
-  std::span<const std::byte> phys = in;
-  if (write && opts_.checksums) {
-    seal_block(a.disk, a.track, in, scratch);
-    phys = scratch;
-  }
   for (std::uint32_t attempt = 1;; ++attempt) {
     try {
-      if (write) {
-        backend_.write_block(a.disk, a.track, phys);
-      } else if (!opts_.checksums) {
-        backend_.read_block(a.disk, a.track, out);
+      if (write && opts_.checksums) {
+        backend_.write_sealed(a.disk, a.track, in, scratch);
+      } else if (write) {
+        backend_.write_block(a.disk, a.track, in);
+      } else if (opts_.checksums) {
+        backend_.read_unsealed(a.disk, a.track, out, scratch);
       } else {
-        backend_.read_block(a.disk, a.track, scratch);
-        unseal_block(a.disk, a.track, scratch, out);
+        backend_.read_block(a.disk, a.track, out);
       }
       return;
     } catch (const IoError& e) {

@@ -14,9 +14,12 @@
 // and the fault injector's per-disk coin streams (fault.h) see the same
 // per-disk op sequence no matter how the workers interleave.
 //
-// Both cases share one block routine (transfer: retry, backoff, seal and
-// unseal) and one op-count step (count_op: op-level IoStats and the charge
-// probe). Determinism contract (DESIGN.md §12):
+// Both cases share one block routine (transfer: retry and backoff; with
+// checksums on, it moves blocks through the backend's write_sealed and
+// read_unsealed, which seal and verify in MemoryBackend's own track memory
+// and through the executor's scratch block on every other backend) and one
+// op-count step (count_op: op-level IoStats and the charge probe).
+// Determinism contract (DESIGN.md §12):
 //   * submission order defines everything observable — the workers' ops
 //     are counted and charged at *reap* time in ascending op order, so
 //     counters and the charge stream are bit-identical to the inline case;
@@ -132,8 +135,9 @@ class IoExecutor {
   };
 
   /// Move one block: a write (non-empty `in`) or a read into `out`, with
-  /// retry/backoff for transient faults and the checksum envelope in
-  /// `scratch`. Retries and corruptions go to `counts`.
+  /// retry/backoff for transient faults; with checksums on, through the
+  /// backend's sealed pair, lending it `scratch`. Retries and corruptions
+  /// go to `counts`.
   void transfer(BlockAddr a, std::span<std::byte> out,
                 std::span<const std::byte> in, std::span<std::byte> scratch,
                 IoStats& counts);

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <iostream>
 #include <numeric>
 #include <string>
 #include <tuple>
@@ -78,25 +80,25 @@ TEST(Checksum, Crc32cKnownAnswer) {
   EXPECT_EQ(crc32c(std::span<const std::byte>{}), 0u);
 }
 
-TEST(Checksum, Crc32cKernelsMatchBitwiseReference) {
-  // Bit-at-a-time CRC32C: shares neither the table nor the crc32 instruction
-  // with the kernels under test. The lengths cover every tail of the 3-way
-  // kernel's interleaved loop (3 * kCrc32cStreamBytes per step) and of its
-  // 8-byte word loop, each step boundary +- 1, a 4 KiB payload, a 4 KiB
-  // block in its envelope, and two of them; the start offsets cover every
-  // word misalignment. The copy form must return the same CRC and copy the
-  // bytes, into a destination misaligned differently from the source.
-  const auto reference = [](std::span<const std::byte> data,
-                            std::uint32_t seed) {
-    std::uint32_t c = ~seed;
-    for (std::byte b : data) {
-      c ^= static_cast<std::uint8_t>(b);
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? (c >> 1) ^ 0x82F63B78u : c >> 1;
-      }
-    }
-    return ~c;
-  };
+namespace {
+
+/// A CRC32C form under test: the CRC of `src` from `seed`, copying `src`
+/// into `dst` unless `dst` is empty.
+using CrcForm = std::function<std::uint32_t(
+    std::span<std::byte> dst, std::span<const std::byte> src,
+    std::uint32_t seed)>;
+
+/// Check `crc`, in both forms, against a bit-at-a-time CRC32C, which shares
+/// neither the table nor an instruction with the kernels. The lengths cover
+/// every tail of kCrc32x3's interleaved loop (3 * kCrc32cStreamBytes per
+/// step) and of its 8-byte word loop, each of its step boundaries +- 1,
+/// each multiple of kFold's kCrc32cFoldBytes +- 1, the dispatch threshold
+/// kCrc32cFoldMinBytes +- 1, a 4 KiB payload, a 4 KiB block in its
+/// envelope, and two of them. The start offsets cover every word
+/// misalignment; the seeds are 0, all ones and one in between. The copy
+/// form must return the same CRC and copy the bytes, into a destination
+/// misaligned differently from the source.
+void expect_matches_bitwise_reference(const CrcForm& crc) {
   constexpr std::size_t kMax = 8216;
   std::vector<std::byte> buf(kMax + 7);
   Rng rng(14);
@@ -107,34 +109,97 @@ TEST(Checksum, Crc32cKernelsMatchBitwiseReference) {
   for (std::size_t m = 2 * kStep; m + 1 <= kMax; m += kStep) {
     lengths.insert(lengths.end(), {m - 1, m, m + 1});
   }
-  lengths.insert(lengths.end(), {4096, 4096 + kEnvelopeBytes, kMax});
-  const std::uint32_t seed = 0x9E3779B9u;
+  for (std::size_t m = kCrc32cFoldBytes; m + 1 <= kMax;
+       m += kCrc32cFoldBytes) {
+    lengths.insert(lengths.end(), {m - 1, m, m + 1});
+  }
+  lengths.insert(lengths.end(),
+                 {kCrc32cFoldMinBytes - 1, kCrc32cFoldMinBytes,
+                  kCrc32cFoldMinBytes + 1, 4096, 4096 + kEnvelopeBytes, kMax});
   std::vector<std::byte> dst(kMax + 7);
-  for (const std::size_t len : lengths) {
+  std::vector<std::uint32_t> want(kMax + 1);
+  for (const std::uint32_t seed : {0u, 0xFFFFFFFFu, 0x9E3779B9u}) {
     for (std::size_t off = 0; off < 8; ++off) {
-      const auto data = std::span<const std::byte>(buf).subspan(off, len);
-      const std::uint32_t want = reference(data, seed);
-      EXPECT_EQ(crc32c(data, seed), want) << "len " << len << " off " << off;
-      EXPECT_EQ(crc32c_portable(data, seed), want)
-          << "len " << len << " off " << off;
-      const auto to = std::span<std::byte>(dst).subspan(7 - off, len);
-      std::fill(dst.begin(), dst.end(), std::byte{0xA5});
-      EXPECT_EQ(crc32c_copy(to, data, seed), want)
-          << "copy len " << len << " off " << off;
-      EXPECT_TRUE(std::equal(data.begin(), data.end(), to.begin()))
-          << "copy len " << len << " off " << off;
+      // want[len] is the reference CRC of the len bytes from `off`.
+      std::uint32_t c = ~seed;
+      want[0] = seed;
+      for (std::size_t i = 0; i < kMax; ++i) {
+        c ^= static_cast<std::uint8_t>(buf[off + i]);
+        for (int k = 0; k < 8; ++k) {
+          c = (c & 1u) ? (c >> 1) ^ 0x82F63B78u : c >> 1;
+        }
+        want[i + 1] = ~c;
+      }
+      for (const std::size_t len : lengths) {
+        const auto data = std::span<const std::byte>(buf).subspan(off, len);
+        EXPECT_EQ(crc({}, data, seed), want[len])
+            << "len " << len << " off " << off << " seed " << seed;
+        const auto to = std::span<std::byte>(dst).subspan(7 - off, len);
+        std::fill(dst.begin(), dst.end(), std::byte{0xA5});
+        EXPECT_EQ(crc(to, data, seed), want[len])
+            << "copy len " << len << " off " << off << " seed " << seed;
+        EXPECT_TRUE(std::equal(data.begin(), data.end(), to.begin()))
+            << "copy len " << len << " off " << off << " seed " << seed;
+      }
     }
   }
+}
+
+std::string kernel_name(Crc32cKernel k) {
+  switch (k) {
+    case Crc32cKernel::kPortable: return "Portable";
+    case Crc32cKernel::kCrc32x3: return "Crc32x3";
+    case Crc32cKernel::kFold: return "Fold";
+  }
+  return "Unknown";
+}
+
+}  // namespace
+
+TEST(Checksum, Crc32cKernelsMatchBitwiseReference) {
+  // crc32c and crc32c_copy, through whichever kernel they pick at each
+  // length.
+  expect_matches_bitwise_reference(
+      [](std::span<std::byte> dst, std::span<const std::byte> src,
+         std::uint32_t seed) {
+        return dst.empty() ? crc32c(src, seed) : crc32c_copy(dst, src, seed);
+      });
   // Chaining: crc32c(b, crc32c(a)) == crc32c(a || b), cutting inside and
-  // between words and streams.
-  const auto whole =
-      std::span<const std::byte>(buf).first(4096 + kEnvelopeBytes);
-  for (const std::size_t cut : {0, 1, 7, 8, 13, 24, 256, 767, 768, 769, 4096,
-                                4119, 4120}) {
+  // between words, streams and fold steps.
+  std::vector<std::byte> buf(4096 + kEnvelopeBytes);
+  Rng rng(15);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.next());
+  const auto whole = std::span<const std::byte>(buf);
+  for (const std::size_t cut : {0, 1, 7, 8, 13, 24, 256, 511, 512, 513, 767,
+                                768, 769, 3584, 3608, 4096, 4119, 4120}) {
     EXPECT_EQ(crc32c(whole.subspan(cut), crc32c(whole.first(cut))),
               crc32c(whole))
         << "cut " << cut;
   }
+}
+
+/// Each kernel, called directly at every length: crc32c reaches kFold only
+/// from kCrc32cFoldMinBytes on, and kCrc32x3 not at all there on a CPU
+/// with kFold.
+class ChecksumKernel : public ::testing::TestWithParam<Crc32cKernel> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, ChecksumKernel,
+    ::testing::Values(Crc32cKernel::kPortable, Crc32cKernel::kCrc32x3,
+                      Crc32cKernel::kFold),
+    [](const ::testing::TestParamInfo<Crc32cKernel>& info) {
+      return kernel_name(info.param);
+    });
+
+TEST_P(ChecksumKernel, MatchesBitwiseReference) {
+  const Crc32cKernel k = GetParam();
+  if (!crc32c_supported(k)) {
+    GTEST_SKIP() << "this CPU does not run CRC32C kernel " << kernel_name(k);
+  }
+  std::cout << "[ CRC32C   ] checking kernel " << kernel_name(k) << "\n";
+  expect_matches_bitwise_reference(
+      [k](std::span<std::byte> dst, std::span<const std::byte> src,
+          std::uint32_t seed) { return crc32c_by(k, dst, src, seed); });
 }
 
 TEST(Checksum, SealUnsealRoundTrip) {
@@ -147,14 +212,19 @@ TEST(Checksum, SealUnsealRoundTrip) {
 }
 
 TEST(Checksum, DetectsBitRot) {
-  // One flipped bit in each of the 3-way kernel's streams (A, B, C of its
-  // second step) and in its one-stream tail.
+  // One flipped bit in each of kCrc32x3's streams (A, B, C of its second
+  // step) and in its one-stream tail; in each of kFold's four accumulators
+  // in its first fold step (bytes 296, 361, 426 and 491); and in the first
+  // 4 bytes, where kFold XORs in the seed.
   constexpr std::size_t L = kCrc32cStreamBytes;
+  constexpr std::size_t F = kCrc32cFoldBytes;
   const std::size_t n = 4096;
   const auto payload = pattern(n, 4);
   std::vector<std::byte> sealed(n + kEnvelopeBytes);
   seal_block(0, 5, payload, sealed);
-  for (const std::size_t at : {3 * L + 40, 4 * L + 41, 5 * L + 42, n - 3}) {
+  for (const std::size_t at :
+       {3 * L + 40, 4 * L + 41, 5 * L + 42, n - 3, F + 40, F + 105, F + 170,
+        F + 235, std::size_t{2}}) {
     auto phys = sealed;
     phys[kEnvelopeBytes + at] ^= std::byte{0x01};
     std::vector<std::byte> out(n);

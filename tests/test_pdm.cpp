@@ -176,6 +176,14 @@ TEST_P(BackendSuite, ChecksummedRoundTrip) {
   auto data = pattern(128, 6);
   WriteSlot w{BlockAddr{2, 7}, data};
   a->parallel_write(std::span<const WriteSlot>(&w, 1));
+  a->drain();
+  // The stored block is the envelope seal_block makes, whether the backend
+  // sealed in place (MemoryBackend) or the executor's scratch path did.
+  std::vector<std::byte> phys(a->backend().geometry().block_bytes);
+  a->backend().read_block(2, 7, phys);
+  std::vector<std::byte> sealed(phys.size());
+  seal_block(2, 7, data, sealed);
+  EXPECT_EQ(phys, sealed);
   std::vector<std::byte> out(128);
   ReadSlot r{BlockAddr{2, 7}, out};
   a->parallel_read(std::span<const ReadSlot>(&r, 1));
@@ -186,6 +194,17 @@ TEST_P(BackendSuite, ChecksummedRoundTrip) {
   for (auto b : out) EXPECT_EQ(b, std::byte{0});
   expect_holes_read_zero(*a, 1);
   EXPECT_EQ(a->stats().corruptions, 0u);
+  // One payload bit flipped at rest fails the verify, in place on
+  // MemoryBackend as on FileBackend's scratch path.
+  phys[kEnvelopeBytes + 5] ^= std::byte{0x10};
+  a->backend().write_block(2, 7, phys);
+  try {
+    a->parallel_read(std::span<const ReadSlot>(&r, 1));
+    ADD_FAILURE() << "flipped payload bit not detected";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.kind(), IoErrorKind::kCorruption) << e.what();
+  }
+  EXPECT_EQ(a->stats().corruptions, 1u);
 }
 
 TEST_P(BackendSuite, StripingExtentRoundTripAndOpCount) {
