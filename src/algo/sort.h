@@ -15,11 +15,24 @@
 // for arbitrary duplicate-heavy inputs. The output is the exact even-chunk
 // distribution (chunk_size(N, v, j) items on processor j), totally sorted
 // across processors; the sort is not stable.
+//
+// Round 0 sorts each processor's items in (value, gid) order, where input
+// item i of processor pid gets gid i * v + pid. For an unsigned key type
+// under the default std::less order the type alone selects
+// radix_sort_with_ids, a stable LSD radix sort; every other key type or
+// order keeps std::sort with the (value, gid) comparator. The radix sort
+// builds the items in increasing gid order and every pass is stable, so
+// equal keys stay in gid order: both paths give the same items in the same
+// order, and so the same contexts, messages and counts.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "algo/primitives.h"
@@ -34,6 +47,77 @@ struct WithId {
   T val;
   std::uint64_t gid;
 };
+
+/// Round 0's kernel for unsigned keys: reads the keys of `input` in place
+/// and returns WithId{key_i, i * v + pid} for every key, sorted by (key,
+/// gid). A stable LSD radix sort on 8-bit digits: one counting pass fills
+/// every digit's histogram; the first scatter pass builds the items; a
+/// later digit whose histogram puts all n keys in one bucket is skipped.
+/// The passes alternate between the result and one scratch buffer of n
+/// items, starting where the pass count's parity makes the last pass land
+/// in the result.
+template <typename T>
+  requires std::is_unsigned_v<T>
+std::vector<WithId<T>> radix_sort_with_ids(std::span<const std::byte> input,
+                                           std::uint32_t v,
+                                           std::uint32_t pid) {
+  EMCGM_CHECK_MSG(input.size() % sizeof(T) == 0,
+                  "byte range of " << input.size()
+                                   << " not a multiple of item size "
+                                   << sizeof(T));
+  constexpr std::size_t kDigits = sizeof(T);
+  const std::size_t n = input.size() / sizeof(T);
+  std::vector<WithId<T>> out(n);
+  if (n == 0) return out;  // an empty span's data() may be null
+  const auto key = [&input](std::size_t i) {
+    T k{};
+    std::memcpy(&k, input.data() + i * sizeof(T), sizeof(T));
+    return k;
+  };
+  const auto digit = [](T k, std::size_t d) {
+    return static_cast<std::size_t>((k >> (8 * d)) & 0xFF);
+  };
+
+  std::array<std::array<std::size_t, 256>, kDigits> count{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const T k = key(i);
+    for (std::size_t d = 0; d < kDigits; ++d) ++count[d][digit(k, d)];
+  }
+  std::array<std::size_t, kDigits> pass_digit{};
+  std::size_t passes = 0;
+  for (std::size_t d = 0; d < kDigits; ++d) {
+    if (d == 0 || count[d][digit(key(0), d)] != n) pass_digit[passes++] = d;
+  }
+  const auto bucket_starts = [&count](std::size_t d) {
+    std::array<std::size_t, 256> at{};
+    std::size_t sum = 0;
+    for (std::size_t b = 0; b < 256; ++b) {
+      at[b] = sum;
+      sum += count[d][b];
+    }
+    return at;
+  };
+
+  std::unique_ptr<WithId<T>[]> scratch;
+  if (passes > 1) scratch = std::make_unique_for_overwrite<WithId<T>[]>(n);
+  WithId<T>* dst = passes % 2 == 1 ? out.data() : scratch.get();
+  WithId<T>* src = passes % 2 == 1 ? scratch.get() : out.data();
+  auto at = bucket_starts(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const T k = key(i);
+    dst[at[digit(k, 0)]++] =
+        WithId<T>{k, static_cast<std::uint64_t>(i) * v + pid};
+  }
+  for (std::size_t p = 1; p < passes; ++p) {
+    std::swap(dst, src);
+    const std::size_t d = pass_digit[p];
+    at = bucket_starts(d);
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[at[digit(src[i].val, d)]++] = src[i];
+    }
+  }
+  return out;
+}
 
 template <typename T>
 struct SampleSortState {
@@ -51,19 +135,28 @@ class SampleSortProgram final : public cgm::ProgramT<SampleSortState<T>> {
  public:
   using State = SampleSortState<T>;
 
+  /// Whether round 0 runs radix_sort_with_ids: the key type is unsigned and
+  /// the order is std::less, the radix sort's own order.
+  static constexpr bool kRadixRound0 =
+      std::is_unsigned_v<T> && std::is_same_v<Less, std::less<T>>;
+
   std::string name() const override { return "sample_sort"; }
 
   void round(cgm::ProcCtx& ctx, State& st) const override {
     const std::uint32_t v = ctx.nprocs();
     switch (st.phase) {
       case 0: {  // local sort + regular samples to processor 0
-        auto raw = ctx.input_items<T>(0);
-        st.data.reserve(raw.size());
-        for (std::size_t i = 0; i < raw.size(); ++i) {
-          st.data.push_back(WithId<T>{
-              raw[i], static_cast<std::uint64_t>(i) * v + ctx.pid()});
+        if constexpr (kRadixRound0) {
+          st.data = radix_sort_with_ids<T>(ctx.input(0), v, ctx.pid());
+        } else {
+          auto raw = ctx.input_items<T>(0);
+          st.data.reserve(raw.size());
+          for (std::size_t i = 0; i < raw.size(); ++i) {
+            st.data.push_back(WithId<T>{
+                raw[i], static_cast<std::uint64_t>(i) * v + ctx.pid()});
+          }
+          std::sort(st.data.begin(), st.data.end(), cmp());
         }
-        std::sort(st.data.begin(), st.data.end(), cmp());
         ctx.send_vec(0, prim::regular_samples(st.data, v));
         break;
       }

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
+#include <utility>
 
 #include "algo/permute.h"
 #include "algo/scan.h"
@@ -12,6 +14,7 @@
 #include "cgm/machine.h"
 #include "cgm/proc_ctx.h"
 #include "cgm/program.h"
+#include "geom/point.h"
 #include "util/archive.h"
 #include "util/fenwick.h"
 #include "util/math.h"
@@ -234,6 +237,34 @@ struct SortParam {
   std::uint32_t p;
 };
 
+struct ByMod {
+  bool operator()(std::uint64_t a, std::uint64_t b) const {
+    return a % 97 < b % 97 || (a % 97 == b % 97 && a < b);
+  }
+};
+
+/// std::less's order under a type of its own, so the sort keeps the
+/// comparator path in round 0.
+struct PlainLess {
+  bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
+};
+
+/// The 3D maxima's order (geom/maxima3d.cpp).
+struct SortByXDesc {
+  bool operator()(const geom::Point3& a, const geom::Point3& b) const {
+    return a.x > b.x;
+  }
+};
+
+// The key type and the order alone choose round 0's kernel.
+static_assert(algo::SampleSortProgram<std::uint64_t>::kRadixRound0);
+static_assert(!algo::SampleSortProgram<std::uint64_t, ByMod>::kRadixRound0);
+static_assert(
+    !algo::SampleSortProgram<std::uint64_t, PlainLess>::kRadixRound0);
+static_assert(!algo::SampleSortProgram<double>::kRadixRound0);
+static_assert(
+    !algo::SampleSortProgram<geom::Point3, SortByXDesc>::kRadixRound0);
+
 class SortSuite : public ::testing::TestWithParam<SortParam> {
  protected:
   cgm::Machine machine() const {
@@ -304,11 +335,6 @@ TEST_P(SortSuite, BucketBalanceUnderDuplicates) {
 }
 
 TEST_P(SortSuite, CustomComparatorAndType) {
-  struct ByMod {
-    bool operator()(std::uint64_t a, std::uint64_t b) const {
-      return a % 97 < b % 97 || (a % 97 == b % 97 && a < b);
-    }
-  };
   auto m = machine();
   auto keys = random_keys(4, 2000);
   auto dv = m.scatter<std::uint64_t>(keys);
@@ -317,6 +343,143 @@ TEST_P(SortSuite, CustomComparatorAndType) {
   auto expect = keys;
   std::sort(expect.begin(), expect.end(), ByMod{});
   EXPECT_EQ(sorted, expect);
+}
+
+TEST_P(SortSuite, RadixAndComparatorPathsRunAlike) {
+  // Round 0 of the uint64_t sort runs the radix kernel, that of the
+  // PlainLess sort the comparator sort. Ties taken in another order would
+  // move the splitters, and with them the message sizes the run check
+  // compares.
+  const std::size_t n = 4000;
+  std::vector<std::vector<std::uint64_t>> inputs{
+      random_keys(7, n), std::vector<std::uint64_t>(n, 42)};
+  std::vector<std::uint64_t> fewvals(n);
+  for (std::size_t i = 0; i < n; ++i) fewvals[i] = i % 3;
+  inputs.push_back(fewvals);
+  for (const auto& keys : inputs) {
+    const auto run = [&keys](cgm::Machine& m, const cgm::Program& prog) {
+      std::vector<cgm::PartitionSet> in;
+      in.push_back(m.scatter<std::uint64_t>(keys).set);
+      return m.run(prog, std::move(in));
+    };
+    auto radix = machine();
+    auto plain = machine();
+    const auto a = run(radix, algo::SampleSortProgram<std::uint64_t>{});
+    const auto b =
+        run(plain, algo::SampleSortProgram<std::uint64_t, PlainLess>{});
+    EXPECT_TRUE(a == b) << "keys[1] = " << keys[1];
+    EXPECT_EQ(cgm::run_mismatches(radix.last_result(), plain.last_result()),
+              "")
+        << "keys[1] = " << keys[1];
+  }
+}
+
+TEST_P(SortSuite, RejectsSlotOfPartialItems) {
+  // The last processor's slot holds 43 = 8 * 5 + 3 bytes, no whole number
+  // of keys: both round-0 paths raise a typed Error naming its size.
+  const auto run = [this](const cgm::Program& prog) {
+    auto m = machine();
+    auto in = m.scatter<std::uint64_t>(random_keys(8, 64 * m.v())).set;
+    in.parts.back().resize(43);
+    std::vector<cgm::PartitionSet> inputs;
+    inputs.push_back(std::move(in));
+    try {
+      m.run(prog, std::move(inputs));
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const std::string& what :
+       {run(algo::SampleSortProgram<std::uint64_t>{}),
+        run(algo::SampleSortProgram<std::uint64_t, PlainLess>{})}) {
+    EXPECT_NE(what.find("byte range of 43 not a multiple of item size 8"),
+              std::string::npos)
+        << what;
+  }
+}
+
+// ------------------------------------------------------------ radix sort --
+
+namespace {
+
+template <typename T>
+class RadixSortKernel : public ::testing::Test {};
+
+using RadixKeyTypes = ::testing::Types<std::uint8_t, std::uint16_t,
+                                       std::uint32_t, std::uint64_t>;
+TYPED_TEST_SUITE(RadixSortKernel, RadixKeyTypes);
+
+/// `base` with byte `byte` (0 = least significant) replaced by b's low byte.
+template <typename T>
+T with_byte(T base, unsigned byte, std::uint64_t b) {
+  const unsigned shift = 8 * byte;
+  const std::uint64_t mask = std::uint64_t{0xFF} << shift;
+  return static_cast<T>((std::uint64_t{base} & ~mask) | ((b & 0xFF) << shift));
+}
+
+/// n keys of each pattern the kernel test sorts. Between them they make
+/// the radix sort skip digits, run odd and even numbers of passes, and
+/// keep many ties.
+template <typename T>
+std::vector<std::pair<std::string, std::vector<T>>> radix_inputs(
+    std::size_t n) {
+  const T base = static_cast<T>(0xA5C3E1F00F1E3C5AULL);
+  const unsigned top = sizeof(T) - 1;
+  const unsigned mid = sizeof(T) / 2;
+  Rng rng(n);
+  std::vector<std::pair<std::string, std::vector<T>>> out;
+  const auto add = [&](std::string name, auto key_of) {
+    std::vector<T> keys(n);
+    for (std::size_t i = 0; i < n; ++i) keys[i] = key_of(i);
+    out.emplace_back(std::move(name), std::move(keys));
+  };
+  add("random", [&](std::size_t) { return static_cast<T>(rng.next()); });
+  add("all equal", [&](std::size_t) { return base; });
+  add("i % 3", [](std::size_t i) { return static_cast<T>(i % 3); });
+  add("ascending", [](std::size_t i) { return static_cast<T>(i); });
+  add("descending", [n](std::size_t i) { return static_cast<T>(n - i); });
+  add("top byte varies",
+      [&](std::size_t) { return with_byte(base, top, rng.next()); });
+  add("bottom byte varies",
+      [&](std::size_t) { return with_byte(base, 0, rng.next()); });
+  add("middle byte varies",
+      [&](std::size_t) { return with_byte(base, mid, rng.next()); });
+  return out;
+}
+
+}  // namespace
+
+TYPED_TEST(RadixSortKernel, MatchesComparatorSortItemForItem) {
+  using T = TypeParam;
+  using Item = algo::WithId<T>;
+  const auto by_val_gid = [](const Item& a, const Item& b) {
+    return a.val < b.val || (a.val == b.val && a.gid < b.gid);
+  };
+  for (std::size_t n : {0, 1, 2, 255, 256, 257, 4097, 65537}) {
+    for (const auto& [name, keys] : radix_inputs<T>(n)) {
+      const auto bytes = std::as_bytes(std::span<const T>(keys));
+      for (std::uint32_t v : {1u, 5u, 16u}) {
+        for (std::uint32_t pid : {0u, v - 1}) {
+          std::vector<Item> want;
+          want.reserve(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            want.push_back(Item{keys[i], std::uint64_t{i} * v + pid});
+          }
+          std::sort(want.begin(), want.end(), by_val_gid);
+          const auto got = algo::radix_sort_with_ids<T>(bytes, v, pid);
+          ASSERT_EQ(got.size(), n) << name;
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_TRUE(got[i].val == want[i].val && got[i].gid == want[i].gid)
+                << name << ", n " << n << ", v " << v << ", pid " << pid
+                << ": item " << i << " is (" << std::uint64_t{got[i].val}
+                << ", " << got[i].gid << "), want ("
+                << std::uint64_t{want[i].val} << ", " << want[i].gid << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- permute --
