@@ -38,6 +38,7 @@
 #include "algo/primitives.h"
 #include "cgm/machine.h"
 #include "cgm/program.h"
+#include "util/archive.h"
 
 namespace emcgm::algo {
 
@@ -50,23 +51,18 @@ struct WithId {
 
 /// Round 0's kernel for unsigned keys: reads the keys of `input` in place
 /// and returns WithId{key_i, i * v + pid} for every key, sorted by (key,
-/// gid). A stable LSD radix sort on 8-bit digits: one counting pass fills
-/// every digit's histogram; the first scatter pass builds the items; a
-/// later digit whose histogram puts all n keys in one bucket is skipped.
-/// The passes alternate between the result and one scratch buffer of n
-/// items, starting where the pass count's parity makes the last pass land
-/// in the result.
+/// gid). A stable LSD radix sort with one scatter pass per 8-bit digit: one
+/// counting pass fills every digit's histogram, and the first scatter pass
+/// builds the items. The passes alternate between the result and one
+/// scratch buffer of n items, starting where the parity of sizeof(T) makes
+/// the last pass land in the result.
 template <typename T>
   requires std::is_unsigned_v<T>
 std::vector<WithId<T>> radix_sort_with_ids(std::span<const std::byte> input,
                                            std::uint32_t v,
                                            std::uint32_t pid) {
-  EMCGM_CHECK_MSG(input.size() % sizeof(T) == 0,
-                  "byte range of " << input.size()
-                                   << " not a multiple of item size "
-                                   << sizeof(T));
   constexpr std::size_t kDigits = sizeof(T);
-  const std::size_t n = input.size() / sizeof(T);
+  const std::size_t n = item_count<T>(input);
   std::vector<WithId<T>> out(n);
   if (n == 0) return out;  // an empty span's data() may be null
   const auto key = [&input](std::size_t i) {
@@ -83,11 +79,6 @@ std::vector<WithId<T>> radix_sort_with_ids(std::span<const std::byte> input,
     const T k = key(i);
     for (std::size_t d = 0; d < kDigits; ++d) ++count[d][digit(k, d)];
   }
-  std::array<std::size_t, kDigits> pass_digit{};
-  std::size_t passes = 0;
-  for (std::size_t d = 0; d < kDigits; ++d) {
-    if (d == 0 || count[d][digit(key(0), d)] != n) pass_digit[passes++] = d;
-  }
   const auto bucket_starts = [&count](std::size_t d) {
     std::array<std::size_t, 256> at{};
     std::size_t sum = 0;
@@ -99,18 +90,19 @@ std::vector<WithId<T>> radix_sort_with_ids(std::span<const std::byte> input,
   };
 
   std::unique_ptr<WithId<T>[]> scratch;
-  if (passes > 1) scratch = std::make_unique_for_overwrite<WithId<T>[]>(n);
-  WithId<T>* dst = passes % 2 == 1 ? out.data() : scratch.get();
-  WithId<T>* src = passes % 2 == 1 ? scratch.get() : out.data();
+  if constexpr (kDigits > 1) {
+    scratch = std::make_unique_for_overwrite<WithId<T>[]>(n);
+  }
+  WithId<T>* dst = kDigits % 2 == 1 ? out.data() : scratch.get();
+  WithId<T>* src = kDigits % 2 == 1 ? scratch.get() : out.data();
   auto at = bucket_starts(0);
   for (std::size_t i = 0; i < n; ++i) {
     const T k = key(i);
     dst[at[digit(k, 0)]++] =
         WithId<T>{k, static_cast<std::uint64_t>(i) * v + pid};
   }
-  for (std::size_t p = 1; p < passes; ++p) {
+  for (std::size_t d = 1; d < kDigits; ++d) {
     std::swap(dst, src);
-    const std::size_t d = pass_digit[p];
     at = bucket_starts(d);
     for (std::size_t i = 0; i < n; ++i) {
       dst[at[digit(src[i].val, d)]++] = src[i];

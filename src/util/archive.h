@@ -196,15 +196,22 @@ std::span<const std::byte> as_bytes_span(const std::vector<T>& v) {
   return std::as_bytes(std::span<const T>(v));
 }
 
-/// Decode a raw byte range as a vector of items; size must divide evenly.
+/// Number of items in a raw byte range; size must divide evenly.
 template <typename T>
   requires std::is_trivially_copyable_v<T>
-std::vector<T> bytes_to_vec(std::span<const std::byte> bytes) {
+std::size_t item_count(std::span<const std::byte> bytes) {
   EMCGM_CHECK_MSG(bytes.size() % sizeof(T) == 0,
                   "byte range of " << bytes.size()
                                    << " not a multiple of item size "
                                    << sizeof(T));
-  std::vector<T> v(bytes.size() / sizeof(T));
+  return bytes.size() / sizeof(T);
+}
+
+/// Decode a raw byte range as a vector of items; size must divide evenly.
+template <typename T>
+  requires std::is_trivially_copyable_v<T>
+std::vector<T> bytes_to_vec(std::span<const std::byte> bytes) {
+  std::vector<T> v(item_count<T>(bytes));
   if (v.empty()) return v;  // an empty span's data() may be null
   std::memcpy(v.data(), bytes.data(), bytes.size());
   return v;

@@ -418,9 +418,9 @@ T with_byte(T base, unsigned byte, std::uint64_t b) {
   return static_cast<T>((std::uint64_t{base} & ~mask) | ((b & 0xFF) << shift));
 }
 
-/// n keys of each pattern the kernel test sorts. Between them they make
-/// the radix sort skip digits, run odd and even numbers of passes, and
-/// keep many ties.
+/// n keys of each pattern the kernel test sorts. Between them they give
+/// digits on which all keys agree, digits on which only some differ, and
+/// many ties; the key types give one pass (uint8_t) and even pass counts.
 template <typename T>
 std::vector<std::pair<std::string, std::vector<T>>> radix_inputs(
     std::size_t n) {
