@@ -16,6 +16,7 @@ using namespace emcgm::bench;
 
 int main(int argc, char** argv) {
   const TraceOption trace = trace_arg(argc, argv);
+  const std::string json_path = json_arg(argc, argv);
   const std::uint32_t v = 16;
   const std::size_t n = 1u << 16;
   auto keys = random_keys(8, n);
@@ -73,5 +74,7 @@ int main(int argc, char** argv) {
       " guarantee (compliance 1.0) — every physical message is within the"
       " slack of its round's h/v — while the raw h-relations ship"
       " arbitrarily small messages.\n");
+  write_json_report(json_path, {{"bsp_to_bsp_star_conversion", t},
+                                {"lemma1_min_problem_bytes", l}});
   return 0;
 }

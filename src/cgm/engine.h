@@ -48,8 +48,9 @@ PartitionSet even_chunks(std::span<const T> items, std::uint32_t v) {
 
 struct RunResult {
   std::uint64_t app_rounds = 0;   ///< compound supersteps of the CGM program
-  std::uint64_t comm_steps = 0;   ///< physical communication supersteps
-                                  ///< (2x app rounds under balanced routing)
+  std::uint64_t comm_steps = 0;   ///< physical communication supersteps,
+                                  ///< one per comm.steps row: app_rounds - 1,
+                                  ///< twice that under balanced routing
   CommStats comm;                 ///< per physical superstep
   pdm::IoStats io;                ///< summed over real processors (EM only)
   /// I/O per physical superstep (EM engine; the final entry covers output
@@ -124,10 +125,5 @@ class Engine {
   /// observability is off.
   virtual const obs::MetricsRegistry* metrics() const { return nullptr; }
 };
-
-/// Accumulate per-superstep communication statistics from a delivered batch
-/// of messages (shared by both engines).
-void record_step_comm(StepComm& step, const std::vector<Message>& delivered,
-                      std::uint32_t v);
 
 }  // namespace emcgm::cgm

@@ -33,8 +33,9 @@ class NativeEngine final : public Engine {
   RunResult last_;
   RunResult total_;
   // Observability (cfg_.obs.trace; both null when off). The native machine
-  // has no disks: spans cover compute and delivery, metrics rows carry the
-  // per-round h-relation with zero I/O.
+  // has no disks: spans cover compute and delivery, and each physical
+  // superstep gets one superstep span and one metrics row, which carries its
+  // h-relation with zero I/O.
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
 };

@@ -139,7 +139,7 @@ void EmEngine::post_group(RunState& rs, std::uint32_t host, std::uint32_t g,
   obs::Tracer* const tr = tracer_.get();
   obs::SpanScope span(tr, tr ? &tr->host_shard(host) : nullptr,
                       obs::SpanKind::kNetPost, host, g, g, -1, phys_step_,
-                      rs.round);
+                      rs.at.round);
   std::uint64_t posted_bytes = 0;
   for (std::uint32_t dst_g = 0; dst_g < p; ++dst_g) {
     const auto& batch = out.by_owner[dst_g];
@@ -237,7 +237,7 @@ void EmEngine::deliver_staged(RunState& rs,
     // spend decoding counts as collection.
     obs::SpanScope net_span(tr, net_ ? eshard : nullptr,
                             obs::SpanKind::kNetCollect, epid, 0, -1, -1,
-                            phys_step_, rs.round);
+                            phys_step_, rs.at.round);
     if (net_) {
       const net::NetStats net_mark = net_->stats();
       // Close the open round, then walk the headers of the self-delimiting
@@ -281,7 +281,7 @@ void EmEngine::deliver_staged(RunState& rs,
       for (std::size_t si = 1; si < steps.size(); ++si) {
         obs::SpanScope step_span(tr, eshard, obs::SpanKind::kSchedStep,
                                  epid, static_cast<std::uint32_t>(si), -1,
-                                 -1, phys_step_, rs.round);
+                                 -1, phys_step_, rs.at.round);
         net_->begin_round();
         std::uint64_t posted_bytes = 0, posted_transfers = 0;
         for (const routing::Transfer& t : steps[si].transfers) {
@@ -362,7 +362,7 @@ void EmEngine::deliver_staged(RunState& rs,
                            });
           obs::SpanScope span(tr, tr ? &tr->host_shard(h) : nullptr,
                               obs::SpanKind::kOutboxWrite, h, dst_g, dst_g,
-                              -1, phys_step_, rs.round,
+                              -1, phys_step_, rs.at.round,
                               tr ? &procs_[dst_g]->disks->stats() : nullptr);
           if (tr) {
             std::uint64_t bytes = 0;
@@ -396,8 +396,7 @@ void EmEngine::deliver_staged(RunState& rs,
       if (write_error[g]) std::rethrow_exception(write_error[g]);
     });
   }
-  rs.result.comm.steps.push_back(step);
-  rs.result.comm_steps += 1;
+  cgm::close_delivery(rs.result, step);
   // The arrival writes are write-behind: collect their completion (and any
   // crash they suffered) before the stores flip and the superstep's I/O is
   // recorded. Serial arrays make this a no-op.

@@ -19,8 +19,6 @@ namespace emcgm::em {
 
 namespace {
 
-constexpr std::uint64_t kMaxRounds = 1u << 20;
-
 // Serialized context layout: inputs (round 0 only), program state, outputs.
 // The archive is sized once, from the same layout.
 std::vector<std::byte> pack_context(
@@ -169,11 +167,6 @@ void EmEngine::set_net_charge_hook(net::NetChargeFn fn) {
   if (net_) net_->set_charge_hook(net_charge_);
 }
 
-void EmEngine::set_net_job_tag(std::uint64_t tag) {
-  net_job_tag_ = tag;
-  if (net_) net_->set_job_tag(tag);
-}
-
 /// RAII re-entrancy check on the cooperative API: one EmEngine is
 /// single-driver (see the thread-safety note in em_engine.h); concurrent
 /// entry into the same engine fails loudly here instead of racing.
@@ -216,7 +209,6 @@ void EmEngine::start(const cgm::Program& program,
     net_->set_machine_map(routing::machines_from_roots(p, cfg_.file_roots));
     if (tracer_) net_->set_tracer(tracer_.get());
     if (tracer_) tracer_->record_membership_epoch(0);
-    net_->set_job_tag(net_job_tag_);
     if (net_charge_) net_->set_charge_hook(net_charge_);
   }
   rebuild_schedule();
@@ -225,12 +217,7 @@ void EmEngine::start(const cgm::Program& program,
   for (auto& rp : procs_) io_before += rp->disks->stats();
 
   // ------------------------------------------------------------- set-up --
-  std::uint64_t total_input_bytes = 0;
-  for (const auto& slot : inputs) {
-    EMCGM_CHECK_MSG(slot.parts.size() == v,
-                    "input PartitionSet must have v parts");
-    for (const auto& part : slot.parts) total_input_bytes += part.size();
-  }
+  const std::uint64_t total_input_bytes = cgm::check_inputs(inputs, v);
 
   // Staggered-slot capacity: explicit hint, or the Lemma 2 bound
   // 2 * ceil(N / v^2) plus fragment-header slack for balanced routing.
@@ -283,9 +270,8 @@ void EmEngine::start(const cgm::Program& program,
                               0, -1, -1, phys_step_, 0);
     std::uint64_t bytes = 0;
     for (std::uint32_t g = 0; g < v; ++g) {
-      std::vector<std::vector<std::byte>> mine;
-      mine.reserve(inputs.size());
-      for (auto& slot : inputs) mine.push_back(std::move(slot.parts[g]));
+      // One vproc's inputs at a time, so the next archive reuses their bytes.
+      const auto mine = cgm::take_inputs(inputs, g);
       const auto state = program.make_state();
       const auto blob = pack_context(mine, *state, {});
       procs_[owner_of(g)]->contexts->write(g % nloc, blob);
@@ -305,14 +291,14 @@ void EmEngine::start(const cgm::Program& program,
   // to, so surface the underlying fault.
   if (cfg_.checkpointing) {
     try {
-      commit(0, Phase::kCompute);
+      commit(cgm::Superstep{});
     } catch (const DeadProcsError& e) {
       if (e.cause) std::rethrow_exception(e.cause);
       throw Error("real processor died during the initial commit");
     }
   }
 
-  begin_loop(program, 0, Phase::kCompute, io_before);
+  begin_loop(program, cgm::Superstep{}, io_before);
 }
 
 std::vector<cgm::PartitionSet> EmEngine::resume(const cgm::Program& program) {
@@ -329,21 +315,19 @@ std::vector<cgm::PartitionSet> EmEngine::resume(const cgm::Program& program) {
 
     pdm::IoStats io_before;
     for (auto& rp : procs_) io_before += rp->disks->stats();
-    begin_loop(program, commit_.round, commit_.phase, io_before);
+    begin_loop(program, commit_.at, io_before);
   }
   while (step()) {
   }
   return finish();
 }
 
-void EmEngine::begin_loop(const cgm::Program& program,
-                          std::uint64_t start_round, Phase start_phase,
+void EmEngine::begin_loop(const cgm::Program& program, cgm::Superstep at,
                           const pdm::IoStats& io_before) {
   rs_ = std::make_unique<RunState>();
   rs_->program = &program;
-  rs_->round = start_round;
-  rs_->phase = start_phase;
-  rs_->all_done = (start_phase == Phase::kDone);
+  rs_->at = at;
+  rs_->done.assign(cfg_.v, 0);
   rs_->io_before = io_before;
   // The first superstep's recorded I/O delta deliberately includes any
   // setup I/O between io_before and here (initial context writes, initial
@@ -415,9 +399,8 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
     obs::TraceShard* shard = tr ? &tr->host_shard(host) : nullptr;
     const pdm::IoStats* io_src = tr ? &rp.disks->stats() : nullptr;
     obs::SpanScope group_span(tr, shard, obs::SpanKind::kGroupStep, host, r,
-                              r, -1, phys_step_, rs.round, io_src);
+                              r, -1, phys_step_, rs.at.round, io_src);
     out.by_owner.assign(p, {});
-    out.done.assign(nloc, 0);
     // Prefetch window cursor: first local vproc whose context/inbox reads
     // have not been issued yet. Depth 1 (the default) keeps exactly the
     // next vproc in flight.
@@ -431,7 +414,7 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
       if (compute) {
         state = program.make_state();
         obs::SpanScope span(tr, shard, obs::SpanKind::kContextRead, host, r,
-                            r, g, phys_step_, rs.round, io_src);
+                            r, g, phys_step_, rs.at.round, io_src);
         const auto blob = rp.contexts->read(jl);
         unpacked = unpack_context(blob, *state);
         span.set_aux(blob.size());
@@ -440,18 +423,17 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
       std::vector<cgm::Message> inbox;
       {
         obs::SpanScope span(tr, shard, obs::SpanKind::kInboxRead, host, r,
-                            r, g, phys_step_, rs.round, io_src);
+                            r, g, phys_step_, rs.at.round, io_src);
         inbox = rp.messages->read_incoming(g);
         if (tr) {
           std::uint64_t bytes = 0;
           for (const auto& m : inbox) bytes += m.payload.size();
           span.set_aux(bytes);
         }
-        if (compute && balanced && rs.round > 0) {
+        if (compute && balanced && rs.at.round > 0) {
           inbox = routing::decode_phase_b(v, g, inbox);
         }
       }
-      const std::size_t inbox_msgs = inbox.size();
       // Overlap: submit the *next* virtual processors' context and inbox
       // reads now, so the executor services them while this one computes.
       // Safe against this superstep's in-flight writes — context writes
@@ -482,7 +464,7 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
         if (pf < jl + 1) pf = jl + 1;
         if (pf <= hi) {
           obs::SpanScope span(tr, shard, obs::SpanKind::kIoPrefetch, host, r,
-                              r, g + 1, phys_step_, rs.round, io_src);
+                              r, g + 1, phys_step_, rs.at.round, io_src);
           for (; pf <= hi; ++pf) {
             if (compute) rp.contexts->prefetch(pf);
             rp.messages->prefetch_incoming(r * nloc + pf);
@@ -494,22 +476,14 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
       std::vector<cgm::Message> physical;
       if (compute) {
         obs::SpanScope span(tr, shard, obs::SpanKind::kCompute, host, r, r,
-                            g, phys_step_, rs.round);
+                            g, phys_step_, rs.at.round);
         pctx.set_inputs(std::move(unpacked.inputs));
         pctx.outputs() = std::move(unpacked.outputs);
-        pctx.begin_superstep(rs.round, std::move(inbox));
-        program.round(pctx, *state);
-        out.done[jl] = program.done(pctx, *state) ? 1 : 0;
-        auto outbox = pctx.take_outbox();
-        if (out.done[jl]) {
-          EMCGM_CHECK_MSG(outbox.empty(),
-                          "program '"
-                              << program.name()
-                              << "' sent messages in its final round");
-        }
-        span.set_aux(inbox_msgs, outbox.size());
-        physical = balanced ? routing::encode_phase_a(v, g, outbox)
-                            : std::move(outbox);
+        cgm::RoundOutput sent = cgm::compute_round(
+            program, pctx, *state, rs.at.round, std::move(inbox), balanced);
+        rs.done[g] = sent.done ? 1 : 0;
+        span.set_aux(sent.inbox_messages, sent.outbox_messages);
+        physical = std::move(sent.sent);
       }
       // (d) messages out. Locally addressed messages are written
       // immediately when p == 1 (Algorithm 2 order, which is what the
@@ -517,7 +491,7 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
       // is delivered at superstep end (Algorithm 3: "upon arrival").
       {
         obs::SpanScope span(tr, shard, obs::SpanKind::kOutboxWrite, host, r,
-                            r, g, phys_step_, rs.round, io_src);
+                            r, g, phys_step_, rs.at.round, io_src);
         if (!compute) physical = routing::transform_intermediate(v, g, inbox);
         if (tr) {
           std::uint64_t bytes = 0;
@@ -535,7 +509,7 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
       if (!compute) continue;
       // (e) context out (inputs are consumed by round 0).
       obs::SpanScope span(tr, shard, obs::SpanKind::kContextWrite, host, r,
-                          r, g, phys_step_, rs.round, io_src);
+                          r, g, phys_step_, rs.at.round, io_src);
       const auto new_blob = pack_context({}, *state, pctx.outputs());
       span.set_aux(new_blob.size());
       if (cfg_.memory_bytes > 0) {
@@ -553,7 +527,7 @@ void EmEngine::run_group(RunState& rs, std::uint32_t r, bool compute,
       // exactly like a synchronous one, and the superstep's IoStats are
       // fully reaped before the barrier records them.
       obs::SpanScope span(tr, shard, obs::SpanKind::kIoDrain, host, r, r,
-                          -1, phys_step_, rs.round, io_src);
+                          -1, phys_step_, rs.at.round, io_src);
       rp.disks->drain();
     }
   } catch (...) {
@@ -619,16 +593,12 @@ bool EmEngine::step() {
   EMCGM_CHECK_MSG(rs_ != nullptr,
                   "step() requires an active run (start()/resume())");
   RunState& rs = *rs_;
-  if (rs.all_done) return false;
+  if (rs.at.phase == cgm::Phase::kDone) return false;
   const cgm::Program& program = *rs.program;
-  const bool balanced = cfg_.balanced_routing;
   obs::Tracer* const tr = tracer_.get();
   obs::TraceShard* const eshard = tr ? &tr->engine_shard() : nullptr;
   const std::uint32_t epid = tr ? tr->engine_pid() : 0;
 
-  EMCGM_CHECK_MSG(rs.round < kMaxRounds,
-                  "program '" << program.name() << "' exceeded "
-                              << kMaxRounds << " rounds");
   // No-progress watchdog (cfg_.chaos.invariants): a high-water mark on the
   // (round, phase) key. Every clean superstep ends by advancing round or
   // phase, so the key moves strictly forward; only fail-over / rejoin
@@ -636,19 +606,13 @@ bool EmEngine::step() {
   // the membership schedule. watchdog_steps consecutive steps without a new
   // high-water mark therefore means livelock, not recovery.
   if (cfg_.chaos.invariants) {
-    const std::uint32_t ph = static_cast<std::uint32_t>(rs.phase);
-    const bool advanced = !rs.wd_seen || rs.round > rs.wd_hw_round ||
-                          (rs.round == rs.wd_hw_round && ph > rs.wd_hw_phase);
-    if (advanced) {
-      rs.wd_seen = true;
-      rs.wd_hw_round = rs.round;
-      rs.wd_hw_phase = ph;
+    if (!rs.wd_high || rs.at > *rs.wd_high) {
+      rs.wd_high = rs.at;
       rs.wd_stall = 0;
     } else if (++rs.wd_stall >= cfg_.chaos.watchdog_steps) {
       std::ostringstream os;
-      os << "no superstep progress past (round " << rs.wd_hw_round
-         << ", phase " << rs.wd_hw_phase << ") for " << rs.wd_stall
-         << " physical supersteps (watchdog_steps = "
+      os << "no superstep progress past " << *rs.wd_high << " for "
+         << rs.wd_stall << " physical supersteps (watchdog_steps = "
          << cfg_.chaos.watchdog_steps << ")";
       throw chaos::InvariantViolation(chaos::Invariant::kWatchdog, os.str());
     }
@@ -657,8 +621,8 @@ bool EmEngine::step() {
     // Engine-shard backbone: one superstep span per physical step; child
     // barrier spans (heartbeat, net collect, commit) nest inside it.
     obs::SpanScope step_span(tr, eshard, obs::SpanKind::kSuperstep, epid, 0,
-                             -1, -1, phys_step_, rs.round);
-    step_span.set_aux(static_cast<std::uint64_t>(rs.phase));
+                             -1, -1, phys_step_, rs.at.round);
+    step_span.set_aux(static_cast<std::uint64_t>(rs.at.phase));
     if (net_) {
       // The physical superstep clock drives the fail-stop trigger and the
       // failure detector. It is monotonic: a replayed superstep is a new
@@ -666,7 +630,7 @@ bool EmEngine::step() {
       net_->set_step(phys_step_);
       if (cfg_.net.failover) {
         obs::SpanScope hb_span(tr, eshard, obs::SpanKind::kHeartbeat, epid,
-                               0, -1, -1, phys_step_, rs.round);
+                               0, -1, -1, phys_step_, rs.at.round);
         auto newly_dead = net_->heartbeat_round(phys_step_);
         hb_span.set_aux(newly_dead.size());
         if (!newly_dead.empty()) {
@@ -676,39 +640,29 @@ bool EmEngine::step() {
       // Deaths take priority (the heartbeat above threw): a rejoin racing
       // a second death is admitted at the next barrier, after the
       // fail-over settled — deterministically, in every threading mode.
-      try_rejoin(rs.round, rs.result);
+      try_rejoin(rs.at.round, rs.result);
     }
-    const bool compute = rs.phase == Phase::kCompute;
+    const bool compute = rs.at.phase == cgm::Phase::kCompute;
     // Open step 0 of the schedule: hosts post crossing batches as their
     // groups finish; deliver_staged closes it at the barrier.
     if (net_) net_->begin_round();
     auto outcomes = run_phase(rs, compute);
     if (compute) {
       rs.result.app_rounds += 1;
-      bool any_done = false;
-      rs.all_done = true;
-      for (const auto& o : outcomes) {
-        for (char d : o.done) {
-          any_done = any_done || d;
-          rs.all_done = rs.all_done && d;
-        }
-      }
-      EMCGM_CHECK_MSG(any_done == rs.all_done,
-                      "program '" << program.name()
-                                  << "' disagreed on termination at round "
-                                  << rs.round);
+      const bool all_done = cgm::agree_done(program, rs.at.round, rs.done);
       for (auto& rp : procs_) rp->contexts->flip();
-      if (rs.all_done) {
-        // A final round sends nothing (enforced above), so the open
-        // mailbox round is empty — close it without a delivery pass.
+      if (all_done) {
+        // A final round sends nothing (compute_round enforces it), so the
+        // open mailbox round is empty — close it without a delivery pass.
         if (net_) {
           obs::SpanScope net_span(tr, eshard, obs::SpanKind::kNetCollect,
-                                  epid, 0, -1, -1, phys_step_, rs.round);
+                                  epid, 0, -1, -1, phys_step_, rs.at.round);
           net_->collect();
         }
-        if (cfg_.checkpointing) commit(rs.round, Phase::kDone);
+        rs.at.phase = cgm::Phase::kDone;
+        if (cfg_.checkpointing) commit(rs.at);
         verify_drained("the final barrier");
-        record_step_io(rs, "final", false, rs.round);
+        record_step_io(rs, "final", false, rs.at.round);
         ++phys_step_;
         return false;
       }
@@ -716,14 +670,9 @@ bool EmEngine::step() {
     deliver_staged(rs, outcomes);
     verify_drained(compute ? "the compute barrier" : "the regroup barrier");
     for (auto& rp : procs_) rp->messages->flip();
-    const std::uint64_t ran_round = rs.round;
-    if (compute && balanced) {
-      rs.phase = Phase::kRegroup;
-    } else {
-      rs.phase = Phase::kCompute;
-      ++rs.round;
-    }
-    if (cfg_.checkpointing) commit(rs.round, rs.phase);
+    const std::uint64_t ran_round = rs.at.round;
+    rs.at.advance(cfg_.balanced_routing);
+    if (cfg_.checkpointing) commit(rs.at);
     record_step_io(rs, compute ? "compute" : "regroup", true, ran_round);
     ++phys_step_;
   } catch (const DeadProcsError& e) {
@@ -731,19 +680,17 @@ bool EmEngine::step() {
     // the underlying fault if fail-over cannot help) and replay from the
     // last committed boundary with the new ownership map.
     failover(e.procs, e.cause, rs.result);
-    rs.round = commit_.round;
-    rs.phase = commit_.phase;
-    rs.all_done = (rs.phase == Phase::kDone);
+    rs.at = commit_.at;
     ++phys_step_;
   }
-  return !rs.all_done;
+  return rs.at.phase != cgm::Phase::kDone;
 }
 
 std::vector<cgm::PartitionSet> EmEngine::finish() {
   ApiGuard guard(busy_, "finish");
   EMCGM_CHECK_MSG(rs_ != nullptr,
                   "finish() requires an active run (start()/resume())");
-  EMCGM_CHECK_MSG(rs_->all_done,
+  EMCGM_CHECK_MSG(rs_->at.phase == cgm::Phase::kDone,
                   "finish() before the program finished (drive step() until"
                   " it returns false)");
   RunState& rs = *rs_;
@@ -760,7 +707,7 @@ std::vector<cgm::PartitionSet> EmEngine::finish() {
   // loss and re-reading through the survivor is safe.
   std::vector<cgm::PartitionSet> outputs;
   obs::SpanScope out_span(tr, eshard, obs::SpanKind::kOutputCollect, epid, 0,
-                          -1, -1, phys_step_, rs.round);
+                          -1, -1, phys_step_, rs.at.round);
   out_span.set_aux(v);
   for (;;) {
     std::uint32_t reading_group = 0;
@@ -772,13 +719,7 @@ std::vector<cgm::PartitionSet> EmEngine::finish() {
         const auto blob = rp.contexts->read(g % nloc);
         auto state = program.make_state();
         auto unpacked = unpack_context(blob, *state);
-        if (unpacked.outputs.size() > outputs.size()) {
-          outputs.resize(unpacked.outputs.size());
-          for (auto& slot : outputs) slot.parts.resize(v);
-        }
-        for (std::size_t k = 0; k < unpacked.outputs.size(); ++k) {
-          outputs[k].parts[g] = std::move(unpacked.outputs[k]);
-        }
+        cgm::place_outputs(outputs, v, g, std::move(unpacked.outputs));
       }
       break;
     } catch (const IoError& e) {
@@ -786,9 +727,8 @@ std::vector<cgm::PartitionSet> EmEngine::finish() {
       failover({reading_group}, std::current_exception(), rs.result);
     }
   }
-  for (auto& slot : outputs) slot.parts.resize(v);
 
-  record_step_io(rs, "output", false, rs.round);  // output-collection reads
+  record_step_io(rs, "output", false, rs.at.round);  // output-collection reads
 
   pdm::IoStats io_after;
   for (auto& rp : procs_) io_after += rp->disks->stats();

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "cgm/engine.h"
+#include "cgm/superstep.h"
 #include "emcgm/context_store.h"
 #include "emcgm/message_store.h"
 #include "net/sim_network.h"
@@ -103,13 +104,9 @@ class EmEngine final : public cgm::Engine {
   /// to all current and future runs; pass nullptr to detach.
   void set_io_charge_hook(pdm::IoChargeFn fn);
 
-  /// Observe every closed network round's wire bytes, tagged with
-  /// set_net_job_tag()'s value (barrier thread only). Survives the per-run
-  /// re-creation of the simulated network.
+  /// Observe every closed network round's wire bytes (barrier thread
+  /// only). Survives the per-run re-creation of the simulated network.
   void set_net_charge_hook(net::NetChargeFn fn);
-
-  /// Tag this engine's network rounds for the charge hook (job id).
-  void set_net_job_tag(std::uint64_t tag);
 
   /// Recover a run that threw mid-superstep (requires cfg.checkpointing):
   /// re-reads the commit records of the last committed superstep boundary,
@@ -183,14 +180,10 @@ class EmEngine final : public cgm::Engine {
   struct RunState;
   class ApiGuard;
 
-  /// Where a committed boundary resumes: the next physical superstep to run.
-  enum class Phase : std::uint32_t { kCompute = 0, kRegroup = 1, kDone = 2 };
-
   struct Commit {
     bool valid = false;
     std::uint64_t seq = 0;  ///< commit count; record slot = seq % 2
-    std::uint64_t round = 0;
-    Phase phase = Phase::kCompute;
+    cgm::Superstep at;      ///< the next physical superstep to run
   };
 
   std::uint32_t nlocal() const { return cfg_.v / cfg_.p; }
@@ -204,8 +197,8 @@ class EmEngine final : public cgm::Engine {
 
   /// Install the cooperative run state at a given boundary (the tail of
   /// start() and of resume()'s restore).
-  void begin_loop(const cgm::Program& program, std::uint64_t start_round,
-                  Phase start_phase, const pdm::IoStats& io_before);
+  void begin_loop(const cgm::Program& program, cgm::Superstep at,
+                  const pdm::IoStats& io_before);
 
   void record_step_io(RunState& rs, const char* phase_label, bool has_comm,
                       std::uint64_t step_round);
@@ -233,7 +226,7 @@ class EmEngine final : public cgm::Engine {
 
   // ---- membership (em_membership.cpp)
 
-  void commit(std::uint64_t round, Phase phase);
+  void commit(cgm::Superstep at);
   void restore_from_commit();
 
   /// Absorb the death of `dead_procs` (fail-over): disarm their disk fault
@@ -325,7 +318,6 @@ class EmEngine final : public cgm::Engine {
   // Arbitration hooks (job service); empty = detached, zero overhead.
   pdm::IoChargeFn io_charge_;
   net::NetChargeFn net_charge_;
-  std::uint64_t net_job_tag_ = 0;
 
   cgm::RunResult last_;
   cgm::RunResult total_;

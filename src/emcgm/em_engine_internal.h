@@ -118,7 +118,6 @@ struct EmEngine::RealProc {
 struct EmEngine::ProcOutcome {
   // outgoing physical messages grouped by owning store group
   std::vector<std::vector<cgm::Message>> by_owner;
-  std::vector<char> done;  // per local vproc
   std::exception_ptr error;
 };
 
@@ -132,9 +131,8 @@ struct EmEngine::RunState {
   Timer timer;  ///< whole-run wall clock (result.wall_s)
   cgm::RunResult result;
 
-  std::uint64_t round = 0;
-  Phase phase = Phase::kCompute;
-  bool all_done = false;
+  cgm::Superstep at;
+  std::vector<char> done;  ///< per vproc: done() after the last compute
 
   pdm::IoStats io_before;       ///< disk stats at start (delta -> result.io)
   net::NetStats net_before;     ///< wire stats at start (delta -> result.net)
@@ -142,11 +140,9 @@ struct EmEngine::RunState {
   net::NetStats net_step_mark;  ///< per-superstep wire delta cursor
   Timer step_timer;
 
-  // No-progress watchdog (cfg.chaos.invariants): a high-water mark on the
-  // (round, phase) key; see step().
-  std::uint64_t wd_hw_round = 0;
-  std::uint32_t wd_hw_phase = 0;
-  bool wd_seen = false;
+  // No-progress watchdog (cfg.chaos.invariants): the high-water mark of
+  // `at`; see step().
+  std::optional<cgm::Superstep> wd_high;
   std::uint32_t wd_stall = 0;
 };
 

@@ -97,24 +97,15 @@ ReadArchive open_commit_record(std::span<const std::byte> blob,
 
 // -------------------------------------------------------------- commit ----
 
-void EmEngine::commit(std::uint64_t round, Phase phase) {
-  if (cfg_.chaos.invariants && commit_.valid) {
-    // Commit boundaries must advance strictly: every commit follows a full
-    // phase, so even a post-fail-over replay lands past the restored mark.
-    const bool forward =
-        round > commit_.round ||
-        (round == commit_.round &&
-         static_cast<std::uint32_t>(phase) >
-             static_cast<std::uint32_t>(commit_.phase));
-    if (!forward) {
-      std::ostringstream os;
-      os << "commit boundary (round " << round << ", phase "
-         << static_cast<std::uint32_t>(phase)
-         << ") does not advance past the committed (round " << commit_.round
-         << ", phase " << static_cast<std::uint32_t>(commit_.phase) << ")";
-      throw chaos::InvariantViolation(chaos::Invariant::kCommitMonotonic,
-                                      os.str());
-    }
+void EmEngine::commit(cgm::Superstep at) {
+  // Commit boundaries must advance strictly: every commit follows a full
+  // phase, so even a post-fail-over replay lands past the restored mark.
+  if (cfg_.chaos.invariants && commit_.valid && at <= commit_.at) {
+    std::ostringstream os;
+    os << "commit boundary " << at << " does not advance past the committed "
+       << commit_.at;
+    throw chaos::InvariantViolation(chaos::Invariant::kCommitMonotonic,
+                                    os.str());
   }
   const std::uint64_t seq = commit_.seq + 1;
   const int slot = static_cast<int>(seq % 2);
@@ -124,8 +115,8 @@ void EmEngine::commit(std::uint64_t round, Phase phase) {
   // casualties and let the fail-over path deal with them. commit_ is only
   // advanced when every record landed, so a partial commit leaves the
   // previous boundary (in the other slot) authoritative.
-  const RecordHeader header{seq, round, static_cast<std::uint32_t>(phase),
-                            epoch_};
+  const RecordHeader header{seq, at.round,
+                            static_cast<std::uint32_t>(at.phase), epoch_};
   obs::Tracer* tr = tracer_.get();
   WriteArchive ar;  // each group's record is taken before the next is put
   for_each_group(cfg_.p, cfg_.net.failover, [&](std::uint32_t g) {
@@ -134,7 +125,7 @@ void EmEngine::commit(std::uint64_t round, Phase phase) {
     // host so checkpoint cost shows up where the disks live.
     obs::SpanScope span(tr, tr ? &tr->engine_shard() : nullptr,
                         obs::SpanKind::kCommit, group_host_[g], g, g, -1,
-                        phys_step_, round, &rp.disks->stats());
+                        phys_step_, at.round, &rp.disks->stats());
     put_commit_record(ar, header, group_host_, alive_, *rp.contexts,
                       *rp.messages);
     const auto blob = ar.take();
@@ -146,7 +137,7 @@ void EmEngine::commit(std::uint64_t round, Phase phase) {
     pdm::write_striped(*rp.disks, ck.tracks, ck.extent, blob);
     rp.disks->sync();  // a boundary is committed only once it is durable
   });
-  commit_ = Commit{true, seq, round, phase};
+  commit_ = Commit{true, seq, at};
 }
 
 void EmEngine::restore_from_commit() {
@@ -167,14 +158,15 @@ void EmEngine::restore_from_commit() {
     auto& rp = *procs_[g];
     obs::SpanScope span(tr, tr ? &tr->engine_shard() : nullptr,
                         obs::SpanKind::kRecovery, group_host_[g], g, g, -1,
-                        phys_step_, commit_.round, &rp.disks->stats());
+                        phys_step_, commit_.at.round, &rp.disks->stats());
     EMCGM_CHECK_MSG(rp.contexts && rp.messages,
                     "resume() before run() set up the stores");
     const auto blob = read_commit_blob(g);
     RecordHeader rec;
     ReadArchive ar = open_commit_record(blob, "commit record", cfg_.p, rec);
-    EMCGM_CHECK_MSG(rec.seq == commit_.seq && rec.round == commit_.round &&
-                        rec.phase == static_cast<std::uint32_t>(commit_.phase),
+    EMCGM_CHECK_MSG(rec.seq == commit_.seq && rec.round == commit_.at.round &&
+                        rec.phase ==
+                            static_cast<std::uint32_t>(commit_.at.phase),
                     "commit record does not match the in-memory commit mark");
     // Membership epoch: the epoch under which the boundary was taken. A
     // fail-over bumps the epoch *before* restoring the record committed
@@ -420,7 +412,7 @@ void EmEngine::failover(const std::vector<std::uint32_t>& dead_procs,
   // adopted off their surviving disks; a group moving between two live
   // survivors (the greedy spread can shift an orphan when the host set
   // shrinks) gets its committed record streamed and re-validated.
-  migrate_groups(old_host, commit_.round);
+  migrate_groups(old_host, commit_.at.round);
 }
 
 }  // namespace emcgm::em

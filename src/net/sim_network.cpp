@@ -339,9 +339,9 @@ LinkStreams SimNetwork::finish_pairs(std::vector<PairOutcome>& outs) {
       round_wire_bytes += outs[slot(lo, hi)].stats.wire_bytes;
     }
   }
-  // Arbitration probe: one charge per closed round, tagged with the owning
-  // job. Charged before any pair error rethrows — the wire traffic happened.
-  if (charge_ && round_wire_bytes > 0) charge_(job_tag_, round_wire_bytes);
+  // Arbitration probe: one charge per closed round. Charged before any pair
+  // error rethrows — the wire traffic happened.
+  if (charge_ && round_wire_bytes > 0) charge_(round_wire_bytes);
   if (tracer_) {
     // Publish one net_pair span per pair that carried traffic, in canonical
     // pair order. Timestamps were recorded by whichever thread simulated the

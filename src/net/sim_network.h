@@ -97,13 +97,12 @@ using Frame = std::shared_ptr<const std::vector<std::byte>>;
 using LinkStreams = std::vector<std::vector<std::vector<std::byte>>>;
 
 /// Arbitration probe: called once per collected mailbox round with the
-/// round's total wire bytes and the owning job's tag. Fired from the round
-/// barrier — the collector thread, after every pair merged — so the charge
-/// stream is single-threaded and deterministic.
+/// round's total wire bytes. Fired from the round barrier — the collector
+/// thread, after every pair merged — so the charge stream is
+/// single-threaded and deterministic.
 /// Counted bytes, never wall time: a fair-share scheduler (src/svc/) can
 /// arbitrate on it without perturbing bit-reproducibility.
-using NetChargeFn =
-    std::function<void(std::uint64_t job_tag, std::uint64_t wire_bytes)>;
+using NetChargeFn = std::function<void(std::uint64_t wire_bytes)>;
 
 class SimNetwork {
  public:
@@ -231,10 +230,6 @@ class SimNetwork {
 
   const NetStats& stats() const { return stats_; }
 
-  /// Tag handed back verbatim to the charge hook (the job service uses the
-  /// job id). Set once at engine start, before any round opens.
-  void set_job_tag(std::uint64_t tag) { job_tag_ = tag; }
-
   /// (Re-)attach the per-round wire-byte charge probe (see NetChargeFn);
   /// empty = detached. Must not be called while a round is open.
   void set_charge_hook(NetChargeFn fn) { charge_ = std::move(fn); }
@@ -325,7 +320,6 @@ class SimNetwork {
   NetStats stats_;
   obs::Tracer* tracer_ = nullptr;  ///< optional phase tracer (obs subsystem)
   std::uint64_t cur_step_ = 0;     ///< mirrors injector_'s fault clock
-  std::uint64_t job_tag_ = 0;      ///< opaque tag echoed to charge_
   NetChargeFn charge_;             ///< per-round arbitration probe
 
   // Mailbox round state, guarded by mu_. Pair slots use slot(lo, hi),

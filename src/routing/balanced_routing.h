@@ -5,10 +5,11 @@
 // final destination at k, and travels k -> dst in round B. Theorem 1: every
 // round-A and round-B message carries total-bytes/v +- O(v) payload.
 //
-// The three functions below are pure per-processor transformations, so both
-// engines share them: the native engine applies them centrally, the EM
-// engine runs transform_intermediate as the compute phase of an extra
-// physical superstep (Lemma 2 doubles the superstep count).
+// The three functions below are pure per-processor transformations, which
+// both engines apply through their shared superstep protocol
+// (cgm/superstep.h): encode ends a compute superstep, transform_intermediate
+// runs the regroup superstep after it (Lemma 2 doubles the superstep count),
+// and decode rebuilds the next compute superstep's inbox.
 //
 // Read a len-byte message as floor(len / v) rows of v bytes plus a tail of
 // len mod v bytes: column c (bytes c, c + v, c + 2v, ...) is exactly the

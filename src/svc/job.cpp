@@ -42,23 +42,21 @@ cgm::MachineConfig make_machine_config(const JobSpec& spec,
   return cfg;
 }
 
-Job::Job(JobSpec spec, std::uint64_t job_id, const PoolConfig& pool,
-         std::vector<std::uint32_t> carve, bool tenant_trace)
+Job::Job(JobSpec spec, const PoolConfig& pool, std::vector<std::uint32_t> carve,
+         bool tenant_trace)
     : spec_(std::move(spec)),
       carve_(std::move(carve)),
-      block_bytes_(pool.block_bytes),
       workload_(make_workload(spec_.workload, spec_.n, spec_.seed)) {
   engine_ = std::make_unique<em::EmEngine>(
       make_machine_config(spec_, pool, tenant_trace));
   pending_inputs_ = workload_->initial_inputs(spec_.v);
   // Both hooks feed one per-job account in counted bytes: deterministic
   // work, never wall time, so the DRR schedule replays bit-identically.
-  const std::size_t bb = block_bytes_;
+  const std::size_t bb = pool.block_bytes;
   engine_->set_io_charge_hook([this, bb](std::uint64_t blocks) {
     charge_.fetch_add(blocks * bb, std::memory_order_relaxed);
   });
-  engine_->set_net_job_tag(job_id);
-  engine_->set_net_charge_hook([this](std::uint64_t, std::uint64_t wire) {
+  engine_->set_net_charge_hook([this](std::uint64_t wire) {
     charge_.fetch_add(wire, std::memory_order_relaxed);
   });
 }
@@ -84,7 +82,7 @@ bool Job::step() {
     ++supersteps_;
     ++stage_;
     if (stage_ < workload_->stages()) {
-      pending_inputs_ = workload_->next_inputs(stage_ - 1, std::move(outs));
+      pending_inputs_ = std::move(outs);
       return true;
     }
     workload_->check(outs);

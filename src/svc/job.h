@@ -74,8 +74,8 @@ class Job {
   /// Built at admission, with the pool carve already granted. Constructs
   /// the engine (cfg.validate() throws typed kConfig on a bad spec) and
   /// installs the arbitration charge hooks.
-  Job(JobSpec spec, std::uint64_t job_id, const PoolConfig& pool,
-      std::vector<std::uint32_t> carve, bool tenant_trace);
+  Job(JobSpec spec, const PoolConfig& pool, std::vector<std::uint32_t> carve,
+      bool tenant_trace);
 
   const JobSpec& spec() const { return spec_; }
   const std::vector<std::uint32_t>& carve() const { return carve_; }
@@ -112,7 +112,6 @@ class Job {
  private:
   JobSpec spec_;
   std::vector<std::uint32_t> carve_;
-  std::size_t block_bytes_;
   std::unique_ptr<Workload> workload_;
   std::unique_ptr<cgm::Program> program_;  ///< program of the running stage
   std::unique_ptr<em::EmEngine> engine_;

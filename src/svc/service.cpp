@@ -56,8 +56,8 @@ void JobService::admit() {
       // submission order alone.
       break;
     }
-    s.job = std::make_unique<Job>(s.spec, static_cast<std::uint64_t>(i),
-                                  cfg_.pool, std::move(carve), cfg_.trace);
+    s.job = std::make_unique<Job>(s.spec, cfg_.pool, std::move(carve),
+                                  cfg_.trace);
     s.job->admit_tick = tick_;
   }
 }

@@ -1,7 +1,8 @@
 // Staged workloads for the multi-tenant job service.
 //
-// A Workload is a pipeline of CGM programs — stage s+1 consumes stage s's
-// output slot 0 — plus deterministic input generation and an output check.
+// A Workload is a pipeline of CGM programs — stage s+1 takes stage s's
+// output slots as its input slots — plus deterministic input generation and
+// an output check.
 // The service runs each stage as one cooperative engine run (start / step*
 // / finish), so a multi-stage workload preempts at any superstep barrier of
 // any stage. Everything is a pure function of (kind, n, seed, v): two
@@ -37,13 +38,6 @@ class Workload {
   /// Stage-0 inputs for a v-virtual-processor machine (even-chunk layout).
   virtual std::vector<cgm::PartitionSet> initial_inputs(
       std::uint32_t v) const = 0;
-
-  /// Map stage s's outputs to stage s+1's inputs. Default: slot-for-slot
-  /// pass-through, which every current pipeline uses.
-  virtual std::vector<cgm::PartitionSet> next_inputs(
-      std::uint32_t /*s*/, std::vector<cgm::PartitionSet> outs) const {
-    return outs;
-  }
 
   /// Structural sanity check of the final outputs (cheap, not a reference
   /// recomputation — tests do that). Throws util Error on violation.

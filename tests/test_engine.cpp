@@ -405,18 +405,29 @@ TEST(EmEngine, MemoryLimitEnforced) {
 }
 
 TEST(EmEngine, BalancedRoutingDoublesCommSteps) {
-  auto run = [&](bool balanced) {
-    cgm::MachineConfig cfg;
-    cfg.v = 4;
-    cfg.balanced_routing = balanced;
-    cgm::Machine m(cgm::EngineKind::kEm, cfg);
-    algo::sort_keys(m, random_keys(4, 2000));
-    return m.total();
-  };
-  const auto plain = run(false);
-  const auto balanced = run(true);
-  EXPECT_EQ(plain.app_rounds, balanced.app_rounds);
-  EXPECT_EQ(balanced.comm_steps, 2 * plain.comm_steps);
+  // Both engines step the same superstep protocol: every round but the
+  // final one ends in one delivery, two under balanced routing, and each
+  // delivery is one comm.steps row. Balancing adds no application round.
+  for (auto kind : {cgm::EngineKind::kNative, cgm::EngineKind::kEm}) {
+    std::uint64_t direct_rounds = 0;
+    for (bool balanced : {false, true}) {
+      cgm::MachineConfig cfg;
+      cfg.v = 4;
+      cfg.balanced_routing = balanced;
+      cgm::Machine m(kind, cfg);
+      algo::sort_keys(m, random_keys(4, 2000));
+      const cgm::RunResult& r = m.last_result();
+      const std::string where =
+          std::string(kind == cgm::EngineKind::kEm ? "em" : "native") +
+          (balanced ? " balanced" : " direct");
+      ASSERT_GT(r.app_rounds, 1u) << where;
+      if (!balanced) direct_rounds = r.app_rounds;
+      EXPECT_EQ(r.app_rounds, direct_rounds) << where;
+      EXPECT_EQ(r.comm_steps, r.comm.steps.size()) << where;
+      EXPECT_EQ(r.comm_steps, (balanced ? 2 : 1) * (r.app_rounds - 1))
+          << where;
+    }
+  }
 }
 
 TEST(EmEngine, FileBackendMatchesMemoryBackend) {
